@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import kernels, oracle
 from .errors import ComputationError, InputError
@@ -73,25 +72,17 @@ def _emit(records: list[_Record], output: str) -> None:
     out.write('{"records":[' + ",".join(parts) + "]}\n")
 
 
-def _load_single(path: str, fmt: str, alphabet: bytes | None) -> Sequence:
-    records = load_input(path, fmt)
-    if len(records) != 1:
-        raise InputError(f"{path}: expected exactly one sequence, found {len(records)}")
-    return map_alphabet(records, alphabet)[0]
-
-
-def _load_pair(
-    path1: str, path2: str, fmt: str, alphabet: bytes | None
-) -> tuple[Sequence, Sequence]:
-    r1 = load_input(path1, fmt)
-    r2 = load_input(path2, fmt)
-    if len(r1) != 1:
-        raise InputError(f"{path1}: expected exactly one sequence, found {len(r1)}")
-    if len(r2) != 1:
-        raise InputError(f"{path2}: expected exactly one sequence, found {len(r2)}")
-    # one shared alphabet across both inputs keeps symbol spaces aligned
-    seqs = map_alphabet(r1 + r2, alphabet)
-    return seqs[0], seqs[1]
+def _load(args, *paths: str) -> list[Sequence]:
+    """One sequence per file, all mapped through one alphabet."""
+    alphabet = _alphabet_bytes(args.alphabet)
+    loaded = [load_input(path, args.format) for path in paths]
+    for path, records in zip(paths, loaded):
+        if len(records) != 1:
+            raise InputError(
+                f"{path}: expected exactly one sequence, found {len(records)}"
+            )
+    # one shared alphabet across the inputs keeps symbol spaces aligned
+    return map_alphabet([rec for records in loaded for rec in records], alphabet)
 
 
 def _alphabet_bytes(arg: str | None) -> bytes | None:
@@ -103,23 +94,14 @@ def _alphabet_bytes(arg: str | None) -> bytes | None:
         raise InputError("--alphabet must be ASCII") from None
 
 
-def _parse_probs(arg: str | None, sigma: int) -> tuple[float, ...]:
-    if arg is None:
-        return tuple(1.0 / sigma for _ in range(sigma))
-    try:
-        probs = tuple(float(tok) for tok in arg.split(","))
-    except ValueError:
-        raise InputError(f"cannot parse probabilities {arg!r}") from None
-    return probs
-
-
-def _parse_scores(arg: str | None) -> tuple[float, ...] | None:
+def _parse_floats(arg: str | None, what: str) -> tuple[float, ...] | None:
+    """Comma-separated floats; None when the flag was not given."""
     if arg is None:
         return None
     try:
         return tuple(float(tok) for tok in arg.split(","))
     except ValueError:
-        raise InputError(f"cannot parse scores {arg!r}") from None
+        raise InputError(f"cannot parse {what} {arg!r}") from None
 
 
 def _decode_word(word: tuple[int, ...], s: Sequence) -> str:
@@ -163,7 +145,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--scores", help="comma floats, one per alphabet symbol")
     p.add_argument("--q", help="comma probabilities, one per symbol (d2s, d2star)")
     p.add_argument("--g", choices=("unit", "exact"), default="unit")
-    p.add_argument("--jobs", type=int, default=1)
+    # kept so existing scripts still run: threads ran no faster under the GIL
+    p.add_argument("--jobs", type=int, default=1, help="ignored; kinds run in order")
     p.add_argument("input1")
     p.add_argument("input2")
 
@@ -213,7 +196,7 @@ def _build_parser() -> _Parser:
 
 
 def _run_complexity(args) -> list[_Record]:
-    s = _load_single(args.input, args.format, _alphabet_bytes(args.alphabet))
+    [s] = _load(args, args.input)
     ix = build_bwt(s)
     if args.kind == "kmer":
         if args.k is None:
@@ -242,14 +225,16 @@ def _kernel_task(kind: str, args, i1: BwtIndex, i2: BwtIndex, prec: int) -> list
             epsilon=args.epsilon,
             kmin=args.kmin,
             kmax=args.kmax,
-            scores=_parse_scores(args.scores),
+            scores=_parse_floats(args.scores, "scores"),
         )
         v = kernels.weighted_substring_kernel(i1, i2, spec)
         return [_Record("weighted", [args.weights], _fmt_float(v, prec))]
     if kind in ("d2s", "d2star"):
         if args.k is None:
             raise InputError(f"kernel --kind {kind} requires -k")
-        q = _parse_probs(args.q, i1.sigma)
+        q = _parse_floats(args.q, "probabilities")
+        if q is None:
+            q = tuple(1.0 / i1.sigma for _ in range(i1.sigma))
         fn = kernels.d2s_distance if kind == "d2s" else kernels.d2star_distance
         return [_Record(kind, [str(args.k)], _fmt_float(fn(i1, i2, args.k, q), prec))]
     if kind == "markov":
@@ -269,24 +254,14 @@ def _run_kernel(args) -> list[_Record]:
     for kind in kinds:
         if kind not in _KERNEL_KINDS:
             raise InputError(f"unknown kernel kind {kind!r}")
-    s1, s2 = _load_pair(
-        args.input1, args.input2, args.format, _alphabet_bytes(args.alphabet)
-    )
+    s1, s2 = _load(args, args.input1, args.input2)
     i1, i2 = build_bwt(s1), build_bwt(s2)
     prec = args.precision
-    if args.jobs > 1 and len(kinds) > 1:
-        # results are collected in task order, so output stays input-ordered
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = list(
-                pool.map(lambda kind: _kernel_task(kind, args, i1, i2, prec), kinds)
-            )
-    else:
-        chunks = [_kernel_task(kind, args, i1, i2, prec) for kind in kinds]
-    return [rec for chunk in chunks for rec in chunk]
+    return [rec for kind in kinds for rec in _kernel_task(kind, args, i1, i2, prec)]
 
 
 def _run_profile(args) -> list[_Record]:
-    s = _load_single(args.input, args.format, _alphabet_bytes(args.alphabet))
+    [s] = _load(args, args.input)
     prof = kernels.kmer_profile(build_bwt(s), args.k1, args.k2, args.f1, args.f2)
     return [
         _Record("profile", [str(k), str(f)], str(prof.cell(k, f)))
@@ -295,17 +270,21 @@ def _run_profile(args) -> list[_Record]:
     ]
 
 
-def _run_entropy(args) -> list[_Record]:
-    s = _load_single(args.input, args.format, _alphabet_bytes(args.alphabet))
-    values = kernels.entropy_range(build_bwt(s), args.k1, args.k2)
+def _run_per_k(args) -> list[_Record]:
+    """entropy and kl: one value per k in [k1..k2]."""
+    [s] = _load(args, args.input)
+    if args.command == "entropy":
+        values = kernels.entropy_range(build_bwt(s), args.k1, args.k2)
+    else:
+        values = kernels.kl_divergence_range(build_bwt(s), args.k1, args.k2)
     return [
-        _Record("entropy", [str(args.k1 + i)], _fmt_float(v, args.precision))
+        _Record(args.command, [str(args.k1 + i)], _fmt_float(v, args.precision))
         for i, v in enumerate(values)
     ]
 
 
 def _run_maw(args) -> list[_Record]:
-    s = _load_single(args.input, args.format, _alphabet_bytes(args.alphabet))
+    [s] = _load(args, args.input)
     ix = build_bwt(s)
     if args.kind == "count":
         return [_Record("maw-count", [], str(kernels.maw_count(ix)))]
@@ -314,17 +293,8 @@ def _run_maw(args) -> list[_Record]:
     ]
 
 
-def _run_kl(args) -> list[_Record]:
-    s = _load_single(args.input, args.format, _alphabet_bytes(args.alphabet))
-    values = kernels.kl_divergence_range(build_bwt(s), args.k1, args.k2)
-    return [
-        _Record("kl", [str(args.k1 + i)], _fmt_float(v, args.precision))
-        for i, v in enumerate(values)
-    ]
-
-
 def _run_calibrate(args) -> list[_Record]:
-    s = _load_single(args.input, args.format, _alphabet_bytes(args.alphabet))
+    [s] = _load(args, args.input)
     ix = build_bwt(s)
     if args.kind == "kmin":
         return [_Record("kmin", [], str(kernels.calibrate_kmin(ix, args.kcap)))]
@@ -335,7 +305,7 @@ def _run_index(args) -> list[_Record]:
     if args.action == "build":
         if args.out is None:
             raise InputError("index build requires -o OUT")
-        s = _load_single(args.input, args.format, _alphabet_bytes(args.alphabet))
+        [s] = _load(args, args.input)
         ix = build_bwt(s)
         ix.dump(args.out)
         return [_Record("index", [str(ix.n)], str(ix.sigma))]
@@ -344,7 +314,7 @@ def _run_index(args) -> list[_Record]:
 
 
 def _run_oracle(args) -> list[_Record]:
-    s = _load_single(args.input, args.format, _alphabet_bytes(args.alphabet))
+    [s] = _load(args, args.input)
     prec = args.precision
     if args.measure == "kmer-complexity":
         return [_Record("kmer", [str(args.k)], str(oracle.oracle_kmer_complexity(s, args.k)))]
@@ -361,9 +331,9 @@ _RUNNERS = {
     "complexity": _run_complexity,
     "kernel": _run_kernel,
     "profile": _run_profile,
-    "entropy": _run_entropy,
+    "entropy": _run_per_k,
     "maw": _run_maw,
-    "kl": _run_kl,
+    "kl": _run_per_k,
     "calibrate": _run_calibrate,
     "index": _run_index,
     "oracle": _run_oracle,
@@ -381,12 +351,9 @@ def run(argv: list[str] | None = None) -> int:
         return 1
     try:
         records = _RUNNERS[args.command](args)
-    except InputError as exc:
+    except (InputError, ComputationError) as exc:
         print(f"bwtk: error: {exc}", file=sys.stderr)
-        return 1
-    except ComputationError as exc:
-        print(f"bwtk: error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, ComputationError) else 1
     _emit(records, args.output)
     return 0
 

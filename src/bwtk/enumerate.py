@@ -5,13 +5,17 @@ right-extension symbols chars = (b_1 < ... < b_k) and interval boundaries
 first, so that the suffix rows of W b_i are [first[i] .. first[i+1]-1] and
 the rows of W itself are [first[0] .. first[-1]-1]. Left extension converts
 repr(W) into repr(aW) for every symbol a preceding W, using one
-range_distinct query per right-extension block; the traversal then pushes
-the right-maximal extensions, widest interval first so the narrowest pops
-first, which keeps the stack at O(sigma log n) frames.
+range_distinct query per right-extension block.
 
-The two-string variant walks the generalized suffix tree of the pair: the
-two terminators count as distinct right extensions, so a string followed by
-the end of both texts is right-maximal even when no letter follows it.
+One depth-first loop, _traverse, serves every enumeration. A per-kind step
+turns a node's repr into its left symbols, its children and the children to
+push: the letter extensions that are right-maximal again. The loop pushes
+them widest interval first so the narrowest pops first, which keeps the
+stack at O(sigma log n) frames. The single-string step works on Repr; the
+two-string step works on GenRepr and walks the generalized suffix tree of
+the pair, where the two terminators count as distinct right extensions, so
+a string followed by the end of both texts is right-maximal even when no
+letter follows it.
 """
 
 from __future__ import annotations
@@ -50,10 +54,6 @@ class Repr:
     def interval(self) -> tuple[int, int]:
         return self.first[0], self.first[-1] - 1
 
-    def widths(self) -> list[int]:
-        first = self.first
-        return [first[i + 1] - first[i] for i in range(len(self.chars))]
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Repr(chars={self.chars}, first={self.first})"
 
@@ -72,9 +72,7 @@ class GenRepr:
 
     @property
     def freq(self) -> int:
-        return (self.one.freq if self.one.present else 0) + (
-            self.two.freq if self.two.present else 0
-        )
+        return self.one.freq + self.two.freq
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"GenRepr({self.one!r}, {self.two!r})"
@@ -146,31 +144,12 @@ def extend_left(index: BwtIndex, r: Repr) -> list[tuple[int, Repr]]:
     return list(zip(lefts, kids))
 
 
-def _extend_gen(i1: BwtIndex, i2: BwtIndex, g: GenRepr):
-    merged: dict[int, list[Repr]] = {}
-    if g.one.present:
-        lefts, kids = _extend(i1.ranks.range_distinct, i1.c, g.one)
-        for a, kid in zip(lefts, kids):
-            merged[a] = [kid, ABSENT]
-    if g.two.present:
-        lefts, kids = _extend(i2.ranks.range_distinct, i2.c, g.two)
-        for a, kid in zip(lefts, kids):
-            pair = merged.get(a)
-            if pair is None:
-                merged[a] = [ABSENT, kid]
-            else:
-                pair[1] = kid
-    lefts = sorted(merged)
-    kids = [GenRepr(merged[a][0], merged[a][1]) for a in lefts]
-    return lefts, kids
-
-
 def extend_left_generalized(
     index1: BwtIndex, index2: BwtIndex, g: GenRepr
 ) -> list[tuple[int, GenRepr]]:
     if not (g.one.present or g.two.present):
         raise InputError("malformed representation: both sides absent")
-    lefts, kids = _extend_gen(index1, index2, g)
+    lefts, kids, _ = _generalized_step(index1, index2)(g)
     return list(zip(lefts, kids))
 
 
@@ -192,14 +171,52 @@ def _distinct_extensions(c1: tuple[int, ...], c2: tuple[int, ...]) -> int:
     return count
 
 
-def _run(index: BwtIndex, visitor, fire_all: bool, child_payload, root_payload, stats):
-    index.enumerations += 1
+def _single_step(index: BwtIndex):
     rd = index.ranks.range_distinct
     c = index.c
+
+    def step(r: Repr):
+        lefts, kids = _extend(rd, c, r)
+        push = [
+            i
+            for i in range(len(lefts))
+            if lefts[i] != 0 and len(kids[i].chars) >= 2
+        ]
+        return lefts, kids, push
+
+    return step
+
+
+def _generalized_step(index1: BwtIndex, index2: BwtIndex):
+    rd1, c1 = index1.ranks.range_distinct, index1.c
+    rd2, c2 = index2.ranks.range_distinct, index2.c
+
+    def step(g: GenRepr):
+        one = dict(zip(*_extend(rd1, c1, g.one))) if g.one.present else {}
+        two = dict(zip(*_extend(rd2, c2, g.two))) if g.two.present else {}
+        lefts = sorted(one.keys() | two.keys())
+        kids = [GenRepr(one.get(a, ABSENT), two.get(a, ABSENT)) for a in lefts]
+        push = [
+            i
+            for i in range(len(lefts))
+            if lefts[i] != 0
+            and _distinct_extensions(kids[i].one.chars, kids[i].two.chars) >= 2
+        ]
+        return lefts, kids, push
+
+    return step
+
+
+def _traverse(
+    indexes, root, step, visitor, fire_all: bool, child_payload, root_payload, stats
+) -> int:
+    """The one depth-first loop; returns the number of visitor calls."""
+    for index in indexes:
+        index.enumerations += 1
     ev = VisitEvent()
     path = ev._path
-    stack = [(_root_repr(index), 0, 0, root_payload)]
-    seen = 0
+    stack = [(root, 0, 0, root_payload)]
+    visits = 0
     fired = 0
     peak = 1
     while stack:
@@ -208,26 +225,22 @@ def _run(index: BwtIndex, visitor, fire_all: bool, child_payload, root_payload, 
             if len(path) < depth:
                 path.extend([0] * (depth - len(path)))
             path[depth - 1] = a
-        lefts, kids = _extend(rd, c, r)
-        seen += 1
+        lefts, kids, push = step(r)
+        visits += 1
+        # filled even when the visitor does not fire: child_payload reads it
+        ev.depth = depth
+        ev.repr = r
+        ev.lefts = lefts
+        ev.children = kids
+        ev.payload = payload
         if fire_all or len(lefts) >= 2:
             fired += 1
-            ev.depth = depth
-            ev.repr = r
-            ev.lefts = lefts
-            ev.children = kids
-            ev.payload = payload
             visitor(ev)
-        cand = [
-            i
-            for i in range(len(lefts))
-            if lefts[i] != 0 and len(kids[i].chars) >= 2
-        ]
-        if cand:
-            if len(cand) > 1:
-                cand.sort(key=lambda i: kids[i].freq, reverse=True)
+        if push:
+            if len(push) > 1:
+                push.sort(key=lambda i: kids[i].freq, reverse=True)
             nd = depth + 1
-            for i in cand:
+            for i in push:
                 stack.append(
                     (
                         kids[i],
@@ -239,7 +252,7 @@ def _run(index: BwtIndex, visitor, fire_all: bool, child_payload, root_payload, 
             if len(stack) > peak:
                 peak = len(stack)
     if stats is not None:
-        stats["visits"] = seen
+        stats["visits"] = visits
         stats["peak_frames"] = peak
     return fired
 
@@ -257,7 +270,10 @@ def enumerate_right_maximal(
     Returns the visit count. child_payload(event, i), when given, produces
     the payload stored with the pushed child event.children[i].
     """
-    return _run(index, visitor, True, child_payload, root_payload, stats)
+    return _traverse(
+        (index,), _root_repr(index), _single_step(index), visitor, True,
+        child_payload, root_payload, stats,
+    )
 
 
 def enumerate_maximal_repeats(
@@ -273,7 +289,10 @@ def enumerate_maximal_repeats(
     Left-maximality asks for at least two distinct preceding symbols, the
     terminator included. Returns the number of visitor invocations.
     """
-    return _run(index, visitor, False, child_payload, root_payload, stats)
+    return _traverse(
+        (index,), _root_repr(index), _single_step(index), visitor, False,
+        child_payload, root_payload, stats,
+    )
 
 
 def enumerate_generalized(
@@ -294,50 +313,8 @@ def enumerate_generalized(
     """
     if index1.sigma != index2.sigma:
         raise InputError("alphabet mismatch between the two indexes")
-    index1.enumerations += 1
-    index2.enumerations += 1
-    ev = VisitEvent()
-    path = ev._path
     root = GenRepr(_root_repr(index1), _root_repr(index2))
-    stack = [(root, 0, 0, root_payload)]
-    visits = 0
-    peak = 1
-    while stack:
-        g, depth, a, payload = stack.pop()
-        if depth:
-            if len(path) < depth:
-                path.extend([0] * (depth - len(path)))
-            path[depth - 1] = a
-        lefts, kids = _extend_gen(index1, index2, g)
-        visits += 1
-        ev.depth = depth
-        ev.repr = g
-        ev.lefts = lefts
-        ev.children = kids
-        ev.payload = payload
-        visitor(ev)
-        cand = [
-            i
-            for i in range(len(lefts))
-            if lefts[i] != 0
-            and _distinct_extensions(kids[i].one.chars, kids[i].two.chars) >= 2
-        ]
-        if cand:
-            if len(cand) > 1:
-                cand.sort(key=lambda i: kids[i].freq, reverse=True)
-            nd = depth + 1
-            for i in cand:
-                stack.append(
-                    (
-                        kids[i],
-                        nd,
-                        lefts[i],
-                        child_payload(ev, i) if child_payload else None,
-                    )
-                )
-            if len(stack) > peak:
-                peak = len(stack)
-    if stats is not None:
-        stats["visits"] = visits
-        stats["peak_frames"] = peak
-    return visits
+    return _traverse(
+        (index1, index2), root, _generalized_step(index1, index2), visitor, True,
+        child_payload, root_payload, stats,
+    )

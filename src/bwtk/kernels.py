@@ -19,14 +19,14 @@ import math
 from dataclasses import dataclass
 
 from .enumerate import (
-    GenRepr,
     Repr,
     VisitEvent,
+    _distinct_extensions,
     enumerate_generalized,
     enumerate_maximal_repeats,
     enumerate_right_maximal,
 )
-from .errors import InputError, ZeroDenominatorError
+from .errors import ComputationError, InputError, ZeroDenominatorError
 from .params import WeightSpec, ZScoreParams, markov_g, validate_probs
 from .suffix import BwtIndex
 
@@ -68,10 +68,6 @@ class ProfileMatrix:
         return self.cells[k - self.k1][f - self.f1]
 
 
-def _letter_count(chars: tuple[int, ...]) -> int:
-    return len(chars) - 1 if chars and chars[0] == 0 else len(chars)
-
-
 def _letter_blocks(r: Repr) -> dict[int, int]:
     first = r.first
     return {
@@ -108,21 +104,22 @@ def _pair_sums(one: Repr, two: Repr) -> tuple[int, int, int]:
     return cross, s1, s2
 
 
-def _shared_letter_count(c1: tuple[int, ...], c2: tuple[int, ...]) -> int:
-    i = j = 0
-    count = 0
-    while i < len(c1) and j < len(c2):
-        a, b = c1[i], c2[j]
-        if a == b:
-            if a != 0:
-                count += 1
-            i += 1
-            j += 1
-        elif a < b:
-            i += 1
-        else:
-            j += 1
-    return count
+def _maximal_sides(ev: VisitEvent) -> tuple[bool, bool]:
+    """Whether a generalized node is a maximal repeat of text 1, of text 2.
+
+    A side needs two right extensions and two left extensions there, the
+    terminators included.
+    """
+    g = ev.repr
+    rm1 = len(g.one.chars) >= 2
+    rm2 = len(g.two.chars) >= 2
+    if not (rm1 or rm2):
+        return False, False
+    lm1 = lm2 = 0
+    for kid in ev.children:
+        lm1 += kid.one.present
+        lm2 += kid.two.present
+    return rm1 and lm1 >= 2, rm2 and lm2 >= 2
 
 
 def _union_letters(c1: tuple[int, ...], c2: tuple[int, ...]) -> list[int]:
@@ -133,7 +130,10 @@ def _union_letters(c1: tuple[int, ...], c2: tuple[int, ...]) -> list[int]:
 def _cosine(num: float, d1: float, d2: float) -> float:
     if d1 <= 0 or d2 <= 0:
         raise ZeroDenominatorError("zero denominator: a side has zero norm")
-    return num / math.sqrt(d1 * d2)
+    den = math.sqrt(d1 * d2)
+    if not (math.isfinite(num) and 0.0 < den < math.inf):
+        raise ComputationError("weighted sums outside the floating-point range")
+    return num / den
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +158,43 @@ def kmer_complexity(index: BwtIndex, k: int) -> int:
     return total
 
 
+def _pair_fold(
+    index1: BwtIndex, index2: BwtIndex, coef, leaves, cap: int = 0, **payload
+) -> tuple[list, list, list]:
+    """Telescoped sums of f1 f2, f1^2 and f2^2 over substrings, one pass.
+
+    A node adds coef(ev) times fo ft - cross, fo^2 - s1 and ft^2 - s2 (the
+    differences between its own frequency products and those of its right
+    extensions) into bin min(depth, cap) of (num, den1, den2); den1 and den2
+    start from the closed-form leaf terms leaves[0] and leaves[1] in bin 0.
+    Integer coefficients keep the sums integer. payload goes to the
+    enumeration unchanged.
+    """
+    num = [0] * (cap + 1)
+    one_den = [leaves[0]] + [0] * cap
+    two_den = [leaves[1]] + [0] * cap
+
+    def visit(ev: VisitEvent) -> None:
+        c = coef(ev)
+        if not c:
+            return
+        d = ev.depth
+        col = d if d < cap else cap
+        g = ev.repr
+        one, two = g.one, g.two
+        cross, s1, s2 = _pair_sums(one, two)
+        fo = one.freq
+        ft = two.freq
+        num[col] += c * (fo * ft - cross)
+        if one.present:
+            one_den[col] += c * (fo * fo - s1)
+        if two.present:
+            two_den[col] += c * (ft * ft - s2)
+
+    enumerate_generalized(index1, index2, visit, **payload)
+    return num, one_den, two_den
+
+
 def kmer_kernel_range(
     index1: BwtIndex, index2: BwtIndex, k1: int, k2: int
 ) -> dict[int, float]:
@@ -168,28 +205,11 @@ def kmer_kernel_range(
     """
     if not 1 <= k1 <= k2:
         raise InputError("range must satisfy 1 <= k1 <= k2")
-    width = k2 + 1
-    d_num = [0] * width
-    d_one = [0] * width
-    d_two = [0] * width
-
-    def visit(ev: VisitEvent) -> None:
-        d = ev.depth
-        if d < k1:
-            return
-        g = ev.repr
-        one, two = g.one, g.two
-        cross, s1, s2 = _pair_sums(one, two)
-        col = d if d < k2 else k2
-        fo = one.freq
-        ft = two.freq
-        d_num[col] += fo * ft - cross
-        if one.present:
-            d_one[col] += fo * fo - s1
-        if two.present:
-            d_two[col] += ft * ft - s2
-
-    enumerate_generalized(index1, index2, visit)
+    # band weights over [k, k] for every k at once: depth d adds to every
+    # k <= min(d, k2), so bin by depth and sum the bins from k2 down
+    d_num, d_one, d_two = _pair_fold(
+        index1, index2, lambda ev: 1 if ev.depth >= k1 else 0, (0, 0), cap=k2
+    )
     out: dict[int, float] = {}
     n1, n2 = index1.n, index2.n
     num = den1 = den2 = 0
@@ -310,34 +330,23 @@ def substring_complexity(index: BwtIndex) -> int:
 def substring_kernel(index1: BwtIndex, index2: BwtIndex) -> float:
     """Cosine of the full substring-count vectors."""
     n1, n2 = index1.n, index2.n
-    num = 0
-    den1 = (n1 - 1) * n1 // 2
-    den2 = (n2 - 1) * n2 // 2
-
-    def visit(ev: VisitEvent) -> None:
-        nonlocal num, den1, den2
-        d = ev.depth
-        if not d:
-            return
-        g = ev.repr
-        one, two = g.one, g.two
-        cross, s1, s2 = _pair_sums(one, two)
-        fo = one.freq
-        ft = two.freq
-        num += d * (fo * ft - cross)
-        if one.present:
-            den1 += d * (fo * fo - s1)
-        if two.present:
-            den2 += d * (ft * ft - s2)
-
-    enumerate_generalized(index1, index2, visit)
-    return _cosine(float(num), float(den1), float(den2))
+    # uniform weights: the squared-weight prefix sum at depth d is d
+    num, den1, den2 = _pair_fold(
+        index1, index2, lambda ev: ev.depth, ((n1 - 1) * n1 // 2, (n2 - 1) * n2 // 2)
+    )
+    return _cosine(float(num[0]), float(den1[0]), float(den2[0]))
 
 
-def _length_prefix_sum(weights: WeightSpec):
+def _length_weights(weights: WeightSpec, ns: tuple[int, int]):
+    """(ps, leaves) for a length-based weight kind and the text sizes ns.
+
+    ps(L) sums the squared weights of lengths 1..L, the telescoping
+    coefficient of a node at depth L; leaves[i] sums (n - j) times the
+    squared weight of length j over 1 <= j < n = ns[i].
+    """
     kind = weights.kind
     if kind == "uniform":
-        return float
+        return float, [(n - 1) * n / 2 for n in ns]
     if kind == "band":
         kmin, kmax = weights.kmin, weights.kmax
 
@@ -345,36 +354,41 @@ def _length_prefix_sum(weights: WeightSpec):
             hi = length if length < kmax else kmax
             return float(hi - kmin + 1) if hi >= kmin else 0.0
 
-        return band_ps
+        return band_ps, [
+            float(sum(n - j for j in range(kmin, min(kmax, n - 1) + 1))) for n in ns
+        ]
     x = weights.epsilon * weights.epsilon
+    top = max(ns) - 1
+    if x > 1.0:
+        # growing weights overflow: divide every squared weight by the
+        # deepest one, x**top (the cosine does not change under scaling)
+        y = 1.0 / x
 
-    def expo_ps(length: int) -> float:
-        if x == 1.0:
-            return float(length)
-        return x * (1.0 - x**length) / (1.0 - x)
+        def ps(length: int) -> float:
+            return y ** (top - length) * (1.0 - y**length) / (1.0 - y)
 
-    return expo_ps
+    elif x == 1.0:
+        ps = float
+    else:
 
+        def ps(length: int) -> float:
+            return x * (1.0 - x**length) / (1.0 - x)
 
-def _length_denominator(weights: WeightSpec, n: int) -> float:
-    kind = weights.kind
-    if kind == "uniform":
-        return (n - 1) * n / 2
-    if kind == "band":
-        lo = weights.kmin
-        hi = min(weights.kmax, n - 1)
-        if hi < lo:
-            return 0.0
-        return float(sum(n - j for j in range(lo, hi + 1)))
-    x = weights.epsilon * weights.epsilon
-    total = 0.0
-    xp = 1.0
-    for j in range(1, n):
-        xp *= x
-        if xp == 0.0:
-            break
-        total += (n - j) * xp
-    return total
+    leaves = []
+    for n in ns:
+        # largest weights first, stopping once they underflow
+        if x > 1.0:
+            lengths, ratio, xp = range(n - 1, 0, -1), y, y ** (top - n + 1)
+        else:
+            lengths, ratio, xp = range(1, n), x, x
+        total = 0.0
+        for j in lengths:
+            if xp == 0.0:
+                break
+            total += (n - j) * xp
+            xp *= ratio
+        leaves.append(total)
+    return ps, leaves
 
 
 def _charscore_denominator(text: list[int], scores: tuple[float, ...]) -> float:
@@ -399,53 +413,29 @@ def weighted_substring_kernel(
     if index1.sigma != index2.sigma:
         raise InputError("alphabet mismatch between the two indexes")
     weights.validate(index1.sigma)
-    num = 0.0
     if weights.kind == "charscore":
         scores = weights.scores
-        den1 = _charscore_denominator(index1.text, scores)
-        den2 = _charscore_denominator(index2.text, scores)
         sq = [0.0] + [q * q for q in scores]
 
         def child_payload(ev: VisitEvent, i: int):
             return sq[ev.lefts[i]] * (1.0 + ev.payload)
 
-        def coefficient(ev: VisitEvent) -> float:
-            return ev.payload
-
-        root_payload = 0.0
+        leaves = (
+            _charscore_denominator(index1.text, scores),
+            _charscore_denominator(index2.text, scores),
+        )
+        num, den1, den2 = _pair_fold(
+            index1,
+            index2,
+            lambda ev: ev.payload,
+            leaves,
+            child_payload=child_payload,
+            root_payload=0.0,
+        )
     else:
-        ps = _length_prefix_sum(weights)
-        den1 = _length_denominator(weights, index1.n)
-        den2 = _length_denominator(weights, index2.n)
-        child_payload = None
-
-        def coefficient(ev: VisitEvent) -> float:
-            return ps(ev.depth)
-
-        root_payload = None
-
-    def visit(ev: VisitEvent) -> None:
-        nonlocal num, den1, den2
-        if not ev.depth:
-            return
-        c = coefficient(ev)
-        if not c:
-            return
-        g = ev.repr
-        one, two = g.one, g.two
-        cross, s1, s2 = _pair_sums(one, two)
-        fo = one.freq
-        ft = two.freq
-        num += c * (fo * ft - cross)
-        if one.present:
-            den1 += c * (fo * fo - s1)
-        if two.present:
-            den2 += c * (ft * ft - s2)
-
-    enumerate_generalized(
-        index1, index2, visit, child_payload=child_payload, root_payload=root_payload
-    )
-    return _cosine(num, den1, den2)
+        ps, leaves = _length_weights(weights, (index1.n, index2.n))
+        num, den1, den2 = _pair_fold(index1, index2, lambda ev: ps(ev.depth), leaves)
+    return _cosine(num[0], den1[0], den2[0])
 
 
 # ---------------------------------------------------------------------------
@@ -575,25 +565,39 @@ def d2star_distance(index1: BwtIndex, index2: BwtIndex, k: int, q) -> float:
 # minimal absent words
 
 
-def maw_count(index: BwtIndex) -> int:
-    """Number of minimal absent words a W b with letter a, b.
+def _maw_fold(index: BwtIndex, emit) -> None:
+    """Call emit(ev, a, bs) once per left letter a of each maximal repeat W.
 
-    Only maximal repeats can be MAW infixes, so each maximal-repeat visit
-    adds its full left-by-right letter rectangle and removes the occurring
-    corners.
+    bs lists, ascending, the right letters b of W with a W b absent from the
+    text: each a W b is a minimal absent word (MAW), and only maximal
+    repeats can be MAW infixes. Left letters a with no such b are skipped.
     """
-    total = 0
 
     def visit(ev: VisitEvent) -> None:
-        nonlocal total
-        kr = _letter_count(ev.repr.chars)
+        letters = [b for b in ev.repr.chars if b != 0]
         lefts = ev.lefts
         kids = ev.children
         for i in range(len(lefts)):
-            if lefts[i] != 0:
-                total += kr - _letter_count(kids[i].chars)
+            a = lefts[i]
+            if a == 0:
+                continue
+            have = set(kids[i].chars)
+            bs = [b for b in letters if b not in have]
+            if bs:
+                emit(ev, a, bs)
 
     enumerate_maximal_repeats(index, visit)
+
+
+def maw_count(index: BwtIndex) -> int:
+    """Number of minimal absent words a W b with letter a, b."""
+    total = 0
+
+    def emit(ev: VisitEvent, a: int, bs: list[int]) -> None:
+        nonlocal total
+        total += len(bs)
+
+    _maw_fold(index, emit)
     return total
 
 
@@ -604,25 +608,14 @@ def maw_enumerate(index: BwtIndex, visitor) -> int:
     """
     count = 0
 
-    def visit(ev: VisitEvent) -> None:
+    def emit(ev: VisitEvent, a: int, bs: list[int]) -> None:
         nonlocal count
-        r = ev.repr
-        letters = [b for b in r.chars if b != 0]
-        sp, ep = r.interval()
-        depth = ev.depth
-        lefts = ev.lefts
-        kids = ev.children
-        for i in range(len(lefts)):
-            a = lefts[i]
-            if a == 0:
-                continue
-            have = set(kids[i].chars)
-            for b in letters:
-                if b not in have:
-                    visitor(a, sp, ep, depth, b)
-                    count += 1
+        sp, ep = ev.repr.interval()
+        for b in bs:
+            visitor(a, sp, ep, ev.depth, b)
+        count += len(bs)
 
-    enumerate_maximal_repeats(index, visit)
+    _maw_fold(index, emit)
     return count
 
 
@@ -630,21 +623,11 @@ def maw_words(index: BwtIndex) -> list[tuple[int, ...]]:
     """All minimal absent words as symbol tuples, in traversal order."""
     out: list[tuple[int, ...]] = []
 
-    def visit(ev: VisitEvent) -> None:
-        r = ev.repr
-        letters = [b for b in r.chars if b != 0]
-        label = ev.label()
-        lefts = ev.lefts
-        kids = ev.children
-        for i in range(len(lefts)):
-            a = lefts[i]
-            if a == 0:
-                continue
-            have = set(kids[i].chars)
-            head = (a,) + label
-            out.extend(head + (b,) for b in letters if b not in have)
+    def emit(ev: VisitEvent, a: int, bs: list[int]) -> None:
+        head = (a,) + ev.label()
+        out.extend(head + (b,) for b in bs)
 
-    enumerate_maximal_repeats(index, visit)
+    _maw_fold(index, emit)
     return out
 
 
@@ -654,21 +637,12 @@ def _maw_pair_counts(index1: BwtIndex, index2: BwtIndex) -> tuple[int, int, int]
 
     def visit(ev: VisitEvent) -> None:
         nonlocal c1, c2, inter
-        g = ev.repr
-        ch1, ch2 = g.one.chars, g.two.chars
-        rm1 = len(ch1) >= 2
-        rm2 = len(ch2) >= 2
-        if not (rm1 or rm2):
-            return
-        kids = ev.children
-        lm1 = lm2 = 0
-        for kid in kids:
-            lm1 += kid.one.present
-            lm2 += kid.two.present
-        mr1 = rm1 and lm1 >= 2
-        mr2 = rm2 and lm2 >= 2
+        mr1, mr2 = _maximal_sides(ev)
         if not (mr1 or mr2):
             return
+        g = ev.repr
+        ch1, ch2 = g.one.chars, g.two.chars
+        kids = ev.children
         letters1 = [b for b in ch1 if b != 0]
         letters2 = [b for b in ch2 if b != 0]
         shared = [b for b in letters1 if b in letters2]
@@ -764,20 +738,12 @@ def markov_kernel(
             if two.present:
                 den2 += ps2[d] * (1 - len(ch2))
             if one.present and two.present:
-                num += psb[d] * (1 - _shared_letter_count(ch1, ch2))
-        rm1 = len(ch1) >= 2
-        rm2 = len(ch2) >= 2
-        if not (rm1 or rm2):
-            return
-        kids = ev.children
-        lm1 = lm2 = 0
-        for kid in kids:
-            lm1 += kid.one.present
-            lm2 += kid.two.present
-        mr1 = rm1 and lm1 >= 2
-        mr2 = rm2 and lm2 >= 2
+                shared = len(ch1) + len(ch2) - _distinct_extensions(ch1, ch2)
+                num += psb[d] * (1 - shared)
+        mr1, mr2 = _maximal_sides(ev)
         if not (mr1 or mr2):
             return
+        kids = ev.children
         if exact:
             g1v = g1a[d + 2] if d + 2 <= n1 else 1.0
             g2v = g2a[d + 2] if d + 2 <= n2 else 1.0

@@ -119,10 +119,9 @@ class BwtIndex:
     def dump(self, path: str) -> None:
         """Write magic, n, sigma, then the BWT as packed fixed-width codes."""
         width = self.sigma.bit_length()
-        arr = np.asarray(self.bwt, dtype=np.uint16)
-        bits = ((arr[:, None] >> np.arange(width, dtype=np.uint16)) & 1).astype(
-            np.uint8
-        )
+        dtype = np.min_scalar_type(self.sigma)
+        arr = np.asarray(self.bwt, dtype=dtype)
+        bits = ((arr[:, None] >> np.arange(width, dtype=dtype)) & 1).astype(np.uint8)
         packed = np.packbits(bits.reshape(-1), bitorder="little")
         with open(path, "wb") as fh:
             fh.write(_MAGIC)

@@ -28,6 +28,7 @@ from bwtk.kernels import (
     markov_kernel,
     maw_cosine,
     maw_count,
+    maw_enumerate,
     maw_jaccard,
     maw_words,
     substring_complexity,
@@ -258,6 +259,7 @@ def test_single_pass_discipline():
         lambda: entropy_range(i1, 0, 3),
         lambda: maw_count(i1),
         lambda: maw_words(i1),
+        lambda: maw_enumerate(i1, lambda *maw: None),
         lambda: kl_divergence_range(i1, 2, 4),
     ]
     for fn in single:
@@ -295,7 +297,7 @@ def test_single_pass_discipline():
         stats = {}
         enumerate_generalized(ix, build_bwt(s), lambda ev: None, stats=stats)
         assert stats["peak_frames"] < 2.0 * bound
-    return f"16 measures enumerate once; peak/bound <= {worst:.3f} (c=4)"
+    return f"17 measures enumerate once; peak/bound <= {worst:.3f} (c=4)"
 
 
 @reported(6, "scaling smoke test")

@@ -45,6 +45,21 @@ def test_zero_denominator_exits_2(capsys, files):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_weight_overflow_exit_codes(capsys, tmp_path):
+    path = tmp_path / "long.txt"
+    path.write_bytes(b"abaab" * 60)
+    code, out, _ = call(capsys, "kernel", "--kind", "weighted", "--weights",
+                        "exponential", "--epsilon", "40", str(path), str(path))
+    assert code == 0
+    assert out == "weighted\texponential\t1.000000000000\n"
+    code, out, err = call(capsys, "kernel", "--kind", "weighted", "--weights",
+                          "charscore", "--scores", "1e200,1e200",
+                          str(path), str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_usage_errors_exit_1(capsys, files):
     code, _, err = call(capsys, "kernel", "--kind", "nope", "-k", "1",
                         files["a"], files["b"])

@@ -165,16 +165,22 @@ def test_traversal_is_deterministic():
     assert first == second
 
 
-def test_visit_count_and_peak_bound():
+@pytest.mark.parametrize("pair", [False, True], ids=["right_maximal", "generalized"])
+def test_visit_count_and_peak_bound(pair):
     rng = random.Random(35)
+    run = enumerate_generalized if pair else enumerate_right_maximal
     for _ in range(25):
         sigma = rng.choice([2, 3, 4, 8])
         s = rand_seq(rng, rng.randint(2, 64), sigma)
-        ix = build_bwt(s)
+        indexes = [build_bwt(s)]
+        if pair:
+            indexes.append(build_bwt(rand_seq(rng, rng.randint(2, 64), sigma)))
         stats = {}
-        enumerate_right_maximal(ix, lambda ev: None, stats=stats)
-        assert stats["visits"] <= ix.n
-        assert stats["peak_frames"] <= sigma * (math.log2(ix.n) + 1) + 1
+        run(*indexes, lambda ev: None, stats=stats)
+        # n counts the leaves of the (generalized) suffix tree
+        n = sum(ix.n for ix in indexes)
+        assert stats["visits"] <= n
+        assert stats["peak_frames"] <= sigma * (math.log2(n) + 1) + 1
 
 
 def test_enumeration_counters():
@@ -187,9 +193,17 @@ def test_enumeration_counters():
     assert (i1.enumerations, i2.enumerations) == (3, 1)
 
 
-def test_payload_threading():
-    # payload accumulates the depth along each root-to-node path
-    ix = idx("abracadabra")
+@pytest.mark.parametrize(
+    "run",
+    [enumerate_right_maximal, enumerate_maximal_repeats, enumerate_generalized],
+    ids=["right_maximal", "maximal_repeats", "generalized"],
+)
+def test_payload_threading(run):
+    # payload accumulates the depth along each root-to-node path, also
+    # through nodes where the visitor does not fire
+    indexes = [idx("abracadabra")]
+    if run is enumerate_generalized:
+        indexes.append(idx("cadabraabra"))
 
     def child_payload(ev, i):
         return ev.payload + 1
@@ -197,7 +211,7 @@ def test_payload_threading():
     def visit(ev):
         assert ev.payload == ev.depth
 
-    enumerate_right_maximal(ix, visit, child_payload=child_payload, root_payload=0)
+    run(*indexes, visit, child_payload=child_payload, root_payload=0)
 
 
 def test_label_symbols_are_letters():

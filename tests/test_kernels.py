@@ -3,9 +3,11 @@ import random
 
 import pytest
 from conftest import idx, rand_seq, seq
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bwtk.oracle as orc
-from bwtk.errors import InputError, ZeroDenominatorError
+from bwtk.errors import ComputationError, InputError, ZeroDenominatorError
 from bwtk.kernels import (
     calibrate_kmax,
     calibrate_kmin,
@@ -117,6 +119,18 @@ def test_weighted_band_equals_plain_kmer():
                 continue
             got = weighted_substring_kernel(i1, i2, band)
             assert got == pytest.approx(expect, abs=1e-12)
+
+
+def test_exponential_weights_above_one_do_not_overflow():
+    # the squared weight 40**(2L) overflows a float once L passes ~96
+    rng = random.Random(72)
+    s = rand_seq(rng, 3000, 4)
+    spec = WeightSpec(kind="exponential", epsilon=40)
+    got = weighted_substring_kernel(build_bwt(s), build_bwt(s), spec)
+    assert got == pytest.approx(1.0, abs=1e-12)
+    huge = WeightSpec(kind="charscore", scores=(1e200,) * 4)
+    with pytest.raises(ComputationError):
+        weighted_substring_kernel(build_bwt(s), build_bwt(s), huge)
 
 
 def test_weighted_kernel_validates_spec():
@@ -315,6 +329,65 @@ def test_pair_measures_match_oracle():
             assert markov_kernel(i1, i2, params) == pytest.approx(
                 expect, rel=1e-9, abs=1e-9
             )
+
+
+@st.composite
+def repetitive_pair(draw):
+    """Two texts over one alphabet, each one symbol repeated, runs or a period."""
+    sigma = draw(st.integers(1, 3))
+    letter = st.integers(1, sigma)
+
+    def text():
+        shape = draw(st.sampled_from(("runs", "periodic")))
+        if shape == "runs":
+            runs = draw(
+                st.lists(st.tuples(letter, st.integers(1, 12)), min_size=1, max_size=4)
+            )
+            symbols = [a for a, length in runs for _ in range(length)]
+        else:
+            period = draw(st.lists(letter, min_size=1, max_size=4))
+            symbols = (period * 40)[: draw(st.integers(1, 40))]
+        return Sequence(symbols, sigma)
+
+    return text(), text()
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(repetitive_pair())
+def test_telescoping_and_maw_folds_match_oracle_on_repetitive_text(pair):
+    s1, s2 = pair
+    i1, i2 = build_bwt(s1), build_bwt(s2)
+    sweep = kmer_kernel_range(i1, i2, 1, 4)
+    for k in range(1, 5):
+        if k in sweep:
+            expect = orc.oracle_kmer_kernel(s1, s2, k)
+            assert sweep[k] == pytest.approx(expect, rel=1e-9)
+        else:
+            with pytest.raises(ZeroDenominatorError):
+                orc.oracle_kmer_kernel(s1, s2, k)
+    assert substring_kernel(i1, i2) == pytest.approx(
+        orc.oracle_substring_kernel(s1, s2), rel=1e-9
+    )
+    for spec in (
+        WeightSpec(kind="uniform"),
+        WeightSpec(kind="band", kmin=2, kmax=3),
+        WeightSpec(kind="exponential", epsilon=0.5),
+        WeightSpec(kind="exponential", epsilon=2),
+        WeightSpec(kind="charscore", scores=(0.7, 1.3, 0.9)[: s1.sigma]),
+    ):
+        try:
+            expect = orc.oracle_weighted_substring_kernel(s1, s2, spec)
+        except ZeroDenominatorError:
+            with pytest.raises(ZeroDenominatorError):
+                weighted_substring_kernel(i1, i2, spec)
+            continue
+        got = weighted_substring_kernel(i1, i2, spec)
+        assert got == pytest.approx(expect, rel=1e-9)
+    for s, ix in ((s1, i1), (s2, i2)):
+        fired = []
+        count = maw_enumerate(ix, lambda *maw: fired.append(maw))
+        expect = orc.oracle_maw_count(s)
+        assert maw_count(ix) == len(maw_words(ix)) == count == len(fired) == expect
 
 
 def test_self_kernels_are_one():

@@ -5,6 +5,7 @@ from conftest import idx, rand_seq, seq
 
 from bwtk.errors import InputError
 from bwtk.suffix import BwtIndex, build_bwt, suffix_array
+from bwtk.text import Sequence
 
 
 def test_suffix_array_hand_values():
@@ -91,8 +92,12 @@ def test_text_recovery_via_lf_walk():
 
 def test_dump_load_round_trip(tmp_path):
     rng = random.Random(55)
-    for t in range(12):
-        s = rand_seq(rng, rng.randint(1, 40), rng.choice([1, 2, 3, 8]))
+    cases = [
+        rand_seq(rng, rng.randint(1, 40), rng.choice([1, 2, 3, 8])) for _ in range(12)
+    ]
+    # codes above 65535 need more than 16 bits while packing
+    cases.append(Sequence([1, 70000, 2, 3], 70000))
+    for t, s in enumerate(cases):
         ix = build_bwt(s)
         path = tmp_path / f"ix{t}.bwtk"
         ix.dump(str(path))
