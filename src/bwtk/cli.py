@@ -146,7 +146,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--q", help="comma probabilities, one per symbol (d2s, d2star)")
     p.add_argument("--g", choices=("unit", "exact"), default="unit")
     # kept so existing scripts still run: threads ran no faster under the GIL
-    p.add_argument("--jobs", type=int, default=1, help="ignored; kinds run in order")
+    p.add_argument("--jobs", type=int, default=1, help="ignored; all kinds share one pass")
     p.add_argument("input1")
     p.add_argument("input2")
 
@@ -205,20 +205,16 @@ def _run_complexity(args) -> list[_Record]:
     return [_Record("substring", [], str(kernels.substring_complexity(ix)))]
 
 
-def _kernel_task(kind: str, args, i1: BwtIndex, i2: BwtIndex, prec: int) -> list[_Record]:
+def _kernel_fold(i1: BwtIndex, i2: BwtIndex, kind: str, args) -> kernels.PairFold:
+    """The fold of one --kind; raises what running that kind alone raises."""
+    if kind in ("kmer", "d2s", "d2star") and args.k is None:
+        raise InputError(f"kernel --kind {kind} requires -k")
     if kind == "kmer":
-        if args.k is None:
-            raise InputError("kernel --kind kmer requires -k")
         if args.k2 is not None:
-            values = kernels.kmer_kernel_range(i1, i2, args.k, args.k2)
-            return [
-                _Record("kmer", [str(k)], _fmt_float(values[k], prec))
-                for k in sorted(values)
-            ]
-        v = kernels.kmer_kernel(i1, i2, args.k)
-        return [_Record("kmer", [str(args.k)], _fmt_float(v, prec))]
+            return kernels.kmer_kernel_range.fold(i1, i2, args.k, args.k2)
+        return kernels.kmer_kernel.fold(i1, i2, args.k)
     if kind == "substring":
-        return [_Record("substring", [], _fmt_float(kernels.substring_kernel(i1, i2), prec))]
+        return kernels.substring_kernel.fold(i1, i2)
     if kind == "weighted":
         spec = WeightSpec(
             kind=args.weights,
@@ -227,24 +223,27 @@ def _kernel_task(kind: str, args, i1: BwtIndex, i2: BwtIndex, prec: int) -> list
             kmax=args.kmax,
             scores=_parse_floats(args.scores, "scores"),
         )
-        v = kernels.weighted_substring_kernel(i1, i2, spec)
-        return [_Record("weighted", [args.weights], _fmt_float(v, prec))]
+        return kernels.weighted_substring_kernel.fold(i1, i2, spec)
     if kind in ("d2s", "d2star"):
-        if args.k is None:
-            raise InputError(f"kernel --kind {kind} requires -k")
         q = _parse_floats(args.q, "probabilities")
         if q is None:
             q = tuple(1.0 / i1.sigma for _ in range(i1.sigma))
         fn = kernels.d2s_distance if kind == "d2s" else kernels.d2star_distance
-        return [_Record(kind, [str(args.k)], _fmt_float(fn(i1, i2, args.k, q), prec))]
+        return fn.fold(i1, i2, args.k, q)
     if kind == "markov":
-        v = kernels.markov_kernel(i1, i2, ZScoreParams(g_mode=args.g))
-        return [_Record("markov", [args.g], _fmt_float(v, prec))]
+        return kernels.markov_kernel.fold(i1, i2, ZScoreParams(g_mode=args.g))
     if kind == "maw-jaccard":
-        return [_Record("maw-jaccard", [], _fmt_float(kernels.maw_jaccard(i1, i2), prec))]
-    if kind == "maw-cosine":
-        return [_Record("maw-cosine", [], _fmt_float(kernels.maw_cosine(i1, i2), prec))]
-    raise InputError(f"unknown kernel kind {kind!r}")
+        return kernels.maw_jaccard.fold(i1, i2)
+    return kernels.maw_cosine.fold(i1, i2)
+
+
+def _kernel_records(kind: str, args, value) -> list[_Record]:
+    prec = args.precision
+    if kind == "kmer" and args.k2 is not None:
+        return [_Record("kmer", [str(k)], _fmt_float(value[k], prec)) for k in sorted(value)]
+    params = {"kmer": [str(args.k)], "weighted": [args.weights], "d2s": [str(args.k)],
+              "d2star": [str(args.k)], "markov": [args.g]}.get(kind, [])
+    return [_Record(kind, params, _fmt_float(value, prec))]
 
 
 def _run_kernel(args) -> list[_Record]:
@@ -256,8 +255,9 @@ def _run_kernel(args) -> list[_Record]:
             raise InputError(f"unknown kernel kind {kind!r}")
     s1, s2 = _load(args, args.input1, args.input2)
     i1, i2 = build_bwt(s1), build_bwt(s2)
-    prec = args.precision
-    return [rec for kind in kinds for rec in _kernel_task(kind, args, i1, i2, prec)]
+    # every kind is a fold over one generalized pass of the pair
+    values = kernels.run_pair_folds(i1, i2, [(_kernel_fold, kind, args) for kind in kinds])
+    return [rec for kind, v in zip(kinds, values) for rec in _kernel_records(kind, args, v)]
 
 
 def _run_profile(args) -> list[_Record]:

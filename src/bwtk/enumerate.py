@@ -82,19 +82,17 @@ class VisitEvent:
     """One enumeration callback: the node plus all its left extensions.
 
     lefts[i] is a symbol a (possibly 0) preceding an occurrence of W and
-    children[i] is repr(a W), in ascending symbol order. payload carries the
-    value produced by child_payload when this node was pushed. The event
-    object is reused between visits; do not retain it.
+    children[i] is repr(a W), in ascending symbol order. The event object is
+    reused between visits; do not retain it.
     """
 
-    __slots__ = ("depth", "repr", "lefts", "children", "payload", "_path")
+    __slots__ = ("depth", "repr", "lefts", "children", "_path")
 
     def __init__(self) -> None:
         self.depth = 0
         self.repr: Repr | GenRepr | None = None
         self.lefts: list[int] = []
         self.children: list = []
-        self.payload = None
         self._path: list[int] = []
 
     def label(self) -> tuple[int, ...]:
@@ -207,48 +205,37 @@ def _generalized_step(index1: BwtIndex, index2: BwtIndex):
     return step
 
 
-def _traverse(
-    indexes, root, step, visitor, fire_all: bool, child_payload, root_payload, stats
-) -> int:
+def _traverse(indexes, root, step, visitor, fire_all: bool, stats) -> int:
     """The one depth-first loop; returns the number of visitor calls."""
     for index in indexes:
         index.enumerations += 1
     ev = VisitEvent()
     path = ev._path
-    stack = [(root, 0, 0, root_payload)]
+    stack = [(root, 0, 0)]
     visits = 0
     fired = 0
     peak = 1
     while stack:
-        r, depth, a, payload = stack.pop()
+        r, depth, a = stack.pop()
         if depth:
             if len(path) < depth:
                 path.extend([0] * (depth - len(path)))
             path[depth - 1] = a
         lefts, kids, push = step(r)
         visits += 1
-        # filled even when the visitor does not fire: child_payload reads it
-        ev.depth = depth
-        ev.repr = r
-        ev.lefts = lefts
-        ev.children = kids
-        ev.payload = payload
         if fire_all or len(lefts) >= 2:
             fired += 1
+            ev.depth = depth
+            ev.repr = r
+            ev.lefts = lefts
+            ev.children = kids
             visitor(ev)
         if push:
             if len(push) > 1:
                 push.sort(key=lambda i: kids[i].freq, reverse=True)
             nd = depth + 1
             for i in push:
-                stack.append(
-                    (
-                        kids[i],
-                        nd,
-                        lefts[i],
-                        child_payload(ev, i) if child_payload else None,
-                    )
-                )
+                stack.append((kids[i], nd, lefts[i]))
             if len(stack) > peak:
                 peak = len(stack)
     if stats is not None:
@@ -258,31 +245,19 @@ def _traverse(
 
 
 def enumerate_right_maximal(
-    index: BwtIndex,
-    visitor,
-    *,
-    child_payload=None,
-    root_payload=None,
-    stats: dict | None = None,
+    index: BwtIndex, visitor, *, stats: dict | None = None
 ) -> int:
     """Visit every right-maximal substring of T, the empty string included.
 
-    Returns the visit count. child_payload(event, i), when given, produces
-    the payload stored with the pushed child event.children[i].
+    Returns the visit count.
     """
     return _traverse(
-        (index,), _root_repr(index), _single_step(index), visitor, True,
-        child_payload, root_payload, stats,
+        (index,), _root_repr(index), _single_step(index), visitor, True, stats
     )
 
 
 def enumerate_maximal_repeats(
-    index: BwtIndex,
-    visitor,
-    *,
-    child_payload=None,
-    root_payload=None,
-    stats: dict | None = None,
+    index: BwtIndex, visitor, *, stats: dict | None = None
 ) -> int:
     """As enumerate_right_maximal, but fire only at left-maximal nodes.
 
@@ -290,19 +265,12 @@ def enumerate_maximal_repeats(
     terminator included. Returns the number of visitor invocations.
     """
     return _traverse(
-        (index,), _root_repr(index), _single_step(index), visitor, False,
-        child_payload, root_payload, stats,
+        (index,), _root_repr(index), _single_step(index), visitor, False, stats
     )
 
 
 def enumerate_generalized(
-    index1: BwtIndex,
-    index2: BwtIndex,
-    visitor,
-    *,
-    child_payload=None,
-    root_payload=None,
-    stats: dict | None = None,
+    index1: BwtIndex, index2: BwtIndex, visitor, *, stats: dict | None = None
 ) -> int:
     """Visit the internal nodes of the generalized suffix tree of the pair.
 
@@ -314,7 +282,5 @@ def enumerate_generalized(
     if index1.sigma != index2.sigma:
         raise InputError("alphabet mismatch between the two indexes")
     root = GenRepr(_root_repr(index1), _root_repr(index2))
-    return _traverse(
-        (index1, index2), root, _generalized_step(index1, index2), visitor, True,
-        child_payload, root_payload, stats,
-    )
+    step = _generalized_step(index1, index2)
+    return _traverse((index1, index2), root, step, visitor, True, stats)

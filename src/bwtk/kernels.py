@@ -15,8 +15,11 @@ base 2.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple
 
 from .enumerate import (
     Repr,
@@ -26,12 +29,14 @@ from .enumerate import (
     enumerate_maximal_repeats,
     enumerate_right_maximal,
 )
-from .errors import ComputationError, InputError, ZeroDenominatorError
+from .errors import BwtkError, ComputationError, InputError, ZeroDenominatorError
 from .params import WeightSpec, ZScoreParams, markov_g, validate_probs
 from .suffix import BwtIndex
 
 __all__ = [
     "ProfileMatrix",
+    "PairFold",
+    "run_pair_folds",
     "kmer_complexity",
     "kmer_kernel",
     "kmer_kernel_range",
@@ -137,6 +142,68 @@ def _cosine(num: float, d1: float, d2: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# pair measures as folds over one generalized pass
+
+
+class PairFold(NamedTuple):
+    """One pair measure as a fold over an enumerate_generalized pass.
+
+    visit(ev) runs at every node and never raises; finish() then returns the
+    value or raises.
+    """
+
+    visit: Callable[[VisitEvent], None]
+    finish: Callable[[], Any]
+
+
+def run_pair_folds(index1: BwtIndex, index2: BwtIndex, calls) -> list:
+    """Values of several pair measures from one generalized pass.
+
+    calls lists tuples (setup, *args), setup being the fold set-up of a
+    pair measure such as kmer_kernel.fold: setup(index1, index2, *args)
+    validates its arguments and returns a PairFold. The result, or the error
+    raised, is that of calling the measures one at a time in order: set-up
+    stops at the first call that raises, the pass runs over the folds built
+    before it, their finish() runs in order, and then the set-up error is
+    raised.
+    """
+    visits = []
+    finishes = []
+    error = None
+    for setup, *args in calls:
+        try:
+            visit, finish = setup(index1, index2, *args)
+        except BwtkError as exc:
+            error = exc
+            break
+        visits.append(visit)
+        finishes.append(finish)
+    if visits:
+
+        def visitor(ev: VisitEvent) -> None:
+            for visit in visits:
+                visit(ev)
+
+        enumerate_generalized(index1, index2, visitor)
+    values = [finish() for finish in finishes]
+    if error is not None:
+        raise error
+    return values
+
+
+def _pair_measure(setup):
+    """setup's measure, computed in a pass of its own; setup stays as .fold."""
+
+    @functools.wraps(setup)
+    def measure(index1: BwtIndex, index2: BwtIndex, *args, **kwargs):
+        call = (functools.partial(setup, **kwargs), *args)
+        return run_pair_folds(index1, index2, [call])[0]
+
+    measure.fold = setup
+    return measure
+
+
+# ---------------------------------------------------------------------------
 # k-mer measures
 
 
@@ -158,17 +225,15 @@ def kmer_complexity(index: BwtIndex, k: int) -> int:
     return total
 
 
-def _pair_fold(
-    index1: BwtIndex, index2: BwtIndex, coef, leaves, cap: int = 0, **payload
-) -> tuple[list, list, list]:
-    """Telescoped sums of f1 f2, f1^2 and f2^2 over substrings, one pass.
+def _pair_fold(coef, leaves, cap: int, result) -> PairFold:
+    """Telescoped sums of f1 f2, f1^2 and f2^2 over substrings as a fold.
 
     A node adds coef(ev) times fo ft - cross, fo^2 - s1 and ft^2 - s2 (the
     differences between its own frequency products and those of its right
     extensions) into bin min(depth, cap) of (num, den1, den2); den1 and den2
     start from the closed-form leaf terms leaves[0] and leaves[1] in bin 0.
-    Integer coefficients keep the sums integer. payload goes to the
-    enumeration unchanged.
+    Integer coefficients keep the sums integer. finish() returns
+    result(num, den1, den2).
     """
     num = [0] * (cap + 1)
     one_den = [leaves[0]] + [0] * cap
@@ -191,13 +256,15 @@ def _pair_fold(
         if two.present:
             two_den[col] += c * (ft * ft - s2)
 
-    enumerate_generalized(index1, index2, visit, **payload)
-    return num, one_den, two_den
+    return PairFold(visit, lambda: result(num, one_den, two_den))
 
 
-def kmer_kernel_range(
-    index1: BwtIndex, index2: BwtIndex, k1: int, k2: int
-) -> dict[int, float]:
+def _cosine_of_bins(num: list, den1: list, den2: list) -> float:
+    return _cosine(float(num[0]), float(den1[0]), float(den2[0]))
+
+
+@_pair_measure
+def kmer_kernel_range(index1: BwtIndex, index2: BwtIndex, k1: int, k2: int):
     """Cosine of k-mer count vectors for every k in [k1..k2], one pass.
 
     Keys with an undefined kernel (a string with fewer than k symbols) are
@@ -205,30 +272,38 @@ def kmer_kernel_range(
     """
     if not 1 <= k1 <= k2:
         raise InputError("range must satisfy 1 <= k1 <= k2")
+    n1, n2 = index1.n, index2.n
+
+    def result(d_num: list, d_one: list, d_two: list) -> dict[int, float]:
+        out: dict[int, float] = {}
+        num = den1 = den2 = 0
+        for k in range(k2, k1 - 1, -1):
+            num += d_num[k]
+            den1 += d_one[k]
+            den2 += d_two[k]
+            if n1 > k and n2 > k:
+                out[k] = num / math.sqrt((n1 - k + den1) * (n2 - k + den2))
+        return out
+
     # band weights over [k, k] for every k at once: depth d adds to every
     # k <= min(d, k2), so bin by depth and sum the bins from k2 down
-    d_num, d_one, d_two = _pair_fold(
-        index1, index2, lambda ev: 1 if ev.depth >= k1 else 0, (0, 0), cap=k2
-    )
-    out: dict[int, float] = {}
-    n1, n2 = index1.n, index2.n
-    num = den1 = den2 = 0
-    for k in range(k2, k1 - 1, -1):
-        num += d_num[k]
-        den1 += d_one[k]
-        den2 += d_two[k]
-        if n1 > k and n2 > k:
-            out[k] = num / math.sqrt((n1 - k + den1) * (n2 - k + den2))
-    return out
+    return _pair_fold(lambda ev: 1 if ev.depth >= k1 else 0, (0, 0), k2, result)
 
 
-def kmer_kernel(index1: BwtIndex, index2: BwtIndex, k: int) -> float:
-    values = kmer_kernel_range(index1, index2, k, k)
-    if k not in values:
-        raise ZeroDenominatorError(
-            f"zero denominator: a string has fewer than k={k} symbols"
-        )
-    return values[k]
+@_pair_measure
+def kmer_kernel(index1: BwtIndex, index2: BwtIndex, k: int):
+    """Cosine of the k-mer count vectors."""
+    fold = kmer_kernel_range.fold(index1, index2, k, k)
+
+    def finish() -> float:
+        values = fold.finish()
+        if k not in values:
+            raise ZeroDenominatorError(
+                f"zero denominator: a string has fewer than k={k} symbols"
+            )
+        return values[k]
+
+    return fold._replace(finish=finish)
 
 
 def kmer_profile(
@@ -327,14 +402,24 @@ def substring_complexity(index: BwtIndex) -> int:
     return total
 
 
-def substring_kernel(index1: BwtIndex, index2: BwtIndex) -> float:
+@_pair_measure
+def substring_kernel(index1: BwtIndex, index2: BwtIndex):
     """Cosine of the full substring-count vectors."""
     n1, n2 = index1.n, index2.n
     # uniform weights: the squared-weight prefix sum at depth d is d
-    num, den1, den2 = _pair_fold(
-        index1, index2, lambda ev: ev.depth, ((n1 - 1) * n1 // 2, (n2 - 1) * n2 // 2)
-    )
-    return _cosine(float(num[0]), float(den1[0]), float(den2[0]))
+    leaves = ((n1 - 1) * n1 // 2, (n2 - 1) * n2 // 2)
+    return _pair_fold(lambda ev: ev.depth, leaves, 0, _cosine_of_bins)
+
+
+def _leaf_sum(n: int, lengths, xp: float, ratio: float) -> float:
+    """Sum of (n - j) w_j over lengths j, weights w falling from xp by ratio."""
+    total = 0.0
+    for j in lengths:
+        if xp == 0.0:
+            break
+        total += (n - j) * xp
+        xp *= ratio
+    return total
 
 
 def _length_weights(weights: WeightSpec, ns: tuple[int, int]):
@@ -342,7 +427,8 @@ def _length_weights(weights: WeightSpec, ns: tuple[int, int]):
 
     ps(L) sums the squared weights of lengths 1..L, the telescoping
     coefficient of a node at depth L; leaves[i] sums (n - j) times the
-    squared weight of length j over 1 <= j < n = ns[i].
+    squared weight of length j over 1 <= j < n = ns[i]. Growing exponential
+    weights take _growing_weights_fold instead.
     """
     kind = weights.kind
     if kind == "uniform":
@@ -358,37 +444,43 @@ def _length_weights(weights: WeightSpec, ns: tuple[int, int]):
             float(sum(n - j for j in range(kmin, min(kmax, n - 1) + 1))) for n in ns
         ]
     x = weights.epsilon * weights.epsilon
-    top = max(ns) - 1
-    if x > 1.0:
-        # growing weights overflow: divide every squared weight by the
-        # deepest one, x**top (the cosine does not change under scaling)
-        y = 1.0 / x
-
-        def ps(length: int) -> float:
-            return y ** (top - length) * (1.0 - y**length) / (1.0 - y)
-
-    elif x == 1.0:
+    if x == 1.0:
         ps = float
     else:
 
         def ps(length: int) -> float:
             return x * (1.0 - x**length) / (1.0 - x)
 
-    leaves = []
-    for n in ns:
-        # largest weights first, stopping once they underflow
-        if x > 1.0:
-            lengths, ratio, xp = range(n - 1, 0, -1), y, y ** (top - n + 1)
-        else:
-            lengths, ratio, xp = range(1, n), x, x
-        total = 0.0
-        for j in lengths:
-            if xp == 0.0:
-                break
-            total += (n - j) * xp
-            xp *= ratio
-        leaves.append(total)
-    return ps, leaves
+    return ps, [_leaf_sum(n, range(1, n), x, x) for n in ns]
+
+
+def _growing_weights_fold(x: float, ns: tuple[int, int]) -> PairFold:
+    """Exponential weights with epsilon > 1, whose squared weights x**L overflow.
+
+    Each side's sums are divided by its own deepest squared weight x**(n-1),
+    the shared sum by the geometric mean of the two (the cosine does not
+    change), so the fold bins integer terms by depth and weighs them in finish.
+    """
+    y = 1.0 / x
+    tops = (ns[0] - 1, ns[1] - 1, (ns[0] + ns[1]) / 2 - 1)
+    leaves = [_leaf_sum(n, range(n - 1, 0, -1), 1.0, y) for n in ns]
+
+    def weigh(bins: list, top: float) -> float:
+        # sum_{j <= d} x**j / x**top; only depths a side reaches have terms
+        return sum(
+            b * y ** (top - d) * (1.0 - y**d) / (1.0 - y)
+            for d, b in enumerate(bins)
+            if b
+        )
+
+    def result(num: list, den1: list, den2: list) -> float:
+        return _cosine(
+            weigh(num, tops[2]),
+            leaves[0] + weigh(den1, tops[0]),
+            leaves[1] + weigh(den2, tops[1]),
+        )
+
+    return _pair_fold(lambda ev: 1, (0, 0), max(ns) - 1, result)
 
 
 def _charscore_denominator(text: list[int], scores: tuple[float, ...]) -> float:
@@ -401,41 +493,42 @@ def _charscore_denominator(text: list[int], scores: tuple[float, ...]) -> float:
     return total
 
 
-def weighted_substring_kernel(
-    index1: BwtIndex, index2: BwtIndex, weights: WeightSpec
-) -> float:
+@_pair_measure
+def weighted_substring_kernel(index1: BwtIndex, index2: BwtIndex, weights: WeightSpec):
     """Cosine of weighted substring vectors g(|W|) f(W) or q-product weights.
 
     The telescoping coefficient of a node is the prefix sum of squared
     weights over its label's prefixes: a closed form of the depth for the
-    length-based kinds, a stack payload for charscore.
+    length-based kinds, built from the parent's sum for charscore.
     """
     if index1.sigma != index2.sigma:
         raise InputError("alphabet mismatch between the two indexes")
     weights.validate(index1.sigma)
+    ns = (index1.n, index2.n)
     if weights.kind == "charscore":
         scores = weights.scores
         sq = [0.0] + [q * q for q in scores]
+        path_sums = [0.0] * max(ns)
 
-        def child_payload(ev: VisitEvent, i: int):
-            return sq[ev.lefts[i]] * (1.0 + ev.payload)
+        def coef(ev: VisitEvent) -> float:
+            # sum of squared prefix weights of aW from that of W, the last
+            # node visited one level up (the pass is depth-first)
+            d = ev.depth
+            if not d:
+                return 0.0
+            c = path_sums[d] = sq[ev._path[d - 1]] * (1.0 + path_sums[d - 1])
+            return c
 
         leaves = (
             _charscore_denominator(index1.text, scores),
             _charscore_denominator(index2.text, scores),
         )
-        num, den1, den2 = _pair_fold(
-            index1,
-            index2,
-            lambda ev: ev.payload,
-            leaves,
-            child_payload=child_payload,
-            root_payload=0.0,
-        )
-    else:
-        ps, leaves = _length_weights(weights, (index1.n, index2.n))
-        num, den1, den2 = _pair_fold(index1, index2, lambda ev: ps(ev.depth), leaves)
-    return _cosine(num[0], den1[0], den2[0])
+        return _pair_fold(coef, leaves, 0, _cosine_of_bins)
+    x = weights.epsilon * weights.epsilon
+    if weights.kind == "exponential" and x > 1.0:
+        return _growing_weights_fold(x, ns)
+    ps, leaves = _length_weights(weights, ns)
+    return _pair_fold(lambda ev: ps(ev.depth), leaves, 0, _cosine_of_bins)
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +555,7 @@ def _window_products(text: list[int], k: int, q: tuple[float, ...]):
 
 
 def _d2_fold(index1: BwtIndex, index2: BwtIndex, k: int, q, phi, absent_coef):
+    """Sum of phi(f1(W), f2(W), q(W)) over all k-mers W, absent ones in closed form."""
     total = 0.0
     q_present = 0.0
     for qw in _window_products(index1.text, k, q):
@@ -512,8 +606,16 @@ def _d2_fold(index1: BwtIndex, index2: BwtIndex, k: int, q, phi, absent_coef):
         total += acc
         q_present += qk * (1 - edges)
 
-    enumerate_generalized(index1, index2, visit)
-    return total + absent_coef * (1.0 - q_present)
+    def finish() -> float:
+        value = total + absent_coef * (1.0 - q_present)
+        if not math.isfinite(value):
+            raise ComputationError(
+                f"k-mer probabilities too small at k={k}: the value is outside"
+                " the floating-point range"
+            )
+        return value
+
+    return PairFold(visit, finish)
 
 
 def _d2_validate(index1: BwtIndex, index2: BwtIndex, k: int, q) -> tuple:
@@ -530,7 +632,8 @@ def _d2_validate(index1: BwtIndex, index2: BwtIndex, k: int, q) -> tuple:
     return q, index1.n - k, index2.n - k
 
 
-def d2s_distance(index1: BwtIndex, index2: BwtIndex, k: int, q) -> float:
+@_pair_measure
+def d2s_distance(index1: BwtIndex, index2: BwtIndex, k: int, q):
     """Sum over all k-mers of t1 t2 / sqrt(t1^2 + t2^2) for centered counts.
 
     t_i(W) = f_i(W) - (n_i - k) q(W). Terms for k-mers absent from both
@@ -550,12 +653,17 @@ def d2s_distance(index1: BwtIndex, index2: BwtIndex, k: int, q) -> float:
     return _d2_fold(index1, index2, k, q, phi, coef)
 
 
-def d2star_distance(index1: BwtIndex, index2: BwtIndex, k: int, q) -> float:
+@_pair_measure
+def d2star_distance(index1: BwtIndex, index2: BwtIndex, k: int, q):
     """Sum over all k-mers of t1 t2 / (sqrt((n1-k)(n2-k)) q(W))."""
     q, e1, e2 = _d2_validate(index1, index2, k, q)
     scale = math.sqrt(e1 * e2)
+    tiny = sys.float_info.min
 
     def phi(x1: int, x2: int, qw: float) -> float:
+        if qw < tiny:
+            # 1/q(W) leaves the float range (or 0 divides); finish() raises
+            return math.nan
         return (x1 - e1 * qw) * (x2 - e2 * qw) / (scale * qw)
 
     return _d2_fold(index1, index2, k, q, phi, scale)
@@ -631,8 +739,8 @@ def maw_words(index: BwtIndex) -> list[tuple[int, ...]]:
     return out
 
 
-def _maw_pair_counts(index1: BwtIndex, index2: BwtIndex) -> tuple[int, int, int]:
-    """(|MAW(T1)|, |MAW(T2)|, |intersection|) in one generalized pass."""
+def _maw_pair_fold(result) -> PairFold:
+    """Fold whose finish() is result(|MAW(T1)|, |MAW(T2)|, |intersection|)."""
     c1 = c2 = inter = 0
 
     def visit(ev: VisitEvent) -> None:
@@ -662,36 +770,42 @@ def _maw_pair_counts(index1: BwtIndex, index2: BwtIndex) -> tuple[int, int, int]
                     1 for b in shared if b not in have1 and b not in have2
                 )
 
-    enumerate_generalized(index1, index2, visit)
-    return c1, c2, inter
+    return PairFold(visit, lambda: result(c1, c2, inter))
 
 
-def maw_jaccard(index1: BwtIndex, index2: BwtIndex) -> float:
+@_pair_measure
+def maw_jaccard(index1: BwtIndex, index2: BwtIndex):
     """Jaccard similarity of the two MAW sets; empty-empty counts as 1."""
-    c1, c2, inter = _maw_pair_counts(index1, index2)
-    union = c1 + c2 - inter
-    if union == 0:
-        return 1.0
-    return inter / union
+
+    def jaccard(c1: int, c2: int, inter: int) -> float:
+        union = c1 + c2 - inter
+        if union == 0:
+            return 1.0
+        return inter / union
+
+    return _maw_pair_fold(jaccard)
 
 
-def maw_cosine(index1: BwtIndex, index2: BwtIndex) -> float:
+@_pair_measure
+def maw_cosine(index1: BwtIndex, index2: BwtIndex):
     """Cosine of the binary MAW indicator vectors; empty-empty is 1."""
-    c1, c2, inter = _maw_pair_counts(index1, index2)
-    if c1 == 0 and c2 == 0:
-        return 1.0
-    if c1 == 0 or c2 == 0:
-        raise ZeroDenominatorError("zero denominator: one MAW set is empty")
-    return inter / math.sqrt(c1 * c2)
+
+    def cosine(c1: int, c2: int, inter: int) -> float:
+        if c1 == 0 and c2 == 0:
+            return 1.0
+        if c1 == 0 or c2 == 0:
+            raise ZeroDenominatorError("zero denominator: one MAW set is empty")
+        return inter / math.sqrt(c1 * c2)
+
+    return _maw_pair_fold(cosine)
 
 
 # ---------------------------------------------------------------------------
 # Markovian z-score kernel
 
 
-def markov_kernel(
-    index1: BwtIndex, index2: BwtIndex, params: ZScoreParams
-) -> float:
+@_pair_measure
+def markov_kernel(index1: BwtIndex, index2: BwtIndex, params: ZScoreParams):
     """Cosine of z-score vectors over strings a W b with letter a, b.
 
     z is g f(aWb) f(W) / (f(aW) f(Wb)) - 1 for occurring strings and -1 at
@@ -795,8 +909,7 @@ def markov_kernel(
                     elif wb2:
                         den2 += 1.0
 
-    enumerate_generalized(index1, index2, visit)
-    return _cosine(num, den1, den2)
+    return PairFold(visit, lambda: _cosine(num, den1, den2))
 
 
 # ---------------------------------------------------------------------------

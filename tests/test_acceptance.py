@@ -31,6 +31,7 @@ from bwtk.kernels import (
     maw_enumerate,
     maw_jaccard,
     maw_words,
+    run_pair_folds,
     substring_complexity,
     substring_kernel,
     weighted_substring_kernel,
@@ -281,6 +282,22 @@ def test_single_pass_discipline():
         b1, b2 = i1.enumerations, i2.enumerations
         fn()
         assert (i1.enumerations, i2.enumerations) == (b1 + 1, b2 + 1)
+    # the same nine as folds of one fused pass, with the same values
+    fused = [
+        (kmer_kernel.fold, 1),
+        (kmer_kernel_range.fold, 1, 4),
+        (substring_kernel.fold,),
+        (weighted_substring_kernel.fold, WeightSpec(kind="uniform")),
+        (d2s_distance.fold, 1, q),
+        (d2star_distance.fold, 1, q),
+        (maw_jaccard.fold,),
+        (maw_cosine.fold,),
+        (markov_kernel.fold, ZScoreParams(g_mode="exact")),
+    ]
+    b1, b2 = i1.enumerations, i2.enumerations
+    values = run_pair_folds(i1, i2, fused)
+    assert (i1.enumerations, i2.enumerations) == (b1 + 1, b2 + 1)
+    assert values == [fn() for fn in paired]
 
     worst = 0.0
     for _ in range(50):
@@ -297,7 +314,9 @@ def test_single_pass_discipline():
         stats = {}
         enumerate_generalized(ix, build_bwt(s), lambda ev: None, stats=stats)
         assert stats["peak_frames"] < 2.0 * bound
-    return f"17 measures enumerate once; peak/bound <= {worst:.3f} (c=4)"
+    return (
+        f"17 measures enumerate once, 9 fused in one pass; peak/bound <= {worst:.3f} (c=4)"
+    )
 
 
 @reported(6, "scaling smoke test")

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bwtk.cli import run
+from bwtk.cli import _KERNEL_KINDS, run
 from bwtk.suffix import BwtIndex
 
 
@@ -58,6 +63,63 @@ def test_weight_overflow_exit_codes(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1
+
+
+def test_d2star_underflow_exits_2(capsys, tmp_path):
+    # 0.25**600 underflows to 0, which d2star divides by
+    rng = random.Random(600)
+    paths = []
+    for name in ("a", "b"):
+        path = tmp_path / f"{name}.txt"
+        path.write_bytes(bytes(rng.choice(b"ACGT") for _ in range(3000)))
+        paths.append(str(path))
+    for kinds in ("d2star", "kmer,d2star,markov"):
+        code, out, err = call(capsys, "kernel", "--kind", kinds, "-k", "600", *paths)
+        assert code == 2
+        assert out == ""
+        assert "floating-point range" in err
+        assert len(err.strip().splitlines()) == 1
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    texts=st.tuples(*[st.text("ACGT", min_size=1, max_size=12)] * 2),
+    kinds=st.lists(st.sampled_from(_KERNEL_KINDS), min_size=1, max_size=5),
+    k=st.one_of(st.none(), st.integers(0, 16)),
+    k2=st.one_of(st.none(), st.integers(1, 8)),
+    weights=st.sampled_from(("uniform", "exponential", "band", "charscore")),
+    epsilon=st.sampled_from(("0.5", "2")),
+    scores=st.sampled_from((None, "0.5,1,1.5,2", "1,1")),
+    g=st.sampled_from(("unit", "exact")),
+)
+def test_fused_kinds_match_single_kind_runs(
+    tmp_path_factory, texts, kinds, k, k2, weights, epsilon, scores, g
+):
+    paths = []
+    for name, text in zip("ab", texts):
+        path = tmp_path_factory.mktemp("fused") / f"{name}.fa"
+        path.write_text(f">{name}\n{text}\n")
+        paths.append(str(path))
+    flags = ["--alphabet", "ACGT", "--weights", weights, "--epsilon", epsilon, "--g", g]
+    flags += [] if k is None else ["-k", str(k)]
+    flags += [] if k2 is None else ["--k2", str(k2)]
+    flags += [] if scores is None else ["--scores", scores]
+    fused = _run_quietly(["kernel", "--kind", ",".join(kinds), *flags, *paths])
+    singles = [_run_quietly(["kernel", "--kind", kind, *flags, *paths]) for kind in kinds]
+    failed = [single for single in singles if single[0] != 0]
+    if failed:
+        # the first kind that fails alone decides the exit code and message
+        assert fused == (failed[0][0], "", failed[0][2])
+        assert len(fused[2].splitlines()) == 1
+    else:
+        assert fused == (0, "".join(single[1] for single in singles), "")
 
 
 def test_usage_errors_exit_1(capsys, files):

@@ -195,23 +195,25 @@ def test_enumeration_counters():
 
 @pytest.mark.parametrize(
     "run",
-    [enumerate_right_maximal, enumerate_maximal_repeats, enumerate_generalized],
-    ids=["right_maximal", "maximal_repeats", "generalized"],
+    [enumerate_right_maximal, enumerate_generalized],
+    ids=["right_maximal", "generalized"],
 )
-def test_payload_threading(run):
-    # payload accumulates the depth along each root-to-node path, also
-    # through nodes where the visitor does not fire
+def test_depth_sums_follow_the_path(run):
+    # passes that fire at every node visit a node's parent last among the
+    # nodes one level up, so a fold can build per-node values from a
+    # per-depth list (as the charscore weights do)
     indexes = [idx("abracadabra")]
     if run is enumerate_generalized:
         indexes.append(idx("cadabraabra"))
-
-    def child_payload(ev, i):
-        return ev.payload + 1
+    sums = [()] * 20
 
     def visit(ev):
-        assert ev.payload == ev.depth
+        d = ev.depth
+        if d:
+            sums[d] = (ev._path[d - 1],) + sums[d - 1]
+        assert sums[d] == ev.label()
 
-    run(*indexes, visit, child_payload=child_payload, root_payload=0)
+    run(*indexes, visit)
 
 
 def test_label_symbols_are_letters():

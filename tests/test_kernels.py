@@ -133,6 +133,40 @@ def test_exponential_weights_above_one_do_not_overflow():
         weighted_substring_kernel(build_bwt(s), build_bwt(s), huge)
 
 
+def test_exponential_weights_above_one_scale_each_side():
+    # one common scale underflowed the shorter side's norm to 0
+    rng = random.Random(73)
+    short = build_bwt(rand_seq(rng, 100, 4))
+    long = build_bwt(rand_seq(rng, 3000, 4))
+    for eps in (2, 40):
+        got = weighted_substring_kernel(short, long, WeightSpec("exponential", eps))
+        assert 0.0 <= got <= 1e-9
+        assert weighted_substring_kernel(long, long, WeightSpec("exponential", eps)) == (
+            pytest.approx(1.0, abs=1e-12)
+        )
+    for _ in range(30):
+        sigma = rng.choice([2, 3])
+        s1 = rand_seq(rng, rng.randint(1, 12), sigma)
+        s2 = rand_seq(rng, rng.randint(12, 40), sigma)
+        i1, i2 = build_bwt(s1), build_bwt(s2)
+        for eps in (1.5, 3.0):
+            spec = WeightSpec(kind="exponential", epsilon=eps)
+            expect = orc.oracle_weighted_substring_kernel(s1, s2, spec)
+            got = weighted_substring_kernel(i1, i2, spec)
+            assert got == pytest.approx(expect, rel=1e-9)
+            assert weighted_substring_kernel(i2, i1, spec) == pytest.approx(got, rel=1e-9)
+
+
+def test_d2star_underflowing_q_product_is_a_computation_error():
+    rng = random.Random(600)
+    a = build_bwt(rand_seq(rng, 3000, 4))
+    b = build_bwt(rand_seq(rng, 3000, 4))
+    with pytest.raises(ComputationError, match="floating-point range"):
+        d2star_distance(a, b, 600, (0.25,) * 4)
+    # d2s divides by no q-product and stays defined
+    assert math.isfinite(d2s_distance(a, b, 600, (0.25,) * 4))
+
+
 def test_weighted_kernel_validates_spec():
     a, b = idx("aab"), idx("abb")
     with pytest.raises(InputError):
@@ -148,6 +182,8 @@ def test_d2_hand_values_and_preconditions():
     q = (0.5, 0.5)
     assert d2s_distance(a, b, 1, q) == pytest.approx(-1 / math.sqrt(2), abs=1e-12)
     assert d2star_distance(a, b, 1, q) == pytest.approx(-1 / 3, abs=1e-12)
+    # keyword calls reach the fold set-up too
+    assert d2star_distance(index1=a, index2=b, k=1, q=q) == d2star_distance(a, b, 1, q)
     with pytest.raises(ZeroDenominatorError):
         d2s_distance(a, b, 4, q)
     with pytest.raises(ZeroDenominatorError):
