@@ -4,14 +4,16 @@ A substring W is represented without its label: repr(W) stores the sorted
 right-extension symbols chars = (b_1 < ... < b_k) and interval boundaries
 first, so that the suffix rows of W b_i are [first[i] .. first[i+1]-1] and
 the rows of W itself are [first[0] .. first[-1]-1]. Left extension converts
-repr(W) into repr(aW) for every symbol a preceding W, using one
-range_distinct query per right-extension block.
+repr(W) into repr(aW) for every symbol a preceding W at once, using one
+wavelet-tree descent that ranks the k+1 boundaries of repr(W) together:
+aW continues with b_i exactly where the rank of a rises across block i.
 
 One depth-first loop, _traverse, serves every enumeration. A per-kind step
 turns a node's repr into its left symbols, its children and the children to
 push: the letter extensions that are right-maximal again. The loop pushes
 them widest interval first so the narrowest pops first, which keeps the
-stack at O(sigma log n) frames. The single-string step works on Repr; the
+stack at O(sigma log n) frames. A single-string pass may stop at a depth
+bound: measures that read only short contexts skip the deeper nodes. The single-string step works on Repr; the
 two-string step works on GenRepr and walks the generalized suffix tree of
 the pair, where the two terminators count as distinct right extensions, so
 a string followed by the end of both texts is right-maximal even when no
@@ -19,6 +21,9 @@ letter follows it.
 """
 
 from __future__ import annotations
+
+import math
+from bisect import bisect_right
 
 from .errors import InputError
 from .suffix import BwtIndex
@@ -114,31 +119,57 @@ def _root_repr(index: BwtIndex) -> Repr:
     return Repr(tuple(chars), tuple(first))
 
 
-def _extend(rd, c, r: Repr) -> tuple[list[int], list[Repr]]:
-    """All (a, repr(aW)) from repr(W), symbols ascending."""
+def _extend(descend, c, r: Repr) -> tuple[list[int], list[Repr]]:
+    """All (a, repr(aW)) from repr(W), symbols ascending, from one descent.
+
+    descend ranks the boundaries first[i] - 1 of every block of W for each
+    symbol a at once; aW continues with b_i exactly where a's rank rises
+    across block i, and its rows start at c[a] + rank + 1.
+    """
     chars = r.chars
-    first = r.first
-    out_chars: dict[int, list[int]] = {}
-    out_first: dict[int, list[int]] = {}
-    for i, b in enumerate(chars):
-        for a, r1, r2 in rd(first[i], first[i + 1] - 1):
-            oc = out_chars.get(a)
-            if oc is None:
-                out_chars[a] = [b]
-                out_first[a] = [c[a] + r1, c[a] + r2 + 1]
-            else:
-                oc.append(b)
-                out_first[a].append(c[a] + r2 + 1)
-    lefts = sorted(out_chars)
-    kids = [Repr(tuple(out_chars[a]), tuple(out_first[a])) for a in lefts]
+    bounds = []
+    for f in r.first:
+        bounds.append(f - 1)
+    lefts = []
+    kids = []
+    for a, ranks in descend(bounds):
+        base = c[a] + 1
+        lo = ranks[0]
+        hi = ranks[-1]
+        # the first block where the rank rises; the usual case is the only one
+        i = bisect_right(ranks, lo)
+        if ranks[i] == hi:
+            kid = Repr((chars[i - 1],), (base + lo, base + hi))
+        else:
+            out_chars = []
+            out_first = [base + lo]
+            for b, x in zip(chars, ranks[1:]):
+                if x > lo:
+                    out_chars.append(b)
+                    out_first.append(base + x)
+                    lo = x
+            kid = Repr(tuple(out_chars), tuple(out_first))
+        lefts.append(a)
+        kids.append(kid)
     return lefts, kids
+
+
+def _check_repr(index: BwtIndex, r: Repr) -> None:
+    """Reject a repr whose boundaries are not increasing rows in [1..n+1]."""
+    first = r.first
+    if not (
+        len(first) == len(r.chars) + 1 >= 2
+        and 1 <= first[0]
+        and first[-1] <= index.n + 1
+        and all(x < y for x, y in zip(first, first[1:]))
+    ):
+        raise InputError("malformed representation")
 
 
 def extend_left(index: BwtIndex, r: Repr) -> list[tuple[int, Repr]]:
     """One entry per distinct symbol preceding W, with repr(aW)."""
-    if not r.present or len(r.first) != len(r.chars) + 1:
-        raise InputError("malformed representation")
-    lefts, kids = _extend(index.ranks.range_distinct, index.c, r)
+    _check_repr(index, r)
+    lefts, kids = _extend(index.ranks._descend, index.c, r)
     return list(zip(lefts, kids))
 
 
@@ -147,6 +178,9 @@ def extend_left_generalized(
 ) -> list[tuple[int, GenRepr]]:
     if not (g.one.present or g.two.present):
         raise InputError("malformed representation: both sides absent")
+    for index, r in ((index1, g.one), (index2, g.two)):
+        if r.present:
+            _check_repr(index, r)
     lefts, kids, _ = _generalized_step(index1, index2)(g)
     return list(zip(lefts, kids))
 
@@ -170,45 +204,52 @@ def _distinct_extensions(c1: tuple[int, ...], c2: tuple[int, ...]) -> int:
 
 
 def _single_step(index: BwtIndex):
-    rd = index.ranks.range_distinct
+    descend = index.ranks._descend
     c = index.c
 
     def step(r: Repr):
-        lefts, kids = _extend(rd, c, r)
-        push = [
-            i
-            for i in range(len(lefts))
-            if lefts[i] != 0 and len(kids[i].chars) >= 2
-        ]
+        lefts, kids = _extend(descend, c, r)
+        push = []
+        for i in range(len(lefts)):
+            if lefts[i] != 0 and len(kids[i].chars) >= 2:
+                push.append(i)
         return lefts, kids, push
 
     return step
 
 
 def _generalized_step(index1: BwtIndex, index2: BwtIndex):
-    rd1, c1 = index1.ranks.range_distinct, index1.c
-    rd2, c2 = index2.ranks.range_distinct, index2.c
+    descend1, c1 = index1.ranks._descend, index1.c
+    descend2, c2 = index2.ranks._descend, index2.c
 
     def step(g: GenRepr):
-        one = dict(zip(*_extend(rd1, c1, g.one))) if g.one.present else {}
-        two = dict(zip(*_extend(rd2, c2, g.two))) if g.two.present else {}
+        one = dict(zip(*_extend(descend1, c1, g.one))) if g.one.present else {}
+        two = dict(zip(*_extend(descend2, c2, g.two))) if g.two.present else {}
         lefts = sorted(one.keys() | two.keys())
-        kids = [GenRepr(one.get(a, ABSENT), two.get(a, ABSENT)) for a in lefts]
-        push = [
-            i
-            for i in range(len(lefts))
-            if lefts[i] != 0
-            and _distinct_extensions(kids[i].one.chars, kids[i].two.chars) >= 2
-        ]
+        kids = []
+        push = []
+        for i, a in enumerate(lefts):
+            kid = GenRepr(one.get(a, ABSENT), two.get(a, ABSENT))
+            kids.append(kid)
+            if a != 0 and _distinct_extensions(kid.one.chars, kid.two.chars) >= 2:
+                push.append(i)
         return lefts, kids, push
 
     return step
 
 
-def _traverse(indexes, root, step, visitor, fire_all: bool, stats) -> int:
-    """The one depth-first loop; returns the number of visitor calls."""
+def _traverse(
+    indexes, root, step, visitor, fire_all: bool, stats, max_depth=None
+) -> int:
+    """The one depth-first loop; returns the number of visitor calls.
+
+    Nodes deeper than max_depth are never pushed, so a bounded pass visits
+    the nodes of depth <= max_depth of the unbounded pass in the same order,
+    each with all its left symbols and children.
+    """
     for index in indexes:
         index.enumerations += 1
+    last = math.inf if max_depth is None else max_depth
     ev = VisitEvent()
     path = ev._path
     stack = [(root, 0, 0)]
@@ -230,7 +271,7 @@ def _traverse(indexes, root, step, visitor, fire_all: bool, stats) -> int:
             ev.lefts = lefts
             ev.children = kids
             visitor(ev)
-        if push:
+        if push and depth < last:
             if len(push) > 1:
                 push.sort(key=lambda i: kids[i].freq, reverse=True)
             nd = depth + 1
@@ -245,28 +286,37 @@ def _traverse(indexes, root, step, visitor, fire_all: bool, stats) -> int:
 
 
 def enumerate_right_maximal(
-    index: BwtIndex, visitor, *, stats: dict | None = None
+    index: BwtIndex,
+    visitor,
+    *,
+    stats: dict | None = None,
+    max_depth: int | None = None,
 ) -> int:
     """Visit every right-maximal substring of T, the empty string included.
 
-    Returns the visit count.
+    With max_depth, only those of length at most max_depth. Returns the
+    visit count.
     """
-    return _traverse(
-        (index,), _root_repr(index), _single_step(index), visitor, True, stats
-    )
+    root = _root_repr(index)
+    step = _single_step(index)
+    return _traverse((index,), root, step, visitor, True, stats, max_depth)
 
 
 def enumerate_maximal_repeats(
-    index: BwtIndex, visitor, *, stats: dict | None = None
+    index: BwtIndex,
+    visitor,
+    *,
+    stats: dict | None = None,
+    max_depth: int | None = None,
 ) -> int:
     """As enumerate_right_maximal, but fire only at left-maximal nodes.
 
     Left-maximality asks for at least two distinct preceding symbols, the
     terminator included. Returns the number of visitor invocations.
     """
-    return _traverse(
-        (index,), _root_repr(index), _single_step(index), visitor, False, stats
-    )
+    root = _root_repr(index)
+    step = _single_step(index)
+    return _traverse((index,), root, step, visitor, False, stats, max_depth)
 
 
 def enumerate_generalized(

@@ -378,7 +378,8 @@ def entropy_range(index: BwtIndex, k1: int, k2: int) -> list[float]:
         fr = sum(widths)
         sums[d - k1] += sum(w * log2(fr / w) for w in widths)
 
-    enumerate_right_maximal(index, visit)
+    # contexts longer than k2 are never read, so the pass stops at depth k2
+    enumerate_right_maximal(index, visit, max_depth=k2)
     m = index.n - 1
     return [s / m for s in sums]
 
@@ -661,6 +662,11 @@ def d2star_distance(index1: BwtIndex, index2: BwtIndex, k: int, q):
     tiny = sys.float_info.min
 
     def phi(x1: int, x2: int, qw: float) -> float:
+        # with one count 0, q(W) cancels: an underflowing q-product is harmless
+        if not x2:
+            return -(x1 - e1 * qw) * e2 / scale
+        if not x1:
+            return -(x2 - e2 * qw) * e1 / scale
         if qw < tiny:
             # 1/q(W) leaves the float range (or 0 divides); finish() raises
             return math.nan
@@ -958,7 +964,8 @@ def kl_divergence_range(index: BwtIndex, k1: int, k2: int) -> list[float]:
                 x = first[j + 1] - first[j]
                 out[slot] += (x / denom) * log2(x * fmid / (fa * blocks[b]))
 
-    enumerate_maximal_repeats(index, visit)
+    # a k-mer's infix has length k - 2 <= k2 - 2; deeper nodes add nothing
+    enumerate_maximal_repeats(index, visit, max_depth=k2 - 2)
     return out
 
 

@@ -2,8 +2,10 @@
 
 The array is stored as a binary wavelet tree over [0..maxsym]: each node
 splits its symbol range at the midpoint and keeps one bit per element.
-Queries walk the tree, so a rank costs O(log maxsym) word operations and
-range_distinct costs O(log maxsym) per reported symbol.
+Queries walk the tree, so a rank costs O(log maxsym) word operations. One
+descent, distinct_ranks, carries any number of ascending boundaries down
+the tree at once and reports, for every symbol between the first and the
+last, its ranks at all of them; range_distinct is its two-boundary case.
 """
 
 from __future__ import annotations
@@ -16,40 +18,39 @@ _LOW_MASKS = tuple((1 << r) - 1 for r in range(64))
 
 
 class _Node:
-    __slots__ = ("lo", "hi", "mid", "words", "cums", "left", "right")
+    __slots__ = ("lo", "hi", "mid", "blocks", "left", "right")
 
     def __init__(self, lo: int, hi: int) -> None:
         self.lo = lo
         self.hi = hi
         self.mid = (lo + hi) // 2
-        self.words: list[int] | None = None
-        self.cums: list[int] | None = None
+        self.blocks: list[int] | None = None
         self.left: _Node | None = None
         self.right: _Node | None = None
 
 
-def _pack(bits: np.ndarray) -> tuple[list[int], list[int]]:
-    """Bit array to 64-bit little-endian words plus cumulative popcounts."""
-    if bits.size == 0:
-        return [], [0]
+def _pack(bits: np.ndarray) -> list[int]:
+    """Bit array to 64-bit blocks, each with the count of 1s before it.
+
+    Block w holds bits 64w .. 64w+63 little-endian in its low 64 bits and
+    the number of 1s among the first 64w bits above them, so the rank at i
+    is one lookup and one popcount of blocks[i >> 6]. One zero block past
+    the last bit keeps every i in 0..len(bits) valid, a 64-aligned length
+    included.
+    """
     packed = np.packbits(bits, bitorder="little")
-    pad = (-packed.size) % 8
-    if pad:
-        packed = np.concatenate([packed, np.zeros(pad, dtype=np.uint8)])
+    pad = (-packed.size) % 8 + 8
+    packed = np.concatenate([packed, np.zeros(pad, dtype=np.uint8)])
     words = np.frombuffer(packed.tobytes(), dtype="<u8")
-    counts = np.bitwise_count(words).astype(np.int64)
-    return words.tolist(), [0] + np.cumsum(counts).tolist()
+    cums = np.zeros(words.size, dtype=np.int64)
+    np.cumsum(np.bitwise_count(words[:-1]), out=cums[1:])
+    return [(c << 64) | w for c, w in zip(cums.tolist(), words.tolist())]
 
 
-def _rank1(words: list[int], cums: list[int], i: int) -> int:
-    # number of 1 bits among the first i bits
-    if i <= 0:
-        return 0
-    w = i >> 6
-    r = i & 63
-    if r:
-        return cums[w] + (words[w] & _LOW_MASKS[r]).bit_count()
-    return cums[w]
+def _rank1(blocks: list[int], i: int) -> int:
+    # number of 1 bits among the first i bits, 0 <= i <= len(bits)
+    e = blocks[i >> 6]
+    return (e >> 64) + (e & _LOW_MASKS[i & 63]).bit_count()
 
 
 class RankIndex:
@@ -74,7 +75,7 @@ class RankIndex:
         if lo == hi:
             return node
         bits = arr > node.mid
-        node.words, node.cums = _pack(bits)
+        node.blocks = _pack(bits)
         node.left = self._build(arr[~bits], lo, node.mid)
         node.right = self._build(arr[bits], node.mid + 1, hi)
         return node
@@ -89,8 +90,8 @@ class RankIndex:
         if not 0 <= i <= self.n:
             raise InputError(f"position {i} outside [0..{self.n}]")
         node = self.root
-        while node.words is not None:
-            ones = _rank1(node.words, node.cums, i)
+        while node.blocks is not None:
+            ones = _rank1(node.blocks, i)
             if c <= node.mid:
                 i -= ones
                 node = node.left
@@ -105,9 +106,9 @@ class RankIndex:
             raise InputError(f"position {i} outside [1..{self.n}]")
         node = self.root
         i -= 1
-        while node.words is not None:
-            bit = (node.words[i >> 6] >> (i & 63)) & 1
-            ones = _rank1(node.words, node.cums, i)
+        while node.blocks is not None:
+            bit = (node.blocks[i >> 6] >> (i & 63)) & 1
+            ones = _rank1(node.blocks, i)
             if bit:
                 i = ones
                 node = node.right
@@ -115,6 +116,22 @@ class RankIndex:
                 i -= ones
                 node = node.left
         return node.lo
+
+    def distinct_ranks(self, bounds) -> list[tuple[int, list[int]]]:
+        """Every symbol c of positions [bounds[0]+1 .. bounds[-1]], ascending.
+
+        bounds is a non-decreasing list of positions in [0..n], so blocks
+        between equal boundaries are empty; each entry is
+        (c, [rank(c, x) for x in bounds]).
+        """
+        bounds = list(bounds)
+        if not bounds or bounds[0] < 0 or bounds[-1] > self.n or any(
+            x > y for x, y in zip(bounds, bounds[1:])
+        ):
+            raise InputError(f"invalid boundaries {bounds} over [0..{self.n}]")
+        if bounds[-1] == bounds[0]:
+            return []
+        return self._descend(bounds)
 
     def range_distinct(self, i: int, j: int) -> list[tuple[int, int, int]]:
         """Distinct symbols of positions [i..j] in ascending order.
@@ -125,22 +142,41 @@ class RankIndex:
         """
         if not 1 <= i <= j <= self.n:
             raise InputError(f"invalid range [{i}..{j}] over [1..{self.n}]")
-        out: list[tuple[int, int, int]] = []
-        stack = [(self.root, i - 1, j)]
-        while stack:
-            node, x, y = stack.pop()
-            words = node.words
-            if words is None:
-                out.append((node.lo, x + 1, y))
+        return [(c, x + 1, y) for c, (x, y) in self._descend([i - 1, j])]
+
+    def _descend(self, xs: list[int]) -> list[tuple[int, list[int]]]:
+        """distinct_ranks without the checks, for a non-empty range.
+
+        The one descent loop. Each boundary is ranked once per wavelet
+        node, and a child whose whole range [xs[0]+1 .. xs[-1]] is empty is
+        not entered. The loop walks on into the left child and stacks the
+        right one, so the symbols come out ascending.
+        """
+        masks = _LOW_MASKS
+        out: list[tuple[int, list[int]]] = []
+        stack = []
+        node = self.root
+        while True:
+            blocks = node.blocks
+            if blocks is None:
+                out.append((node.lo, xs))
+                if not stack:
+                    return out
+                node, xs = stack.pop()
                 continue
-            cums = node.cums
-            x1 = _rank1(words, cums, x)
-            y1 = _rank1(words, cums, y)
-            # right pushed first so the left child pops first (ascending order)
-            if y1 > x1:
-                stack.append((node.right, x1, y1))
-            x0 = x - x1
-            y0 = y - y1
-            if y0 > x0:
-                stack.append((node.left, x0, y0))
-        return out
+            # one plain loop for both children: cheaper than comprehensions
+            ones = []
+            zeros = []
+            for x in xs:
+                e = blocks[x >> 6]
+                o = (e >> 64) + (e & masks[x & 63]).bit_count()
+                ones.append(o)
+                zeros.append(x - o)
+            if zeros[-1] > zeros[0]:
+                if ones[-1] > ones[0]:
+                    stack.append((node.right, ones))
+                node = node.left
+                xs = zeros
+            else:
+                node = node.right
+                xs = ones

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 from bwtk.suffix import BwtIndex, build_bwt
 from bwtk.text import Sequence
 
@@ -21,3 +23,22 @@ def idx(text: str, sigma: int | None = None) -> BwtIndex:
 
 def rand_seq(rng: random.Random, n: int, sigma: int, name: str = "rand") -> Sequence:
     return Sequence([rng.randint(1, sigma) for _ in range(n)], sigma, name)
+
+
+def draw_repetitive(draw, sigma: int) -> Sequence:
+    """A hypothesis-drawn text over [1..sigma]: letter runs or a period."""
+    letter = st.integers(1, sigma)
+    shape = draw(st.sampled_from(("runs", "periodic")))
+    if shape == "runs":
+        runs = draw(st.lists(st.tuples(letter, st.integers(1, 12)), min_size=1, max_size=4))
+        symbols = [a for a, length in runs for _ in range(length)]
+    else:
+        period = draw(st.lists(letter, min_size=1, max_size=4))
+        symbols = (period * 40)[: draw(st.integers(1, 40))]
+    return Sequence(symbols, sigma)
+
+
+@st.composite
+def repetitive_text(draw) -> Sequence:
+    """Runs or a period over sigma in {1, 2, 4}."""
+    return draw_repetitive(draw, draw(st.sampled_from((1, 2, 4))))

@@ -66,7 +66,8 @@ def test_weight_overflow_exit_codes(capsys, tmp_path):
 
 
 def test_d2star_underflow_exits_2(capsys, tmp_path):
-    # 0.25**600 underflows to 0, which d2star divides by
+    # 0.25**600 underflows to 0, which d2star divides by for 600-mers that
+    # occur in both texts: a text against itself
     rng = random.Random(600)
     paths = []
     for name in ("a", "b"):
@@ -74,11 +75,17 @@ def test_d2star_underflow_exits_2(capsys, tmp_path):
         path.write_bytes(bytes(rng.choice(b"ACGT") for _ in range(3000)))
         paths.append(str(path))
     for kinds in ("d2star", "kmer,d2star,markov"):
-        code, out, err = call(capsys, "kernel", "--kind", kinds, "-k", "600", *paths)
+        code, out, err = call(
+            capsys, "kernel", "--kind", kinds, "-k", "600", paths[0], paths[0]
+        )
         assert code == 2
         assert out == ""
         assert "floating-point range" in err
         assert len(err.strip().splitlines()) == 1
+    # the two texts share no 600-mer, so q cancels from every term
+    code, out, err = call(capsys, "kernel", "--kind", "d2star", "-k", "600", *paths)
+    assert code == 0 and err == ""
+    assert float(out.split()[-1]) == pytest.approx(-2401, rel=1e-9)
 
 
 def _run_quietly(argv):

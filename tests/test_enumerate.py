@@ -2,7 +2,9 @@ import math
 import random
 
 import pytest
-from conftest import idx, rand_seq, seq
+from conftest import idx, rand_seq, repetitive_text, seq
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bwtk.enumerate import (
     GenRepr,
@@ -66,6 +68,13 @@ def test_extend_left_rejects_malformed():
         extend_left(ix, Repr((1,), (4, 2)))
     with pytest.raises(InputError):
         extend_left(ix, Repr((1, 2), (1, 2)))
+    # boundaries past the n + 1 = 6 rows of abab#, or repeated
+    with pytest.raises(InputError):
+        extend_left(ix, Repr((1, 2), (2, 4, 7)))
+    with pytest.raises(InputError):
+        extend_left(ix, Repr((1, 2), (2, 2, 4)))
+    with pytest.raises(InputError):
+        extend_left_generalized(ix, ix, GenRepr(Repr((1,), (4, 2)), Repr((1,), (2, 4))))
 
 
 def test_visited_sets_match_oracle():
@@ -226,3 +235,26 @@ def test_label_symbols_are_letters():
             assert all(sym != 0 for sym in ev.label())
 
         enumerate_right_maximal(ix, visit)
+
+
+def _events(run, ix, **kwargs) -> list:
+    out = []
+
+    def visit(ev):
+        kids = [(kid.chars, kid.first) for kid in ev.children]
+        r = ev.repr
+        out.append((ev.depth, ev.label(), (r.chars, r.first), list(ev.lefts), kids))
+
+    fired = run(ix, visit, **kwargs)
+    assert fired == len(out)
+    return out
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(repetitive_text(), st.integers(0, 45))
+def test_depth_bound_keeps_the_shallow_events_in_order(s, max_depth):
+    ix = build_bwt(s)
+    for run in (enumerate_right_maximal, enumerate_maximal_repeats):
+        full = _events(run, ix)
+        bounded = _events(run, ix, max_depth=max_depth)
+        assert bounded == [e for e in full if e[0] <= max_depth]

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from conftest import idx, rand_seq, seq
+from conftest import draw_repetitive, idx, rand_seq, repetitive_text, seq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -161,10 +161,15 @@ def test_d2star_underflowing_q_product_is_a_computation_error():
     rng = random.Random(600)
     a = build_bwt(rand_seq(rng, 3000, 4))
     b = build_bwt(rand_seq(rng, 3000, 4))
+    # 0.25**600 underflows, but no 600-mer occurs in both texts, so every
+    # term has a zero count and q cancels: the exact value is -2401
+    assert d2star_distance(a, b, 600, (0.25,) * 4) == pytest.approx(-2401, rel=1e-9)
+    # a shared 600-mer's term f1 f2 / q(W) really leaves the float range
     with pytest.raises(ComputationError, match="floating-point range"):
-        d2star_distance(a, b, 600, (0.25,) * 4)
+        d2star_distance(a, a, 600, (0.25,) * 4)
     # d2s divides by no q-product and stays defined
     assert math.isfinite(d2s_distance(a, b, 600, (0.25,) * 4))
+    assert math.isfinite(d2s_distance(a, a, 600, (0.25,) * 4))
 
 
 def test_weighted_kernel_validates_spec():
@@ -371,21 +376,7 @@ def test_pair_measures_match_oracle():
 def repetitive_pair(draw):
     """Two texts over one alphabet, each one symbol repeated, runs or a period."""
     sigma = draw(st.integers(1, 3))
-    letter = st.integers(1, sigma)
-
-    def text():
-        shape = draw(st.sampled_from(("runs", "periodic")))
-        if shape == "runs":
-            runs = draw(
-                st.lists(st.tuples(letter, st.integers(1, 12)), min_size=1, max_size=4)
-            )
-            symbols = [a for a, length in runs for _ in range(length)]
-        else:
-            period = draw(st.lists(letter, min_size=1, max_size=4))
-            symbols = (period * 40)[: draw(st.integers(1, 40))]
-        return Sequence(symbols, sigma)
-
-    return text(), text()
+    return draw_repetitive(draw, sigma), draw_repetitive(draw, sigma)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -424,6 +415,24 @@ def test_telescoping_and_maw_folds_match_oracle_on_repetitive_text(pair):
         count = maw_enumerate(ix, lambda *maw: fired.append(maw))
         expect = orc.oracle_maw_count(s)
         assert maw_count(ix) == len(maw_words(ix)) == count == len(fired) == expect
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(repetitive_text(), st.data())
+def test_depth_bounded_entropy_and_kl_match_oracle(s, data):
+    # the passes stop at depth k2 and k2 - 2; k2 may pass the text length
+    ix = build_bwt(s)
+    k1 = data.draw(st.integers(0, len(s) + 2))
+    k2 = data.draw(st.integers(k1, len(s) + 3))
+    hs = entropy_range(ix, k1, k2)
+    for k in range(k1, k2 + 1):
+        expect = orc.oracle_entropy(s, k)
+        assert hs[k - k1] == pytest.approx(expect, rel=1e-9)
+    k1, k2 = max(k1, 2), max(k2, 2)
+    kls = kl_divergence_range(ix, k1, k2)
+    for k in range(k1, k2 + 1):
+        expect = orc.oracle_kl(s, k)
+        assert kls[k - k1] == pytest.approx(expect, rel=1e-9)
 
 
 def test_self_kernels_are_one():

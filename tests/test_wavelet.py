@@ -96,3 +96,28 @@ def test_single_symbol_alphabet():
     assert rix.rank(0, 3) == 3
     assert rix.range_distinct(1, 3) == [(0, 1, 3)]
     assert rix.access(2) == 0
+
+
+@pytest.mark.parametrize("maxsym", [0, 1, 4, 20])
+def test_distinct_ranks_match_rank_at_every_boundary(maxsym):
+    rng = random.Random(4100 + maxsym)
+    for n in (64, 128, 320):
+        # n a multiple of 64: the boundary n reads the block past the last bit
+        data = [rng.randint(0, maxsym) for _ in range(n)]
+        rix = RankIndex(data, maxsym=maxsym)
+        for _ in range(40):
+            size = rng.randint(2, 6)
+            # repeated positions give empty blocks; the ends hit 0 and n often
+            pool = [0, n] + [rng.randint(0, n) for _ in range(3)]
+            bounds = sorted(rng.choice(pool) for _ in range(size))
+            got = rix.distinct_ranks(bounds)
+            present = sorted(set(data[bounds[0] : bounds[-1]]))
+            assert [c for c, _ in got] == present
+            for c, ranks in got:
+                assert ranks == [rix.rank(c, x) for x in bounds]
+                assert ranks == [data[:x].count(c) for x in bounds]
+        assert rix.rank(maxsym, n) == data.count(maxsym)
+    assert rix.distinct_ranks([5, 5]) == []
+    for bad in ([], [-1, 3], [3, 2], [0, n + 1]):
+        with pytest.raises(InputError):
+            rix.distinct_ranks(bad)
