@@ -7,6 +7,14 @@ and the strings that end on leaf edges are covered by closed-form
 initializers. Frequencies come straight from interval widths, so integer
 measures are computed in exact integer arithmetic.
 
+The k-mer, substring and length-weighted kernels share one such fold,
+_telescoped, which bins each node's integer terms by its depth; each kernel
+is a reading of the bins. The k-mer kernel takes suffix sums (every k of a
+sweep at once), uniform and band weights take integer coefficients, and
+exponential weights take geometric sums scaled by each side's heaviest
+length, so no epsilon needs a path of its own. Only per-character score
+weights, which depend on the letters, scale a node's terms as they come.
+
 Conventions shared with the brute-force reference: alphabets of measures
 range over [1..sigma] (terminators are delivered by the enumerator but
 filtered here), f(empty) = n-1 where a ratio needs it, and logarithms are
@@ -211,56 +219,44 @@ def kmer_complexity(index: BwtIndex, k: int) -> int:
     """Number of distinct k-mers over [1..sigma] occurring in the text."""
     if k < 1:
         raise InputError("k must be at least 1")
-    n = index.n
-    if k >= n:
-        return 0
-    total = n - k
-
-    def visit(ev: VisitEvent) -> None:
-        nonlocal total
-        if ev.depth >= k:
-            total += 1 - len(ev.repr.chars)
-
-    enumerate_right_maximal(index, visit)
-    return total
+    # the saturated f >= 1 cell counts every distinct k-mer
+    return kmer_profile(index, k, k, 1, 1).cells[0][0]
 
 
-def _pair_fold(coef, leaves, cap: int, result) -> PairFold:
-    """Telescoped sums of f1 f2, f1^2 and f2^2 over substrings as a fold.
+def _telescoped(lo: int, result, coef=None) -> PairFold:
+    """Telescoped sums of f1 f2, f1^2 and f2^2 over substrings, binned by length.
 
-    A node adds coef(ev) times fo ft - cross, fo^2 - s1 and ft^2 - s2 (the
-    differences between its own frequency products and those of its right
-    extensions) into bin min(depth, cap) of (num, den1, den2); den1 and den2
-    start from the closed-form leaf terms leaves[0] and leaves[1] in bin 0.
-    Integer coefficients keep the sums integer. finish() returns
+    A node of depth d >= lo adds fo ft - cross, fo^2 - s1 and ft^2 - s2 (its
+    own frequency products less those of its right extensions) into bin d
+    of (num, den1, den2): exact integers, or times coef(ev) when given. For
+    every length L >= lo, the sum of f1(U) f2(U) over the length-L
+    substrings U is then the sum of num[d] over d >= L, and that of f1(U)^2
+    is n1 - L plus the sum of den1[d] over d >= L (likewise for text 2).
+    Every length weighting is a reading of these bins; finish() returns
     result(num, den1, den2).
     """
-    num = [0] * (cap + 1)
-    one_den = [leaves[0]] + [0] * cap
-    two_den = [leaves[1]] + [0] * cap
+    num, den1, den2 = bins = ([0] * lo, [0] * lo, [0] * lo)
 
     def visit(ev: VisitEvent) -> None:
-        c = coef(ev)
-        if not c:
-            return
         d = ev.depth
-        col = d if d < cap else cap
+        if d < lo:
+            return
+        if d == len(num):
+            # the pass is depth-first: a node's parent, one level up, came first
+            num.append(0)
+            den1.append(0)
+            den2.append(0)
         g = ev.repr
         one, two = g.one, g.two
         cross, s1, s2 = _pair_sums(one, two)
         fo = one.freq
         ft = two.freq
-        num[col] += c * (fo * ft - cross)
-        if one.present:
-            one_den[col] += c * (fo * fo - s1)
-        if two.present:
-            two_den[col] += c * (ft * ft - s2)
+        c = 1 if coef is None else coef(ev)
+        num[d] += c * (fo * ft - cross)
+        den1[d] += c * (fo * fo - s1)
+        den2[d] += c * (ft * ft - s2)
 
-    return PairFold(visit, lambda: result(num, one_den, two_den))
-
-
-def _cosine_of_bins(num: list, den1: list, den2: list) -> float:
-    return _cosine(float(num[0]), float(den1[0]), float(den2[0]))
+    return PairFold(visit, lambda: result(*bins))
 
 
 @_pair_measure
@@ -274,20 +270,20 @@ def kmer_kernel_range(index1: BwtIndex, index2: BwtIndex, k1: int, k2: int):
         raise InputError("range must satisfy 1 <= k1 <= k2")
     n1, n2 = index1.n, index2.n
 
-    def result(d_num: list, d_one: list, d_two: list) -> dict[int, float]:
+    def result(b_num: list, b_one: list, b_two: list) -> dict[int, float]:
+        # length k reads the bins d >= k: sum them from the deepest up
+        top = min(k2, n1 - 1, n2 - 1)
+        num, den1, den2 = (sum(b[top + 1 :]) for b in (b_num, b_one, b_two))
         out: dict[int, float] = {}
-        num = den1 = den2 = 0
-        for k in range(k2, k1 - 1, -1):
-            num += d_num[k]
-            den1 += d_one[k]
-            den2 += d_two[k]
-            if n1 > k and n2 > k:
-                out[k] = num / math.sqrt((n1 - k + den1) * (n2 - k + den2))
+        for k in range(top, k1 - 1, -1):
+            if k < len(b_num):
+                num += b_num[k]
+                den1 += b_one[k]
+                den2 += b_two[k]
+            out[k] = _cosine(num, n1 - k + den1, n2 - k + den2)
         return out
 
-    # band weights over [k, k] for every k at once: depth d adds to every
-    # k <= min(d, k2), so bin by depth and sum the bins from k2 down
-    return _pair_fold(lambda ev: 1 if ev.depth >= k1 else 0, (0, 0), k2, result)
+    return _telescoped(k1, result)
 
 
 @_pair_measure
@@ -406,15 +402,13 @@ def substring_complexity(index: BwtIndex) -> int:
 @_pair_measure
 def substring_kernel(index1: BwtIndex, index2: BwtIndex):
     """Cosine of the full substring-count vectors."""
-    n1, n2 = index1.n, index2.n
-    # uniform weights: the squared-weight prefix sum at depth d is d
-    leaves = ((n1 - 1) * n1 // 2, (n2 - 1) * n2 // 2)
-    return _pair_fold(lambda ev: ev.depth, leaves, 0, _cosine_of_bins)
+    return weighted_substring_kernel.fold(index1, index2, WeightSpec("uniform"))
 
 
-def _leaf_sum(n: int, lengths, xp: float, ratio: float) -> float:
-    """Sum of (n - j) w_j over lengths j, weights w falling from xp by ratio."""
+def _leaf_sum(n: int, lengths, ratio: float) -> float:
+    """Sum of (n - j) ratio**i over the i-th length j, until ratio**i underflows."""
     total = 0.0
+    xp = 1.0
     for j in lengths:
         if xp == 0.0:
             break
@@ -423,56 +417,53 @@ def _leaf_sum(n: int, lengths, xp: float, ratio: float) -> float:
     return total
 
 
-def _length_weights(weights: WeightSpec, ns: tuple[int, int]):
-    """(ps, leaves) for a length-based weight kind and the text sizes ns.
+def _length_reading(weights: WeightSpec, ns: tuple[int, int]):
+    """finish() of a length-based weight kind: its cosine read off the bins.
 
-    ps(L) sums the squared weights of lengths 1..L, the telescoping
-    coefficient of a node at depth L; leaves[i] sums (n - j) times the
-    squared weight of length j over 1 <= j < n = ns[i]. Growing exponential
-    weights take _growing_weights_fold instead.
+    With x_L the squared weight of length L, bin d counts toward every
+    length L <= d and so weighs ps(d) = x_1 + ... + x_d, and text i adds the
+    leaf sum of (n_i - L) x_L over 1 <= L < n_i = ns[i]. Band and uniform
+    weights are 0 or 1, so their sums stay exact integers. Exponential sums
+    are divided, on each side, by the squared weight of its heaviest length
+    (1 when epsilon < 1, n_i - 1 when epsilon > 1) and, for the shared sum,
+    by the geometric mean of the two: the cosine does not change, and no
+    sum leaves the float range whatever the positive finite epsilon.
     """
-    kind = weights.kind
-    if kind == "uniform":
-        return float, [(n - 1) * n / 2 for n in ns]
-    if kind == "band":
-        kmin, kmax = weights.kmin, weights.kmax
-
-        def band_ps(length: int) -> float:
-            hi = length if length < kmax else kmax
-            return float(hi - kmin + 1) if hi >= kmin else 0.0
-
-        return band_ps, [
-            float(sum(n - j for j in range(kmin, min(kmax, n - 1) + 1))) for n in ns
-        ]
-    x = weights.epsilon * weights.epsilon
+    x = weights.epsilon * weights.epsilon if weights.kind == "exponential" else 1.0
+    # the heaviest length of text 1, of text 2, and their mean for the shared sum
+    tops = (1, 1, 1) if x <= 1.0 else (ns[0] - 1, ns[1] - 1, (ns[0] + ns[1]) / 2 - 1)
     if x == 1.0:
-        ps = float
+        band = weights.kind == "band"
+        kmin, kmax = (weights.kmin, weights.kmax) if band else (1, math.inf)
+
+        def leaf(n: int) -> int:
+            # the sum of n - L over kmin <= L <= min(kmax, n - 1)
+            hi = min(kmax, n - 1)
+            return (hi - kmin + 1) * (2 * n - kmin - hi) // 2 if hi >= kmin else 0
+
+        leaves = [leaf(n) for n in ns]
+
+        def weigh(bins: list, top: float) -> int:
+            # every weight is 0 or 1, so no scale is needed
+            return sum(
+                b * (min(d, kmax) - kmin + 1) for d, b in enumerate(bins) if d >= kmin
+            )
+
     else:
+        # r < 1 is the squared-weight ratio from the heaviest length outward
+        r = x if x < 1.0 else 1.0 / x
+        if x < 1.0:
+            leaves = [_leaf_sum(n, range(1, n), r) for n in ns]
+        else:
+            leaves = [_leaf_sum(n, range(n - 1, 0, -1), r) for n in ns]
 
-        def ps(length: int) -> float:
-            return x * (1.0 - x**length) / (1.0 - x)
-
-    return ps, [_leaf_sum(n, range(1, n), x, x) for n in ns]
-
-
-def _growing_weights_fold(x: float, ns: tuple[int, int]) -> PairFold:
-    """Exponential weights with epsilon > 1, whose squared weights x**L overflow.
-
-    Each side's sums are divided by its own deepest squared weight x**(n-1),
-    the shared sum by the geometric mean of the two (the cosine does not
-    change), so the fold bins integer terms by depth and weighs them in finish.
-    """
-    y = 1.0 / x
-    tops = (ns[0] - 1, ns[1] - 1, (ns[0] + ns[1]) / 2 - 1)
-    leaves = [_leaf_sum(n, range(n - 1, 0, -1), 1.0, y) for n in ns]
-
-    def weigh(bins: list, top: float) -> float:
-        # sum_{j <= d} x**j / x**top; only depths a side reaches have terms
-        return sum(
-            b * y ** (top - d) * (1.0 - y**d) / (1.0 - y)
-            for d, b in enumerate(bins)
-            if b
-        )
+        def weigh(bins: list, top: float) -> float:
+            # ps(d) / x**top, a geometric sum over lengths 1..d
+            return sum(
+                b * r ** max(top - d, 0) * (1.0 - r**d) / (1.0 - r)
+                for d, b in enumerate(bins)
+                if b
+            )
 
     def result(num: list, den1: list, den2: list) -> float:
         return _cosine(
@@ -481,7 +472,7 @@ def _growing_weights_fold(x: float, ns: tuple[int, int]) -> PairFold:
             leaves[1] + weigh(den2, tops[1]),
         )
 
-    return _pair_fold(lambda ev: 1, (0, 0), max(ns) - 1, result)
+    return result
 
 
 def _charscore_denominator(text: list[int], scores: tuple[float, ...]) -> float:
@@ -498,38 +489,37 @@ def _charscore_denominator(text: list[int], scores: tuple[float, ...]) -> float:
 def weighted_substring_kernel(index1: BwtIndex, index2: BwtIndex, weights: WeightSpec):
     """Cosine of weighted substring vectors g(|W|) f(W) or q-product weights.
 
-    The telescoping coefficient of a node is the prefix sum of squared
-    weights over its label's prefixes: a closed form of the depth for the
-    length-based kinds, built from the parent's sum for charscore.
+    The length-based kinds read the depth bins of the telescoping fold.
+    charscore weights depend on the letters, so each node's terms are
+    scaled by the sum of the squared weights of its label's prefixes, built
+    from the parent's sum.
     """
     if index1.sigma != index2.sigma:
         raise InputError("alphabet mismatch between the two indexes")
     weights.validate(index1.sigma)
     ns = (index1.n, index2.n)
-    if weights.kind == "charscore":
-        scores = weights.scores
-        sq = [0.0] + [q * q for q in scores]
-        path_sums = [0.0] * max(ns)
+    if weights.kind != "charscore":
+        return _telescoped(1, _length_reading(weights, ns))
+    scores = weights.scores
+    sq = [0.0] + [q * q for q in scores]
+    path_sums = [0.0] * max(ns)
 
-        def coef(ev: VisitEvent) -> float:
-            # sum of squared prefix weights of aW from that of W, the last
-            # node visited one level up (the pass is depth-first)
-            d = ev.depth
-            if not d:
-                return 0.0
-            c = path_sums[d] = sq[ev._path[d - 1]] * (1.0 + path_sums[d - 1])
-            return c
+    def coef(ev: VisitEvent) -> float:
+        # sum of squared prefix weights of aW from that of W, the last node
+        # visited one level up (the pass is depth-first)
+        d = ev.depth
+        c = path_sums[d] = sq[ev._path[d - 1]] * (1.0 + path_sums[d - 1])
+        return c
 
-        leaves = (
-            _charscore_denominator(index1.text, scores),
-            _charscore_denominator(index2.text, scores),
-        )
-        return _pair_fold(coef, leaves, 0, _cosine_of_bins)
-    x = weights.epsilon * weights.epsilon
-    if weights.kind == "exponential" and x > 1.0:
-        return _growing_weights_fold(x, ns)
-    ps, leaves = _length_weights(weights, ns)
-    return _pair_fold(lambda ev: ps(ev.depth), leaves, 0, _cosine_of_bins)
+    leaves = (
+        _charscore_denominator(index1.text, scores),
+        _charscore_denominator(index2.text, scores),
+    )
+
+    def result(num: list, den1: list, den2: list) -> float:
+        return _cosine(sum(num), leaves[0] + sum(den1), leaves[1] + sum(den2))
+
+    return _telescoped(1, result, coef)
 
 
 # ---------------------------------------------------------------------------

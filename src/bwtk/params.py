@@ -7,6 +7,7 @@ brute-force oracle and the index-based path remain independent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -34,15 +35,15 @@ class WeightSpec:
     def validate(self, sigma: int) -> None:
         if self.kind not in WEIGHT_KINDS:
             raise InputError(f"unknown weight kind {self.kind!r}")
-        if self.kind == "exponential" and not self.epsilon > 0:
-            raise InputError("epsilon must be positive")
+        if self.kind == "exponential" and not 0 < self.epsilon < math.inf:
+            raise InputError("epsilon must be positive and finite")
         if self.kind == "band" and not 1 <= self.kmin <= self.kmax:
             raise InputError("band bounds must satisfy 1 <= kmin <= kmax")
         if self.kind == "charscore":
             if self.scores is None or len(self.scores) != sigma:
                 raise InputError(f"charscore needs exactly {sigma} scores")
-            if any(not s > 0 for s in self.scores):
-                raise InputError("charscore scores must be positive")
+            if any(not 0 < s < math.inf for s in self.scores):
+                raise InputError("charscore scores must be positive and finite")
 
     def length_weight(self, length: int) -> float:
         """Weight of any substring of the given length (length-based kinds)."""

@@ -123,10 +123,13 @@ class BwtIndex:
         arr = np.asarray(self.bwt, dtype=dtype)
         bits = ((arr[:, None] >> np.arange(width, dtype=dtype)) & 1).astype(np.uint8)
         packed = np.packbits(bits.reshape(-1), bitorder="little")
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<QQ", self.n, self.sigma))
-            fh.write(packed.tobytes())
+        try:
+            with open(path, "wb") as fh:
+                fh.write(_MAGIC)
+                fh.write(struct.pack("<QQ", self.n, self.sigma))
+                fh.write(packed.tobytes())
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc.strerror}") from None
 
     @classmethod
     def load(cls, path: str) -> "BwtIndex":
@@ -145,9 +148,12 @@ class BwtIndex:
         nbits = n * width
         if payload.size != (nbits + 7) // 8:
             raise InputError(f"{path}: payload size mismatch")
-        bits = np.unpackbits(payload, count=nbits, bitorder="little")
+        bits = np.unpackbits(payload, bitorder="little")
+        # dump writes zero pad bits, so a file that loads dumps back identically
+        if bits[nbits:].any():
+            raise InputError(f"{path}: non-zero padding after the BWT payload")
         codes = (
-            (bits.reshape(n, width).astype(np.int64) * (1 << np.arange(width)))
+            (bits[:nbits].reshape(n, width).astype(np.int64) * (1 << np.arange(width)))
             .sum(axis=1)
         )
         if codes.max() > sigma or int((codes == 0).sum()) != 1:

@@ -289,3 +289,157 @@ def test_explicit_alphabet_controls_sigma(capsys, files):
     assert out == "kmer\t1\t2\n"
     code, out, _ = call(capsys, "maw", "--alphabet", "ab", files["x"])
     assert out == "maw-count\t3\n"
+
+
+def test_tiny_epsilon_and_non_finite_weights(capsys, tmp_path):
+    rng = random.Random(74)
+    paths = []
+    for name in ("a", "b"):
+        path = tmp_path / f"{name}.txt"
+        path.write_bytes(bytes(rng.choice(b"ACGT") for _ in range(300)))
+        paths.append(str(path))
+    _, kmer, _ = call(capsys, "kernel", "--kind", "kmer", "-k", "1", *paths)
+    # the exponential kernel tends to the 1-mer kernel as epsilon falls
+    code, out, err = call(capsys, "kernel", "--kind", "weighted", "--weights",
+                          "exponential", "--epsilon", "1e-200", *paths)
+    assert (code, err) == (0, "")
+    assert float(out.split()[-1]) == pytest.approx(float(kmer.split()[-1]), rel=1e-9)
+    for flags in (("exponential", "--epsilon", "inf"), ("exponential", "--epsilon", "nan"),
+                  ("charscore", "--scores", "inf,1,1,1")):
+        code, out, err = call(capsys, "kernel", "--kind", "weighted", "--weights", *flags,
+                              *paths)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and "finite" in err
+
+
+# ---------------------------------------------------------------------------
+# contract fuzz: any argument list gives exit 0, 1 or 2 and one error line
+
+
+# every flag maps to (valid values, invalid values)
+def _ints(lo: int, hi: int):
+    return st.integers(lo, hi).map(str), ("-2", "0", "x", "1.5", "")
+
+
+def _choice(good: tuple[str, ...], bad: tuple[str, ...] = ("x",)):
+    return st.sampled_from(good), bad
+
+
+_FLOATS = _choice(
+    ("0.5", "1", "2", "40", "1e-200", "1e-5"), ("0", "-1", "inf", "nan", "1e400", "x")
+)
+_COMMON_FLAGS = {
+    "--format": _choice(("auto", "fasta", "raw"), ("xml",)),
+    "--alphabet": _choice(("ACGT", "TGCA", "ACGTN"), ("AC", "", "AAC", "é")),
+    "--output": _choice(("tsv", "json"), ("xml",)),
+    "--precision": _choice(("0", "3", "17"), ("18", "-1", "x")),
+}
+# --k2, --f2 and --kcap stay small because the output grows with them
+_FLAGS = {
+    "complexity": {"--kind": _choice(("kmer", "substring")), "-k": _ints(1, 40)},
+    "kernel": {
+        "--kind": (
+            st.lists(st.sampled_from(_KERNEL_KINDS), min_size=1, max_size=4).map(",".join),
+            ("x", "", "kmer,,x"),
+        ),
+        "-k": _ints(1, 40),
+        "--k2": _ints(1, 10),
+        "--weights": _choice(("uniform", "exponential", "band", "charscore")),
+        "--epsilon": _FLOATS,
+        "--kmin": _ints(1, 6),
+        "--kmax": _ints(1, 12),
+        "--scores": _choice(("0.5,1,1.5,2", "1,2,1,2", "1e200,1,1,1"),
+                            ("1,1", "inf,1,1,1", "0,1,1,1", "a,b")),
+        "--q": _choice(("0.25,0.25,0.25,0.25", "0.1,0.2,0.3,0.4"),
+                       ("0.5,0.5", "1,0,0,0", "nan,0.5,0.25,0.25")),
+        "--g": _choice(("unit", "exact")),
+        "--jobs": _ints(1, 4),
+    },
+    "profile": {"--k1": _ints(1, 3), "--k2": _ints(3, 6), "--f1": _ints(1, 2),
+                "--f2": _ints(2, 4)},
+    "entropy": {"--k1": _ints(0, 4), "--k2": _ints(4, 10)},
+    "maw": {"--kind": _choice(("count", "list"))},
+    "kl": {"--k1": _ints(2, 5), "--k2": _ints(5, 10)},
+    "calibrate": {
+        "--kind": _choice(("kmin", "kmax")), "--tau": _FLOATS, "--kcap": _ints(1, 10)
+    },
+    "index": {"-o": _choice(("out.bwtk",), ("nodir/out.bwtk", "folder"))},
+    "oracle": {
+        "--measure": _choice(
+            ("kmer-complexity", "substring-complexity", "maw-count", "entropy", "kl")
+        ),
+        "-k": _ints(0, 8),
+    },
+}
+_INPUTS = {
+    "dna.fa": b">a\nACGTTGCAACGT\n",
+    "dna2.fa": b">b\nACGGTTCA\n",
+    "raw.txt": b"ACGTACGTTT",
+    "long.txt": b"ACGT" * 10 + b"AAAAAAAA",
+    "empty.txt": b"",
+    "multi.fa": b">a\nAC\n>b\nGT\n",
+    "head.fa": b">a\n",
+    "junk.bin": bytes(range(256)),
+    "bad.bwtk": b"BWTK1" + bytes(16) + b"\xff",
+}
+# an index file given as text is read as text; a text given to index dump
+# is not an index
+_FILES = _choice(
+    ("dna.fa", "dna2.fa", "raw.txt", "long.txt"),
+    ("empty.txt", "multi.fa", "head.fa", "junk.bin", "bad.bwtk", "good.bwtk", "missing.fa",
+     "folder"),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, payload in _INPUTS.items():
+        (root / name).write_bytes(payload)
+    assert run(["index", "build", str(root / "dna.fa"), "-o", str(root / "good.bwtk")]) == 0
+    (root / "folder").mkdir()
+    return root
+
+
+@st.composite
+def cli_argv(draw, root):
+    """A bwtk argument list; in half of them, any flag or file may be invalid."""
+    breaking = draw(st.booleans())
+
+    def pick(values) -> str:
+        good, bad = values
+        if breaking and draw(st.integers(0, 7)) == 7:
+            return draw(st.sampled_from(bad))
+        return draw(good)
+
+    # kernel has the most flags, so it is drawn more often
+    command = pick(_choice(("kernel",) * 3 + tuple(_FLAGS), ("nonsense",)))
+    argv = [command]
+    own = _FLAGS.get(command, {})
+    for flag, values in [*own.items(), *_COMMON_FLAGS.items()]:
+        # a command's own flags, the required ones too, are usually given
+        if draw(st.integers(0, 9)) < (8 if flag in own else 2):
+            value = pick(values)
+            argv += [flag, str(root / value) if flag == "-o" else value]
+    if command == "index":
+        argv.append(pick(_choice(("build", "dump"))))
+    count = 2 if command == "kernel" else 1
+    if breaking and draw(st.integers(0, 7)) == 7:
+        count = draw(st.integers(0, 3))
+    argv += [str(root / pick(_FILES)) for _ in range(count)]
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.data())
+def test_cli_contract_fuzz(fuzz_dir, data):
+    argv = data.draw(cli_argv(fuzz_dir))
+    code, out, err = _run_quietly(argv)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+        return
+    assert out == ""
+    lines = err.splitlines()
+    assert lines and lines[-1].startswith("bwtk")
+    assert [line for line in lines if ": error: " in line] == [lines[-1]]

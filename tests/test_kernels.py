@@ -102,23 +102,56 @@ def test_substring_kernel_self_and_disjoint():
     assert substring_kernel(a, b) == 0.0
 
 
+def _assert_integer_readings_agree(i1, i2, ks) -> None:
+    # uniform and band weights read the same exact integer sums as the
+    # substring and k-mer kernels, so the floats are equal, not just close
+    uniform = WeightSpec(kind="uniform")
+    assert weighted_substring_kernel(i1, i2, uniform) == substring_kernel(i1, i2)
+    for k in ks:
+        band = WeightSpec(kind="band", kmin=k, kmax=k)
+        try:
+            expect = kmer_kernel(i1, i2, k)
+        except ZeroDenominatorError:
+            with pytest.raises(ZeroDenominatorError):
+                weighted_substring_kernel(i1, i2, band)
+            continue
+        assert weighted_substring_kernel(i1, i2, band) == expect
+
+
 def test_weighted_band_equals_plain_kmer():
     rng = random.Random(71)
     for _ in range(20):
         sigma = rng.choice([2, 3])
         s1 = rand_seq(rng, rng.randint(2, 24), sigma)
         s2 = rand_seq(rng, rng.randint(2, 24), sigma)
-        i1, i2 = build_bwt(s1), build_bwt(s2)
-        for k in (1, 2, 3):
-            band = WeightSpec(kind="band", kmin=k, kmax=k)
-            try:
-                expect = kmer_kernel(i1, i2, k)
-            except ZeroDenominatorError:
-                with pytest.raises(ZeroDenominatorError):
-                    weighted_substring_kernel(i1, i2, band)
-                continue
-            got = weighted_substring_kernel(i1, i2, band)
-            assert got == pytest.approx(expect, abs=1e-12)
+        _assert_integer_readings_agree(build_bwt(s1), build_bwt(s2), (1, 2, 3))
+    a = build_bwt(rand_seq(rng, 3000, 4))
+    b = build_bwt(rand_seq(rng, 2000, 4))
+    _assert_integer_readings_agree(a, b, (1, 4, 8))
+
+
+def test_tiny_epsilon_reads_the_one_mer_kernel():
+    # the squared weights 1e-200**L underflow without a rescale; the limit
+    # of the exponential kernel as epsilon falls is the 1-mer kernel
+    rng = random.Random(74)
+    i1 = build_bwt(rand_seq(rng, 300, 4))
+    i2 = build_bwt(rand_seq(rng, 300, 4))
+    expect = kmer_kernel(i1, i2, 1)
+    for eps in (1e-100, 1e-170, 1e-200):
+        spec = WeightSpec(kind="exponential", epsilon=eps)
+        assert weighted_substring_kernel(i1, i2, spec) == pytest.approx(expect, rel=1e-9)
+
+
+def test_weight_spec_rejects_non_finite_values():
+    a, b = idx("aab"), idx("abb")
+    for eps in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(InputError):
+            weighted_substring_kernel(a, b, WeightSpec(kind="exponential", epsilon=eps))
+    for scores in ((math.inf, 1.0), (1.0, math.nan), (0.0, 1.0)):
+        with pytest.raises(InputError):
+            weighted_substring_kernel(a, b, WeightSpec(kind="charscore", scores=scores))
+    # epsilon is read only by exponential weights
+    WeightSpec(kind="uniform", epsilon=math.inf).validate(2)
 
 
 def test_exponential_weights_above_one_do_not_overflow():
@@ -415,6 +448,41 @@ def test_telescoping_and_maw_folds_match_oracle_on_repetitive_text(pair):
         count = maw_enumerate(ix, lambda *maw: fired.append(maw))
         expect = orc.oracle_maw_count(s)
         assert maw_count(ix) == len(maw_words(ix)) == count == len(fired) == expect
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(repetitive_pair())
+def test_integer_readings_agree_on_repetitive_text(pair):
+    s1, s2 = pair
+    _assert_integer_readings_agree(build_bwt(s1), build_bwt(s2), (1, 2, 3, 5))
+
+
+@st.composite
+def uneven_pair(draw):
+    """A short and a longer text over one alphabet, random or repetitive."""
+    sigma = draw(st.integers(1, 4))
+    letters = st.integers(1, sigma)
+    short = Sequence(draw(st.lists(letters, min_size=1, max_size=12)), sigma)
+    if draw(st.booleans()):
+        return short, draw_repetitive(draw, sigma)
+    return short, Sequence(draw(st.lists(letters, min_size=12, max_size=60)), sigma)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(uneven_pair())
+def test_exponential_weights_match_oracle_at_any_epsilon(pair):
+    s1, s2 = pair
+    i1, i2 = build_bwt(s1), build_bwt(s2)
+    for eps in (1e-5, 0.5, 1.0, 1.5, 2.0, 40.0):
+        spec = WeightSpec(kind="exponential", epsilon=eps)
+        got = weighted_substring_kernel(i1, i2, spec)
+        assert weighted_substring_kernel(i2, i1, spec) == pytest.approx(got, rel=1e-9)
+        assert 0.0 <= got <= 1.0 + 1e-12
+        try:
+            expect = orc.oracle_weighted_substring_kernel(s1, s2, spec)
+        except ComputationError:
+            continue  # the oracle's own float sums left the range; it cannot judge
+        assert got == pytest.approx(expect, rel=1e-9)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)

@@ -2,6 +2,8 @@ import random
 
 import pytest
 from conftest import idx, rand_seq, seq
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bwtk.errors import InputError
 from bwtk.suffix import BwtIndex, build_bwt, suffix_array
@@ -140,6 +142,49 @@ def test_load_rejects_header_payload_mismatch(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(InputError):
         BwtIndex.load(str(path))
+
+
+def test_load_rejects_nonzero_pad_bits(tmp_path):
+    # abab packs 5 codes of 2 bits into 2 bytes: the last 6 bits are padding
+    path = tmp_path / "ix.bwtk"
+    build_bwt(seq("abab")).dump(str(path))
+    blob = path.read_bytes()
+    for bit in range(2, 8):
+        path.write_bytes(blob[:-1] + bytes([blob[-1] | 1 << bit]))
+        with pytest.raises(InputError, match="padding"):
+            BwtIndex.load(str(path))
+
+
+@pytest.fixture(scope="module")
+def mutant_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutants")
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.data())
+def test_mutated_index_is_rejected_or_dumps_back_identically(mutant_dir, data):
+    # one bit flipped, one byte set or the tail cut off a dumped index
+    sigma = data.draw(st.sampled_from((1, 2, 4, 20)))
+    text = data.draw(st.lists(st.integers(1, sigma), min_size=1, max_size=30))
+    path = mutant_dir / "ix.bwtk"
+    build_bwt(Sequence(text, sigma)).dump(str(path))
+    blob = bytearray(path.read_bytes())
+    how = data.draw(st.sampled_from(("flip", "set", "cut")))
+    if how == "flip":
+        bit = data.draw(st.integers(0, 8 * len(blob) - 1))
+        blob[bit // 8] ^= 1 << bit % 8
+    elif how == "set":
+        blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+    else:
+        del blob[data.draw(st.integers(0, len(blob) - 1)) :]
+    path.write_bytes(blob)
+    try:
+        back = BwtIndex.load(str(path))
+    except InputError:
+        return
+    again = mutant_dir / "again.bwtk"
+    back.dump(str(again))
+    assert again.read_bytes() == bytes(blob)
 
 
 def test_to_sequence():
