@@ -1,4 +1,4 @@
-"""Depth-first enumeration of right-maximal substrings over one or two BWTs.
+"""Enumeration of right-maximal substrings over one or two BWTs.
 
 A substring W is represented without its label: repr(W) stores the sorted
 right-extension symbols chars = (b_1 < ... < b_k) and interval boundaries
@@ -8,16 +8,26 @@ repr(W) into repr(aW) for every symbol a preceding W at once, using one
 wavelet-tree descent that ranks the k+1 boundaries of repr(W) together:
 aW continues with b_i exactly where the rank of a rises across block i.
 
-One depth-first loop, _traverse, serves every enumeration. A per-kind step
-turns a node's repr into its left symbols, its children and the children to
-push: the letter extensions that are right-maximal again. The loop pushes
-them widest interval first so the narrowest pops first, which keeps the
-stack at O(sigma log n) frames. A single-string pass may stop at a depth
-bound: measures that read only short contexts skip the deeper nodes. The single-string step works on Repr; the
-two-string step works on GenRepr and walks the generalized suffix tree of
-the pair, where the two terminators count as distinct right extensions, so
-a string followed by the end of both texts is right-maximal even when no
-letter follows it.
+Two engines walk the same tree. The measures fold over batched_pass, which
+takes same-depth nodes a batch at a time, each batch held in flat NumPy
+arrays (Side, Batch), and extends all of them with one wavelet descent that
+ranks every boundary of the batch per wavelet node (wavelet.Frontier). It
+goes depth-first over batches and splits a batch past _CAP boundaries, so
+the batches it holds stay within O(sigma log n) times the cap.
+
+The per-node API (enumerate_* with a visitor, extend_left*, Repr and
+VisitEvent, and through them maw_words and maw_enumerate) runs on the
+scalar loop _traverse, whose depth-first order is part of its contract. A
+per-kind step turns a node's repr into its left symbols, its children and
+the children to push: the letter extensions that are right-maximal again.
+The loop pushes them widest interval first so the narrowest pops first,
+which keeps the stack at O(sigma log n) frames.
+
+Either engine may stop at a depth bound, so that measures that read only
+short contexts skip the deeper nodes. A pair pass walks the generalized
+suffix tree of the two texts, where the two terminators count as distinct
+right extensions, so a string followed by the end of both texts is
+right-maximal even when no letter follows it.
 """
 
 from __future__ import annotations
@@ -25,8 +35,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 
+import numpy as np
+
 from .errors import InputError
 from .suffix import BwtIndex
+from .wavelet import Frontier
 
 __all__ = [
     "Repr",
@@ -38,6 +51,9 @@ __all__ = [
     "enumerate_right_maximal",
     "enumerate_maximal_repeats",
     "enumerate_generalized",
+    "Side",
+    "Batch",
+    "batched_pass",
 ]
 
 
@@ -107,16 +123,15 @@ class VisitEvent:
         return tuple(path[d - 1 - j] for j in range(d))
 
 
+def _root_bounds(c: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The symbols that occur in T#, and the root's boundaries first - 1."""
+    chars = np.flatnonzero(c[1:] > c[:-1])
+    return chars, np.append(c[chars], n)
+
+
 def _root_repr(index: BwtIndex) -> Repr:
-    c = index.c
-    chars = []
-    first = []
-    for a in range(index.sigma + 1):
-        if c[a + 1] > c[a]:
-            chars.append(a)
-            first.append(c[a] + 1)
-    first.append(index.n + 1)
-    return Repr(tuple(chars), tuple(first))
+    chars, bounds = _root_bounds(np.asarray(index.c, dtype=np.int64), index.n)
+    return Repr(tuple(chars.tolist()), tuple((bounds + 1).tolist()))
 
 
 def _extend(descend, c, r: Repr) -> tuple[list[int], list[Repr]]:
@@ -334,3 +349,309 @@ def enumerate_generalized(
     root = GenRepr(_root_repr(index1), _root_repr(index2))
     step = _generalized_step(index1, index2)
     return _traverse((index1, index2), root, step, visitor, True, stats)
+
+
+# ---------------------------------------------------------------------------
+# the batched engine
+
+_CAP = 2**14  # boundaries per batch before it is split
+
+
+class Side:
+    """One text's half of a batch: its nodes as flat arrays.
+
+    bd holds every node's boundaries first - 1 (BWT positions), nb[j] of
+    them for node j in node order, and node j's blocks are the row ranges
+    between consecutive boundaries; ch gives each block's right symbol,
+    ascending within a node. A node that does not occur in the text has one
+    boundary and no block. Derived: end (cumulative nb), freq per node, and
+    w (width) and node (owner) per block.
+    """
+
+    __slots__ = ("bd", "nb", "ch", "end", "freq", "_w", "_node")
+
+    def __init__(self, bd: np.ndarray, nb: np.ndarray, ch: np.ndarray) -> None:
+        self.bd = bd
+        self.nb = nb
+        self.ch = ch
+        self.end = end = nb.cumsum()
+        self.freq = bd[end - 1] - bd[end - nb]
+        # per-block arrays are made when first read, not while a batch waits
+        self._w = self._node = None
+
+    @property
+    def w(self) -> np.ndarray:
+        if self._w is None:
+            inside = np.ones(max(self.bd.size - 1, 0), dtype=bool)
+            inside[self.end[:-1] - 1] = False
+            self._w = np.diff(self.bd)[inside]
+        return self._w
+
+    @property
+    def node(self) -> np.ndarray:
+        if self._node is None:
+            self._node = np.arange(self.nb.size).repeat(self.nb - 1)
+        return self._node
+
+    def take(self, rows: np.ndarray) -> Side:
+        """The nodes where the boolean mask rows is set."""
+        return Side(
+            self.bd[rows.repeat(self.nb)],
+            self.nb[rows],
+            self.ch[rows.repeat(self.nb - 1)],
+        )
+
+
+class Path:
+    """Where a batch's nodes come from, for folds that read labels.
+
+    node[j] is node j's parent in the batch one level up, whose Path is up,
+    and sym[j] the symbol node j prepends to it. memo holds per-node values
+    a fold keeps for the children to read.
+    """
+
+    __slots__ = ("up", "node", "sym", "memo")
+
+    def __init__(self, up: Path | None, node, sym) -> None:
+        self.up = up
+        self.node = node
+        self.sym = sym
+        self.memo: dict = {}
+
+    def heads(self, k: int):
+        """The arrays of W[0], W[1], .., W[k-1] over the nodes W; depth >= k."""
+        path, at = self, None
+        for _ in range(k):
+            yield path.sym if at is None else path.sym[at]
+            at = path.node if at is None else path.node[at]
+            path = path.up
+
+
+class Batch:
+    """Same-depth nodes of a batched pass, with every left extension.
+
+    sides[i] holds the nodes in text i. The kids are every (node, a) with aW
+    occurring in some text, ordered by a and then by node: kid_node[r] is
+    the node, kid_sym[r] the symbol a, kid_sides[i] the children aW in text
+    i, and kid_blk[i] the block of the node that each child block lies in
+    (aWb occurs only where Wb does). For a pair, match and kid_match are the
+    index arrays of the blocks of text 1 and of text 2 that carry the same
+    letter in the same node; terminators never match. path is None unless
+    the pass keeps labels. shared holds what several folds of one pass
+    derive from the batch, computed once.
+    """
+
+    __slots__ = (
+        "depth", "sides", "match", "path", "shared",
+        "kid_node", "kid_sym", "kid_sides", "kid_blk", "kid_match",
+    )
+
+    def __init__(self, depth: int, sides: tuple[Side, ...]) -> None:
+        self.depth = depth
+        self.sides = sides
+        self.match = None
+        self.path = None
+        self.shared: dict = {}
+
+    def derive(self, fn):
+        """fn(self), computed by the first fold that asks for it."""
+        if fn not in self.shared:
+            self.shared[fn] = fn(self)
+        return self.shared[fn]
+
+    @property
+    def size(self) -> int:
+        """Boundaries held."""
+        return sum(side.bd.size for side in self.sides)
+
+
+def _match(one: Side, two: Side) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks of one and two with the same letter in the same node."""
+    l1 = one.ch.nonzero()[0]
+    l2 = two.ch.nonzero()[0]
+    if not (l1.size and l2.size):
+        return l1[:0], l2[:0]
+    width = int(max(one.ch[l1].max(), two.ch[l2].max())) + 1
+    k1 = one.node[l1] * width + one.ch[l1]
+    k2 = two.node[l2] * width + two.ch[l2]
+    at = np.minimum(np.searchsorted(k2, k1), k2.size - 1)
+    hit = k2[at] == k1
+    return l1[hit], l2[at[hit]]
+
+
+def _side_kids(side: Side, frontier: Frontier, c: np.ndarray):
+    """(node, sym, bd, nb, ch, blk) of every left extension in one text.
+
+    One descent ranks all boundaries of the nodes that occur in the text.
+    For symbol a, aW continues with W's block b exactly where a's rank rises
+    across it, so the child keeps the node's first boundary and the end of
+    every block where the rank rises, each shifted to a's rows by c[a];
+    blk gives the node's block that each child block lies in.
+    """
+    occurs = side.freq > 0
+    live = occurs.nonzero()[0]
+    if not live.size:
+        empty = live[:0]
+        return empty, empty, empty, empty, empty, empty
+    x, nb = side.bd, side.nb
+    if live.size < nb.size:
+        x, nb = x[occurs.repeat(nb)], nb[live]
+    syms, ids, nbs, ranks = frontier.descend(x, nb)
+    sym = np.repeat(np.array(syms, dtype=np.int64), [i.size for i in ids])
+    node = live[np.concatenate(ids)]
+    knb = np.concatenate(nbs)
+    r = np.concatenate(ranks) + c[sym].repeat(knb)
+    end = knb.cumsum()
+    beg = end - knb
+    rise = np.empty(r.size, dtype=bool)
+    np.greater(r[1:], r[:-1], out=rise[1:])
+    rise[beg] = False  # beg[0] is 0
+    keep = rise.copy()
+    keep[beg] = True
+    count = keep.cumsum()
+    cnb = count[end - 1] - count[beg] + 1
+    # a rise at the node's (t+1)-th boundary ends its t-th block
+    shift = side.end[node] - side.nb[node] - node - 1 - beg
+    blk = rise.nonzero()[0] + shift.repeat(knb)[rise]
+    return node, sym, r[keep], cnb, side.ch[blk], blk
+
+
+def _spread(bd: np.ndarray, nb: np.ndarray, at: np.ndarray, rows: int):
+    """Boundaries of nodes placed at rows at of rows; the other rows absent."""
+    if nb.size == rows:
+        return bd, nb
+    out_nb = np.ones(rows, dtype=np.int64)
+    out_nb[at] = nb
+    end = out_nb.cumsum()
+    out = np.zeros(int(end[-1]), dtype=np.int64)
+    out[(end[at] - nb.cumsum()).repeat(nb) + np.arange(bd.size)] = bd
+    return out, out_nb
+
+
+def _extend_batch(batch: Batch, frontiers, cs) -> None:
+    """Fill in the batch's kids, one descent per text."""
+    parts = [_side_kids(s, f, c) for s, f, c in zip(batch.sides, frontiers, cs)]
+    if len(parts) == 1:
+        node, sym, bd, nb, ch, blk = parts[0]
+        batch.kid_node, batch.kid_sym = node, sym
+        batch.kid_sides, batch.kid_blk = (Side(bd, nb, ch),), (blk,)
+        return
+    count = batch.sides[0].nb.size
+    keys = [sym * count + node for node, sym, *_ in parts]
+    rows = keys[0]
+    if not np.array_equal(rows, keys[1]):
+        # a merge of two sorted runs, then one copy of each key
+        rows = np.sort(np.concatenate(keys), kind="stable")
+        rows = rows[np.concatenate(([True], rows[1:] != rows[:-1]))]
+    batch.kid_node = rows % count
+    batch.kid_sym = rows // count
+    batch.kid_sides = tuple(
+        Side(*_spread(bd, nb, np.searchsorted(rows, key), rows.size), ch)
+        for (_, _, bd, nb, ch, _), key in zip(parts, keys)
+    )
+    batch.kid_blk = tuple(part[5] for part in parts)
+    batch.kid_match = _match(*batch.kid_sides)
+
+
+def _take(depth: int, sides, match, path: Path | None, rows: np.ndarray) -> Batch:
+    """A batch of the nodes of sides where the boolean mask rows is set."""
+    out = Batch(depth, tuple(side.take(rows) for side in sides))
+    if match is not None:
+        # block indexes after the take, then the pairs whose node is kept
+        maps = [rows.repeat(side.nb - 1).cumsum() - 1 for side in sides]
+        i, j = match
+        kept = rows[sides[0].node[i]]
+        out.match = (maps[0][i[kept]], maps[1][j[kept]])
+    if path is not None:
+        out.path = Path(path.up, path.node[rows], path.sym[rows])
+    return out
+
+
+def _next_batch(batch: Batch) -> Batch | None:
+    """The kids to visit next: letter extensions that are right-maximal."""
+    sides = batch.kid_sides
+    push = batch.kid_sym != 0
+    match = None
+    if len(sides) == 1:
+        push &= sides[0].nb >= 3
+    else:
+        one, two = sides
+        match = batch.kid_match
+        shared = np.bincount(one.node[match[0]], minlength=one.nb.size)
+        # distinct right extensions, the two terminators apart
+        push &= one.nb + two.nb - 2 - shared >= 2
+    if not np.count_nonzero(push):
+        return None
+    path = None
+    if batch.path is not None:
+        path = Path(batch.path, batch.kid_node, batch.kid_sym)
+    return _take(batch.depth + 1, sides, match, path, push)
+
+
+def _split(batch: Batch, cap: int | None) -> list[Batch]:
+    """Pieces of at most cap boundaries (or one node), in push order.
+
+    The lightest piece (fewest suffix rows) comes last and so is visited
+    first: a piece visited while another is pending holds at most half of
+    its parent's rows, so at most log2 n levels hold pending pieces.
+    """
+    if cap is None or batch.size <= cap:
+        return [batch]
+    size = sum(side.nb for side in batch.sides)
+    group = (size.cumsum() - size) // cap
+    cuts = (np.flatnonzero(np.diff(group)) + 1).tolist()
+    bounds = [0, *cuts, size.size]
+    pieces = []
+    for r0, r1 in zip(bounds, bounds[1:]):
+        rows = np.zeros(size.size, dtype=bool)
+        rows[r0:r1] = True
+        pieces.append(_take(batch.depth, batch.sides, batch.match, batch.path, rows))
+    mass = [sum(int(s.freq.sum()) for s in piece.sides) for piece in pieces]
+    order = sorted(range(len(pieces)), key=mass.__getitem__, reverse=True)
+    return [pieces[i] for i in order]
+
+
+def batched_pass(
+    indexes, visit, *, max_depth: int | None = None, path: bool = False, _cap=_CAP
+) -> tuple[int, int]:
+    """Call visit(batch) over the nodes of a pass; returns (visits, peak).
+
+    One index gives the right-maximal substrings of T, two the nodes of the
+    generalized suffix tree of the pair: the nodes of the scalar passes,
+    each visited once, in batches of one depth. Nodes deeper than max_depth
+    are not visited. Batches carry a Path when path is set. peak is the
+    largest number of boundaries the pending batches held at once.
+    """
+    if len(indexes) == 2 and indexes[0].sigma != indexes[1].sigma:
+        raise InputError("alphabet mismatch between the two indexes")
+    for index in indexes:
+        index.enumerations += 1
+    frontiers = [Frontier(index.ranks) for index in indexes]
+    cs = [np.asarray(index.c, dtype=np.int64) for index in indexes]
+    sides = []
+    for c, index in zip(cs, indexes):
+        chars, bounds = _root_bounds(c, index.n)
+        sides.append(Side(bounds, np.array([bounds.size]), chars))
+    root = Batch(0, tuple(sides))
+    if len(sides) == 2:
+        root.match = _match(*sides)
+    if path:
+        root.path = Path(None, None, None)
+    last = math.inf if max_depth is None else max_depth
+    stack = [root]
+    held = peak = root.size
+    visits = 0
+    while stack:
+        batch = stack.pop()
+        held -= batch.size
+        _extend_batch(batch, frontiers, cs)
+        visits += batch.sides[0].nb.size
+        visit(batch)
+        if batch.depth < last:
+            nxt = _next_batch(batch)
+            if nxt is not None:
+                pieces = _split(nxt, _cap)
+                stack.extend(pieces)
+                held += sum(piece.size for piece in pieces)
+                peak = max(peak, held)
+    return visits, peak

@@ -1,19 +1,25 @@
 """Similarity and complexity measures, each a fold over one enumeration.
 
-Every function here consumes VisitEvents from the enumeration module and
-telescopes node contributions so that only true k-mer or substring loci
-survive: a node adds its own term and subtracts one term per child edge,
-and the strings that end on leaf edges are covered by closed-form
-initializers. Frequencies come straight from interval widths, so integer
-measures are computed in exact integer arithmetic.
+Every measure here folds over the batches of one enumeration.batched_pass:
+same-depth nodes in flat arrays, with their blocks (right extensions) and
+their kids (left extensions). It telescopes node contributions so that only
+true k-mer or substring loci survive: a node adds its own term and
+subtracts one term per child edge, and the strings that end on leaf edges
+are covered by closed-form initializers. Frequencies come straight from
+interval widths, so integer measures are computed in exact integer
+arithmetic, and float terms are summed with math.fsum.
 
 The k-mer, substring and length-weighted kernels share one such fold,
-_telescoped, which bins each node's integer terms by its depth; each kernel
-is a reading of the bins. The k-mer kernel takes suffix sums (every k of a
-sweep at once), uniform and band weights take integer coefficients, and
-exponential weights take geometric sums scaled by each side's heaviest
-length, so no epsilon needs a path of its own. Only per-character score
-weights, which depend on the letters, scale a node's terms as they come.
+_telescoped, which bins each batch's integer terms by its depth; each
+kernel is a reading of the bins. The k-mer kernel takes suffix sums (every
+k of a sweep at once), uniform and band weights take integer coefficients,
+and exponential weights take geometric sums scaled by each side's heaviest
+length, so no epsilon needs a path of its own. Per-character score weights
+depend on the letters: each node carries its weight from its parent as a
+float times a power of two, so no score overflows.
+
+maw_words and maw_enumerate report words in depth-first order and so fold
+over the scalar, per-node pass instead.
 
 Conventions shared with the brute-force reference: alphabets of measures
 range over [1..sigma] (terminators are delivered by the enumerator but
@@ -24,15 +30,20 @@ base 2.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
-from .enumerate import (
-    Repr,
+import numpy as np
+
+# the per-node passes stay attributes of this module, where tracers find them
+from .enumerate import (  # noqa: F401
+    Batch,
+    Side,
     VisitEvent,
-    _distinct_extensions,
+    batched_pass,
     enumerate_generalized,
     enumerate_maximal_repeats,
     enumerate_right_maximal,
@@ -81,63 +92,42 @@ class ProfileMatrix:
         return self.cells[k - self.k1][f - self.f1]
 
 
-def _letter_blocks(r: Repr) -> dict[int, int]:
-    first = r.first
-    return {
-        b: first[i + 1] - first[i] for i, b in enumerate(r.chars) if b != 0
-    }
+_LN2 = math.log(2.0)
+_INT64_LIMIT = 2**62  # bound on a same-depth sum of frequency products
 
 
-def _pair_sums(one: Repr, two: Repr) -> tuple[int, int, int]:
-    """(shared-letter width products, side-1 widths squared, side-2)."""
-    c1, f1 = one.chars, one.first
-    c2, f2 = two.chars, two.first
-    s1 = 0
-    for i in range(len(c1)):
-        w = f1[i + 1] - f1[i]
-        s1 += w * w
-    s2 = 0
-    for j in range(len(c2)):
-        w = f2[j + 1] - f2[j]
-        s2 += w * w
-    cross = 0
-    i = j = 0
-    n1, n2 = len(c1), len(c2)
-    while i < n1 and j < n2:
-        a, b = c1[i], c2[j]
-        if a == b:
-            if a != 0:
-                cross += (f1[i + 1] - f1[i]) * (f2[j + 1] - f2[j])
-            i += 1
-            j += 1
-        elif a < b:
-            i += 1
-        else:
-            j += 1
-    return cross, s1, s2
+def _fits_int64(*ns: int) -> bool:
+    """Whether every same-depth sum of frequency products fits int64.
 
-
-def _maximal_sides(ev: VisitEvent) -> tuple[bool, bool]:
-    """Whether a generalized node is a maximal repeat of text 1, of text 2.
-
-    A side needs two right extensions and two left extensions there, the
-    terminators included.
+    The nodes of one depth have disjoint intervals, so such a sum is at most
+    max(n)^2. Past the limit the products and sums run on Python ints.
     """
-    g = ev.repr
-    rm1 = len(g.one.chars) >= 2
-    rm2 = len(g.two.chars) >= 2
-    if not (rm1 or rm2):
-        return False, False
-    lm1 = lm2 = 0
-    for kid in ev.children:
-        lm1 += kid.one.present
-        lm2 += kid.two.present
-    return rm1 and lm1 >= 2, rm2 and lm2 >= 2
+    return max(ns) ** 2 < _INT64_LIMIT
 
 
-def _union_letters(c1: tuple[int, ...], c2: tuple[int, ...]) -> list[int]:
-    out = sorted(set(c1) | set(c2))
-    return out[1:] if out and out[0] == 0 else out
+def _wide(x: np.ndarray, fits: bool) -> np.ndarray:
+    return x if fits else x.astype(object)
+
+
+def _node_sums(values: np.ndarray, node: np.ndarray, count: int) -> np.ndarray:
+    """Per-node sums of values (node ascending), exact for int and object dtypes."""
+    total = np.zeros(values.size + 1, dtype=values.dtype)
+    np.cumsum(values, out=total[1:])
+    at = np.searchsorted(node, np.arange(count + 1))
+    return total[at[1:]] - total[at[:-1]]
+
+
+def _mask(size: int, at: np.ndarray) -> np.ndarray:
+    out = np.zeros(size, dtype=bool)
+    out[at] = True
+    return out
+
+
+def _letters(side: Side) -> np.ndarray:
+    """Blocks per node, the terminator's left out."""
+    count = side.nb - 1
+    count[side.node[side.ch == 0]] -= 1
+    return count
 
 
 def _cosine(num: float, d1: float, d2: float) -> float:
@@ -154,14 +144,16 @@ def _cosine(num: float, d1: float, d2: float) -> float:
 
 
 class PairFold(NamedTuple):
-    """One pair measure as a fold over an enumerate_generalized pass.
+    """One pair measure as a fold over a two-index batched_pass.
 
-    visit(ev) runs at every node and never raises; finish() then returns the
-    value or raises.
+    visit(batch) runs at every batch and never raises; finish() then
+    returns the value or raises. path asks the pass to link each batch to
+    its parent (Batch.path), for folds that read the nodes' labels.
     """
 
-    visit: Callable[[VisitEvent], None]
+    visit: Callable[[Batch], None]
     finish: Callable[[], Any]
+    path: bool = False
 
 
 def run_pair_folds(index1: BwtIndex, index2: BwtIndex, calls) -> list:
@@ -175,25 +167,23 @@ def run_pair_folds(index1: BwtIndex, index2: BwtIndex, calls) -> list:
     before it, their finish() runs in order, and then the set-up error is
     raised.
     """
-    visits = []
-    finishes = []
+    folds = []
     error = None
     for setup, *args in calls:
         try:
-            visit, finish = setup(index1, index2, *args)
+            folds.append(setup(index1, index2, *args))
         except BwtkError as exc:
             error = exc
             break
-        visits.append(visit)
-        finishes.append(finish)
-    if visits:
+    if folds:
+        visits = [fold.visit for fold in folds]
 
-        def visitor(ev: VisitEvent) -> None:
-            for visit in visits:
-                visit(ev)
+        def visit(batch: Batch) -> None:
+            for fn in visits:
+                fn(batch)
 
-        enumerate_generalized(index1, index2, visitor)
-    values = [finish() for finish in finishes]
+        batched_pass((index1, index2), visit, path=any(f.path for f in folds))
+    values = [fold.finish() for fold in folds]
     if error is not None:
         raise error
     return values
@@ -223,40 +213,70 @@ def kmer_complexity(index: BwtIndex, k: int) -> int:
     return kmer_profile(index, k, k, 1, 1).cells[0][0]
 
 
-def _telescoped(lo: int, result, coef=None) -> PairFold:
+def _pair_terms(batch: Batch, fits: bool):
+    """Per node: fo ft - cross, fo^2 - s1 and ft^2 - s2.
+
+    fo and ft are the node's frequencies, cross sums the products of the
+    two texts' widths of each shared letter, and s1, s2 the squared widths
+    of each text's blocks, terminators included.
+    """
+    one, two = batch.sides
+    i, j = batch.match
+    count = one.nb.size
+    fo, ft = _wide(one.freq, fits), _wide(two.freq, fits)
+    w1, w2 = _wide(one.w, fits), _wide(two.w, fits)
+    cross = _node_sums(w1[i] * w2[j], one.node[i], count)
+    return (
+        fo * ft - cross,
+        fo * fo - _node_sums(w1 * w1, one.node, count),
+        ft * ft - _node_sums(w2 * w2, two.node, count),
+    )
+
+
+def _telescoped(lo: int, result, ns: tuple[int, int]) -> PairFold:
     """Telescoped sums of f1 f2, f1^2 and f2^2 over substrings, binned by length.
 
     A node of depth d >= lo adds fo ft - cross, fo^2 - s1 and ft^2 - s2 (its
-    own frequency products less those of its right extensions) into bin d
-    of (num, den1, den2): exact integers, or times coef(ev) when given. For
+    own frequency products less those of its right extensions, as in
+    _pair_terms) into bin d of (num, den1, den2), as exact integers. For
     every length L >= lo, the sum of f1(U) f2(U) over the length-L
     substrings U is then the sum of num[d] over d >= L, and that of f1(U)^2
     is n1 - L plus the sum of den1[d] over d >= L (likewise for text 2).
     Every length weighting is a reading of these bins; finish() returns
     result(num, den1, den2).
     """
-    num, den1, den2 = bins = ([0] * lo, [0] * lo, [0] * lo)
+    bins = ([0] * lo, [0] * lo, [0] * lo)
+    totals = _batch_totals if _fits_int64(*ns) else _batch_totals_wide
 
-    def visit(ev: VisitEvent) -> None:
-        d = ev.depth
+    def visit(batch: Batch) -> None:
+        d = batch.depth
         if d < lo:
             return
-        if d == len(num):
-            # the pass is depth-first: a node's parent, one level up, came first
-            num.append(0)
-            den1.append(0)
-            den2.append(0)
-        g = ev.repr
-        one, two = g.one, g.two
-        cross, s1, s2 = _pair_sums(one, two)
-        fo = one.freq
-        ft = two.freq
-        c = 1 if coef is None else coef(ev)
-        num[d] += c * (fo * ft - cross)
-        den1[d] += c * (fo * fo - s1)
-        den2[d] += c * (ft * ft - s2)
+        for b, total in zip(bins, batch.derive(totals)):
+            b.extend([0] * (d + 1 - len(b)))
+            b[d] += total
 
     return PairFold(visit, lambda: result(*bins))
+
+
+def _batch_totals(batch: Batch, fits: bool = True) -> tuple[int, int, int]:
+    """The batch's sums of the _pair_terms, in int64 (see _fits_int64)."""
+    one, two = batch.sides
+    i, j = batch.match
+
+    def dot(x: np.ndarray, y: np.ndarray) -> int:
+        return int(np.dot(_wide(x, fits), _wide(y, fits)))
+
+    return (
+        dot(one.freq, two.freq) - dot(one.w[i], two.w[j]),
+        dot(one.freq, one.freq) - dot(one.w, one.w),
+        dot(two.freq, two.freq) - dot(two.w, two.w),
+    )
+
+
+def _batch_totals_wide(batch: Batch) -> tuple[int, int, int]:
+    """_batch_totals on Python ints."""
+    return _batch_totals(batch, False)
 
 
 @_pair_measure
@@ -283,7 +303,7 @@ def kmer_kernel_range(index1: BwtIndex, index2: BwtIndex, k1: int, k2: int):
             out[k] = _cosine(num, n1 - k + den1, n2 - k + den2)
         return out
 
-    return _telescoped(k1, result)
+    return _telescoped(k1, result, (n1, n2))
 
 
 @_pair_measure
@@ -314,33 +334,22 @@ def kmer_profile(
         raise InputError("bounds must satisfy 1 <= k1 <= k2 and 1 <= f1 <= f2")
     rows = k2 - k1 + 1
     cols = f2 - f1 + 1
-    diff = [[0] * cols for _ in range(rows)]
+    diff = np.zeros((rows, cols), dtype=np.int64)
 
-    def visit(ev: VisitEvent) -> None:
-        d = ev.depth
+    def visit(batch: Batch) -> None:
+        d = batch.depth
         if d < k1:
             return
-        row = diff[(d if d < k2 else k2) - k1]
-        r = ev.repr
-        f = r.freq
-        col = f if f < f2 else f2
-        if col >= f1:
-            row[col - f1] += 1
-        first = r.first
-        for i in range(len(r.chars)):
-            w = first[i + 1] - first[i]
-            col = w if w < f2 else f2
-            if col >= f1:
-                row[col - f1] -= 1
+        row = diff[min(d, k2) - k1]
+        side = batch.sides[0]
+        # a node adds one k-mer at its frequency, and each block takes one off
+        for values, sign in ((side.freq, 1), (side.w, -1)):
+            col = np.minimum(values, f2) - f1
+            counts = np.bincount(col[col >= 0])
+            row[: counts.size] += sign * counts
 
-    enumerate_right_maximal(index, visit)
-    cells = [[0] * cols for _ in range(rows)]
-    acc = [0] * cols
-    for r in range(rows - 1, -1, -1):
-        row = diff[r]
-        for j in range(cols):
-            acc[j] += row[j]
-        cells[r] = acc.copy()
+    batched_pass((index,), visit)
+    cells = np.cumsum(diff[::-1], axis=0)[::-1].tolist()
     if f1 == 1:
         n = index.n
         for k in range(k1, k2 + 1):
@@ -357,27 +366,26 @@ def entropy_range(index: BwtIndex, k1: int, k2: int) -> list[float]:
     """
     if not 0 <= k1 <= k2:
         raise InputError("range must satisfy 0 <= k1 <= k2")
-    sums = [0.0] * (k2 - k1 + 1)
-    log2 = math.log2
+    sums: list[list[float]] = [[] for _ in range(k2 - k1 + 1)]
 
-    def visit(ev: VisitEvent) -> None:
-        d = ev.depth
-        if d < k1 or d > k2:
+    def visit(batch: Batch) -> None:
+        d = batch.depth
+        if d < k1:
             return
-        r = ev.repr
-        first = r.first
-        widths = [
-            first[i + 1] - first[i] for i, b in enumerate(r.chars) if b != 0
-        ]
-        if len(widths) < 2:
-            return
-        fr = sum(widths)
-        sums[d - k1] += sum(w * log2(fr / w) for w in widths)
+        side = batch.sides[0]
+        letter = side.ch != 0
+        node = side.node[letter]
+        w = side.w[letter]
+        # a context followed by one letter only has entropy 0
+        keep = (_letters(side) >= 2)[node]
+        node, w = node[keep], w[keep]
+        fr = _node_sums(w, node, side.nb.size)[node]
+        sums[d - k1].append(math.fsum(w * np.log2(fr / w)))
 
     # contexts longer than k2 are never read, so the pass stops at depth k2
-    enumerate_right_maximal(index, visit, max_depth=k2)
+    batched_pass((index,), visit, max_depth=k2)
     m = index.n - 1
-    return [s / m for s in sums]
+    return [math.fsum(s) / m for s in sums]
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +397,13 @@ def substring_complexity(index: BwtIndex) -> int:
     n = index.n
     total = (n - 1) * n // 2
 
-    def visit(ev: VisitEvent) -> None:
+    def visit(batch: Batch) -> None:
         nonlocal total
-        d = ev.depth
-        if d:
-            total += d * (1 - len(ev.repr.chars))
+        side = batch.sides[0]
+        # every node of depth d adds d (1 - its number of blocks)
+        total += batch.depth * (side.nb.size - side.ch.size)
 
-    enumerate_right_maximal(index, visit)
+    batched_pass((index,), visit)
     return total
 
 
@@ -475,14 +483,110 @@ def _length_reading(weights: WeightSpec, ns: tuple[int, int]):
     return result
 
 
-def _charscore_denominator(text: list[int], scores: tuple[float, ...]) -> float:
-    tail = 0.0
-    total = 0.0
+class _ScaledSum:
+    """A sum of terms m * 2**e that no float range bounds.
+
+    Each part is a float in [0.5, 1) and its power of two; value() returns
+    (s, e) with the sum equal to s * 2**e and s at least 0.5 unless 0.
+    """
+
+    def __init__(self) -> None:
+        self.parts: list[tuple[float, int]] = []
+
+    def add(self, m: np.ndarray, e: np.ndarray) -> None:
+        keep = m != 0
+        if keep.any():
+            m, e = m[keep], e[keep]
+            top = int(e.max())
+            self.push(math.fsum(np.ldexp(m, e - top)), top)
+
+    def push(self, s: float, e: int) -> None:
+        m, shift = math.frexp(s)
+        if m:
+            self.parts.append((m, e + shift))
+
+    def value(self) -> tuple[float, int]:
+        if not self.parts:
+            return 0.0, 0
+        top = max(e for _, e in self.parts)
+        return math.fsum(math.ldexp(m, e - top) for m, e in self.parts), top
+
+
+def _charscore_denominator(text: list[int], sq: list[float]) -> tuple[float, int]:
+    """(s, e): the squared weights of all substring occurrences are s * 2**e.
+
+    From the back of the text, tail = sq[a] (1 + tail) sums the squared
+    weights of the prefixes of the current suffix, and the total sums the
+    tails. Each is a float times its own power of two, renormalized when
+    the float strays far from 1, so neither overflows nor underflows; while
+    both exponents are 0 the arithmetic is plain float arithmetic.
+    """
+    ldexp = math.ldexp
+    tail, te = 0.0, 0  # tail * 2**te, te >= 0
+    total, to = 0.0, 0  # total * 2**to
     for sym in reversed(text):
-        q = scores[sym - 1]
-        tail = q * q * (1.0 + tail)
-        total += tail
-    return total
+        tail = sq[sym - 1] * ((ldexp(1.0, -te) if te else 1.0) + tail)
+        if tail > 2.0**600 or (te and tail < 2.0**-600):
+            tail, shift = math.frexp(tail)
+            te += shift
+            if te < 0:
+                tail, te = ldexp(tail, te), 0
+        if te > to:
+            total, to = ldexp(total, to - te), te
+        total += tail if te == to else ldexp(tail, te - to)
+    return total, to
+
+
+def _charscore_fold(index1: BwtIndex, index2: BwtIndex, scores) -> PairFold:
+    """The charscore kernel: node terms times their label's prefix weights.
+
+    A node W's terms (as in _telescoped) count every prefix U of W that has
+    not ended on a block, with weight w(U)^2, the product of the squared
+    scores of U's letters. Their sum ps(W) follows ps(aW) = sq[a] (1 +
+    ps(W)) from the parent, and is carried per node as m * 2**e. Each side
+    is then scaled by its heaviest exponent and the shared sum by their
+    mean, so the cosine does not depend on how large the weights grow.
+    """
+    sq = [q * q for q in scores]
+    if not all(math.isfinite(v) for v in sq):
+
+        def out_of_range() -> float:
+            raise ComputationError("weighted sums outside the floating-point range")
+
+        return PairFold(lambda batch: None, out_of_range)
+    sqm, sqe = np.frexp(np.array([0.0] + sq))
+    fits = _fits_int64(index1.n, index2.n)
+    sums = (_ScaledSum(), _ScaledSum(), _ScaledSum())
+    # every substring occurrence's squared weight, ending on a leaf edge or not
+    sums[1].push(*_charscore_denominator(index1.text, sq))
+    sums[2].push(*_charscore_denominator(index2.text, sq))
+    key = object()  # this fold's entry in the path memos
+
+    def visit(batch: Batch) -> None:
+        p = batch.path
+        if not batch.depth:
+            p.memo[key] = (np.zeros(1), np.zeros(1, dtype=np.int64))
+            return
+        pm, pe = p.up.memo[key]
+        pm, pe = pm[p.node], pe[p.node]
+        # (1 + ps(W)) / 2**s, exact in scale, then times sq[a]
+        s = np.maximum(pe, 0)
+        m, shift = np.frexp((np.ldexp(1.0, -s) + np.ldexp(pm, pe - s)) * sqm[p.sym])
+        e = s + sqe[p.sym] + shift
+        p.memo[key] = (m, e)
+        for total, terms in zip(sums, _pair_terms(batch, fits)):
+            total.add(m * terms.astype(float), e)
+
+    def finish() -> float:
+        (num, ne), (d1, t1), (d2, t2) = (total.value() for total in sums)
+        if d1 <= 0 or d2 <= 0:
+            return _cosine(0.0, d1, d2)
+        # the shared sum takes the geometric mean 2**((t1 + t2) / 2) of the scales
+        if (t1 + t2) % 2:
+            d2, t2 = d2 * 2.0, t2 - 1
+        return _cosine(math.ldexp(num, ne - (t1 + t2) // 2), d1, d2)
+
+    return PairFold(visit, finish, path=True)
 
 
 @_pair_measure
@@ -499,27 +603,8 @@ def weighted_substring_kernel(index1: BwtIndex, index2: BwtIndex, weights: Weigh
     weights.validate(index1.sigma)
     ns = (index1.n, index2.n)
     if weights.kind != "charscore":
-        return _telescoped(1, _length_reading(weights, ns))
-    scores = weights.scores
-    sq = [0.0] + [q * q for q in scores]
-    path_sums = [0.0] * max(ns)
-
-    def coef(ev: VisitEvent) -> float:
-        # sum of squared prefix weights of aW from that of W, the last node
-        # visited one level up (the pass is depth-first)
-        d = ev.depth
-        c = path_sums[d] = sq[ev._path[d - 1]] * (1.0 + path_sums[d - 1])
-        return c
-
-    leaves = (
-        _charscore_denominator(index1.text, scores),
-        _charscore_denominator(index2.text, scores),
-    )
-
-    def result(num: list, den1: list, den2: list) -> float:
-        return _cosine(sum(num), leaves[0] + sum(den1), leaves[1] + sum(den2))
-
-    return _telescoped(1, result, coef)
+        return _telescoped(1, _length_reading(weights, ns), ns)
+    return _charscore_fold(index1, index2, weights.scores)
 
 
 # ---------------------------------------------------------------------------
@@ -546,59 +631,44 @@ def _window_products(text: list[int], k: int, q: tuple[float, ...]):
 
 
 def _d2_fold(index1: BwtIndex, index2: BwtIndex, k: int, q, phi, absent_coef):
-    """Sum of phi(f1(W), f2(W), q(W)) over all k-mers W, absent ones in closed form."""
-    total = 0.0
-    q_present = 0.0
-    for qw in _window_products(index1.text, k, q):
-        total += phi(1, 0, qw)
-        q_present += qw
-    for qw in _window_products(index2.text, k, q):
-        total += phi(0, 1, qw)
-        q_present += qw
+    """Sum of phi(f1(W), f2(W), q(W)) over all k-mers W, absent ones in closed form.
 
-    def visit(ev: VisitEvent) -> None:
-        nonlocal total, q_present
-        d = ev.depth
-        if d < k:
+    phi takes arrays. A node of depth >= k adds phi at its own counts less
+    phi at each block's (a letter on both sides is one block); q(W) is the
+    product of q over the node's first k symbols, read through its path.
+    """
+    total, q_present = [], []
+    for index, x1 in ((index1, 1), (index2, 0)):
+        windows = _window_products(index.text, k, q)
+        while (qw := np.fromiter(itertools.islice(windows, 4096), float)).size:
+            with np.errstate(all="ignore"):
+                total.append(math.fsum(phi(x1, 1 - x1, qw)))
+            q_present.append(math.fsum(qw))
+    qs = np.array((0.0, *q))
+
+    def visit(batch: Batch) -> None:
+        if batch.depth < k:
             return
-        qk = 1.0
-        path = ev._path
-        for j in range(d - k, d):
-            qk *= q[path[j] - 1]
-        g = ev.repr
-        one, two = g.one, g.two
-        acc = phi(one.freq, two.freq, qk)
-        edges = 0
-        c1, f1 = one.chars, one.first
-        c2, f2 = two.chars, two.first
-        i = j = 0
-        if i < len(c1) and c1[0] == 0:
-            acc -= phi(f1[1] - f1[0], 0, qk)
-            edges += 1
-            i = 1
-        if j < len(c2) and c2[0] == 0:
-            acc -= phi(0, f2[1] - f2[0], qk)
-            edges += 1
-            j = 1
-        while i < len(c1) or j < len(c2):
-            a = c1[i] if i < len(c1) else None
-            b = c2[j] if j < len(c2) else None
-            if b is None or (a is not None and a < b):
-                acc -= phi(f1[i + 1] - f1[i], 0, qk)
-                i += 1
-            elif a is None or b < a:
-                acc -= phi(0, f2[j + 1] - f2[j], qk)
-                j += 1
-            else:
-                acc -= phi(f1[i + 1] - f1[i], f2[j + 1] - f2[j], qk)
-                i += 1
-                j += 1
-            edges += 1
-        total += acc
-        q_present += qk * (1 - edges)
+        qk = None
+        for sym in batch.path.heads(k):
+            qk = qs[sym] if qk is None else qk * qs[sym]
+        one, two = batch.sides
+        i, j = batch.match
+        alone1 = ~_mask(one.ch.size, i)
+        alone2 = ~_mask(two.ch.size, j)
+        with np.errstate(all="ignore"):
+            terms = (
+                phi(one.freq, two.freq, qk),
+                -phi(one.w[i], two.w[j], qk[one.node[i]]),
+                -phi(one.w[alone1], 0, qk[one.node[alone1]]),
+                -phi(0, two.w[alone2], qk[two.node[alone2]]),
+            )
+        total.append(math.fsum(np.concatenate(terms)))
+        edges = one.nb + two.nb - 2 - np.bincount(one.node[i], minlength=one.nb.size)
+        q_present.append(math.fsum(qk * (1 - edges)))
 
     def finish() -> float:
-        value = total + absent_coef * (1.0 - q_present)
+        value = math.fsum(total) + absent_coef * (1.0 - math.fsum(q_present))
         if not math.isfinite(value):
             raise ComputationError(
                 f"k-mer probabilities too small at k={k}: the value is outside"
@@ -606,7 +676,7 @@ def _d2_fold(index1: BwtIndex, index2: BwtIndex, k: int, q, phi, absent_coef):
             )
         return value
 
-    return PairFold(visit, finish)
+    return PairFold(visit, finish, path=True)
 
 
 def _d2_validate(index1: BwtIndex, index2: BwtIndex, k: int, q) -> tuple:
@@ -632,13 +702,11 @@ def d2s_distance(index1: BwtIndex, index2: BwtIndex, k: int, q):
     """
     q, e1, e2 = _d2_validate(index1, index2, k, q)
 
-    def phi(x1: int, x2: int, qw: float) -> float:
+    def phi(x1, x2, qw):
         t1 = x1 - e1 * qw
         t2 = x2 - e2 * qw
         dd = t1 * t1 + t2 * t2
-        if dd == 0.0:
-            return 0.0
-        return t1 * t2 / math.sqrt(dd)
+        return np.where(dd == 0.0, 0.0, t1 * t2 / np.sqrt(dd))
 
     coef = e1 * e2 / math.sqrt(e1 * e1 + e2 * e2)
     return _d2_fold(index1, index2, k, q, phi, coef)
@@ -651,16 +719,14 @@ def d2star_distance(index1: BwtIndex, index2: BwtIndex, k: int, q):
     scale = math.sqrt(e1 * e2)
     tiny = sys.float_info.min
 
-    def phi(x1: int, x2: int, qw: float) -> float:
-        # with one count 0, q(W) cancels: an underflowing q-product is harmless
-        if not x2:
-            return -(x1 - e1 * qw) * e2 / scale
-        if not x1:
-            return -(x2 - e2 * qw) * e1 / scale
-        if qw < tiny:
-            # 1/q(W) leaves the float range (or 0 divides); finish() raises
-            return math.nan
-        return (x1 - e1 * qw) * (x2 - e2 * qw) / (scale * qw)
+    def phi(x1, x2, qw):
+        t1 = x1 - e1 * qw
+        t2 = x2 - e2 * qw
+        # with one count 0, q(W) cancels: an underflowing q-product is harmless;
+        # otherwise 1/q(W) may leave the float range (or 0 divides): nan, and
+        # finish() raises
+        both = np.where(qw < tiny, math.nan, t1 * t2 / (scale * qw))
+        return np.where(x2 == 0, -t1 * e2 / scale, np.where(x1 == 0, -t2 * e1 / scale, both))
 
     return _d2_fold(index1, index2, k, q, phi, scale)
 
@@ -675,6 +741,7 @@ def _maw_fold(index: BwtIndex, emit) -> None:
     bs lists, ascending, the right letters b of W with a W b absent from the
     text: each a W b is a minimal absent word (MAW), and only maximal
     repeats can be MAW infixes. Left letters a with no such b are skipped.
+    This is the per-node fold, in depth-first order, for the listings.
     """
 
     def visit(ev: VisitEvent) -> None:
@@ -693,15 +760,24 @@ def _maw_fold(index: BwtIndex, emit) -> None:
     enumerate_maximal_repeats(index, visit)
 
 
+def _maximal_kids(batch: Batch) -> np.ndarray:
+    """Kids with a letter a whose node has two left symbols, terminator included."""
+    lefts = np.bincount(batch.kid_node, minlength=batch.sides[0].nb.size)
+    return (batch.kid_sym != 0) & (lefts[batch.kid_node] >= 2)
+
+
 def maw_count(index: BwtIndex) -> int:
     """Number of minimal absent words a W b with letter a, b."""
     total = 0
 
-    def emit(ev: VisitEvent, a: int, bs: list[int]) -> None:
+    def visit(batch: Batch) -> None:
         nonlocal total
-        total += len(bs)
+        # a W b is a MAW for every letter b of W that aW lacks
+        rows = _maximal_kids(batch)
+        have = _letters(batch.sides[0])[batch.kid_node[rows]]
+        total += int((have - _letters(batch.kid_sides[0])[rows]).sum())
 
-    _maw_fold(index, emit)
+    batched_pass((index,), visit)
     return total
 
 
@@ -735,38 +811,66 @@ def maw_words(index: BwtIndex) -> list[tuple[int, ...]]:
     return out
 
 
+class _PairKids:
+    """What the MAW and Markov pair folds read of a batch's letter kids.
+
+    A side is maximal at a node W when W has two blocks and two left
+    symbols there. rows marks the kids aW with a letter a under a node
+    maximal on some side. For the letter blocks of those kids (sel1, sel2),
+    counted per kid: each side's letters, and seen, the letters of W shared
+    by both texts that the kid has on some side.
+    """
+
+    def __init__(self, batch: Batch) -> None:
+        one, two = batch.sides
+        kid1, kid2 = batch.kid_sides
+        kn = batch.kid_node
+        count = one.nb.size
+        rows_n = kn.size
+        self.fa1, self.fa2 = kid1.freq, kid2.freq
+        self.mr1 = (one.nb >= 3) & (np.bincount(kn[self.fa1 > 0], minlength=count) >= 2)
+        self.mr2 = (two.nb >= 3) & (np.bincount(kn[self.fa2 > 0], minlength=count) >= 2)
+        self.rows = (batch.kid_sym != 0) & (self.mr1 | self.mr2)[kn]
+        i, j = batch.match
+        self.shared = np.bincount(one.node[i], minlength=count)
+        self.letters1, self.letters2 = _letters(one), _letters(two)
+        ki, kj = batch.kid_match
+        blk1, blk2 = batch.kid_blk
+        self.sel1 = self.rows[kid1.node] & (kid1.ch != 0)
+        self.sel2 = self.rows[kid2.node] & (kid2.ch != 0)
+        # per kid block: whether W, or the kid, has its letter in the other text
+        self.w_has2 = _mask(one.ch.size, i)[blk1]
+        self.w_has1 = _mask(two.ch.size, j)[blk2]
+        self.k_has2 = _mask(kid1.ch.size, ki)
+        self.k_has1 = _mask(kid2.ch.size, kj)
+        self.kid_letters1 = np.bincount(kid1.node[self.sel1], minlength=rows_n)
+        self.kid_letters2 = np.bincount(kid2.node[self.sel2], minlength=rows_n)
+        self.seen = np.bincount(
+            kid1.node[self.sel1 & self.w_has2], minlength=rows_n
+        ) + np.bincount(kid2.node[self.sel2 & self.w_has1 & ~self.k_has1], minlength=rows_n)
+
+
 def _maw_pair_fold(result) -> PairFold:
-    """Fold whose finish() is result(|MAW(T1)|, |MAW(T2)|, |intersection|)."""
-    c1 = c2 = inter = 0
+    """Fold whose finish() is result(|MAW(T1)|, |MAW(T2)|, |intersection|).
 
-    def visit(ev: VisitEvent) -> None:
-        nonlocal c1, c2, inter
-        mr1, mr2 = _maximal_sides(ev)
-        if not (mr1 or mr2):
-            return
-        g = ev.repr
-        ch1, ch2 = g.one.chars, g.two.chars
-        kids = ev.children
-        letters1 = [b for b in ch1 if b != 0]
-        letters2 = [b for b in ch2 if b != 0]
-        shared = [b for b in letters1 if b in letters2]
-        lefts = ev.lefts
-        for i in range(len(lefts)):
-            if lefts[i] == 0:
-                continue
-            kid = kids[i]
-            have1 = set(kid.one.chars)
-            have2 = set(kid.two.chars)
-            if mr1 and kid.one.present:
-                c1 += sum(1 for b in letters1 if b not in have1)
-            if mr2 and kid.two.present:
-                c2 += sum(1 for b in letters2 if b not in have2)
-            if mr1 and mr2 and kid.one.present and kid.two.present:
-                inter += sum(
-                    1 for b in shared if b not in have1 and b not in have2
-                )
+    On a side maximal at W, a W b is a MAW of that text for each letter b of
+    W that a W lacks there; it is a MAW of both when b is a letter of W in
+    both texts and a W lacks it in both.
+    """
+    counts = [0, 0, 0]
 
-    return PairFold(visit, lambda: result(c1, c2, inter))
+    def visit(batch: Batch) -> None:
+        p = batch.derive(_PairKids)
+        kn = batch.kid_node
+        rows = p.rows
+        on1 = rows & p.mr1[kn] & (p.fa1 > 0)
+        on2 = rows & p.mr2[kn] & (p.fa2 > 0)
+        counts[0] += int((p.letters1[kn[on1]] - p.kid_letters1[on1]).sum())
+        counts[1] += int((p.letters2[kn[on2]] - p.kid_letters2[on2]).sum())
+        both = on1 & on2
+        counts[2] += int((p.shared[kn[both]] - p.seen[both]).sum())
+
+    return PairFold(visit, lambda: result(*counts))
 
 
 @_pair_measure
@@ -829,83 +933,72 @@ def markov_kernel(index1: BwtIndex, index2: BwtIndex, params: ZScoreParams):
         psb = [0.0] * (limit + 1)
         for j in range(2, limit + 1):
             psb[j] = psb[j - 1] + (g1a[j] - 1.0) * (g2a[j] - 1.0)
-        den1 = sum(ps1[0:n1])
-        den2 = sum(ps2[0:n2])
+        sums = ([], [sum(ps1[0:n1])], [sum(ps2[0:n2])])
     else:
-        g1a = g2a = ps1 = ps2 = psb = None
-        den1 = den2 = 0.0
-    num = 0.0
+        sums = ([], [], [])
+    num, den1, den2 = sums
 
-    def visit(ev: VisitEvent) -> None:
-        nonlocal num, den1, den2
-        d = ev.depth
-        g = ev.repr
-        one, two = g.one, g.two
-        ch1, ch2 = one.chars, two.chars
+    def visit(batch: Batch) -> None:
+        d = batch.depth
+        one, two = batch.sides
+        p = batch.derive(_PairKids)
         if exact:
-            if one.present:
-                den1 += ps1[d] * (1 - len(ch1))
-            if two.present:
-                den2 += ps2[d] * (1 - len(ch2))
-            if one.present and two.present:
-                shared = len(ch1) + len(ch2) - _distinct_extensions(ch1, ch2)
-                num += psb[d] * (1 - shared)
-        mr1, mr2 = _maximal_sides(ev)
-        if not (mr1 or mr2):
-            return
-        kids = ev.children
-        if exact:
+            on1, on2 = one.freq > 0, two.freq > 0
+            if on1.any():
+                den1.append(ps1[d] * int((2 - one.nb[on1]).sum()))
+            if on2.any():
+                den2.append(ps2[d] * int((2 - two.nb[on2]).sum()))
+            both = on1 & on2
+            if both.any():
+                num.append(psb[d] * int((1 - p.shared[both]).sum()))
             g1v = g1a[d + 2] if d + 2 <= n1 else 1.0
             g2v = g2a[d + 2] if d + 2 <= n2 else 1.0
-            base_n = (g1v - 1.0) * (g2v - 1.0)
-            base_1 = (g1v - 1.0) ** 2
-            base_2 = (g2v - 1.0) ** 2
         else:
             g1v = g2v = 1.0
-            base_n = base_1 = base_2 = 0.0
-        f1 = one.freq if d else m1
-        f2 = two.freq if d else m2
-        w1 = _letter_blocks(one)
-        w2 = _letter_blocks(two)
-        letters = _union_letters(ch1, ch2)
-        lefts = ev.lefts
-        for i in range(len(lefts)):
-            if lefts[i] == 0:
-                continue
-            kid = kids[i]
-            fa1 = kid.one.freq
-            fa2 = kid.two.freq
-            x1d = _letter_blocks(kid.one)
-            x2d = _letter_blocks(kid.two)
-            for b in letters:
-                wb1 = w1.get(b, 0)
-                wb2 = w2.get(b, 0)
-                x1 = x1d.get(b, 0)
-                x2 = x2d.get(b, 0)
-                z1 = g1v * (x1 * f1 / (fa1 * wb1)) - 1.0 if x1 else None
-                z2 = g2v * (x2 * f2 / (fa2 * wb2)) - 1.0 if x2 else None
-                if z1 is not None:
-                    if z2 is not None:
-                        num += z1 * z2 - base_n
-                    elif fa2 and wb2:
-                        num -= z1
-                elif z2 is not None:
-                    if fa1 and wb1:
-                        num -= z2
-                elif fa1 and wb1 and fa2 and wb2:
-                    num += 1.0
-                if mr1 and fa1:
-                    if z1 is not None:
-                        den1 += z1 * z1 - base_1
-                    elif wb1:
-                        den1 += 1.0
-                if mr2 and fa2:
-                    if z2 is not None:
-                        den2 += z2 * z2 - base_2
-                    elif wb2:
-                        den2 += 1.0
+        rows = p.rows
+        if not rows.any():
+            return
+        base_n = (g1v - 1.0) * (g2v - 1.0)
+        base_1 = (g1v - 1.0) ** 2
+        base_2 = (g2v - 1.0) ** 2
+        f1 = one.freq if d else np.array([m1])
+        f2 = two.freq if d else np.array([m2])
+        kid1, kid2 = batch.kid_sides
+        blk1, blk2 = batch.kid_blk
+        kn = batch.kid_node
 
-    return PairFold(visit, lambda: _cosine(num, den1, den2))
+        def z(kid, sel, blk, side, f, g):
+            # z of the selected kid blocks, against W's block of that letter
+            out = np.full(kid.ch.size, math.nan)
+            r = kid.node[sel]
+            out[sel] = g * (kid.w[sel] * f[kn[r]] / (kid.freq[r] * side.w[blk[sel]])) - 1.0
+            return out
+
+        z1 = z(kid1, p.sel1, blk1, one, f1, g1v)
+        z2 = z(kid2, p.sel2, blk2, two, f2, g2v)
+        ki, kj = batch.kid_match
+        pair = p.sel1[ki]
+        ki, kj = ki[pair], kj[pair]
+        # letters aWb on one side only, against a W b absent from the other
+        alone1 = p.sel1 & ~p.k_has2 & p.w_has2 & (p.fa2[kid1.node] > 0)
+        alone2 = p.sel2 & ~p.k_has1 & p.w_has1 & (p.fa1[kid2.node] > 0)
+        both_rows = rows & (p.fa1 > 0) & (p.fa2 > 0)
+        # a minimal absent word of both texts: z1 = z2 = -1
+        absent = int((p.shared[kn[both_rows]] - p.seen[both_rows]).sum())
+        terms = (z1[ki] * z2[kj] - base_n, -z1[alone1], -z2[alone2], [float(absent)])
+        num.append(math.fsum(np.concatenate(terms)))
+        for den, mr, fa, sel, zs, kid, letters, kid_letters, base in (
+            (den1, p.mr1, p.fa1, p.sel1, z1, kid1, p.letters1, p.kid_letters1, base_1),
+            (den2, p.mr2, p.fa2, p.sel2, z2, kid2, p.letters2, p.kid_letters2, base_2),
+        ):
+            on = rows & mr[kn] & (fa > 0)
+            blocks = sel & on[kid.node]
+            # a MAW of this text (z = -1) for each letter of W the kid lacks
+            absent = int((letters[kn[on]] - kid_letters[on]).sum())
+            terms = (zs[blocks] * zs[blocks] - base, [float(absent)])
+            den.append(math.fsum(np.concatenate(terms)))
+
+    return PairFold(visit, lambda: _cosine(*(math.fsum(s) for s in sums)))
 
 
 # ---------------------------------------------------------------------------
@@ -924,39 +1017,35 @@ def kl_divergence_range(index: BwtIndex, k1: int, k2: int) -> list[float]:
         raise InputError("range must satisfy 2 <= k1 <= k2")
     n = index.n
     m = n - 1
-    log2 = math.log2
-    out = [0.0] * (k2 - k1 + 1)
+    parts: list[list[float]] = [[] for _ in range(k2 - k1 + 1)]
     for k in range(k1, k2 + 1):
         if k <= m:
-            out[k - k1] = log2((n - k + 1) ** 2 / ((n - k) * (n - k + 2)))
+            # log2 of (n-k+1)^2 / ((n-k)(n-k+2)) = 1 + 1 / ((n-k)(n-k+2))
+            parts[k - k1].append(math.log1p(1 / ((n - k) * (n - k + 2))) / _LN2)
 
-    def visit(ev: VisitEvent) -> None:
-        d = ev.depth
+    def visit(batch: Batch) -> None:
+        d = batch.depth
         k = d + 2
-        if k < k1 or k > k2 or k > m:
+        if k < k1 or k > m:
             return
-        r = ev.repr
-        fmid = r.freq if d else m
-        blocks = _letter_blocks(r)
-        denom = n - k
-        slot = k - k1
-        lefts = ev.lefts
-        kids = ev.children
-        for i in range(len(lefts)):
-            if lefts[i] == 0:
-                continue
-            kid = kids[i]
-            fa = kid.freq
-            first = kid.first
-            for j, b in enumerate(kid.chars):
-                if b == 0:
-                    continue
-                x = first[j + 1] - first[j]
-                out[slot] += (x / denom) * log2(x * fmid / (fa * blocks[b]))
+        side = batch.sides[0]
+        kid = batch.kid_sides[0]
+        # every letter block x of a letter kid aW of a maximal repeat W
+        sel = _maximal_kids(batch)[kid.node] & (kid.ch != 0)
+        x = kid.w[sel]
+        r = kid.node[sel]
+        fa = kid.freq[r]
+        fmid = side.freq[batch.kid_node[r]] if d else m
+        wb = side.w[batch.kid_blk[0][sel]]
+        # log2(x fmid / (fa wb)) through the exact difference of the two
+        # products, so that ratios near 1 keep their digits
+        below = fa * wb
+        terms = (x / (n - k)) * (np.log1p((x * fmid - below) / below) / _LN2)
+        parts[k - k1].append(math.fsum(terms))
 
     # a k-mer's infix has length k - 2 <= k2 - 2; deeper nodes add nothing
-    enumerate_maximal_repeats(index, visit, max_depth=k2 - 2)
-    return out
+    batched_pass((index,), visit, max_depth=k2 - 2)
+    return [math.fsum(p) for p in parts]
 
 
 def calibrate_kmax(index: BwtIndex, tau: float, kcap: int) -> int:

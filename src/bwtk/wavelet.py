@@ -15,6 +15,7 @@ import numpy as np
 from .errors import InputError
 
 _LOW_MASKS = tuple((1 << r) - 1 for r in range(64))
+_WORD_MASKS = np.array(_LOW_MASKS, dtype=np.uint64)
 
 
 class _Node:
@@ -72,7 +73,9 @@ class RankIndex:
 
     def _build(self, arr: np.ndarray, lo: int, hi: int) -> _Node:
         node = _Node(lo, hi)
-        if lo == hi:
+        if lo == hi or not arr.size:
+            # no blocks: a leaf, or an empty range, where every rank is 0 and
+            # which no descent enters
             return node
         bits = arr > node.mid
         node.blocks = _pack(bits)
@@ -180,3 +183,66 @@ class RankIndex:
             else:
                 node = node.right
                 xs = ones
+
+
+class Frontier:
+    """One batched pass's NumPy copy of a RankIndex.
+
+    Each wavelet node becomes (lo, words, counts, left, right), with the
+    64-bit words and the count of 1s before each word as arrays; a leaf has
+    words None. The copy lives as long as the pass that made it.
+    """
+
+    __slots__ = ("root",)
+
+    def __init__(self, index: RankIndex) -> None:
+        self.root = _arrays(index.root)
+
+    def descend(self, x: np.ndarray, nb: np.ndarray):
+        """Ranks of every symbol of every node's range, for a batch of nodes.
+
+        x holds the boundaries of the nodes, nb[j] ascending positions for
+        node j, whose range [first+1 .. last] must be non-empty. Returns
+        parallel lists, one entry per symbol c that occurs in some node's
+        range, in ascending c: c, the indexes of those nodes, their nb and
+        the ranks of c at their boundaries. Each wavelet node ranks all the
+        boundaries it receives in one step, and a node whose range holds no
+        symbol of a child does not follow the batch into it.
+        """
+        syms, ids_out, nbs, ranks = [], [], [], []
+        stack = [(self.root, x, nb, np.arange(nb.size), _ends(nb))]
+        while stack:
+            (lo, words, counts, left, right), x, nb, ids, (first, last) = stack.pop()
+            if words is None:
+                syms.append(lo)
+                ids_out.append(ids)
+                nbs.append(nb)
+                ranks.append(x)
+                continue
+            q = x >> 6
+            ones = counts[q] + np.bitwise_count(words[q] & _WORD_MASKS[x & 63])
+            # the right child is stacked first, so symbols come out ascending
+            for child, y in ((right, ones), (left, x - ones)):
+                alive = y[last] > y[first]
+                count = np.count_nonzero(alive)
+                if count == alive.size:
+                    stack.append((child, y, nb, ids, (first, last)))
+                elif count:
+                    kept = nb[alive]
+                    stack.append((child, y[alive.repeat(nb)], kept, ids[alive], _ends(kept)))
+        return syms, ids_out, nbs, ranks
+
+
+def _ends(nb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indexes of each node's first and last boundary."""
+    last = nb.cumsum() - 1
+    return last - (nb - 1), last
+
+
+def _arrays(node: _Node) -> tuple:
+    if node.blocks is None:
+        return (node.lo, None, None, None, None)
+    mask = (1 << 64) - 1
+    words = np.array([e & mask for e in node.blocks], dtype=np.uint64)
+    counts = np.array([e >> 64 for e in node.blocks], dtype=np.int64)
+    return (node.lo, words, counts, _arrays(node.left), _arrays(node.right))

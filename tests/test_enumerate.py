@@ -1,14 +1,16 @@
 import math
 import random
+from collections import Counter
 
 import pytest
-from conftest import idx, rand_seq, repetitive_text, seq
+from conftest import draw_repetitive, idx, rand_seq, repetitive_text, seq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bwtk.enumerate import (
     GenRepr,
     Repr,
+    batched_pass,
     enumerate_generalized,
     enumerate_maximal_repeats,
     enumerate_right_maximal,
@@ -258,3 +260,95 @@ def test_depth_bound_keeps_the_shallow_events_in_order(s, max_depth):
         full = _events(run, ix)
         bounded = _events(run, ix, max_depth=max_depth)
         assert bounded == [e for e in full if e[0] <= max_depth]
+
+
+def _scalar_events(indexes, max_depth=None) -> Counter:
+    """Per node: depth, frequency per text, left symbols, children's frequencies."""
+    out = Counter()
+
+    def sides(r):
+        return (r.freq,) if isinstance(r, Repr) else (r.one.freq, r.two.freq)
+
+    def visit(ev):
+        kids = tuple(sides(kid) for kid in ev.children)
+        out[ev.depth, sides(ev.repr), tuple(ev.lefts), kids] += 1
+
+    if len(indexes) == 1:
+        enumerate_right_maximal(indexes[0], visit, max_depth=max_depth)
+    else:
+        enumerate_generalized(*indexes, visit)
+    return out
+
+
+def _batched_events(indexes, cap, max_depth=None) -> tuple[Counter, int, int]:
+    out = Counter()
+
+    def visit(batch):
+        freqs = list(zip(*(side.freq.tolist() for side in batch.sides)))
+        kid_freqs = list(zip(*(side.freq.tolist() for side in batch.kid_sides)))
+        kids = [[] for _ in freqs]
+        for r, (j, a) in enumerate(zip(batch.kid_node.tolist(), batch.kid_sym.tolist())):
+            kids[j].append((a, kid_freqs[r]))
+        for j, f in enumerate(freqs):
+            lefts = tuple(a for a, _ in kids[j])
+            assert lefts == tuple(sorted(lefts))
+            out[batch.depth, f, lefts, tuple(k for _, k in kids[j])] += 1
+
+    visits, peak = batched_pass(indexes, visit, max_depth=max_depth, _cap=cap)
+    return out, visits, peak
+
+
+def _fibonacci(a: int, b: int, n: int) -> list[int]:
+    prev, word = [a], [a, b]
+    while len(word) < n:
+        prev, word = word, word + prev
+    return word[:n]
+
+
+@st.composite
+def pass_inputs(draw):
+    """One or two texts over sigma in {1, 2, 4, 20}: runs, periods, Fibonacci words."""
+    sigma = draw(st.sampled_from((1, 2, 4, 20)))
+
+    def text() -> Sequence:
+        if sigma > 1 and draw(st.booleans()):
+            a, b = draw(st.lists(st.integers(1, sigma), min_size=2, max_size=2, unique=True))
+            return Sequence(_fibonacci(a, b, draw(st.integers(1, 60))), sigma)
+        return draw_repetitive(draw, sigma)
+
+    texts = [text() for _ in range(draw(st.integers(1, 2)))]
+    max_depth = draw(st.none() | st.integers(0, 12)) if len(texts) == 1 else None
+    return sigma, texts, max_depth
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(pass_inputs())
+def test_batched_pass_matches_the_scalar_pass_at_every_cap(case):
+    # the batch cap B changes only how nodes are grouped, never what is visited
+    sigma, texts, max_depth = case
+    indexes = [build_bwt(s) for s in texts]
+    want = _scalar_events(indexes, max_depth)
+    rows = sum(ix.n for ix in indexes)
+    widest = len(indexes) * (sigma + 2)  # boundaries of one node, both texts
+    for cap in (1, 2, 7, None):
+        got, visits, peak = _batched_events(indexes, cap, max_depth)
+        assert got == want
+        assert visits == sum(want.values())
+        if cap is not None:
+            # at most log2(rows) groups of pending pieces, each the children
+            # (at most sigma per node) of one piece of under cap + widest
+            assert peak <= math.log2(rows) * sigma * (cap + widest)
+    for index in indexes:
+        assert index.enumerations == 5  # one scalar pass and four batched ones
+
+
+def test_batched_pass_never_ranks_one_symbol_at_a_time(monkeypatch):
+    ix = build_bwt(rand_seq(random.Random(37), 500, 4))
+
+    def refuse(*args):
+        raise AssertionError("rank called")
+
+    monkeypatch.setattr(type(ix.ranks), "rank", refuse)
+    monkeypatch.setattr(type(ix.ranks), "range_distinct", refuse)
+    visits, _ = batched_pass((ix,), lambda batch: None)
+    assert visits == _scalar_events([ix]).total()

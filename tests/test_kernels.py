@@ -1,11 +1,14 @@
 import math
 import random
+import struct
+import time
 
 import pytest
 from conftest import draw_repetitive, idx, rand_seq, repetitive_text, seq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bwtk.kernels
 import bwtk.oracle as orc
 from bwtk.errors import ComputationError, InputError, ZeroDenominatorError
 from bwtk.kernels import (
@@ -30,7 +33,7 @@ from bwtk.kernels import (
     weighted_substring_kernel,
 )
 from bwtk.params import WeightSpec, ZScoreParams
-from bwtk.suffix import build_bwt
+from bwtk.suffix import BwtIndex, build_bwt
 from bwtk.text import Sequence
 
 
@@ -562,3 +565,69 @@ def test_kernel_values_are_bounded():
         assert 0.0 <= maw_jaccard(i1, i2) <= 1.0
         v = markov_kernel(i1, i2, ZScoreParams(g_mode="unit"))
         assert -1.0 - 1e-12 <= v <= 1.0 + 1e-12
+
+
+def test_python_int_fallback_gives_identical_values(monkeypatch):
+    # same-depth sums run in int64 below the limit and on Python ints past it
+    rng = random.Random(75)
+    i1 = build_bwt(rand_seq(rng, 400, 4))
+    i2 = build_bwt(rand_seq(rng, 300, 4))
+
+    def values():
+        return (
+            kmer_kernel_range(i1, i2, 1, 6),
+            substring_kernel(i1, i2),
+            weighted_substring_kernel(i1, i2, WeightSpec(kind="band", kmin=2, kmax=5)),
+            weighted_substring_kernel(i1, i2, WeightSpec(kind="charscore", scores=(0.5, 2.0, 1.0, 3.0))),
+        )
+
+    fast = values()
+    assert bwtk.kernels._fits_int64(i1.n, i2.n)
+    monkeypatch.setattr(bwtk.kernels, "_INT64_LIMIT", 2**10)
+    assert not bwtk.kernels._fits_int64(i1.n, i2.n)
+    assert values() == fast
+
+
+def test_charscore_scores_above_one_do_not_overflow():
+    # the squared weights of long prefixes pass 1e308 at scores of 10
+    rng = random.Random(76)
+    s = rand_seq(rng, 3000, 4)
+    spec = WeightSpec(kind="charscore", scores=(10.0,) * 4)
+    got = weighted_substring_kernel(build_bwt(s), build_bwt(s), spec)
+    assert got == pytest.approx(1.0, abs=1e-9)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.data())
+def test_charscore_matches_oracle_for_scores_up_to_ten(data):
+    sigma = data.draw(st.sampled_from((1, 2, 3, 4)))
+    s1, s2 = (
+        Sequence(data.draw(st.lists(st.integers(1, sigma), min_size=1, max_size=30)), sigma)
+        for _ in range(2)
+    )
+    scores = tuple(data.draw(st.floats(0.1, 10.0)) for _ in range(sigma))
+    spec = WeightSpec(kind="charscore", scores=scores)
+    got = weighted_substring_kernel(build_bwt(s1), build_bwt(s2), spec)
+    assert got == pytest.approx(orc.oracle_weighted_substring_kernel(s1, s2, spec), rel=1e-9)
+
+
+def test_huge_declared_sigma_costs_only_the_symbols_that_occur(tmp_path):
+    # 26 bytes: magic, n = 2, sigma = 2**18 - 1, and the 18-bit codes of s, #
+    sigma = 2**18 - 1
+    path = tmp_path / "wide.bwtk"
+    path.write_bytes(b"BWTK1" + struct.pack("<QQ", 2, sigma) + sigma.to_bytes(5, "little"))
+    assert path.stat().st_size == 26
+    start = time.perf_counter()
+    ix = BwtIndex.load(str(path))
+    assert ix.text == [sigma]
+    assert kmer_complexity(ix, 1) == 1
+    assert substring_complexity(ix) == 1
+    assert kmer_profile(ix, 1, 2, 1, 2).cells == [[1, 0], [0, 0]]
+    assert entropy_range(ix, 0, 2) == [0.0, 0.0, 0.0]
+    assert maw_count(ix) == 1
+    assert maw_words(ix) == [(sigma, sigma)]
+    assert maw_enumerate(ix, lambda *maw: None) == 1
+    assert kl_divergence_range(ix, 2, 3) == [0.0, 0.0]
+    assert calibrate_kmin(ix, 3) == 1
+    assert calibrate_kmax(ix, 0.5, 3) == 2
+    assert time.perf_counter() - start < 1.0
