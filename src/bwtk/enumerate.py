@@ -8,32 +8,27 @@ repr(W) into repr(aW) for every symbol a preceding W at once, using one
 wavelet-tree descent that ranks the k+1 boundaries of repr(W) together:
 aW continues with b_i exactly where the rank of a rises across block i.
 
-Two engines walk the same tree. The measures fold over batched_pass, which
-takes same-depth nodes a batch at a time, each batch held in flat NumPy
-arrays (Side, Batch), and extends all of them with one wavelet descent that
-ranks every boundary of the batch per wavelet node (wavelet.Frontier). It
-goes depth-first over batches and splits a batch past _CAP boundaries, so
-the batches it holds stay within O(sigma log n) times the cap.
+One engine walks the tree: batched_pass takes same-depth nodes a batch at a
+time, each batch held in flat NumPy arrays (Side, Batch), and extends all
+of them with one wavelet descent that ranks every boundary of the batch per
+wavelet node (wavelet.Frontier). It goes depth-first over batches and
+splits a batch past _CAP boundaries, so the batches it holds stay within
+O(sigma log n) times the cap. A pass may stop at a depth bound, so that
+measures that read only short contexts skip the deeper nodes.
 
-The per-node API (enumerate_* with a visitor, extend_left*, Repr and
-VisitEvent, and through them maw_words and maw_enumerate) runs on the
-scalar loop _traverse, whose depth-first order is part of its contract. A
-per-kind step turns a node's repr into its left symbols, its children and
-the children to push: the letter extensions that are right-maximal again.
-The loop pushes them widest interval first so the narrowest pops first,
-which keeps the stack at O(sigma log n) frames.
+The per-node API reads the same pass. enumerate_* call a visitor with a
+VisitEvent, a view of one node of the current batch, in pass order: batch
+by batch, then node by node within a batch. extend_left* extend one repr
+with one RankIndex.distinct_ranks call per text.
 
-Either engine may stop at a depth bound, so that measures that read only
-short contexts skip the deeper nodes. A pair pass walks the generalized
-suffix tree of the two texts, where the two terminators count as distinct
-right extensions, so a string followed by the end of both texts is
-right-maximal even when no letter follows it.
+A pair pass walks the generalized suffix tree of the two texts, where the
+two terminators count as distinct right extensions, so a string followed by
+the end of both texts is right-maximal even when no letter follows it.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 
 import numpy as np
 
@@ -97,258 +92,6 @@ class GenRepr:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"GenRepr({self.one!r}, {self.two!r})"
-
-
-class VisitEvent:
-    """One enumeration callback: the node plus all its left extensions.
-
-    lefts[i] is a symbol a (possibly 0) preceding an occurrence of W and
-    children[i] is repr(a W), in ascending symbol order. The event object is
-    reused between visits; do not retain it.
-    """
-
-    __slots__ = ("depth", "repr", "lefts", "children", "_path")
-
-    def __init__(self) -> None:
-        self.depth = 0
-        self.repr: Repr | GenRepr | None = None
-        self.lefts: list[int] = []
-        self.children: list = []
-        self._path: list[int] = []
-
-    def label(self) -> tuple[int, ...]:
-        """The node string; _path[d-1] is the symbol prepended at depth d."""
-        d = self.depth
-        path = self._path
-        return tuple(path[d - 1 - j] for j in range(d))
-
-
-def _root_bounds(c: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The symbols that occur in T#, and the root's boundaries first - 1."""
-    chars = np.flatnonzero(c[1:] > c[:-1])
-    return chars, np.append(c[chars], n)
-
-
-def _root_repr(index: BwtIndex) -> Repr:
-    chars, bounds = _root_bounds(np.asarray(index.c, dtype=np.int64), index.n)
-    return Repr(tuple(chars.tolist()), tuple((bounds + 1).tolist()))
-
-
-def _extend(descend, c, r: Repr) -> tuple[list[int], list[Repr]]:
-    """All (a, repr(aW)) from repr(W), symbols ascending, from one descent.
-
-    descend ranks the boundaries first[i] - 1 of every block of W for each
-    symbol a at once; aW continues with b_i exactly where a's rank rises
-    across block i, and its rows start at c[a] + rank + 1.
-    """
-    chars = r.chars
-    bounds = []
-    for f in r.first:
-        bounds.append(f - 1)
-    lefts = []
-    kids = []
-    for a, ranks in descend(bounds):
-        base = c[a] + 1
-        lo = ranks[0]
-        hi = ranks[-1]
-        # the first block where the rank rises; the usual case is the only one
-        i = bisect_right(ranks, lo)
-        if ranks[i] == hi:
-            kid = Repr((chars[i - 1],), (base + lo, base + hi))
-        else:
-            out_chars = []
-            out_first = [base + lo]
-            for b, x in zip(chars, ranks[1:]):
-                if x > lo:
-                    out_chars.append(b)
-                    out_first.append(base + x)
-                    lo = x
-            kid = Repr(tuple(out_chars), tuple(out_first))
-        lefts.append(a)
-        kids.append(kid)
-    return lefts, kids
-
-
-def _check_repr(index: BwtIndex, r: Repr) -> None:
-    """Reject a repr whose boundaries are not increasing rows in [1..n+1]."""
-    first = r.first
-    if not (
-        len(first) == len(r.chars) + 1 >= 2
-        and 1 <= first[0]
-        and first[-1] <= index.n + 1
-        and all(x < y for x, y in zip(first, first[1:]))
-    ):
-        raise InputError("malformed representation")
-
-
-def extend_left(index: BwtIndex, r: Repr) -> list[tuple[int, Repr]]:
-    """One entry per distinct symbol preceding W, with repr(aW)."""
-    _check_repr(index, r)
-    lefts, kids = _extend(index.ranks._descend, index.c, r)
-    return list(zip(lefts, kids))
-
-
-def extend_left_generalized(
-    index1: BwtIndex, index2: BwtIndex, g: GenRepr
-) -> list[tuple[int, GenRepr]]:
-    if not (g.one.present or g.two.present):
-        raise InputError("malformed representation: both sides absent")
-    for index, r in ((index1, g.one), (index2, g.two)):
-        if r.present:
-            _check_repr(index, r)
-    lefts, kids, _ = _generalized_step(index1, index2)(g)
-    return list(zip(lefts, kids))
-
-
-def _distinct_extensions(c1: tuple[int, ...], c2: tuple[int, ...]) -> int:
-    """Distinct right-extension events, the two terminators kept apart."""
-    count = 0
-    i = 1 if c1 and c1[0] == 0 else 0
-    j = 1 if c2 and c2[0] == 0 else 0
-    count += i + j
-    n1, n2 = len(c1), len(c2)
-    while i < n1 and j < n2:
-        a, b = c1[i], c2[j]
-        count += 1
-        if a <= b:
-            i += 1
-        if b <= a:
-            j += 1
-    count += (n1 - i) + (n2 - j)
-    return count
-
-
-def _single_step(index: BwtIndex):
-    descend = index.ranks._descend
-    c = index.c
-
-    def step(r: Repr):
-        lefts, kids = _extend(descend, c, r)
-        push = []
-        for i in range(len(lefts)):
-            if lefts[i] != 0 and len(kids[i].chars) >= 2:
-                push.append(i)
-        return lefts, kids, push
-
-    return step
-
-
-def _generalized_step(index1: BwtIndex, index2: BwtIndex):
-    descend1, c1 = index1.ranks._descend, index1.c
-    descend2, c2 = index2.ranks._descend, index2.c
-
-    def step(g: GenRepr):
-        one = dict(zip(*_extend(descend1, c1, g.one))) if g.one.present else {}
-        two = dict(zip(*_extend(descend2, c2, g.two))) if g.two.present else {}
-        lefts = sorted(one.keys() | two.keys())
-        kids = []
-        push = []
-        for i, a in enumerate(lefts):
-            kid = GenRepr(one.get(a, ABSENT), two.get(a, ABSENT))
-            kids.append(kid)
-            if a != 0 and _distinct_extensions(kid.one.chars, kid.two.chars) >= 2:
-                push.append(i)
-        return lefts, kids, push
-
-    return step
-
-
-def _traverse(
-    indexes, root, step, visitor, fire_all: bool, stats, max_depth=None
-) -> int:
-    """The one depth-first loop; returns the number of visitor calls.
-
-    Nodes deeper than max_depth are never pushed, so a bounded pass visits
-    the nodes of depth <= max_depth of the unbounded pass in the same order,
-    each with all its left symbols and children.
-    """
-    for index in indexes:
-        index.enumerations += 1
-    last = math.inf if max_depth is None else max_depth
-    ev = VisitEvent()
-    path = ev._path
-    stack = [(root, 0, 0)]
-    visits = 0
-    fired = 0
-    peak = 1
-    while stack:
-        r, depth, a = stack.pop()
-        if depth:
-            if len(path) < depth:
-                path.extend([0] * (depth - len(path)))
-            path[depth - 1] = a
-        lefts, kids, push = step(r)
-        visits += 1
-        if fire_all or len(lefts) >= 2:
-            fired += 1
-            ev.depth = depth
-            ev.repr = r
-            ev.lefts = lefts
-            ev.children = kids
-            visitor(ev)
-        if push and depth < last:
-            if len(push) > 1:
-                push.sort(key=lambda i: kids[i].freq, reverse=True)
-            nd = depth + 1
-            for i in push:
-                stack.append((kids[i], nd, lefts[i]))
-            if len(stack) > peak:
-                peak = len(stack)
-    if stats is not None:
-        stats["visits"] = visits
-        stats["peak_frames"] = peak
-    return fired
-
-
-def enumerate_right_maximal(
-    index: BwtIndex,
-    visitor,
-    *,
-    stats: dict | None = None,
-    max_depth: int | None = None,
-) -> int:
-    """Visit every right-maximal substring of T, the empty string included.
-
-    With max_depth, only those of length at most max_depth. Returns the
-    visit count.
-    """
-    root = _root_repr(index)
-    step = _single_step(index)
-    return _traverse((index,), root, step, visitor, True, stats, max_depth)
-
-
-def enumerate_maximal_repeats(
-    index: BwtIndex,
-    visitor,
-    *,
-    stats: dict | None = None,
-    max_depth: int | None = None,
-) -> int:
-    """As enumerate_right_maximal, but fire only at left-maximal nodes.
-
-    Left-maximality asks for at least two distinct preceding symbols, the
-    terminator included. Returns the number of visitor invocations.
-    """
-    root = _root_repr(index)
-    step = _single_step(index)
-    return _traverse((index,), root, step, visitor, False, stats, max_depth)
-
-
-def enumerate_generalized(
-    index1: BwtIndex, index2: BwtIndex, visitor, *, stats: dict | None = None
-) -> int:
-    """Visit the internal nodes of the generalized suffix tree of the pair.
-
-    A node is any string right-maximal when the two texts' terminators count
-    as distinct extensions. Terminator left-extensions are delivered but
-    never pushed: strings through a terminator exist only by the circular
-    convention and are not substrings of either text.
-    """
-    if index1.sigma != index2.sigma:
-        raise InputError("alphabet mismatch between the two indexes")
-    root = GenRepr(_root_repr(index1), _root_repr(index2))
-    step = _generalized_step(index1, index2)
-    return _traverse((index1, index2), root, step, visitor, True, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -616,11 +359,15 @@ def batched_pass(
 ) -> tuple[int, int]:
     """Call visit(batch) over the nodes of a pass; returns (visits, peak).
 
-    One index gives the right-maximal substrings of T, two the nodes of the
-    generalized suffix tree of the pair: the nodes of the scalar passes,
-    each visited once, in batches of one depth. Nodes deeper than max_depth
-    are not visited. Batches carry a Path when path is set. peak is the
-    largest number of boundaries the pending batches held at once.
+    One index gives the right-maximal substrings of T, the empty string
+    included, and two the internal nodes of the generalized suffix tree of
+    the pair: strings right-maximal when the two terminators count as
+    distinct extensions. Each node is visited once, in batches of one depth,
+    depth-first over batches. Terminator left extensions are delivered as
+    kids but never visited: strings through a terminator exist only by the
+    circular convention. Nodes deeper than max_depth are not visited.
+    Batches carry a Path when path is set. peak is the largest number of
+    boundaries the pending batches held at once.
     """
     if len(indexes) == 2 and indexes[0].sigma != indexes[1].sigma:
         raise InputError("alphabet mismatch between the two indexes")
@@ -630,7 +377,9 @@ def batched_pass(
     cs = [np.asarray(index.c, dtype=np.int64) for index in indexes]
     sides = []
     for c, index in zip(cs, indexes):
-        chars, bounds = _root_bounds(c, index.n)
+        # the root's blocks are the symbols that occur in T#
+        chars = np.flatnonzero(c[1:] > c[:-1])
+        bounds = np.append(c[chars], index.n)
         sides.append(Side(bounds, np.array([bounds.size]), chars))
     root = Batch(0, tuple(sides))
     if len(sides) == 2:
@@ -655,3 +404,208 @@ def batched_pass(
                 held += sum(piece.size for piece in pieces)
                 peak = max(peak, held)
     return visits, peak
+
+
+# ---------------------------------------------------------------------------
+# the per-node API
+
+
+class VisitEvent:
+    """One visitor call: node j of the current batch, and its left extensions.
+
+    depth is |W|. repr is repr(W) (a GenRepr in a pair pass); lefts[i] is a
+    symbol a (possibly 0) preceding an occurrence of W and children[i] is
+    repr(aW), in ascending symbol order; label() is W. They are computed
+    when first read in a batch, so a visitor pays only for what it reads.
+    The object is reused between visits; do not retain it.
+    """
+
+    __slots__ = ("depth", "_batch", "_j")
+
+    def __init__(self) -> None:
+        self.depth = 0
+        self._batch: Batch | None = None
+        self._j = 0
+
+    @property
+    def repr(self) -> Repr | GenRepr:
+        return self._batch.derive(_node_reprs)[self._j]
+
+    @property
+    def lefts(self) -> list[int]:
+        return self._batch.derive(_kids)[0][self._j]
+
+    @property
+    def children(self) -> list:
+        return self._batch.derive(_kids)[1][self._j]
+
+    def label(self) -> tuple[int, ...]:
+        """W[0], W[1], .., read up the batch's Path."""
+        path, at = self._batch.path, self._j
+        out = []
+        for _ in range(self.depth):
+            out.append(int(path.sym[at]))
+            at = path.node[at]
+            path = path.up
+        return tuple(out)
+
+
+def _reprs(sides) -> list:
+    """The repr of every node of one Side, or the GenRepr over two.
+
+    A node that does not occur in a text is ABSENT there.
+    """
+    out = []
+    for side in sides:
+        first = (side.bd + 1).tolist()
+        ch = side.ch.tolist()
+        reprs = []
+        s = 0
+        for j, nb in enumerate(side.nb.tolist()):
+            # the j nodes before node j hold s - j blocks
+            chars = tuple(ch[s - j : s - j + nb - 1])
+            reprs.append(Repr(chars, tuple(first[s : s + nb])) if nb > 1 else ABSENT)
+            s += nb
+        out.append(reprs)
+    return out[0] if len(out) == 1 else list(map(GenRepr, *out))
+
+
+def _node_reprs(batch: Batch) -> list:
+    return _reprs(batch.sides)
+
+
+def _kids(batch: Batch) -> tuple[list, list]:
+    """Per node of the batch: its left symbols and its children."""
+    count = batch.sides[0].nb.size
+    lefts = [[] for _ in range(count)]
+    children = [[] for _ in range(count)]
+    # kids run by symbol, so each node's come out ascending
+    kids = zip(batch.kid_node.tolist(), batch.kid_sym.tolist(), _reprs(batch.kid_sides))
+    for j, a, kid in kids:
+        lefts[j].append(a)
+        children[j].append(kid)
+    return lefts, children
+
+
+def _visit_nodes(indexes, visitor, fire, stats, max_depth=None) -> int:
+    """Call visitor once per node of a batched_pass where fire(batch) is set.
+
+    Returns the number of calls. stats, when given, receives the pass's
+    visits and its peak pending boundaries as peak_frames.
+    """
+    ev = VisitEvent()
+    fired = 0
+
+    def visit(batch: Batch) -> None:
+        nonlocal fired
+        ev._batch = batch
+        ev.depth = batch.depth
+        if fire is None:
+            nodes = range(batch.sides[0].nb.size)
+        else:
+            nodes = fire(batch).nonzero()[0].tolist()
+        for j in nodes:
+            ev._j = j
+            visitor(ev)
+        fired += len(nodes)
+
+    visits, peak = batched_pass(indexes, visit, max_depth=max_depth, path=True)
+    if stats is not None:
+        stats["visits"] = visits
+        stats["peak_frames"] = peak
+    return fired
+
+
+def _left_maximal(batch: Batch) -> np.ndarray:
+    """Nodes with two distinct left symbols, the terminator included."""
+    return np.bincount(batch.kid_node, minlength=batch.sides[0].nb.size) >= 2
+
+
+def enumerate_right_maximal(
+    index: BwtIndex,
+    visitor,
+    *,
+    stats: dict | None = None,
+    max_depth: int | None = None,
+) -> int:
+    """Visit every right-maximal substring of T, the empty string included.
+
+    With max_depth, only those of length at most max_depth. Returns the
+    visit count.
+    """
+    return _visit_nodes((index,), visitor, None, stats, max_depth)
+
+
+def enumerate_maximal_repeats(
+    index: BwtIndex,
+    visitor,
+    *,
+    stats: dict | None = None,
+    max_depth: int | None = None,
+) -> int:
+    """As enumerate_right_maximal, but fire only at left-maximal nodes.
+
+    Left-maximality asks for at least two distinct preceding symbols, the
+    terminator included. Returns the number of visitor invocations.
+    """
+    return _visit_nodes((index,), visitor, _left_maximal, stats, max_depth)
+
+
+def enumerate_generalized(
+    index1: BwtIndex, index2: BwtIndex, visitor, *, stats: dict | None = None
+) -> int:
+    """Visit the internal nodes of the generalized suffix tree of the pair.
+
+    A node is any string right-maximal when the two texts' terminators count
+    as distinct extensions. Terminator left-extensions are delivered but
+    never visited. Returns the visit count.
+    """
+    return _visit_nodes((index1, index2), visitor, None, stats)
+
+
+def _check_repr(index: BwtIndex, r: Repr) -> None:
+    """Reject a repr whose boundaries are not increasing rows in [1..n+1]."""
+    first = r.first
+    if not (
+        len(first) == len(r.chars) + 1 >= 2
+        and 1 <= first[0]
+        and first[-1] <= index.n + 1
+        and all(x < y for x, y in zip(first, first[1:]))
+    ):
+        raise InputError("malformed representation")
+
+
+def extend_left(index: BwtIndex, r: Repr) -> list[tuple[int, Repr]]:
+    """One entry per distinct symbol a preceding W, with repr(aW), a ascending.
+
+    aW continues with b_i exactly where a's rank rises across block i, and
+    its rows start at c[a] + rank + 1.
+    """
+    _check_repr(index, r)
+    out = []
+    for a, ranks in index.ranks.distinct_ranks([f - 1 for f in r.first]):
+        base = index.c[a] + 1
+        chars = []
+        first = [base + ranks[0]]
+        for b, lo, hi in zip(r.chars, ranks, ranks[1:]):
+            if hi > lo:
+                chars.append(b)
+                first.append(base + hi)
+        out.append((a, Repr(tuple(chars), tuple(first))))
+    return out
+
+
+def extend_left_generalized(
+    index1: BwtIndex, index2: BwtIndex, g: GenRepr
+) -> list[tuple[int, GenRepr]]:
+    """extend_left on each present side, merged by symbol."""
+    if not (g.one.present or g.two.present):
+        raise InputError("malformed representation: both sides absent")
+    one, two = (
+        dict(extend_left(index, r)) if r.present else {}
+        for index, r in ((index1, g.one), (index2, g.two))
+    )
+    return [
+        (a, GenRepr(one.get(a, ABSENT), two.get(a, ABSENT)))
+        for a in sorted(one.keys() | two.keys())
+    ]

@@ -18,8 +18,9 @@ length, so no epsilon needs a path of its own. Per-character score weights
 depend on the letters: each node carries its weight from its parent as a
 float times a power of two, so no score overflows.
 
-maw_words and maw_enumerate report words in depth-first order and so fold
-over the scalar, per-node pass instead.
+maw_words and maw_enumerate list words through one batch fold,
+_maw_listing, so both report them in the same order: batch by batch, then
+by the infix's node, then by a, then by b.
 
 Conventions shared with the brute-force reference: alphabets of measures
 range over [1..sigma] (terminators are delivered by the enumerator but
@@ -42,7 +43,7 @@ import numpy as np
 from .enumerate import (  # noqa: F401
     Batch,
     Side,
-    VisitEvent,
+    _left_maximal,
     batched_pass,
     enumerate_generalized,
     enumerate_maximal_repeats,
@@ -735,35 +736,9 @@ def d2star_distance(index1: BwtIndex, index2: BwtIndex, k: int, q):
 # minimal absent words
 
 
-def _maw_fold(index: BwtIndex, emit) -> None:
-    """Call emit(ev, a, bs) once per left letter a of each maximal repeat W.
-
-    bs lists, ascending, the right letters b of W with a W b absent from the
-    text: each a W b is a minimal absent word (MAW), and only maximal
-    repeats can be MAW infixes. Left letters a with no such b are skipped.
-    This is the per-node fold, in depth-first order, for the listings.
-    """
-
-    def visit(ev: VisitEvent) -> None:
-        letters = [b for b in ev.repr.chars if b != 0]
-        lefts = ev.lefts
-        kids = ev.children
-        for i in range(len(lefts)):
-            a = lefts[i]
-            if a == 0:
-                continue
-            have = set(kids[i].chars)
-            bs = [b for b in letters if b not in have]
-            if bs:
-                emit(ev, a, bs)
-
-    enumerate_maximal_repeats(index, visit)
-
-
 def _maximal_kids(batch: Batch) -> np.ndarray:
     """Kids with a letter a whose node has two left symbols, terminator included."""
-    lefts = np.bincount(batch.kid_node, minlength=batch.sides[0].nb.size)
-    return (batch.kid_sym != 0) & (lefts[batch.kid_node] >= 2)
+    return (batch.kid_sym != 0) & _left_maximal(batch)[batch.kid_node]
 
 
 def maw_count(index: BwtIndex) -> int:
@@ -781,33 +756,79 @@ def maw_count(index: BwtIndex) -> int:
     return total
 
 
+def _maw_listing(index: BwtIndex, emit) -> None:
+    """Call emit(batch, node, a, b) for the batches that hold a MAW a W b.
+
+    node, a and b are parallel arrays, one entry per MAW, W being node
+    node[i] of the batch; they run by node, then a, then b. Batches come in
+    pass order, so this is the order of the listings, and carry their
+    labels (Batch.path).
+    """
+
+    def visit(batch: Batch) -> None:
+        rows = _maximal_kids(batch).nonzero()[0]
+        if not rows.size:
+            return
+        # kids run by a, then node: a stable sort by node keeps a ascending
+        rows = rows[np.argsort(batch.kid_node[rows], kind="stable")]
+        side = batch.sides[0]
+        node = batch.kid_node[rows]
+        # one candidate a W b per kid and block of W, in block (b) order
+        width = side.nb[node] - 1
+        off = width.cumsum() - width
+        lead = (side.end - side.nb - np.arange(side.nb.size))[node]  # W's first block
+        blk = lead.repeat(width) + np.arange(int(width.sum())) - off.repeat(width)
+        absent = side.ch[blk] != 0
+        # a W b occurs where aW has a block inside W's block b
+        kid = batch.kid_sides[0]
+        at = np.full(kid.nb.size, -1)
+        at[rows] = np.arange(rows.size)
+        seen = at[kid.node]
+        has = seen >= 0
+        seen = seen[has]
+        absent[off[seen] + batch.kid_blk[0][has] - lead[seen]] = False
+        hit = absent.nonzero()[0]
+        kept = np.arange(rows.size).repeat(width)[hit]
+        emit(batch, node[kept], batch.kid_sym[rows[kept]], side.ch[blk[hit]])
+
+    batched_pass((index,), visit, path=True)
+
+
 def maw_enumerate(index: BwtIndex, visitor) -> int:
     """Fire visitor(a, sp, ep, depth, b) per MAW a W b; returns the count.
 
-    (sp, ep) is the suffix-row interval of the infix W and depth is |W|.
+    (sp, ep) is the suffix-row interval of the infix W and depth is |W|. The
+    MAWs come in maw_words' order.
     """
     count = 0
 
-    def emit(ev: VisitEvent, a: int, bs: list[int]) -> None:
+    def emit(batch: Batch, node, a, b) -> None:
         nonlocal count
-        sp, ep = ev.repr.interval()
-        for b in bs:
-            visitor(a, sp, ep, ev.depth, b)
-        count += len(bs)
+        side = batch.sides[0]
+        sp = side.bd[(side.end - side.nb)[node]] + 1
+        ep = side.bd[side.end[node] - 1]
+        d = batch.depth
+        for x, i, j, y in zip(a.tolist(), sp.tolist(), ep.tolist(), b.tolist()):
+            visitor(x, i, j, d, y)
+        count += node.size
 
-    _maw_fold(index, emit)
+    _maw_listing(index, emit)
     return count
 
 
 def maw_words(index: BwtIndex) -> list[tuple[int, ...]]:
-    """All minimal absent words as symbol tuples, in traversal order."""
+    """All minimal absent words as symbol tuples.
+
+    They come in pass order: batch by batch (see enumerate.batched_pass),
+    then by the infix's node within its batch, then by a, then by b.
+    """
     out: list[tuple[int, ...]] = []
 
-    def emit(ev: VisitEvent, a: int, bs: list[int]) -> None:
-        head = (a,) + ev.label()
-        out.extend(head + (b,) for b in bs)
+    def emit(batch: Batch, node, a, b) -> None:
+        label = [sym[node] for sym in batch.path.heads(batch.depth)]
+        out.extend(map(tuple, np.column_stack([a, *label, b]).tolist()))
 
-    _maw_fold(index, emit)
+    _maw_listing(index, emit)
     return out
 
 

@@ -55,8 +55,10 @@ class BwtIndex:
     """BWT of T#, its C array, a rank structure, and the original symbols.
 
     c[a] counts the symbols of T# strictly smaller than a, so the suffix rows
-    starting with a are exactly [c[a]+1 .. c[a+1]]. enumerations counts how
-    many traversal passes have touched this index (used by tests).
+    starting with a are exactly [c[a]+1 .. c[a+1]]. c runs up to one past the
+    largest symbol that occurs, not to sigma + 1, so a declared sigma far
+    above the symbols costs nothing. enumerations counts how many traversal
+    passes have touched this index (used by tests).
     """
 
     __slots__ = ("bwt", "c", "n", "sigma", "ranks", "text", "name", "enumerations")
@@ -79,8 +81,7 @@ class BwtIndex:
         self.bwt = [int(x) for x in codes]
         self.n = len(self.bwt)
         self.sigma = sigma
-        counts = np.bincount(codes, minlength=sigma + 1)
-        self.c = [0] + np.cumsum(counts).tolist()
+        self.c = [0] + np.cumsum(np.bincount(codes)).tolist()
         self.ranks = RankIndex(codes, sigma)
         self.text = text
         self.name = name
@@ -103,6 +104,8 @@ class BwtIndex:
         for sym in reversed(tuple(word)):
             if not 1 <= sym <= self.sigma:
                 raise InputError(f"symbol {sym} outside [1..{self.sigma}]")
+            if sym >= len(self.c) - 1:
+                return None  # past the largest symbol that occurs
             sp = self.c[sym] + self.ranks.rank(sym, sp - 1) + 1
             ep = self.c[sym] + self.ranks.rank(sym, ep)
             if sp > ep:

@@ -25,6 +25,14 @@ def rand_seq(rng: random.Random, n: int, sigma: int, name: str = "rand") -> Sequ
     return Sequence([rng.randint(1, sigma) for _ in range(n)], sigma, name)
 
 
+def fibonacci(a: int, b: int, n: int) -> list[int]:
+    """The first n symbols of the Fibonacci word over letters a, b."""
+    prev, word = [a], [a, b]
+    while len(word) < n:
+        prev, word = word, word + prev
+    return word[:n]
+
+
 def draw_repetitive(draw, sigma: int) -> Sequence:
     """A hypothesis-drawn text over [1..sigma]: letter runs or a period."""
     letter = st.integers(1, sigma)

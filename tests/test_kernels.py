@@ -4,7 +4,7 @@ import struct
 import time
 
 import pytest
-from conftest import draw_repetitive, idx, rand_seq, repetitive_text, seq
+from conftest import draw_repetitive, fibonacci, idx, rand_seq, repetitive_text, seq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -446,11 +446,21 @@ def test_telescoping_and_maw_folds_match_oracle_on_repetitive_text(pair):
             continue
         got = weighted_substring_kernel(i1, i2, spec)
         assert got == pytest.approx(expect, rel=1e-9)
-    for s, ix in ((s1, i1), (s2, i2)):
+    # Fibonacci words have deep, narrow suffix-link trees: one batch per depth
+    size = len(s1) + len(s2)
+    fib = (Sequence(fibonacci(1, 2, size), 2), Sequence(fibonacci(20, 3, size), 20))
+    for s in (s1, s2, *fib):
+        ix = build_bwt(s)
         fired = []
         count = maw_enumerate(ix, lambda *maw: fired.append(maw))
-        expect = orc.oracle_maw_count(s)
-        assert maw_count(ix) == len(maw_words(ix)) == count == len(fired) == expect
+        words = maw_words(ix)
+        expect = orc.oracle_maw_set(s)
+        assert maw_count(ix) == len(words) == count == len(fired) == len(expect)
+        assert set(words) == expect
+        # both listings fire in one order, each infix interval resolving to its word
+        for (a, sp, ep, depth, b), w in zip(fired, words):
+            assert w == (a, *w[1:-1], b) and len(w) == depth + 2
+            assert ix.interval(list(w[1:-1])) == (sp, ep)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)

@@ -82,6 +82,8 @@ def test_interval_validates_symbols():
         ix.interval([0])
     # the empty word matches every suffix row
     assert ix.interval([]) == (1, ix.n)
+    # a declared symbol past the last one that occurs matches no row
+    assert idx("abab", sigma=3).interval([3, 1]) is None
 
 
 def test_text_recovery_via_lf_walk():
@@ -99,11 +101,16 @@ def test_dump_load_round_trip(tmp_path):
     ]
     # codes above 65535 need more than 16 bits while packing
     cases.append(Sequence([1, 70000, 2, 3], 70000))
+    # a 31-byte file declaring sigma = 2**40 - 1: c covers only the codes that occur
+    cases.append(Sequence([1], 2**40 - 1))
     for t, s in enumerate(cases):
         ix = build_bwt(s)
         path = tmp_path / f"ix{t}.bwtk"
         ix.dump(str(path))
         back = BwtIndex.load(str(path))
+        again = tmp_path / f"again{t}.bwtk"
+        back.dump(str(again))
+        assert again.read_bytes() == path.read_bytes()
         assert back.bwt == ix.bwt
         assert back.c == ix.c
         assert back.n == ix.n
