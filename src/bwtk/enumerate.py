@@ -11,7 +11,7 @@ aW continues with b_i exactly where the rank of a rises across block i.
 One engine walks the tree: batched_pass takes same-depth nodes a batch at a
 time, each batch held in flat NumPy arrays (Side, Batch), and extends all
 of them with one wavelet descent that ranks every boundary of the batch per
-wavelet node (wavelet.Frontier). It goes depth-first over batches and
+wavelet node (RankIndex.descend). It goes depth-first over batches and
 splits a batch past _CAP boundaries, so the batches it holds stay within
 O(sigma log n) times the cap. A pass may stop at a depth bound, so that
 measures that read only short contexts skip the deeper nodes.
@@ -19,7 +19,7 @@ measures that read only short contexts skip the deeper nodes.
 The per-node API reads the same pass. enumerate_* call a visitor with a
 VisitEvent, a view of one node of the current batch, in pass order: batch
 by batch, then node by node within a batch. extend_left* extend one repr
-with one RankIndex.distinct_ranks call per text.
+as a one-node batch, through the same _extend_batch.
 
 A pair pass walks the generalized suffix tree of the two texts, where the
 two terminators count as distinct right extensions, so a string followed by
@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import InputError
 from .suffix import BwtIndex
-from .wavelet import Frontier
 
 __all__ = [
     "Repr",
@@ -222,13 +221,13 @@ def _match(one: Side, two: Side) -> tuple[np.ndarray, np.ndarray]:
     return l1[hit], l2[at[hit]]
 
 
-def _side_kids(side: Side, frontier: Frontier, c: np.ndarray):
+def _side_kids(side: Side, index: BwtIndex):
     """(node, sym, bd, nb, ch, blk) of every left extension in one text.
 
     One descent ranks all boundaries of the nodes that occur in the text.
     For symbol a, aW continues with W's block b exactly where a's rank rises
     across it, so the child keeps the node's first boundary and the end of
-    every block where the rank rises, each shifted to a's rows by c[a];
+    every block where the rank rises, each shifted to a's rows by C[a];
     blk gives the node's block that each child block lies in.
     """
     occurs = side.freq > 0
@@ -239,11 +238,13 @@ def _side_kids(side: Side, frontier: Frontier, c: np.ndarray):
     x, nb = side.bd, side.nb
     if live.size < nb.size:
         x, nb = x[occurs.repeat(nb)], nb[live]
-    syms, ids, nbs, ranks = frontier.descend(x, nb)
-    sym = np.repeat(np.array(syms, dtype=np.int64), [i.size for i in ids])
+    syms, ids, nbs, ranks = index.ranks.descend(x, nb)
+    per = [i.size for i in ids]
+    sym = np.repeat(np.array(syms, dtype=np.int64), per)
+    base = index.c[np.searchsorted(index.syms, syms)]
     node = live[np.concatenate(ids)]
     knb = np.concatenate(nbs)
-    r = np.concatenate(ranks) + c[sym].repeat(knb)
+    r = np.concatenate(ranks) + np.repeat(base, per).repeat(knb)
     end = knb.cumsum()
     beg = end - knb
     rise = np.empty(r.size, dtype=bool)
@@ -271,9 +272,9 @@ def _spread(bd: np.ndarray, nb: np.ndarray, at: np.ndarray, rows: int):
     return out, out_nb
 
 
-def _extend_batch(batch: Batch, frontiers, cs) -> None:
+def _extend_batch(batch: Batch, indexes) -> None:
     """Fill in the batch's kids, one descent per text."""
-    parts = [_side_kids(s, f, c) for s, f, c in zip(batch.sides, frontiers, cs)]
+    parts = [_side_kids(side, index) for side, index in zip(batch.sides, indexes)]
     if len(parts) == 1:
         node, sym, bd, nb, ch, blk = parts[0]
         batch.kid_node, batch.kid_sym = node, sym
@@ -373,14 +374,8 @@ def batched_pass(
         raise InputError("alphabet mismatch between the two indexes")
     for index in indexes:
         index.enumerations += 1
-    frontiers = [Frontier(index.ranks) for index in indexes]
-    cs = [np.asarray(index.c, dtype=np.int64) for index in indexes]
-    sides = []
-    for c, index in zip(cs, indexes):
-        # the root's blocks are the symbols that occur in T#
-        chars = np.flatnonzero(c[1:] > c[:-1])
-        bounds = np.append(c[chars], index.n)
-        sides.append(Side(bounds, np.array([bounds.size]), chars))
+    # the root's blocks are the symbols that occur in T#
+    sides = [Side(index.c, np.array([index.c.size]), index.syms) for index in indexes]
     root = Batch(0, tuple(sides))
     if len(sides) == 2:
         root.match = _match(*sides)
@@ -393,7 +388,7 @@ def batched_pass(
     while stack:
         batch = stack.pop()
         held -= batch.size
-        _extend_batch(batch, frontiers, cs)
+        _extend_batch(batch, indexes)
         visits += batch.sides[0].nb.size
         visit(batch)
         if batch.depth < last:
@@ -575,37 +570,33 @@ def _check_repr(index: BwtIndex, r: Repr) -> None:
         raise InputError("malformed representation")
 
 
-def extend_left(index: BwtIndex, r: Repr) -> list[tuple[int, Repr]]:
-    """One entry per distinct symbol a preceding W, with repr(aW), a ascending.
+def _extend_one(indexes, reprs) -> list[tuple[int, Repr | GenRepr]]:
+    """(a, kid) per left symbol a of one node, a ascending: a one-node batch."""
+    sides = [
+        Side(np.array(r.first) - 1, np.array([len(r.first)]), np.array(r.chars, dtype=np.int64))
+        for r in reprs
+    ]
+    batch = Batch(0, tuple(sides))
+    _extend_batch(batch, indexes)
+    lefts, children = _kids(batch)
+    return list(zip(lefts[0], children[0]))
 
-    aW continues with b_i exactly where a's rank rises across block i, and
-    its rows start at c[a] + rank + 1.
-    """
+
+def extend_left(index: BwtIndex, r: Repr) -> list[tuple[int, Repr]]:
+    """One entry per distinct symbol a preceding W, with repr(aW), a ascending."""
     _check_repr(index, r)
-    out = []
-    for a, ranks in index.ranks.distinct_ranks([f - 1 for f in r.first]):
-        base = index.c[a] + 1
-        chars = []
-        first = [base + ranks[0]]
-        for b, lo, hi in zip(r.chars, ranks, ranks[1:]):
-            if hi > lo:
-                chars.append(b)
-                first.append(base + hi)
-        out.append((a, Repr(tuple(chars), tuple(first))))
-    return out
+    return _extend_one((index,), (r,))
 
 
 def extend_left_generalized(
     index1: BwtIndex, index2: BwtIndex, g: GenRepr
 ) -> list[tuple[int, GenRepr]]:
-    """extend_left on each present side, merged by symbol."""
+    """extend_left on both sides at once; a side absent for aW is ABSENT."""
     if not (g.one.present or g.two.present):
         raise InputError("malformed representation: both sides absent")
-    one, two = (
-        dict(extend_left(index, r)) if r.present else {}
-        for index, r in ((index1, g.one), (index2, g.two))
-    )
-    return [
-        (a, GenRepr(one.get(a, ABSENT), two.get(a, ABSENT)))
-        for a in sorted(one.keys() | two.keys())
-    ]
+    sides = []
+    for index, r in ((index1, g.one), (index2, g.two)):
+        if r.present:
+            _check_repr(index, r)
+        sides.append(r if r.present else ABSENT)
+    return _extend_one((index1, index2), sides)

@@ -363,56 +363,48 @@ def oracle_calibrate_kmin(seq: Sequence, kcap: int) -> int:
 # reference node sets for the traversal tests
 
 
-def _extension_events(
-    syms: tuple[int, ...], w: Word, side: str, end: int
-) -> set[int]:
+def _neighbours(seq: Sequence, end: int) -> dict[Word, tuple[set[int], set[int]]]:
+    """Left and right neighbour symbols of every substring, the empty one included.
+
+    One window scan; end stands for the text's start on the left and its end
+    on the right. Every symbol neighbours some empty occurrence.
+    """
+    _check_guard(seq)
+    syms = tuple(seq.symbols)
     m = len(syms)
-    if not w:
-        # every symbol neighbors some empty occurrence, plus the end marker
-        return set(syms) | {end}
-    events: set[int] = set()
-    for p in range(m - len(w) + 1):
-        if syms[p : p + len(w)] != w:
-            continue
-        if side == "right":
-            events.add(syms[p + len(w)] if p + len(w) < m else end)
-        else:
-            events.add(syms[p - 1] if p > 0 else end)
-    return events
+    out: dict[Word, tuple[set[int], set[int]]] = {(): (set(syms) | {end}, set(syms) | {end})}
+    for length in range(1, m + 1):
+        for p in range(m - length + 1):
+            w = syms[p : p + length]
+            sides = out.get(w)
+            if sides is None:
+                sides = out[w] = (set(), set())
+            sides[0].add(syms[p - 1] if p else end)
+            sides[1].add(syms[p + length] if p + length < m else end)
+    return out
 
 
 def oracle_right_maximal_set(seq: Sequence) -> set[Word]:
-    counts = substring_counts(seq)
-    syms = tuple(seq.symbols)
-    out = {w for w in counts if len(_extension_events(syms, w, "right", _END)) >= 2}
-    out.add(())
-    return out
+    return {w for w, (_, right) in _neighbours(seq, _END).items() if len(right) >= 2}
 
 
 def oracle_maximal_repeat_set(seq: Sequence) -> set[Word]:
-    syms = tuple(seq.symbols)
-    out = set()
-    for w in oracle_right_maximal_set(seq):
-        if len(_extension_events(syms, w, "left", _END)) >= 2:
-            out.add(w)
-    return out
+    return {
+        w
+        for w, (left, right) in _neighbours(seq, _END).items()
+        if len(left) >= 2 and len(right) >= 2
+    }
 
 
 def oracle_generalized_right_maximal_set(
     seq1: Sequence, seq2: Sequence
 ) -> set[Word]:
     """Strings right-maximal in the pair, counting the two end markers apart."""
-    c1 = substring_counts(seq1)
-    c2 = substring_counts(seq2)
-    s1 = tuple(seq1.symbols)
-    s2 = tuple(seq2.symbols)
-    out: set[Word] = {()}
-    for w in set(c1) | set(c2):
-        events: set[int] = set()
-        if w in c1:
-            events |= _extension_events(s1, w, "right", _END_1)
-        if w in c2:
-            events |= _extension_events(s2, w, "right", _END_2)
-        if len(events) >= 2:
-            out.add(w)
-    return out
+    n1 = _neighbours(seq1, _END_1)
+    n2 = _neighbours(seq2, _END_2)
+    empty = (set(), set())
+    return {
+        w
+        for w in n1.keys() | n2.keys()
+        if len(n1.get(w, empty)[1] | n2.get(w, empty)[1]) >= 2
+    }

@@ -54,14 +54,17 @@ def build_bwt(seq: Sequence) -> "BwtIndex":
 class BwtIndex:
     """BWT of T#, its C array, a rank structure, and the original symbols.
 
-    c[a] counts the symbols of T# strictly smaller than a, so the suffix rows
-    starting with a are exactly [c[a]+1 .. c[a+1]]. c runs up to one past the
-    largest symbol that occurs, not to sigma + 1, so a declared sigma far
-    above the symbols costs nothing. enumerations counts how many traversal
-    passes have touched this index (used by tests).
+    codes holds the BWT once, as np.min_scalar_type(sigma) codes; bwt reads
+    it as a list. The C array covers only the symbols that occur: syms is
+    them in ascending order, the terminator 0 first, and c[k] counts the
+    symbols of T# strictly smaller than syms[k], with c[-1] = n, so the
+    suffix rows starting with syms[k] are exactly [c[k]+1 .. c[k+1]]. A
+    declared sigma, or a code, far above the others costs nothing.
+    enumerations counts how many traversal passes have touched this index
+    (used by tests).
     """
 
-    __slots__ = ("bwt", "c", "n", "sigma", "ranks", "text", "name", "enumerations")
+    __slots__ = ("codes", "syms", "c", "n", "sigma", "ranks", "text", "name", "enumerations")
 
     def __init__(self, symbols: list[int], sigma: int, name: str = "") -> None:
         if sigma < 1:
@@ -78,14 +81,20 @@ class BwtIndex:
     def _install(
         self, codes: np.ndarray, sigma: int, text: list[int], name: str
     ) -> None:
-        self.bwt = [int(x) for x in codes]
-        self.n = len(self.bwt)
+        self.codes = codes.astype(np.min_scalar_type(sigma))
+        self.n = int(codes.size)
         self.sigma = sigma
-        self.c = [0] + np.cumsum(np.bincount(codes)).tolist()
+        syms, counts = np.unique(codes, return_counts=True)
+        self.syms = syms.astype(np.int64)
+        self.c = np.concatenate(([0], np.cumsum(counts)))
         self.ranks = RankIndex(codes, sigma)
         self.text = text
         self.name = name
         self.enumerations = 0
+
+    @property
+    def bwt(self) -> list[int]:
+        return self.codes.tolist()
 
     def __len__(self) -> int:
         return self.n
@@ -96,7 +105,7 @@ class BwtIndex:
     def access(self, i: int) -> int:
         if not 1 <= i <= self.n:
             raise InputError(f"position {i} outside [1..{self.n}]")
-        return self.bwt[i - 1]
+        return int(self.codes[i - 1])
 
     def interval(self, word) -> tuple[int, int] | None:
         """Suffix-row interval of word via backward search; None if absent."""
@@ -104,10 +113,12 @@ class BwtIndex:
         for sym in reversed(tuple(word)):
             if not 1 <= sym <= self.sigma:
                 raise InputError(f"symbol {sym} outside [1..{self.sigma}]")
-            if sym >= len(self.c) - 1:
-                return None  # past the largest symbol that occurs
-            sp = self.c[sym] + self.ranks.rank(sym, sp - 1) + 1
-            ep = self.c[sym] + self.ranks.rank(sym, ep)
+            k = int(np.searchsorted(self.syms, sym))
+            if k == self.syms.size or self.syms[k] != sym:
+                return None  # sym does not occur
+            base = int(self.c[k])
+            sp = base + self.ranks.rank(sym, sp - 1) + 1
+            ep = base + self.ranks.rank(sym, ep)
             if sp > ep:
                 return None
         return sp, ep
@@ -122,9 +133,8 @@ class BwtIndex:
     def dump(self, path: str) -> None:
         """Write magic, n, sigma, then the BWT as packed fixed-width codes."""
         width = self.sigma.bit_length()
-        dtype = np.min_scalar_type(self.sigma)
-        arr = np.asarray(self.bwt, dtype=dtype)
-        bits = ((arr[:, None] >> np.arange(width, dtype=dtype)) & 1).astype(np.uint8)
+        codes = self.codes
+        bits = ((codes[:, None] >> np.arange(width, dtype=codes.dtype)) & 1).astype(np.uint8)
         packed = np.packbits(bits.reshape(-1), bitorder="little")
         try:
             with open(path, "wb") as fh:
@@ -144,7 +154,8 @@ class BwtIndex:
         if len(blob) < len(_MAGIC) + 16 or not blob.startswith(_MAGIC):
             raise InputError(f"{path}: not a BWTK1 index")
         n, sigma = struct.unpack_from("<QQ", blob, len(_MAGIC))
-        if n < 2 or sigma < 1:
+        # codes are held as int64 while the tree is built
+        if n < 2 or not 1 <= sigma < 2**63:
             raise InputError(f"{path}: corrupt header")
         width = int(sigma).bit_length()
         payload = np.frombuffer(blob, dtype=np.uint8, offset=len(_MAGIC) + 16)
@@ -167,21 +178,30 @@ class BwtIndex:
         return index
 
     def _invert(self) -> list[int]:
-        """Recover T by walking the LF mapping from the terminator row."""
-        out: list[int] = []
-        row = 1
+        """Recover T by walking the LF mapping from the terminator row.
+
+        BWT row i holds the symbol a that precedes the suffix of row i, and
+        lf[i] is the row of the suffix that starts with that a: equal
+        symbols keep their BWT order in the first column, so one stable
+        argsort of the codes gives LF. The walk starts at row 0, the suffix
+        #, whose BWT symbol is the last of T, and stops at the terminator.
+        """
+        lf = np.empty(self.n, dtype=np.int64)
+        lf[np.argsort(self.codes, kind="stable")] = np.arange(self.n)
+        lf = lf.tolist()
+        end = int(np.flatnonzero(self.codes == 0)[0])
+        rows = []
+        row = 0
         for _ in range(self.n):
-            sym = self.bwt[row - 1]
-            if sym == 0:
+            if row == end:
                 break
-            out.append(sym)
-            row = self.c[sym] + self.ranks.rank(sym, row)
+            rows.append(row)
+            row = lf[row]
         else:
             raise InputError("LF walk did not terminate; index is corrupt")
-        if len(out) != self.n - 1:
+        if len(rows) != self.n - 1:
             raise InputError("LF walk length mismatch; index is corrupt")
-        out.reverse()
-        return out
+        return self.codes[rows[::-1]].tolist()
 
     def to_sequence(self, name: str | None = None) -> Sequence:
         return Sequence(list(self.text), self.sigma, name=self.name if name is None else name)

@@ -1,11 +1,13 @@
 """Rank and rangeDistinct queries over a symbol array.
 
 The array is stored as a binary wavelet tree over [0..maxsym]: each node
-splits its symbol range at the midpoint and keeps one bit per element.
-Queries walk the tree, so a rank costs O(log maxsym) word operations. One
-descent, distinct_ranks, carries any number of ascending boundaries down
-the tree at once and reports, for every symbol between the first and the
-last, its ranks at all of them; range_distinct is its two-boundary case.
+splits its symbol range at the midpoint and keeps one bit per element,
+packed into NumPy 64-bit words with the count of 1s before each word, so a
+rank costs O(log maxsym) word operations. One descent, RankIndex.descend,
+carries a batch of nodes, each a run of ascending boundaries, down the tree
+at once and reports, for every symbol of every node's range, its ranks at
+all of that node's boundaries; distinct_ranks and range_distinct are its
+one-node case. rank and access walk one position down the same arrays.
 """
 
 from __future__ import annotations
@@ -14,44 +16,34 @@ import numpy as np
 
 from .errors import InputError
 
-_LOW_MASKS = tuple((1 << r) - 1 for r in range(64))
-_WORD_MASKS = np.array(_LOW_MASKS, dtype=np.uint64)
+_WORD_MASKS = np.array([(1 << r) - 1 for r in range(64)], dtype=np.uint64)
 
 
 class _Node:
-    __slots__ = ("lo", "hi", "mid", "blocks", "left", "right")
+    """One wavelet node: symbols lo..hi, split at mid.
+
+    words holds one bit per element (set when the symbol is above mid),
+    little-endian in 64-bit words, and counts[w] the number of 1s before
+    word w. One zero word past the last bit keeps every position in
+    0..len(bits) valid, a 64-aligned length included. A leaf, and a node
+    over a range with no element, has words None: every rank there is 0
+    or the position itself, and no descent goes below it.
+    """
+
+    __slots__ = ("lo", "mid", "words", "counts", "left", "right")
 
     def __init__(self, lo: int, hi: int) -> None:
         self.lo = lo
-        self.hi = hi
         self.mid = (lo + hi) // 2
-        self.blocks: list[int] | None = None
+        self.words: np.ndarray | None = None
+        self.counts: np.ndarray | None = None
         self.left: _Node | None = None
         self.right: _Node | None = None
 
-
-def _pack(bits: np.ndarray) -> list[int]:
-    """Bit array to 64-bit blocks, each with the count of 1s before it.
-
-    Block w holds bits 64w .. 64w+63 little-endian in its low 64 bits and
-    the number of 1s among the first 64w bits above them, so the rank at i
-    is one lookup and one popcount of blocks[i >> 6]. One zero block past
-    the last bit keeps every i in 0..len(bits) valid, a 64-aligned length
-    included.
-    """
-    packed = np.packbits(bits, bitorder="little")
-    pad = (-packed.size) % 8 + 8
-    packed = np.concatenate([packed, np.zeros(pad, dtype=np.uint8)])
-    words = np.frombuffer(packed.tobytes(), dtype="<u8")
-    cums = np.zeros(words.size, dtype=np.int64)
-    np.cumsum(np.bitwise_count(words[:-1]), out=cums[1:])
-    return [(c << 64) | w for c, w in zip(cums.tolist(), words.tolist())]
-
-
-def _rank1(blocks: list[int], i: int) -> int:
-    # number of 1 bits among the first i bits, 0 <= i <= len(bits)
-    e = blocks[i >> 6]
-    return (e >> 64) + (e & _LOW_MASKS[i & 63]).bit_count()
+    def ones(self, i: int) -> int:
+        """Number of 1 bits among the first i bits, 0 <= i <= len(bits)."""
+        q = i >> 6
+        return self.counts.item(q) + (self.words.item(q) & ((1 << (i & 63)) - 1)).bit_count()
 
 
 class RankIndex:
@@ -74,11 +66,13 @@ class RankIndex:
     def _build(self, arr: np.ndarray, lo: int, hi: int) -> _Node:
         node = _Node(lo, hi)
         if lo == hi or not arr.size:
-            # no blocks: a leaf, or an empty range, where every rank is 0 and
-            # which no descent enters
             return node
         bits = arr > node.mid
-        node.blocks = _pack(bits)
+        packed = np.packbits(bits, bitorder="little")
+        pad = (-packed.size) % 8 + 8
+        node.words = np.concatenate([packed, np.zeros(pad, dtype=np.uint8)]).view("<u8")
+        node.counts = np.zeros(node.words.size, dtype=np.int64)
+        np.cumsum(np.bitwise_count(node.words[:-1]), out=node.counts[1:])
         node.left = self._build(arr[~bits], lo, node.mid)
         node.right = self._build(arr[bits], node.mid + 1, hi)
         return node
@@ -93,8 +87,8 @@ class RankIndex:
         if not 0 <= i <= self.n:
             raise InputError(f"position {i} outside [0..{self.n}]")
         node = self.root
-        while node.blocks is not None:
-            ones = _rank1(node.blocks, i)
+        while node.words is not None:
+            ones = node.ones(i)
             if c <= node.mid:
                 i -= ones
                 node = node.left
@@ -109,10 +103,9 @@ class RankIndex:
             raise InputError(f"position {i} outside [1..{self.n}]")
         node = self.root
         i -= 1
-        while node.blocks is not None:
-            bit = (node.blocks[i >> 6] >> (i & 63)) & 1
-            ones = _rank1(node.blocks, i)
-            if bit:
+        while node.words is not None:
+            ones = node.ones(i)
+            if node.words.item(i >> 6) >> (i & 63) & 1:
                 i = ones
                 node = node.right
             else:
@@ -134,7 +127,10 @@ class RankIndex:
             raise InputError(f"invalid boundaries {bounds} over [0..{self.n}]")
         if bounds[-1] == bounds[0]:
             return []
-        return self._descend(bounds)
+        syms, _, _, ranks = self.descend(
+            np.array(bounds, dtype=np.int64), np.array([len(bounds)])
+        )
+        return [(c, r.tolist()) for c, r in zip(syms, ranks)]
 
     def range_distinct(self, i: int, j: int) -> list[tuple[int, int, int]]:
         """Distinct symbols of positions [i..j] in ascending order.
@@ -145,58 +141,7 @@ class RankIndex:
         """
         if not 1 <= i <= j <= self.n:
             raise InputError(f"invalid range [{i}..{j}] over [1..{self.n}]")
-        return [(c, x + 1, y) for c, (x, y) in self._descend([i - 1, j])]
-
-    def _descend(self, xs: list[int]) -> list[tuple[int, list[int]]]:
-        """distinct_ranks without the checks, for a non-empty range.
-
-        The one descent loop. Each boundary is ranked once per wavelet
-        node, and a child whose whole range [xs[0]+1 .. xs[-1]] is empty is
-        not entered. The loop walks on into the left child and stacks the
-        right one, so the symbols come out ascending.
-        """
-        masks = _LOW_MASKS
-        out: list[tuple[int, list[int]]] = []
-        stack = []
-        node = self.root
-        while True:
-            blocks = node.blocks
-            if blocks is None:
-                out.append((node.lo, xs))
-                if not stack:
-                    return out
-                node, xs = stack.pop()
-                continue
-            # one plain loop for both children: cheaper than comprehensions
-            ones = []
-            zeros = []
-            for x in xs:
-                e = blocks[x >> 6]
-                o = (e >> 64) + (e & masks[x & 63]).bit_count()
-                ones.append(o)
-                zeros.append(x - o)
-            if zeros[-1] > zeros[0]:
-                if ones[-1] > ones[0]:
-                    stack.append((node.right, ones))
-                node = node.left
-                xs = zeros
-            else:
-                node = node.right
-                xs = ones
-
-
-class Frontier:
-    """One batched pass's NumPy copy of a RankIndex.
-
-    Each wavelet node becomes (lo, words, counts, left, right), with the
-    64-bit words and the count of 1s before each word as arrays; a leaf has
-    words None. The copy lives as long as the pass that made it.
-    """
-
-    __slots__ = ("root",)
-
-    def __init__(self, index: RankIndex) -> None:
-        self.root = _arrays(index.root)
+        return [(c, x + 1, y) for c, (x, y) in self.distinct_ranks([i - 1, j])]
 
     def descend(self, x: np.ndarray, nb: np.ndarray):
         """Ranks of every symbol of every node's range, for a batch of nodes.
@@ -212,17 +157,17 @@ class Frontier:
         syms, ids_out, nbs, ranks = [], [], [], []
         stack = [(self.root, x, nb, np.arange(nb.size), _ends(nb))]
         while stack:
-            (lo, words, counts, left, right), x, nb, ids, (first, last) = stack.pop()
-            if words is None:
-                syms.append(lo)
+            node, x, nb, ids, (first, last) = stack.pop()
+            if node.words is None:
+                syms.append(node.lo)
                 ids_out.append(ids)
                 nbs.append(nb)
                 ranks.append(x)
                 continue
             q = x >> 6
-            ones = counts[q] + np.bitwise_count(words[q] & _WORD_MASKS[x & 63])
+            ones = node.counts[q] + np.bitwise_count(node.words[q] & _WORD_MASKS[x & 63])
             # the right child is stacked first, so symbols come out ascending
-            for child, y in ((right, ones), (left, x - ones)):
+            for child, y in ((node.right, ones), (node.left, x - ones)):
                 alive = y[last] > y[first]
                 count = np.count_nonzero(alive)
                 if count == alive.size:
@@ -237,12 +182,3 @@ def _ends(nb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indexes of each node's first and last boundary."""
     last = nb.cumsum() - 1
     return last - (nb - 1), last
-
-
-def _arrays(node: _Node) -> tuple:
-    if node.blocks is None:
-        return (node.lo, None, None, None, None)
-    mask = (1 << 64) - 1
-    words = np.array([e & mask for e in node.blocks], dtype=np.uint64)
-    counts = np.array([e >> 64 for e in node.blocks], dtype=np.int64)
-    return (node.lo, words, counts, _arrays(node.left), _arrays(node.right))

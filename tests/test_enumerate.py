@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bwtk.enumerate import (
+    ABSENT,
     GenRepr,
     Repr,
     batched_pass,
@@ -348,8 +349,7 @@ def test_batched_pass_matches_the_oracle_at_every_cap(case):
 
 
 def test_batched_pass_never_ranks_one_symbol_at_a_time(monkeypatch):
-    # the window-scan reference costs about n^3, so the text stays short
-    s = rand_seq(random.Random(37), 200, 4)
+    s = rand_seq(random.Random(37), 500, 4)
     ix = build_bwt(s)
 
     def refuse(*args):
@@ -359,3 +359,84 @@ def test_batched_pass_never_ranks_one_symbol_at_a_time(monkeypatch):
     monkeypatch.setattr(type(ix.ranks), "range_distinct", refuse)
     visits, _ = batched_pass((ix,), lambda batch: None)
     assert visits == len(oracle_right_maximal_set(s))
+
+
+@st.composite
+def extension_inputs(draw):
+    """One or two texts over sigma in {1, 2, 4, 20}: random, runs, periods, Fibonacci words."""
+    sigma = draw(st.sampled_from((1, 2, 4, 20)))
+
+    def text() -> Sequence:
+        kind = draw(st.sampled_from(("random", "repetitive", "fibonacci")))
+        if kind == "fibonacci" and sigma > 1:
+            a, b = draw(st.lists(st.integers(1, sigma), min_size=2, max_size=2, unique=True))
+            return Sequence(fibonacci(a, b, draw(st.integers(1, 60))), sigma)
+        if kind == "random":
+            return Sequence(draw(st.lists(st.integers(1, sigma), min_size=1, max_size=40)), sigma)
+        return draw_repetitive(draw, sigma)
+
+    return [text() for _ in range(draw(st.integers(1, 2)))]
+
+
+def _scan(t: tuple, w: tuple) -> tuple[list[int], Counter]:
+    """Left neighbours (0 at the start of t) and right-neighbour counts (0 at its end) of w."""
+    starts = [i for i in range(len(t) - len(w) + 1) if t[i : i + len(w)] == w]
+    end = len(w)
+    rights = Counter(t[i + end] if i + end < len(t) else 0 for i in starts)
+    return [t[i - 1] if i else 0 for i in starts], rights
+
+
+def _repr_by_scan(ix, t: tuple, w: tuple) -> Repr:
+    """repr(w) from its window scan, its rows starting where ix.interval puts them."""
+    _, rights = _scan(t, w)
+    if not rights:
+        return ABSENT
+    chars = tuple(sorted(rights))
+    first = [ix.interval(list(w))[0]]
+    for b in chars:
+        first.append(first[-1] + rights[b])
+    return Repr(chars, tuple(first))
+
+
+def _check_kid(ix, t: tuple, a: int, w: tuple, kid: Repr) -> None:
+    """kid is repr(aW): ix.interval(aW) and the right extensions of aW in t.
+
+    a = 0 is the terminator before t, so 0W has the one row of the suffix
+    # and is followed by what follows the prefix W of t.
+    """
+    if a == 0:
+        if t[: len(w)] != w:
+            assert kid is ABSENT
+            return
+        assert kid.interval() == (1, 1)
+        assert kid.chars == (t[len(w)] if len(w) < len(t) else 0,)
+        return
+    _, rights = _scan(t, (a,) + w)
+    if not rights:
+        assert kid is ABSENT
+        return
+    assert kid.interval() == ix.interval([a, *w])
+    assert kid.chars == tuple(sorted(rights))
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(extension_inputs())
+def test_extend_left_matches_backward_search_and_window_scans(texts):
+    indexes = [build_bwt(s) for s in texts]
+    tables = [tuple(s.symbols) for s in texts]
+    if len(texts) == 1:
+        nodes = oracle_right_maximal_set(texts[0])
+    else:
+        nodes = oracle_generalized_right_maximal_set(*texts)
+    for w in nodes:
+        reprs = [_repr_by_scan(ix, t, w) for ix, t in zip(indexes, tables)]
+        lefts = set().union(*(_scan(t, w)[0] for t in tables))
+        if len(texts) == 1:
+            kids = [(a, (kid,)) for a, kid in extend_left(indexes[0], reprs[0])]
+        else:
+            got = extend_left_generalized(*indexes, GenRepr(*reprs))
+            kids = [(a, (g.one, g.two)) for a, g in got]
+        assert [a for a, _ in kids] == sorted(lefts)
+        for a, sides in kids:
+            for ix, t, kid in zip(indexes, tables, sides):
+                _check_kid(ix, t, a, w, kid)

@@ -1,4 +1,5 @@
 import random
+import struct
 
 import pytest
 from conftest import idx, rand_seq, seq
@@ -35,9 +36,12 @@ def test_bwt_hand_values():
 
 def test_c_array():
     ix = idx("abab")
-    assert ix.c == [0, 1, 3, 5]
+    assert (ix.syms.tolist(), ix.c.tolist()) == ([0, 1, 2], [0, 1, 3, 5])
     ix = idx("banana")
-    assert ix.c == [0, 1, 4, 5, 7]
+    assert (ix.syms.tolist(), ix.c.tolist()) == ([0, 1, 2, 3], [0, 1, 4, 5, 7])
+    # only the symbols that occur have an entry
+    ix = build_bwt(Sequence([3, 1, 3], 5))
+    assert (ix.syms.tolist(), ix.c.tolist()) == ([0, 1, 3], [0, 1, 2, 4])
 
 
 def test_rank_access_roundtrip():
@@ -103,6 +107,8 @@ def test_dump_load_round_trip(tmp_path):
     cases.append(Sequence([1, 70000, 2, 3], 70000))
     # a 31-byte file declaring sigma = 2**40 - 1: c covers only the codes that occur
     cases.append(Sequence([1], 2**40 - 1))
+    # a 32-byte file whose one symbol is 2**40: loads in O(n + distinct symbols)
+    cases.append(Sequence([2**40], 2**40))
     for t, s in enumerate(cases):
         ix = build_bwt(s)
         path = tmp_path / f"ix{t}.bwtk"
@@ -112,7 +118,8 @@ def test_dump_load_round_trip(tmp_path):
         back.dump(str(again))
         assert again.read_bytes() == path.read_bytes()
         assert back.bwt == ix.bwt
-        assert back.c == ix.c
+        assert back.syms.tolist() == ix.syms.tolist()
+        assert back.c.tolist() == ix.c.tolist()
         assert back.n == ix.n
         assert back.sigma == ix.sigma
         assert back.text == s.symbols
@@ -137,6 +144,12 @@ def test_load_rejects_corrupt_files(tmp_path):
         BwtIndex.load(str(bad))
     with pytest.raises(InputError):
         BwtIndex.load(str(tmp_path / "missing.bwtk"))
+    # sigma >= 2**63 with a payload of the declared size: 2 codes of 64 bits
+    for sigma in (2**63, 2**64 - 1):
+        codes = sigma.to_bytes(8, "little") + bytes(8)
+        bad.write_bytes(b"BWTK1" + struct.pack("<QQ", 2, sigma) + codes)
+        with pytest.raises(InputError, match="corrupt header"):
+            BwtIndex.load(str(bad))
 
 
 def test_load_rejects_header_payload_mismatch(tmp_path):
@@ -170,8 +183,9 @@ def mutant_dir(tmp_path_factory):
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(st.data())
 def test_mutated_index_is_rejected_or_dumps_back_identically(mutant_dir, data):
-    # one bit flipped, one byte set or the tail cut off a dumped index
-    sigma = data.draw(st.sampled_from((1, 2, 4, 20)))
+    # one bit flipped, one byte set or the tail cut off a dumped index; a
+    # huge sigma gives codes near 2**40, which must load in O(n + distinct)
+    sigma = data.draw(st.sampled_from((1, 2, 4, 20, 2**40)))
     text = data.draw(st.lists(st.integers(1, sigma), min_size=1, max_size=30))
     path = mutant_dir / "ix.bwtk"
     build_bwt(Sequence(text, sigma)).dump(str(path))
