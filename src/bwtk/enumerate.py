@@ -12,14 +12,21 @@ One engine walks the tree: batched_pass takes same-depth nodes a batch at a
 time, each batch held in flat NumPy arrays (Side, Batch), and extends all
 of them with one wavelet descent that ranks every boundary of the batch per
 wavelet node (RankIndex.descend). It goes depth-first over batches and
-splits a batch past _CAP boundaries, so the batches it holds stay within
-O(sigma log n) times the cap. A pass may stop at a depth bound, so that
-measures that read only short contexts skip the deeper nodes.
+splits a batch past _CAP boundaries, lightest piece first. Below the split
+depths most batches are small, so a batch under half the cap waits, parked
+with the others of its depth, until they are merged into one batch: each
+depth then costs about one batch, not one per split piece. Between two
+visits the parked batches hold at most twice the cap; each pass reports
+its peak of pending boundaries, which the tests hold to sigma log2 n times
+the cap. A pass may stop at a depth bound, so that measures that read only
+short contexts skip the deeper nodes.
 
 The per-node API reads the same pass. enumerate_* call a visitor with a
 VisitEvent, a view of one node of the current batch, in pass order: batch
-by batch, then node by node within a batch. extend_left* extend one repr
-as a one-node batch, through the same _extend_batch.
+by batch, then node by node within a batch. The order is deterministic,
+but which batch a node falls in depends on the cap, so only the multiset
+of nodes is the same at every cap. extend_left* extend one repr as a
+one-node batch, through the same _extend_batch.
 
 A pair pass walks the generalized suffix tree of the two texts, where the
 two terminators count as distinct right extensions, so a string followed by
@@ -148,17 +155,46 @@ class Path:
     """Where a batch's nodes come from, for folds that read labels.
 
     node[j] is node j's parent in the batch one level up, whose Path is up,
-    and sym[j] the symbol node j prepends to it. memo holds per-node values
-    a fold keeps for the children to read.
+    and sym[j] the symbol node j prepends to it. memo maps a fold's key to
+    a tuple of per-node arrays it keeps for the children to read.
+
+    The Path of a merged batch (see _join) is its parts' Paths laid end to
+    end: sym and memo are joined at once, node and up only when first read,
+    so a fold that reads no labels never joins the parents.
     """
 
-    __slots__ = ("up", "node", "sym", "memo")
+    __slots__ = ("_up", "_node", "sym", "memo", "_parts")
 
     def __init__(self, up: Path | None, node, sym) -> None:
-        self.up = up
-        self.node = node
+        self._up = up
+        self._node = node
         self.sym = sym
         self.memo: dict = {}
+        self._parts = None
+
+    @property
+    def up(self) -> Path | None:
+        if self._parts is not None:
+            self._resolve()
+        return self._up
+
+    @property
+    def node(self):
+        if self._parts is not None:
+            self._resolve()
+        return self._node
+
+    def _resolve(self) -> None:
+        """Link each part's nodes into the join of the parts' parents."""
+        parts, self._parts = self._parts, None
+        ups = list({id(p.up): p.up for p in parts}.values())
+        if len(ups) == 1:
+            self._node = np.concatenate([p.node for p in parts])
+        else:
+            sizes = [u.sym.size for u in ups]
+            off = dict(zip(map(id, ups), np.cumsum(sizes) - sizes))
+            self._node = np.concatenate([p.node + off[id(p.up)] for p in parts])
+        self._up = _join(ups)
 
     def heads(self, k: int):
         """The arrays of W[0], W[1], .., W[k-1] over the nodes W; depth >= k."""
@@ -167,6 +203,19 @@ class Path:
             yield path.sym if at is None else path.sym[at]
             at = path.node if at is None else path.node[at]
             path = path.up
+
+
+def _join(paths: list[Path]) -> Path:
+    """One Path over the nodes of distinct paths, in order."""
+    if len(paths) == 1:
+        return paths[0]
+    out = Path(None, None, np.concatenate([p.sym for p in paths]))
+    # a memo entry every part holds (a visited parent) is joined array by array
+    keys = set(paths[0].memo).intersection(*(p.memo for p in paths[1:]))
+    for key in keys:
+        out.memo[key] = tuple(map(np.concatenate, zip(*(p.memo[key] for p in paths))))
+    out._parts = paths
+    return out
 
 
 class Batch:
@@ -337,7 +386,9 @@ def _split(batch: Batch, cap: int | None) -> list[Batch]:
 
     The lightest piece (fewest suffix rows) comes last and so is visited
     first: a piece visited while another is pending holds at most half of
-    its parent's rows, so at most log2 n levels hold pending pieces.
+    its parent's rows, so a descent that merges nothing holds pending pieces
+    at no more than log2 n depths. Pieces under half the cap are parked by
+    batched_pass, not stacked.
     """
     if cap is None or batch.size <= cap:
         return [batch]
@@ -355,6 +406,49 @@ def _split(batch: Batch, cap: int | None) -> list[Batch]:
     return [pieces[i] for i in order]
 
 
+def _merge(parts: list[Batch]) -> Batch:
+    """One batch of the nodes of same-depth parts, in order."""
+    if len(parts) == 1:
+        return parts[0]
+    sides = []
+    for group in zip(*(part.sides for part in parts)):
+        arrays = zip(*((side.bd, side.nb, side.ch) for side in group))
+        sides.append(Side(*map(np.concatenate, arrays)))
+    out = Batch(parts[0].depth, tuple(sides))
+    if parts[0].match is not None:
+        # each part's block indexes shift by the blocks of the parts before it
+        blocks = np.array([[side.ch.size for side in part.sides] for part in parts])
+        off = blocks.cumsum(axis=0) - blocks
+        out.match = tuple(
+            np.concatenate([part.match[t] + off[p, t] for p, part in enumerate(parts)])
+            for t in range(2)
+        )
+    if parts[0].path is not None:
+        out.path = _join([part.path for part in parts])
+    return out
+
+
+class _Parked:
+    """Small batches waiting, by depth, to be merged into one batch per depth."""
+
+    def __init__(self) -> None:
+        self.parts: dict[int, list[Batch]] = {}
+        self.load: dict[int, int] = {}  # boundaries per depth
+        self.total = 0
+
+    def add(self, batch: Batch) -> int:
+        """Park batch; returns the boundaries now parked at its depth."""
+        self.parts.setdefault(batch.depth, []).append(batch)
+        self.load[batch.depth] = self.load.get(batch.depth, 0) + batch.size
+        self.total += batch.size
+        return self.load[batch.depth]
+
+    def pop(self, depth: int) -> Batch:
+        """The batches parked at depth, merged into one and no longer parked."""
+        self.total -= self.load.pop(depth)
+        return _merge(self.parts.pop(depth))
+
+
 def batched_pass(
     indexes, visit, *, max_depth: int | None = None, path: bool = False, _cap=_CAP
 ) -> tuple[int, int]:
@@ -369,6 +463,18 @@ def batched_pass(
     circular convention. Nodes deeper than max_depth are not visited.
     Batches carry a Path when path is set. peak is the largest number of
     boundaries the pending batches held at once.
+
+    The children of a batch are one batch of the next depth; past _cap
+    boundaries it is split (_split). A batch or piece under half the cap is
+    not stacked but parked with the other small batches of its depth, and
+    these are merged (_merge) into one batch once they hold half the cap,
+    which therefore holds under the cap and is never split. When the stack
+    runs empty, the shallowest parked depth is merged and stacked, so that
+    its children can join the batches parked one depth down. When the
+    parked batches hold more than twice the cap in all, the deepest parked
+    depths are merged and stacked until they hold at most that; their
+    children lie deeper than any parked batch. A merged batch's Path links
+    each node to its own parent (_join).
     """
     if len(indexes) == 2 and indexes[0].sigma != indexes[1].sigma:
         raise InputError("alphabet mismatch between the two indexes")
@@ -382,22 +488,32 @@ def batched_pass(
     if path:
         root.path = Path(None, None, None)
     last = math.inf if max_depth is None else max_depth
+    small = 0 if _cap is None else _cap // 2
+    bound = math.inf if _cap is None else 2 * _cap
     stack = [root]
+    parked = _Parked()
     held = peak = root.size
     visits = 0
-    while stack:
+    while stack or parked.parts:
+        if not stack:
+            stack.append(parked.pop(min(parked.parts)))
         batch = stack.pop()
         held -= batch.size
         _extend_batch(batch, indexes)
         visits += batch.sides[0].nb.size
         visit(batch)
-        if batch.depth < last:
-            nxt = _next_batch(batch)
-            if nxt is not None:
-                pieces = _split(nxt, _cap)
-                stack.extend(pieces)
-                held += sum(piece.size for piece in pieces)
-                peak = max(peak, held)
+        nxt = _next_batch(batch) if batch.depth < last else None
+        if nxt is None:
+            continue
+        held += nxt.size
+        peak = max(peak, held)
+        for piece in _split(nxt, _cap):
+            if piece.size >= small:
+                stack.append(piece)
+            elif parked.add(piece) >= small:
+                stack.append(parked.pop(piece.depth))
+        while parked.total > bound:
+            stack.append(parked.pop(max(parked.parts)))
     return visits, peak
 
 

@@ -20,7 +20,11 @@ float times a power of two, so no score overflows.
 
 maw_words and maw_enumerate list words through one batch fold,
 _maw_listing, so both report them in the same order: batch by batch, then
-by the infix's node, then by a, then by b.
+by the infix's node, then by a, then by b. The batches, and so the order,
+are fixed for a given input, but a batch may merge nodes of several
+parents (see enumerate.batched_pass). Integer folds do not depend on how
+nodes are grouped into batches; float folds fsum each batch, so another
+grouping can move only their last digits.
 
 Conventions shared with the brute-force reference: alphabets of measures
 range over [1..sigma] (terminators are delivered by the enumerator but
@@ -631,20 +635,42 @@ def _window_products(text: list[int], k: int, q: tuple[float, ...]):
         yield prod
 
 
+def _fsum(values) -> float:
+    """math.fsum, or nan where the sum leaves the float range or meets inf - inf."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
+def _fsum_into(parts: list, values) -> None:
+    """Append the fsum of values and what rounding it dropped.
+
+    _fsum(parts) then rounds the sum of every value appended, not of their
+    rounded group sums, so it does not depend on how the values are grouped.
+    """
+    total = _fsum(values)
+    parts.append(total)
+    if math.isfinite(total):
+        parts.append(math.fsum(np.append(values, -total)))
+
+
 def _d2_fold(index1: BwtIndex, index2: BwtIndex, k: int, q, phi, absent_coef):
     """Sum of phi(f1(W), f2(W), q(W)) over all k-mers W, absent ones in closed form.
 
     phi takes arrays. A node of depth >= k adds phi at its own counts less
     phi at each block's (a letter on both sides is one block); q(W) is the
     product of q over the node's first k symbols, read through its path.
+    The leaf terms and the node terms cancel to a small value, so each
+    batch's terms are summed exactly (_fsum_into).
     """
     total, q_present = [], []
     for index, x1 in ((index1, 1), (index2, 0)):
         windows = _window_products(index.text, k, q)
         while (qw := np.fromiter(itertools.islice(windows, 4096), float)).size:
             with np.errstate(all="ignore"):
-                total.append(math.fsum(phi(x1, 1 - x1, qw)))
-            q_present.append(math.fsum(qw))
+                _fsum_into(total, phi(x1, 1 - x1, qw))
+            _fsum_into(q_present, qw)
     qs = np.array((0.0, *q))
 
     def visit(batch: Batch) -> None:
@@ -664,12 +690,12 @@ def _d2_fold(index1: BwtIndex, index2: BwtIndex, k: int, q, phi, absent_coef):
                 -phi(one.w[alone1], 0, qk[one.node[alone1]]),
                 -phi(0, two.w[alone2], qk[two.node[alone2]]),
             )
-        total.append(math.fsum(np.concatenate(terms)))
+        _fsum_into(total, np.concatenate(terms))
         edges = one.nb + two.nb - 2 - np.bincount(one.node[i], minlength=one.nb.size)
-        q_present.append(math.fsum(qk * (1 - edges)))
+        _fsum_into(q_present, qk * (1 - edges))
 
     def finish() -> float:
-        value = math.fsum(total) + absent_coef * (1.0 - math.fsum(q_present))
+        value = _fsum(total) + absent_coef * (1.0 - _fsum(q_present))
         if not math.isfinite(value):
             raise ComputationError(
                 f"k-mer probabilities too small at k={k}: the value is outside"
@@ -819,8 +845,10 @@ def maw_enumerate(index: BwtIndex, visitor) -> int:
 def maw_words(index: BwtIndex) -> list[tuple[int, ...]]:
     """All minimal absent words as symbol tuples.
 
-    They come in pass order: batch by batch (see enumerate.batched_pass),
-    then by the infix's node within its batch, then by a, then by b.
+    They come in pass order: batch by batch (see enumerate.batched_pass;
+    the batches may merge nodes of several parents, so the order is
+    deterministic but not sorted), then by the infix's node within its
+    batch, then by a, then by b.
     """
     out: list[tuple[int, ...]] = []
 

@@ -14,6 +14,8 @@ from .errors import InputError
 # raw-mode bytes must be printable ASCII unless an explicit alphabet admits them
 _PRINTABLE_LO = 33
 _PRINTABLE_HI = 126
+# the ASCII whitespace bytes, as bytes.strip() removes them
+_SPACE = b" \t\n\r\x0b\x0c"
 
 
 @dataclass(frozen=True)
@@ -81,37 +83,26 @@ def load_input(path: str, fmt: str = "auto") -> list[tuple[str, bytes]]:
     if fmt == "fasta":
         return _parse_fasta(data, path)
     if fmt == "raw":
-        payload = bytes(b for b in data if not _is_space(b))
+        payload = data.translate(None, _SPACE)
         if not payload:
             raise InputError(f"{path}: no sequence data")
         return [("", payload)]
     raise InputError(f"unknown input format {fmt!r}")
 
 
-def _is_space(b: int) -> bool:
-    return b in (0x20, 0x09, 0x0A, 0x0D, 0x0B, 0x0C)
-
-
 def _parse_fasta(data: bytes, path: str) -> list[tuple[str, bytes]]:
-    records: list[tuple[str, bytes]] = []
-    name: str | None = None
-    chunks: list[bytes] = []
+    lines_of: list[tuple[str, list[bytes]]] = []  # each record's name and lines
     for line in data.splitlines():
         line = line.strip()
-        if not line:
-            continue
-        if line.startswith(b">"):
-            if name is not None:
-                records.append((name, b"".join(chunks)))
-            name = line[1:].strip().decode("ascii", "replace")
-            chunks = []
-        elif name is None:
-            raise InputError(f"{path}: sequence data before FASTA header")
-        else:
-            chunks.append(bytes(b for b in line if not _is_space(b)))
-    if name is None:
+        if line[:1] == b">":
+            lines_of.append((line[1:].strip().decode("ascii", "replace"), []))
+        elif line:
+            if not lines_of:
+                raise InputError(f"{path}: sequence data before FASTA header")
+            lines_of[-1][1].append(line)
+    if not lines_of:
         raise InputError(f"{path}: no FASTA header found")
-    records.append((name, b"".join(chunks)))
+    records = [(name, b"".join(lines).translate(None, _SPACE)) for name, lines in lines_of]
     for rec_name, payload in records:
         if not payload:
             raise InputError(f"{path}: record {rec_name!r} has no sequence data")

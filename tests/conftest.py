@@ -6,6 +6,7 @@ import random
 
 from hypothesis import strategies as st
 
+from bwtk.enumerate import batched_pass
 from bwtk.suffix import BwtIndex, build_bwt
 from bwtk.text import Sequence
 
@@ -23,6 +24,35 @@ def idx(text: str, sigma: int | None = None) -> BwtIndex:
 
 def rand_seq(rng: random.Random, n: int, sigma: int, name: str = "rand") -> Sequence:
     return Sequence([rng.randint(1, sigma) for _ in range(n)], sigma, name)
+
+
+def mutate(rng: random.Random, s: Sequence, rate: float) -> Sequence:
+    """s with a fraction rate of its positions changed to another letter."""
+    symbols = list(s.symbols)
+    for i in rng.sample(range(len(symbols)), round(rate * len(symbols))):
+        symbols[i] = rng.choice([a for a in range(1, s.sigma + 1) if a != symbols[i]])
+    return Sequence(symbols, s.sigma)
+
+
+def merged_batches(indexes, cap) -> int:
+    """Batches of a pass at cap whose nodes descend from two or more visited batches.
+
+    A batch's Path links up to the Path of the batch its nodes came from; a
+    batch merged from the children of several batches links up to a join
+    of theirs, which is no visited batch's Path.
+    """
+    seen = []  # every visited Path stays alive, so no id is reused
+    ids = set()
+    merged = 0
+
+    def visit(batch):
+        nonlocal merged
+        merged += batch.depth > 0 and id(batch.path.up) not in ids
+        seen.append(batch.path)
+        ids.add(id(batch.path))
+
+    batched_pass(indexes, visit, path=True, _cap=cap)
+    return merged
 
 
 def fibonacci(a: int, b: int, n: int) -> list[int]:

@@ -1,12 +1,22 @@
+import functools
 import math
 import random
 from collections import Counter
 
 import pytest
-from conftest import draw_repetitive, fibonacci, idx, rand_seq, repetitive_text
+from conftest import (
+    draw_repetitive,
+    fibonacci,
+    idx,
+    merged_batches,
+    mutate,
+    rand_seq,
+    repetitive_text,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bwtk.enumerate
 from bwtk.enumerate import (
     ABSENT,
     GenRepr,
@@ -346,6 +356,76 @@ def test_batched_pass_matches_the_oracle_at_every_cap(case):
             assert peak <= math.log2(rows) * sigma * (cap + widest)
     for index in indexes:
         assert index.enumerations == 4  # one batched pass per cap
+
+
+def _peak_bound(indexes, sigma: int, cap: int) -> float:
+    # at most log2(rows) groups of pending pieces, each the children (at
+    # most sigma per node) of one piece of under cap + widest
+    rows = sum(ix.n for ix in indexes)
+    widest = len(indexes) * (sigma + 2)
+    return math.log2(rows) * sigma * (cap + widest)
+
+
+@st.composite
+def merge_inputs(draw):
+    """Random texts wide enough to split at small caps; a pair is a text and a mutant."""
+    sigma = draw(st.sampled_from((2, 4, 20)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    texts = [rand_seq(rng, draw(st.integers(20, 200)), sigma)]
+    if draw(st.booleans()):
+        texts.append(mutate(rng, texts[0], draw(st.sampled_from((0.02, 0.05, 0.3)))))
+    max_depth = draw(st.none() | st.integers(0, 12)) if len(texts) == 1 else None
+    return sigma, texts, max_depth
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(merge_inputs(), st.sampled_from((8, 16, 32, 64)))
+def test_merged_batches_match_the_unsplit_pass(case, cap):
+    # caps at which small batches are parked and merged, unlike 1, 2 and 7;
+    # the unsplit pass (cap None) is judged against the oracle above
+    sigma, texts, max_depth = case
+    indexes = [build_bwt(s) for s in texts]
+    want, visits, _ = _batched_events(indexes, None, max_depth)
+    got, merged_visits, peak = _batched_events(indexes, cap, max_depth)
+    assert got == want
+    assert merged_visits == visits
+    assert peak <= _peak_bound(indexes, sigma, cap)
+
+
+@pytest.mark.parametrize("pair", [False, True], ids=["right_maximal", "generalized"])
+def test_merged_batches_keep_every_node_and_label(monkeypatch, pair):
+    rng = random.Random(38)
+    texts = [rand_seq(rng, 300, 4)]
+    if pair:
+        texts.append(mutate(rng, texts[0], 0.05))
+    indexes = [build_bwt(s) for s in texts]
+    tables = [tuple(s.symbols) for s in texts]
+    run = enumerate_generalized if pair else enumerate_right_maximal
+    unmerged = _batched_events(indexes, None)[0]
+    labels = Counter()
+
+    def visit(ev):
+        w = ev.label()
+        labels[w] += 1
+        sides = (ev.repr.one, ev.repr.two) if pair else (ev.repr,)
+        for ix, t, r in zip(indexes, tables, sides):
+            want = _repr_by_scan(ix, t, w)
+            assert (r.chars, r.first) == (want.chars, want.first)
+
+    for cap in (16, 64):
+        assert merged_batches(indexes, cap) > 0
+        got, _, peak = _batched_events(indexes, cap)
+        assert got == unmerged
+        assert peak <= _peak_bound(indexes, 4, cap)
+        # the per-node API at this cap: every node once, its label by window scans
+        labels.clear()
+        monkeypatch.setattr(
+            bwtk.enumerate, "batched_pass", functools.partial(batched_pass, _cap=cap)
+        )
+        run(*indexes, visit)
+        monkeypatch.undo()
+        assert max(labels.values()) == 1
+        assert labels.keys() == set(collect_labels(run, *indexes))
 
 
 def test_batched_pass_never_ranks_one_symbol_at_a_time(monkeypatch):

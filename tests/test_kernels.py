@@ -1,15 +1,27 @@
+import functools
 import math
 import random
 import struct
 import time
+from collections import Counter
 
 import pytest
-from conftest import draw_repetitive, fibonacci, idx, rand_seq, repetitive_text, seq
+from conftest import (
+    draw_repetitive,
+    fibonacci,
+    idx,
+    merged_batches,
+    mutate,
+    rand_seq,
+    repetitive_text,
+    seq,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bwtk.kernels
 import bwtk.oracle as orc
+from bwtk.enumerate import _CAP, batched_pass
 from bwtk.errors import ComputationError, InputError, ZeroDenominatorError
 from bwtk.kernels import (
     calibrate_kmax,
@@ -28,6 +40,7 @@ from bwtk.kernels import (
     maw_enumerate,
     maw_jaccard,
     maw_words,
+    run_pair_folds,
     substring_complexity,
     substring_kernel,
     weighted_substring_kernel,
@@ -206,6 +219,18 @@ def test_d2star_underflowing_q_product_is_a_computation_error():
     # d2s divides by no q-product and stays defined
     assert math.isfinite(d2s_distance(a, b, 600, (0.25,) * 4))
     assert math.isfinite(d2s_distance(a, a, 600, (0.25,) * 4))
+
+
+def test_d2star_terms_past_the_float_range_are_a_computation_error():
+    # q(W) = 4e-308 is a normal float, but f1 f2 / q(W) overflows to inf in
+    # the node terms and to -inf in their block terms: fsum meets inf - inf
+    rng = random.Random(601)
+    a = build_bwt(rand_seq(rng, 3000, 4))
+    b = build_bwt(rand_seq(rng, 3000, 4))
+    q = (2e-154, 2e-154, 0.5, 0.5)
+    with pytest.raises(ComputationError, match="floating-point range"):
+        d2star_distance(a, b, 2, q)
+    assert math.isfinite(d2s_distance(a, b, 2, q))
 
 
 def test_weighted_kernel_validates_spec():
@@ -596,6 +621,65 @@ def test_python_int_fallback_gives_identical_values(monkeypatch):
     monkeypatch.setattr(bwtk.kernels, "_INT64_LIMIT", 2**10)
     assert not bwtk.kernels._fits_int64(i1.n, i2.n)
     assert values() == fast
+
+
+def _agree(got, want) -> bool:
+    """Equal integers and containers, floats within 1e-9 relative."""
+    if isinstance(want, float):
+        return math.isclose(got, want, rel_tol=1e-9)
+    if isinstance(want, dict):
+        return got.keys() == want.keys() and all(_agree(got[k], want[k]) for k in want)
+    if isinstance(want, (list, tuple)):
+        return len(got) == len(want) and all(map(_agree, got, want))
+    return type(got) is type(want) and got == want
+
+
+def test_merged_batches_give_the_unsplit_values(monkeypatch):
+    # a 4e4-symbol pair 5% apart, and its first text alone, split their wide
+    # depths at the default cap, and the thin descents below the pieces are
+    # merged again
+    rng = random.Random(76)
+    s1 = rand_seq(rng, 40_000, 4)
+    i1, i2 = build_bwt(s1), build_bwt(mutate(rng, s1, 0.05))
+    assert merged_batches((i1, i2), _CAP) > 0
+    assert merged_batches((i1,), _CAP) > 0
+    q = (0.1, 0.2, 0.3, 0.4)
+    pair = [
+        (kmer_kernel.fold, 8),
+        (kmer_kernel_range.fold, 2, 12),
+        (substring_kernel.fold,),
+        (weighted_substring_kernel.fold, WeightSpec(kind="uniform")),
+        (weighted_substring_kernel.fold, WeightSpec(kind="exponential", epsilon=0.5)),
+        (weighted_substring_kernel.fold, WeightSpec(kind="band", kmin=3, kmax=9)),
+        (weighted_substring_kernel.fold, WeightSpec(kind="charscore", scores=(0.5, 1.5, 0.9, 2.0))),
+        (d2s_distance.fold, 8, q),
+        (d2star_distance.fold, 8, q),
+        (markov_kernel.fold, ZScoreParams(g_mode="unit")),
+        (markov_kernel.fold, ZScoreParams(g_mode="exact")),
+        (maw_jaccard.fold,),
+        (maw_cosine.fold,),
+    ]
+
+    def values():
+        found = []
+        maw_enumerate(i1, lambda *maw: found.append(maw))
+        return (
+            run_pair_folds(i1, i2, pair),
+            kmer_complexity(i1, 12),
+            substring_complexity(i1),
+            kmer_profile(i1, 1, 12, 1, 4).cells,
+            entropy_range(i1, 0, 8),
+            maw_count(i1),
+            kl_divergence_range(i1, 2, 8),
+            # the listings keep a pass order; merging may change it, not the words
+            Counter(maw_words(i1)),
+            Counter(found),
+        )
+
+    merged = values()
+    monkeypatch.setattr(bwtk.kernels, "batched_pass", functools.partial(batched_pass, _cap=None))
+    unsplit = values()
+    assert _agree(merged, unsplit)
 
 
 def test_charscore_scores_above_one_do_not_overflow():

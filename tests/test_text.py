@@ -1,4 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bwtk.errors import InputError
 from bwtk.text import Sequence, load_input, map_alphabet, oracle_guard
@@ -104,3 +109,65 @@ def test_oracle_guard_env_override(monkeypatch):
     monkeypatch.setenv("BWTK_GUARD", "0")
     with pytest.raises(InputError):
         oracle_guard()
+
+
+SPACE = b" \t\n\r\x0b\x0c"
+
+
+def reference_records(data: bytes, fmt: str) -> list[tuple[str, bytes]] | None:
+    """load_input's records by a per-byte whitespace filter; None where it must fail."""
+    if fmt == "raw":
+        payload = bytes(b for b in data if b not in SPACE)
+        return [("", payload)] if payload else None
+    records, name, chunks = [], None, []
+    for line in data.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        if line[:1] == b">":
+            if name is not None:
+                records.append((name, b"".join(chunks)))
+            name, chunks = line[1:].strip().decode("ascii", "replace"), []
+        elif name is None:
+            return None
+        else:
+            chunks.append(bytes(b for b in line if b not in SPACE))
+    if name is None:
+        return None
+    records.append((name, b"".join(chunks)))
+    return records if all(payload for _, payload in records) else None
+
+
+@st.composite
+def spaced_input(draw) -> bytes:
+    """FASTA or raw text with every whitespace byte, CRLF, CR or LF ends and blank lines."""
+    space = st.sampled_from([bytes([b]) for b in SPACE])
+    end = st.sampled_from((b"\n", b"\r\n", b"\r"))
+    letters = st.lists(st.sampled_from((b"A", b"C", b"G", b"T")) | space, max_size=12).map(b"".join)
+    lines = []
+    for _ in range(draw(st.integers(0, 3))):
+        header = draw(st.lists(st.sampled_from((b"x", b"y", b" ", b"\t")), max_size=5))
+        lines.append(b">" + b"".join(header))
+        lines += draw(st.lists(letters | space, max_size=4))
+    lines += draw(st.lists(letters, max_size=3))  # raw text, or data after the last header
+    return b"".join(line + draw(end) for line in lines)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(spaced_input(), st.sampled_from(("auto", "fasta", "raw")))
+def test_whitespace_is_stripped_as_a_per_byte_filter(data, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.txt"
+        path.write_bytes(data)
+        if not data.strip():
+            want = None
+        else:
+            kind = fmt
+            if fmt == "auto":
+                kind = "fasta" if data.lstrip()[:1] == b">" else "raw"
+            want = reference_records(data, kind)
+        if want is None:
+            with pytest.raises(InputError):
+                load_input(str(path), fmt)
+        else:
+            assert load_input(str(path), fmt) == want
