@@ -225,22 +225,21 @@ class Batch:
     occurring in some text, ordered by a and then by node: kid_node[r] is
     the node, kid_sym[r] the symbol a, kid_sides[i] the children aW in text
     i, and kid_blk[i] the block of the node that each child block lies in
-    (aWb occurs only where Wb does). For a pair, match and kid_match are the
-    index arrays of the blocks of text 1 and of text 2 that carry the same
-    letter in the same node; terminators never match. path is None unless
-    the pass keeps labels. shared holds what several folds of one pass
-    derive from the batch, computed once.
+    (aWb occurs only where Wb does). For a pair, match (derived when first
+    read) and kid_match are the index arrays of the blocks of text 1 and of
+    text 2 that carry the same letter in the same node; terminators never
+    match. path is None unless the pass keeps labels. shared holds what
+    several folds of one pass derive from the batch, computed once.
     """
 
     __slots__ = (
-        "depth", "sides", "match", "path", "shared",
+        "depth", "sides", "path", "shared",
         "kid_node", "kid_sym", "kid_sides", "kid_blk", "kid_match",
     )
 
     def __init__(self, depth: int, sides: tuple[Side, ...]) -> None:
         self.depth = depth
         self.sides = sides
-        self.match = None
         self.path = None
         self.shared: dict = {}
 
@@ -249,6 +248,10 @@ class Batch:
         if fn not in self.shared:
             self.shared[fn] = fn(self)
         return self.shared[fn]
+
+    @property
+    def match(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.derive(_sides_match)
 
     @property
     def size(self) -> int:
@@ -268,6 +271,10 @@ def _match(one: Side, two: Side) -> tuple[np.ndarray, np.ndarray]:
     at = np.minimum(np.searchsorted(k2, k1), k2.size - 1)
     hit = k2[at] == k1
     return l1[hit], l2[at[hit]]
+
+
+def _sides_match(batch: Batch) -> tuple[np.ndarray, np.ndarray]:
+    return _match(*batch.sides)
 
 
 def _side_kids(side: Side, index: BwtIndex):
@@ -346,15 +353,9 @@ def _extend_batch(batch: Batch, indexes) -> None:
     batch.kid_match = _match(*batch.kid_sides)
 
 
-def _take(depth: int, sides, match, path: Path | None, rows: np.ndarray) -> Batch:
+def _take(depth: int, sides, path: Path | None, rows: np.ndarray) -> Batch:
     """A batch of the nodes of sides where the boolean mask rows is set."""
     out = Batch(depth, tuple(side.take(rows) for side in sides))
-    if match is not None:
-        # block indexes after the take, then the pairs whose node is kept
-        maps = [rows.repeat(side.nb - 1).cumsum() - 1 for side in sides]
-        i, j = match
-        kept = rows[sides[0].node[i]]
-        out.match = (maps[0][i[kept]], maps[1][j[kept]])
     if path is not None:
         out.path = Path(path.up, path.node[rows], path.sym[rows])
     return out
@@ -364,13 +365,11 @@ def _next_batch(batch: Batch) -> Batch | None:
     """The kids to visit next: letter extensions that are right-maximal."""
     sides = batch.kid_sides
     push = batch.kid_sym != 0
-    match = None
     if len(sides) == 1:
         push &= sides[0].nb >= 3
     else:
         one, two = sides
-        match = batch.kid_match
-        shared = np.bincount(one.node[match[0]], minlength=one.nb.size)
+        shared = np.bincount(one.node[batch.kid_match[0]], minlength=one.nb.size)
         # distinct right extensions, the two terminators apart
         push &= one.nb + two.nb - 2 - shared >= 2
     if not np.count_nonzero(push):
@@ -378,7 +377,7 @@ def _next_batch(batch: Batch) -> Batch | None:
     path = None
     if batch.path is not None:
         path = Path(batch.path, batch.kid_node, batch.kid_sym)
-    return _take(batch.depth + 1, sides, match, path, push)
+    return _take(batch.depth + 1, sides, path, push)
 
 
 def _split(batch: Batch, cap: int | None) -> list[Batch]:
@@ -400,7 +399,7 @@ def _split(batch: Batch, cap: int | None) -> list[Batch]:
     for r0, r1 in zip(bounds, bounds[1:]):
         rows = np.zeros(size.size, dtype=bool)
         rows[r0:r1] = True
-        pieces.append(_take(batch.depth, batch.sides, batch.match, batch.path, rows))
+        pieces.append(_take(batch.depth, batch.sides, batch.path, rows))
     mass = [sum(int(s.freq.sum()) for s in piece.sides) for piece in pieces]
     order = sorted(range(len(pieces)), key=mass.__getitem__, reverse=True)
     return [pieces[i] for i in order]
@@ -415,14 +414,6 @@ def _merge(parts: list[Batch]) -> Batch:
         arrays = zip(*((side.bd, side.nb, side.ch) for side in group))
         sides.append(Side(*map(np.concatenate, arrays)))
     out = Batch(parts[0].depth, tuple(sides))
-    if parts[0].match is not None:
-        # each part's block indexes shift by the blocks of the parts before it
-        blocks = np.array([[side.ch.size for side in part.sides] for part in parts])
-        off = blocks.cumsum(axis=0) - blocks
-        out.match = tuple(
-            np.concatenate([part.match[t] + off[p, t] for p, part in enumerate(parts)])
-            for t in range(2)
-        )
     if parts[0].path is not None:
         out.path = _join([part.path for part in parts])
     return out
@@ -483,8 +474,6 @@ def batched_pass(
     # the root's blocks are the symbols that occur in T#
     sides = [Side(index.c, np.array([index.c.size]), index.syms) for index in indexes]
     root = Batch(0, tuple(sides))
-    if len(sides) == 2:
-        root.match = _match(*sides)
     if path:
         root.path = Path(None, None, None)
     last = math.inf if max_depth is None else max_depth

@@ -11,20 +11,21 @@ arithmetic, and float terms are summed with math.fsum.
 
 The k-mer, substring and length-weighted kernels share one such fold,
 _telescoped, which bins each batch's integer terms by its depth; each
-kernel is a reading of the bins. The k-mer kernel takes suffix sums (every
-k of a sweep at once), uniform and band weights take integer coefficients,
-and exponential weights take geometric sums scaled by each side's heaviest
+kernel is a reading of the bins. Uniform and band weights take integer
+coefficients (the k-mer kernel at k is the band reading over [k, k]), and
+exponential weights take geometric sums scaled by each side's heaviest
 length, so no epsilon needs a path of its own. Per-character score weights
 depend on the letters: each node carries its weight from its parent as a
 float times a power of two, so no score overflows.
 
-maw_words and maw_enumerate list words through one batch fold,
-_maw_listing, so both report them in the same order: batch by batch, then
-by the infix's node, then by a, then by b. The batches, and so the order,
-are fixed for a given input, but a batch may merge nodes of several
-parents (see enumerate.batched_pass). Integer folds do not depend on how
-nodes are grouped into batches; float folds fsum each batch, so another
-grouping can move only their last digits.
+The MAW measures, the KL divergence and the Markov kernel read one record
+of a batch's letter kids, _Kids. maw_words and maw_enumerate list words
+through one batch fold, _maw_listing, so both report them in the same
+order: batch by batch, then by the infix's node, then by a, then by b. The
+batches, and so the order, are fixed for a given input, but a batch may
+merge nodes of several parents (see enumerate.batched_pass). Integer
+folds do not depend on how nodes are grouped into batches; float folds
+fsum each batch, so another grouping can move only their last digits.
 
 Conventions shared with the brute-force reference: alphabets of measures
 range over [1..sigma] (terminators are delivered by the enumerator but
@@ -37,6 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
@@ -47,7 +49,6 @@ import numpy as np
 from .enumerate import (  # noqa: F401
     Batch,
     Side,
-    _left_maximal,
     batched_pass,
     enumerate_generalized,
     enumerate_maximal_repeats,
@@ -247,10 +248,10 @@ def _telescoped(lo: int, result, ns: tuple[int, int]) -> PairFold:
     every length L >= lo, the sum of f1(U) f2(U) over the length-L
     substrings U is then the sum of num[d] over d >= L, and that of f1(U)^2
     is n1 - L plus the sum of den1[d] over d >= L (likewise for text 2).
-    Every length weighting is a reading of these bins; finish() returns
-    result(num, den1, den2).
+    finish() returns result(num, den1, den2) of these sums, each list L >=
+    lo holding the sum at L; every length weighting is a reading of them.
     """
-    bins = ([0] * lo, [0] * lo, [0] * lo)
+    bins = ([], [], [])
     totals = _batch_totals if _fits_int64(*ns) else _batch_totals_wide
 
     def visit(batch: Batch) -> None:
@@ -261,7 +262,10 @@ def _telescoped(lo: int, result, ns: tuple[int, int]) -> PairFold:
             b.extend([0] * (d + 1 - len(b)))
             b[d] += total
 
-    return PairFold(visit, lambda: result(*bins))
+    def finish():
+        return result(*(list(itertools.accumulate(b[::-1]))[::-1] for b in bins))
+
+    return PairFold(visit, finish)
 
 
 def _batch_totals(batch: Batch, fits: bool = True) -> tuple[int, int, int]:
@@ -288,27 +292,21 @@ def _batch_totals_wide(batch: Batch) -> tuple[int, int, int]:
 def kmer_kernel_range(index1: BwtIndex, index2: BwtIndex, k1: int, k2: int):
     """Cosine of k-mer count vectors for every k in [k1..k2], one pass.
 
-    Keys with an undefined kernel (a string with fewer than k symbols) are
+    The kernel at k is the band reading over [k, k]. Keys run ascending;
+    those with an undefined kernel (a string with fewer than k symbols) are
     absent from the result.
     """
     if not 1 <= k1 <= k2:
         raise InputError("range must satisfy 1 <= k1 <= k2")
-    n1, n2 = index1.n, index2.n
+    ns = (index1.n, index2.n)
+    top = min(k2, ns[0] - 1, ns[1] - 1)
+    band = (WeightSpec("band", kmin=k, kmax=k) for k in range(k1, top + 1))
+    readings = {spec.kmin: _length_reading(spec, ns) for spec in band}
 
-    def result(b_num: list, b_one: list, b_two: list) -> dict[int, float]:
-        # length k reads the bins d >= k: sum them from the deepest up
-        top = min(k2, n1 - 1, n2 - 1)
-        num, den1, den2 = (sum(b[top + 1 :]) for b in (b_num, b_one, b_two))
-        out: dict[int, float] = {}
-        for k in range(top, k1 - 1, -1):
-            if k < len(b_num):
-                num += b_num[k]
-                den1 += b_one[k]
-                den2 += b_two[k]
-            out[k] = _cosine(num, n1 - k + den1, n2 - k + den2)
-        return out
+    def result(*bins: list) -> dict[int, float]:
+        return {k: read(*bins) for k, read in readings.items()}
 
-    return _telescoped(k1, result, (n1, n2))
+    return _telescoped(k1, result, ns)
 
 
 @_pair_measure
@@ -431,12 +429,14 @@ def _leaf_sum(n: int, lengths, ratio: float) -> float:
 
 
 def _length_reading(weights: WeightSpec, ns: tuple[int, int]):
-    """finish() of a length-based weight kind: its cosine read off the bins.
+    """finish() of a length-based weight kind: its cosine read off the sums.
 
-    With x_L the squared weight of length L, bin d counts toward every
-    length L <= d and so weighs ps(d) = x_1 + ... + x_d, and text i adds the
-    leaf sum of (n_i - L) x_L over 1 <= L < n_i = ns[i]. Band and uniform
-    weights are 0 or 1, so their sums stay exact integers. Exponential sums
+    With x_L the squared weight of length L, the sums at L (see _telescoped)
+    weigh x_L, and text i adds the leaf sum of (n_i - L) x_L over 1 <= L <
+    n_i = ns[i]. Band and uniform weights are 0 or 1, so they add the sums
+    over [kmin, kmax] as exact integers. Exponential weights take each bin d,
+    the difference of the sums at d and d + 1, once, weighed by ps(d) = x_1
+    + ... + x_d, the weights of the lengths it counts toward. Their sums
     are divided, on each side, by the squared weight of its heaviest length
     (1 when epsilon < 1, n_i - 1 when epsilon > 1) and, for the shared sum,
     by the geometric mean of the two: the cosine does not change, and no
@@ -447,7 +447,7 @@ def _length_reading(weights: WeightSpec, ns: tuple[int, int]):
     tops = (1, 1, 1) if x <= 1.0 else (ns[0] - 1, ns[1] - 1, (ns[0] + ns[1]) / 2 - 1)
     if x == 1.0:
         band = weights.kind == "band"
-        kmin, kmax = (weights.kmin, weights.kmax) if band else (1, math.inf)
+        kmin, kmax = (weights.kmin, weights.kmax) if band else (1, max(ns))
 
         def leaf(n: int) -> int:
             # the sum of n - L over kmin <= L <= min(kmax, n - 1)
@@ -456,11 +456,9 @@ def _length_reading(weights: WeightSpec, ns: tuple[int, int]):
 
         leaves = [leaf(n) for n in ns]
 
-        def weigh(bins: list, top: float) -> int:
+        def weigh(sums: list, top: float) -> int:
             # every weight is 0 or 1, so no scale is needed
-            return sum(
-                b * (min(d, kmax) - kmin + 1) for d, b in enumerate(bins) if d >= kmin
-            )
+            return sum(sums[kmin : kmax + 1])
 
     else:
         # r < 1 is the squared-weight ratio from the heaviest length outward
@@ -470,8 +468,9 @@ def _length_reading(weights: WeightSpec, ns: tuple[int, int]):
         else:
             leaves = [_leaf_sum(n, range(n - 1, 0, -1), r) for n in ns]
 
-        def weigh(bins: list, top: float) -> float:
+        def weigh(sums: list, top: float) -> float:
             # ps(d) / x**top, a geometric sum over lengths 1..d
+            bins = map(operator.sub, sums, sums[1:] + [0])
             return sum(
                 b * r ** max(top - d, 0) * (1.0 - r**d) / (1.0 - r)
                 for d, b in enumerate(bins)
@@ -616,25 +615,6 @@ def weighted_substring_kernel(index1: BwtIndex, index2: BwtIndex, weights: Weigh
 # centered k-mer distances
 
 
-def _window_products(text: list[int], k: int, q: tuple[float, ...]):
-    """q-products of every length-k window, periodically recomputed."""
-    m = len(text)
-    if m < k:
-        return
-    prod = 1.0
-    for j in range(k):
-        prod *= q[text[j] - 1]
-    yield prod
-    for i in range(1, m - k + 1):
-        if i & 1023:
-            prod = prod / q[text[i - 1] - 1] * q[text[i + k - 1] - 1]
-        else:
-            prod = 1.0
-            for j in range(i, i + k):
-                prod *= q[text[j] - 1]
-        yield prod
-
-
 def _fsum(values) -> float:
     """math.fsum, or nan where the sum leaves the float range or meets inf - inf."""
     try:
@@ -658,20 +638,25 @@ def _fsum_into(parts: list, values) -> None:
 def _d2_fold(index1: BwtIndex, index2: BwtIndex, k: int, q, phi, absent_coef):
     """Sum of phi(f1(W), f2(W), q(W)) over all k-mers W, absent ones in closed form.
 
-    phi takes arrays. A node of depth >= k adds phi at its own counts less
-    phi at each block's (a letter on both sides is one block); q(W) is the
-    product of q over the node's first k symbols, read through its path.
-    The leaf terms and the node terms cancel to a small value, so each
-    batch's terms are summed exactly (_fsum_into).
+    phi takes arrays. Each length-k window of a text adds phi at counts (1,
+    0) or (0, 1), and a node of depth >= k adds phi at its own counts less
+    phi at each block's (a letter on both sides is one block). q(W) is the
+    product of q over W's first k symbols, multiplied left to right, for a
+    node through its path and for 4,096 windows at a time through k shifted
+    slices of the text: the same float at a k-mer's windows and node. Those
+    terms cancel to a small value, so each group is summed exactly.
     """
     total, q_present = [], []
+    qs = np.array((0.0, *q))
     for index, x1 in ((index1, 1), (index2, 0)):
-        windows = _window_products(index.text, k, q)
-        while (qw := np.fromiter(itertools.islice(windows, 4096), float)).size:
+        for at in range(0, len(index.text) - k + 1, 4096):
+            qt = qs[index.text[at : at + 4095 + k]]
+            qw = qt[: qt.size - k + 1].copy()
+            for j in range(1, k):
+                qw *= qt[j : j + qw.size]
             with np.errstate(all="ignore"):
                 _fsum_into(total, phi(x1, 1 - x1, qw))
             _fsum_into(q_present, qw)
-    qs = np.array((0.0, *q))
 
     def visit(batch: Batch) -> None:
         if batch.depth < k:
@@ -692,7 +677,8 @@ def _d2_fold(index1: BwtIndex, index2: BwtIndex, k: int, q, phi, absent_coef):
             )
         _fsum_into(total, np.concatenate(terms))
         edges = one.nb + two.nb - 2 - np.bincount(one.node[i], minlength=one.nb.size)
-        _fsum_into(q_present, qk * (1 - edges))
+        # q(W) (1 - edges) as exact terms: one +q(W), and -q(W) per edge
+        _fsum_into(q_present, np.concatenate((qk, -qk.repeat(edges))))
 
     def finish() -> float:
         value = _fsum(total) + absent_coef * (1.0 - _fsum(q_present))
@@ -762,9 +748,49 @@ def d2star_distance(index1: BwtIndex, index2: BwtIndex, k: int, q):
 # minimal absent words
 
 
-def _maximal_kids(batch: Batch) -> np.ndarray:
-    """Kids with a letter a whose node has two left symbols, terminator included."""
-    return (batch.kid_sym != 0) & _left_maximal(batch)[batch.kid_node]
+class _Kids:
+    """What the MAW, KL and Markov folds read of a batch's letter kids.
+
+    A side is maximal at a node W when W has two blocks and two left
+    symbols there, the terminator included. on[i] marks the kids aW with a
+    letter a that occur in text i under a node maximal on side i, and
+    maws[i] counts per kid the MAWs a W b of text i: one for each letter b
+    of W there that aW lacks (0 off on[i]).
+
+    For a pair, rows marks the kids on some side, and for their letter
+    blocks (sel[i]) w_has[i] and k_has[i] tell whether W, and the kid, have
+    that letter in the other text. shared counts per node the letters of W
+    in both texts, and both the MAWs of both texts: a W b with b a letter of
+    W in both texts that a W lacks in both.
+    """
+
+    def __init__(self, batch: Batch) -> None:
+        kn = batch.kid_node
+        count = batch.sides[0].nb.size
+        self.on, self.maws = [], []
+        for side, kid in zip(batch.sides, batch.kid_sides):
+            occurs = kid.freq > 0
+            maximal = (side.nb >= 3) & (np.bincount(kn[occurs], minlength=count) >= 2)
+            on = (batch.kid_sym != 0) & occurs & maximal[kn]
+            self.on.append(on)
+            self.maws.append(np.where(on, _letters(side)[kn] - _letters(kid), 0))
+        if len(batch.sides) == 1:
+            return
+        (one, two), (kid1, kid2) = batch.sides, batch.kid_sides
+        (i, j), (ki, kj) = batch.match, batch.kid_match
+        self.rows = rows = self.on[0] | self.on[1]
+        self.sel = (rows[kid1.node] & (kid1.ch != 0), rows[kid2.node] & (kid2.ch != 0))
+        blk1, blk2 = batch.kid_blk
+        self.w_has = (_mask(one.ch.size, i)[blk1], _mask(two.ch.size, j)[blk2])
+        self.k_has = (_mask(kid1.ch.size, ki), _mask(kid2.ch.size, kj))
+        self.shared = np.bincount(one.node[i], minlength=count)
+        # per kid, the letters of W in both texts that the kid has on some side
+        seen1 = self.sel[0] & self.w_has[0]
+        seen2 = self.sel[1] & self.w_has[1] & ~self.k_has[1]
+        seen = np.bincount(kid1.node[seen1], minlength=kn.size)
+        seen += np.bincount(kid2.node[seen2], minlength=kn.size)
+        both = self.on[0] & self.on[1]
+        self.both = int((self.shared[kn[both]] - seen[both]).sum())
 
 
 def maw_count(index: BwtIndex) -> int:
@@ -773,10 +799,7 @@ def maw_count(index: BwtIndex) -> int:
 
     def visit(batch: Batch) -> None:
         nonlocal total
-        # a W b is a MAW for every letter b of W that aW lacks
-        rows = _maximal_kids(batch)
-        have = _letters(batch.sides[0])[batch.kid_node[rows]]
-        total += int((have - _letters(batch.kid_sides[0])[rows]).sum())
+        total += int(batch.derive(_Kids).maws[0].sum())
 
     batched_pass((index,), visit)
     return total
@@ -792,7 +815,7 @@ def _maw_listing(index: BwtIndex, emit) -> None:
     """
 
     def visit(batch: Batch) -> None:
-        rows = _maximal_kids(batch).nonzero()[0]
+        rows = batch.derive(_Kids).on[0].nonzero()[0]
         if not rows.size:
             return
         # kids run by a, then node: a stable sort by node keeps a ascending
@@ -860,64 +883,15 @@ def maw_words(index: BwtIndex) -> list[tuple[int, ...]]:
     return out
 
 
-class _PairKids:
-    """What the MAW and Markov pair folds read of a batch's letter kids.
-
-    A side is maximal at a node W when W has two blocks and two left
-    symbols there. rows marks the kids aW with a letter a under a node
-    maximal on some side. For the letter blocks of those kids (sel1, sel2),
-    counted per kid: each side's letters, and seen, the letters of W shared
-    by both texts that the kid has on some side.
-    """
-
-    def __init__(self, batch: Batch) -> None:
-        one, two = batch.sides
-        kid1, kid2 = batch.kid_sides
-        kn = batch.kid_node
-        count = one.nb.size
-        rows_n = kn.size
-        self.fa1, self.fa2 = kid1.freq, kid2.freq
-        self.mr1 = (one.nb >= 3) & (np.bincount(kn[self.fa1 > 0], minlength=count) >= 2)
-        self.mr2 = (two.nb >= 3) & (np.bincount(kn[self.fa2 > 0], minlength=count) >= 2)
-        self.rows = (batch.kid_sym != 0) & (self.mr1 | self.mr2)[kn]
-        i, j = batch.match
-        self.shared = np.bincount(one.node[i], minlength=count)
-        self.letters1, self.letters2 = _letters(one), _letters(two)
-        ki, kj = batch.kid_match
-        blk1, blk2 = batch.kid_blk
-        self.sel1 = self.rows[kid1.node] & (kid1.ch != 0)
-        self.sel2 = self.rows[kid2.node] & (kid2.ch != 0)
-        # per kid block: whether W, or the kid, has its letter in the other text
-        self.w_has2 = _mask(one.ch.size, i)[blk1]
-        self.w_has1 = _mask(two.ch.size, j)[blk2]
-        self.k_has2 = _mask(kid1.ch.size, ki)
-        self.k_has1 = _mask(kid2.ch.size, kj)
-        self.kid_letters1 = np.bincount(kid1.node[self.sel1], minlength=rows_n)
-        self.kid_letters2 = np.bincount(kid2.node[self.sel2], minlength=rows_n)
-        self.seen = np.bincount(
-            kid1.node[self.sel1 & self.w_has2], minlength=rows_n
-        ) + np.bincount(kid2.node[self.sel2 & self.w_has1 & ~self.k_has1], minlength=rows_n)
-
-
 def _maw_pair_fold(result) -> PairFold:
-    """Fold whose finish() is result(|MAW(T1)|, |MAW(T2)|, |intersection|).
-
-    On a side maximal at W, a W b is a MAW of that text for each letter b of
-    W that a W lacks there; it is a MAW of both when b is a letter of W in
-    both texts and a W lacks it in both.
-    """
+    """Fold whose finish() is result(|MAW(T1)|, |MAW(T2)|, |intersection|)."""
     counts = [0, 0, 0]
 
     def visit(batch: Batch) -> None:
-        p = batch.derive(_PairKids)
-        kn = batch.kid_node
-        rows = p.rows
-        on1 = rows & p.mr1[kn] & (p.fa1 > 0)
-        on2 = rows & p.mr2[kn] & (p.fa2 > 0)
-        counts[0] += int((p.letters1[kn[on1]] - p.kid_letters1[on1]).sum())
-        counts[1] += int((p.letters2[kn[on2]] - p.kid_letters2[on2]).sum())
-        both = on1 & on2
-        counts[2] += int((p.shared[kn[both]] - p.seen[both]).sum())
+        p = batch.derive(_Kids)
+        counts[0] += int(p.maws[0].sum())
+        counts[1] += int(p.maws[1].sum())
+        counts[2] += p.both
 
     return PairFold(visit, lambda: result(*counts))
 
@@ -990,7 +964,7 @@ def markov_kernel(index1: BwtIndex, index2: BwtIndex, params: ZScoreParams):
     def visit(batch: Batch) -> None:
         d = batch.depth
         one, two = batch.sides
-        p = batch.derive(_PairKids)
+        p = batch.derive(_Kids)
         if exact:
             on1, on2 = one.freq > 0, two.freq > 0
             if on1.any():
@@ -1004,47 +978,38 @@ def markov_kernel(index1: BwtIndex, index2: BwtIndex, params: ZScoreParams):
             g2v = g2a[d + 2] if d + 2 <= n2 else 1.0
         else:
             g1v = g2v = 1.0
-        rows = p.rows
-        if not rows.any():
+        if not p.rows.any():
             return
-        base_n = (g1v - 1.0) * (g2v - 1.0)
-        base_1 = (g1v - 1.0) ** 2
-        base_2 = (g2v - 1.0) ** 2
-        f1 = one.freq if d else np.array([m1])
-        f2 = two.freq if d else np.array([m2])
+        gs = (g1v, g2v)
+        fs = (one.freq, two.freq) if d else (np.array([m1]), np.array([m2]))
         kid1, kid2 = batch.kid_sides
-        blk1, blk2 = batch.kid_blk
         kn = batch.kid_node
-
-        def z(kid, sel, blk, side, f, g):
+        zs = []
+        for side, kid, sel, blk, f, g in zip(
+            batch.sides, batch.kid_sides, p.sel, batch.kid_blk, fs, gs
+        ):
             # z of the selected kid blocks, against W's block of that letter
-            out = np.full(kid.ch.size, math.nan)
+            z = np.full(kid.ch.size, math.nan)
             r = kid.node[sel]
-            out[sel] = g * (kid.w[sel] * f[kn[r]] / (kid.freq[r] * side.w[blk[sel]])) - 1.0
-            return out
-
-        z1 = z(kid1, p.sel1, blk1, one, f1, g1v)
-        z2 = z(kid2, p.sel2, blk2, two, f2, g2v)
+            z[sel] = g * (kid.w[sel] * f[kn[r]] / (kid.freq[r] * side.w[blk[sel]])) - 1.0
+            zs.append(z)
+        z1, z2 = zs
         ki, kj = batch.kid_match
-        pair = p.sel1[ki]
+        pair = p.sel[0][ki]
         ki, kj = ki[pair], kj[pair]
         # letters aWb on one side only, against a W b absent from the other
-        alone1 = p.sel1 & ~p.k_has2 & p.w_has2 & (p.fa2[kid1.node] > 0)
-        alone2 = p.sel2 & ~p.k_has1 & p.w_has1 & (p.fa1[kid2.node] > 0)
-        both_rows = rows & (p.fa1 > 0) & (p.fa2 > 0)
+        alone1 = p.sel[0] & ~p.k_has[0] & p.w_has[0] & (kid2.freq[kid1.node] > 0)
+        alone2 = p.sel[1] & ~p.k_has[1] & p.w_has[1] & (kid1.freq[kid2.node] > 0)
         # a minimal absent word of both texts: z1 = z2 = -1
-        absent = int((p.shared[kn[both_rows]] - p.seen[both_rows]).sum())
-        terms = (z1[ki] * z2[kj] - base_n, -z1[alone1], -z2[alone2], [float(absent)])
+        base = (g1v - 1.0) * (g2v - 1.0)
+        terms = (z1[ki] * z2[kj] - base, -z1[alone1], -z2[alone2], [float(p.both)])
         num.append(math.fsum(np.concatenate(terms)))
-        for den, mr, fa, sel, zs, kid, letters, kid_letters, base in (
-            (den1, p.mr1, p.fa1, p.sel1, z1, kid1, p.letters1, p.kid_letters1, base_1),
-            (den2, p.mr2, p.fa2, p.sel2, z2, kid2, p.letters2, p.kid_letters2, base_2),
+        for den, on, maws, sel, z, kid, g in zip(
+            (den1, den2), p.on, p.maws, p.sel, zs, batch.kid_sides, gs
         ):
-            on = rows & mr[kn] & (fa > 0)
             blocks = sel & on[kid.node]
             # a MAW of this text (z = -1) for each letter of W the kid lacks
-            absent = int((letters[kn[on]] - kid_letters[on]).sum())
-            terms = (zs[blocks] * zs[blocks] - base, [float(absent)])
+            terms = (z[blocks] * z[blocks] - (g - 1.0) ** 2, [float(maws.sum())])
             den.append(math.fsum(np.concatenate(terms)))
 
     return PairFold(visit, lambda: _cosine(*(math.fsum(s) for s in sums)))
@@ -1080,7 +1045,7 @@ def kl_divergence_range(index: BwtIndex, k1: int, k2: int) -> list[float]:
         side = batch.sides[0]
         kid = batch.kid_sides[0]
         # every letter block x of a letter kid aW of a maximal repeat W
-        sel = _maximal_kids(batch)[kid.node] & (kid.ch != 0)
+        sel = batch.derive(_Kids).on[0][kid.node] & (kid.ch != 0)
         x = kid.w[sel]
         r = kid.node[sel]
         fa = kid.freq[r]
@@ -1103,6 +1068,8 @@ def calibrate_kmax(index: BwtIndex, tau: float, kcap: int) -> int:
         raise InputError("tau must be positive")
     if kcap < 2:
         raise InputError("kcap must be at least 2")
+    # the KL of k >= n is 0, so the tail at k = n is below tau
+    kcap = min(kcap, index.n)
     kls = kl_divergence_range(index, 2, kcap)
     tail = 0.0
     tails = [0.0] * (kcap + 1)
@@ -1119,6 +1086,8 @@ def calibrate_kmin(index: BwtIndex, kcap: int) -> int:
     """The k in [1..kcap] maximizing distinct k-mers of frequency >= 2."""
     if kcap < 1:
         raise InputError("kcap must be at least 1")
+    # no k-mer with k >= n occurs twice
+    kcap = min(kcap, index.n)
     profile = kmer_profile(index, 1, kcap, 2, 2)
     best_k = 1
     best = -1

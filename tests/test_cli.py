@@ -50,6 +50,26 @@ def test_zero_denominator_exits_2(capsys, files):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_parameters_past_the_text(capsys, tmp_path):
+    # k and kcap far past a 12-symbol pair: the one-line zero denominator
+    # error, and the calibrations' answer at kcap = n
+    paths = []
+    for name, text in (("a", b"ACGTTGCAACGT"), ("b", b"ACGGTTCAACGA")):
+        path = tmp_path / f"{name}.txt"
+        path.write_bytes(text)
+        paths.append(str(path))
+    huge = "100000000000"
+    for kind in ("kmer", "d2s", "kmer,d2s"):
+        code, out, err = call(capsys, "kernel", "--kind", kind, "-k", huge, *paths)
+        assert (code, out) == (2, "")
+        assert "zero denominator" in err
+        assert len(err.strip().splitlines()) == 1
+    for flags in (["--kind", "kmin"], ["--kind", "kmax"], ["--kind", "kmax", "--tau", "1e-300"]):
+        at_n = call(capsys, "calibrate", *flags, "--kcap", "13", paths[0])
+        assert at_n[0] == 0
+        assert call(capsys, "calibrate", *flags, "--kcap", huge, paths[0]) == at_n
+
+
 def test_weight_overflow_exit_codes(capsys, tmp_path):
     path = tmp_path / "long.txt"
     path.write_bytes(b"abaab" * 60)

@@ -260,6 +260,24 @@ def test_d2_hand_values_and_preconditions():
         d2s_distance(a, b, 0, q)
 
 
+def test_d2_matches_oracle_with_random_q_on_long_texts():
+    # q far from uniform, on thousands of windows per text
+    rng = random.Random(90)
+    for _ in range(6):
+        s1 = rand_seq(rng, rng.randint(1500, 3000), 4)
+        s2 = rand_seq(rng, rng.randint(1500, 3000), 4)
+        if rng.random() < 0.5:
+            s2 = mutate(rng, s1, 0.1)
+        w = [rng.expovariate(1.0) + 0.01 for _ in range(4)]
+        q = tuple(x / sum(w) for x in w)
+        i1, i2 = build_bwt(s1), build_bwt(s2)
+        for k in (3, 8):
+            assert d2s_distance(i1, i2, k, q) == pytest.approx(orc.oracle_d2s(s1, s2, k, q), rel=1e-9)
+            assert d2star_distance(i1, i2, k, q) == pytest.approx(
+                orc.oracle_d2star(s1, s2, k, q), rel=1e-9
+            )
+
+
 def test_maw_hand_values():
     ab = idx("abab")
     assert maw_count(ab) == 3
@@ -295,6 +313,29 @@ def test_maw_enumerate_intervals_resolve_to_words():
             assert ix.count(list(w)) == 0
             assert ix.count(list(w[:-1])) > 0
             assert ix.count(list(w[1:])) > 0
+
+
+def test_maw_readers_agree():
+    # the count, the listing and the pair folds read one record of the kids;
+    # the 4e4-symbol pair 5% apart merges batches at the default cap
+    rng = random.Random(89)
+    pairs = []
+    for _ in range(8):
+        sigma = rng.choice([2, 3, 4, 20])
+        pairs.append(tuple(rand_seq(rng, rng.randint(20, 400), sigma) for _ in range(2)))
+    pairs.append((Sequence(fibonacci(1, 2, 610), 2), Sequence(fibonacci(2, 1, 500), 2)))
+    pairs.append((Sequence(fibonacci(1, 3, 987), 4), Sequence(fibonacci(1, 2, 987), 4)))
+    s1 = rand_seq(rng, 40_000, 4)
+    pairs.append((s1, mutate(rng, s1, 0.05)))
+    for s1, s2 in pairs:
+        i1, i2 = build_bwt(s1), build_bwt(s2)
+        words1, words2 = maw_words(i1), maw_words(i2)
+        c1, c2 = maw_count(i1), maw_count(i2)
+        assert (c1, c2) == (len(words1), len(words2))
+        assert c1 and c2
+        inter = len(set(words1) & set(words2))
+        assert maw_jaccard(i1, i2) == inter / (c1 + c2 - inter)
+        assert maw_cosine(i1, i2) == inter / math.sqrt(c1 * c2)
 
 
 def test_maw_pair_degenerate():
