@@ -104,12 +104,6 @@ def _parse_floats(arg: str | None, what: str) -> tuple[float, ...] | None:
         raise InputError(f"cannot parse {what} {arg!r}") from None
 
 
-def _decode_word(word: tuple[int, ...], s: Sequence) -> str:
-    if s.alphabet is None:
-        return ",".join(str(c) for c in word)
-    return s.alphabet.decode(list(word)).decode("ascii", "replace")
-
-
 def _build_parser() -> _Parser:
     top = _Parser(prog="bwtk", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(
@@ -288,8 +282,11 @@ def _run_maw(args) -> list[_Record]:
     ix = build_bwt(s)
     if args.kind == "count":
         return [_Record("maw-count", [], str(kernels.maw_count(ix)))]
+    # _load maps every input through an alphabet, which decodes the words
+    decode = s.alphabet.decode
     return [
-        _Record("maw", [], _decode_word(w, s)) for w in kernels.maw_words(ix)
+        _Record("maw", [], decode(list(w)).decode("ascii", "replace"))
+        for w in kernels.maw_words(ix)
     ]
 
 

@@ -273,6 +273,17 @@ def _match(one: Side, two: Side) -> tuple[np.ndarray, np.ndarray]:
     return l1[hit], l2[at[hit]]
 
 
+def _check_keys(indexes) -> None:
+    """Reject a pair whose packed (symbol, node) keys could overflow int64.
+
+    A batch's nodes, and its kids, number at most n1 + n2, so the keys of
+    _match and _extend_batch stay below (largest code + 1) (n1 + n2).
+    """
+    top = max(int(index.syms[-1]) for index in indexes) + 1
+    if top * sum(index.n for index in indexes) >= 2**63:
+        raise InputError("symbol codes too large for a pair: (largest + 1) (n1 + n2) >= 2**63")
+
+
 def _sides_match(batch: Batch) -> tuple[np.ndarray, np.ndarray]:
     return _match(*batch.sides)
 
@@ -453,7 +464,8 @@ def batched_pass(
     kids but never visited: strings through a terminator exist only by the
     circular convention. Nodes deeper than max_depth are not visited.
     Batches carry a Path when path is set. peak is the largest number of
-    boundaries the pending batches held at once.
+    boundaries the pending batches held at once. A pair raises InputError
+    when (largest code + 1) (n1 + n2) reaches 2**63 (see _check_keys).
 
     The children of a batch are one batch of the next depth; past _cap
     boundaries it is split (_split). A batch or piece under half the cap is
@@ -467,8 +479,10 @@ def batched_pass(
     children lie deeper than any parked batch. A merged batch's Path links
     each node to its own parent (_join).
     """
-    if len(indexes) == 2 and indexes[0].sigma != indexes[1].sigma:
-        raise InputError("alphabet mismatch between the two indexes")
+    if len(indexes) == 2:
+        if indexes[0].sigma != indexes[1].sigma:
+            raise InputError("alphabet mismatch between the two indexes")
+        _check_keys(indexes)
     for index in indexes:
         index.enumerations += 1
     # the root's blocks are the symbols that occur in T#
@@ -699,6 +713,7 @@ def extend_left_generalized(
     """extend_left on both sides at once; a side absent for aW is ABSENT."""
     if not (g.one.present or g.two.present):
         raise InputError("malformed representation: both sides absent")
+    _check_keys((index1, index2))
     sides = []
     for index, r in ((index1, g.one), (index2, g.two)):
         if r.present:

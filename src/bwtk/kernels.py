@@ -99,24 +99,10 @@ class ProfileMatrix:
 
 
 _LN2 = math.log(2.0)
-_INT64_LIMIT = 2**62  # bound on a same-depth sum of frequency products
-
-
-def _fits_int64(*ns: int) -> bool:
-    """Whether every same-depth sum of frequency products fits int64.
-
-    The nodes of one depth have disjoint intervals, so such a sum is at most
-    max(n)^2. Past the limit the products and sums run on Python ints.
-    """
-    return max(ns) ** 2 < _INT64_LIMIT
-
-
-def _wide(x: np.ndarray, fits: bool) -> np.ndarray:
-    return x if fits else x.astype(object)
 
 
 def _node_sums(values: np.ndarray, node: np.ndarray, count: int) -> np.ndarray:
-    """Per-node sums of values (node ascending), exact for int and object dtypes."""
+    """Per-node sums of values (node ascending), exact for integers."""
     total = np.zeros(values.size + 1, dtype=values.dtype)
     np.cumsum(values, out=total[1:])
     at = np.searchsorted(node, np.arange(count + 1))
@@ -219,7 +205,7 @@ def kmer_complexity(index: BwtIndex, k: int) -> int:
     return kmer_profile(index, k, k, 1, 1).cells[0][0]
 
 
-def _pair_terms(batch: Batch, fits: bool):
+def _pair_terms(batch: Batch):
     """Per node: fo ft - cross, fo^2 - s1 and ft^2 - s2.
 
     fo and ft are the node's frequencies, cross sums the products of the
@@ -229,17 +215,15 @@ def _pair_terms(batch: Batch, fits: bool):
     one, two = batch.sides
     i, j = batch.match
     count = one.nb.size
-    fo, ft = _wide(one.freq, fits), _wide(two.freq, fits)
-    w1, w2 = _wide(one.w, fits), _wide(two.w, fits)
-    cross = _node_sums(w1[i] * w2[j], one.node[i], count)
+    cross = _node_sums(one.w[i] * two.w[j], one.node[i], count)
     return (
-        fo * ft - cross,
-        fo * fo - _node_sums(w1 * w1, one.node, count),
-        ft * ft - _node_sums(w2 * w2, two.node, count),
+        one.freq * two.freq - cross,
+        one.freq * one.freq - _node_sums(one.w * one.w, one.node, count),
+        two.freq * two.freq - _node_sums(two.w * two.w, two.node, count),
     )
 
 
-def _telescoped(lo: int, result, ns: tuple[int, int]) -> PairFold:
+def _telescoped(lo: int, result) -> PairFold:
     """Telescoped sums of f1 f2, f1^2 and f2^2 over substrings, binned by length.
 
     A node of depth d >= lo adds fo ft - cross, fo^2 - s1 and ft^2 - s2 (its
@@ -252,13 +236,12 @@ def _telescoped(lo: int, result, ns: tuple[int, int]) -> PairFold:
     lo holding the sum at L; every length weighting is a reading of them.
     """
     bins = ([], [], [])
-    totals = _batch_totals if _fits_int64(*ns) else _batch_totals_wide
 
     def visit(batch: Batch) -> None:
         d = batch.depth
         if d < lo:
             return
-        for b, total in zip(bins, batch.derive(totals)):
+        for b, total in zip(bins, batch.derive(_batch_totals)):
             b.extend([0] * (d + 1 - len(b)))
             b[d] += total
 
@@ -268,24 +251,19 @@ def _telescoped(lo: int, result, ns: tuple[int, int]) -> PairFold:
     return PairFold(visit, finish)
 
 
-def _batch_totals(batch: Batch, fits: bool = True) -> tuple[int, int, int]:
-    """The batch's sums of the _pair_terms, in int64 (see _fits_int64)."""
+def _batch_totals(batch: Batch) -> tuple[int, int, int]:
+    """The batch's sums of the _pair_terms, in int64.
+
+    The nodes of one depth have disjoint intervals, so each product sum is
+    at most n1 n2, which the length bound suffix._MAX_N keeps below 2**63.
+    """
     one, two = batch.sides
     i, j = batch.match
-
-    def dot(x: np.ndarray, y: np.ndarray) -> int:
-        return int(np.dot(_wide(x, fits), _wide(y, fits)))
-
     return (
-        dot(one.freq, two.freq) - dot(one.w[i], two.w[j]),
-        dot(one.freq, one.freq) - dot(one.w, one.w),
-        dot(two.freq, two.freq) - dot(two.w, two.w),
+        int(one.freq @ two.freq - one.w[i] @ two.w[j]),
+        int(one.freq @ one.freq - one.w @ one.w),
+        int(two.freq @ two.freq - two.w @ two.w),
     )
-
-
-def _batch_totals_wide(batch: Batch) -> tuple[int, int, int]:
-    """_batch_totals on Python ints."""
-    return _batch_totals(batch, False)
 
 
 @_pair_measure
@@ -306,7 +284,7 @@ def kmer_kernel_range(index1: BwtIndex, index2: BwtIndex, k1: int, k2: int):
     def result(*bins: list) -> dict[int, float]:
         return {k: read(*bins) for k, read in readings.items()}
 
-    return _telescoped(k1, result, ns)
+    return _telescoped(k1, result)
 
 
 @_pair_measure
@@ -559,7 +537,6 @@ def _charscore_fold(index1: BwtIndex, index2: BwtIndex, scores) -> PairFold:
 
         return PairFold(lambda batch: None, out_of_range)
     sqm, sqe = np.frexp(np.array([0.0] + sq))
-    fits = _fits_int64(index1.n, index2.n)
     sums = (_ScaledSum(), _ScaledSum(), _ScaledSum())
     # every substring occurrence's squared weight, ending on a leaf edge or not
     sums[1].push(*_charscore_denominator(index1.text, sq))
@@ -578,7 +555,7 @@ def _charscore_fold(index1: BwtIndex, index2: BwtIndex, scores) -> PairFold:
         m, shift = np.frexp((np.ldexp(1.0, -s) + np.ldexp(pm, pe - s)) * sqm[p.sym])
         e = s + sqe[p.sym] + shift
         p.memo[key] = (m, e)
-        for total, terms in zip(sums, _pair_terms(batch, fits)):
+        for total, terms in zip(sums, _pair_terms(batch)):
             total.add(m * terms.astype(float), e)
 
     def finish() -> float:
@@ -607,7 +584,7 @@ def weighted_substring_kernel(index1: BwtIndex, index2: BwtIndex, weights: Weigh
     weights.validate(index1.sigma)
     ns = (index1.n, index2.n)
     if weights.kind != "charscore":
-        return _telescoped(1, _length_reading(weights, ns), ns)
+        return _telescoped(1, _length_reading(weights, ns))
     return _charscore_fold(index1, index2, weights.scores)
 
 
@@ -944,18 +921,15 @@ def markov_kernel(index1: BwtIndex, index2: BwtIndex, params: ZScoreParams):
     m1, m2 = n1 - 1, n2 - 1
     exact = params.g_mode == "exact"
     if exact:
-        g1a = [1.0, 1.0] + [markov_g(n1, j) for j in range(2, n1 + 1)]
-        g2a = [1.0, 1.0] + [markov_g(n2, j) for j in range(2, n2 + 1)]
-        ps1 = [0.0] * (n1 + 1)
-        for j in range(2, n1 + 1):
-            ps1[j] = ps1[j - 1] + (g1a[j] - 1.0) ** 2
-        ps2 = [0.0] * (n2 + 1)
-        for j in range(2, n2 + 1):
-            ps2[j] = ps2[j - 1] + (g2a[j] - 1.0) ** 2
-        limit = min(n1, n2)
-        psb = [0.0] * (limit + 1)
-        for j in range(2, limit + 1):
-            psb[j] = psb[j - 1] + (g1a[j] - 1.0) * (g2a[j] - 1.0)
+        # g at lengths 0..n (1 below 2), and prefix sums of the products of g - 1
+        g1a, g2a = (markov_g(n, np.arange(n + 1.0)) for n in (n1, n2))
+        g1a[:2] = g2a[:2] = 1.0
+        e1, e2 = g1a - 1.0, g2a - 1.0
+        limit = min(n1, n2) + 1
+        ps1, ps2, psb = (
+            np.cumsum(x).tolist() for x in (e1 * e1, e2 * e2, e1[:limit] * e2[:limit])
+        )
+        g1a, g2a = g1a.tolist(), g2a.tolist()
         sums = ([], [sum(ps1[0:n1])], [sum(ps2[0:n2])])
     else:
         sums = ([], [], [])

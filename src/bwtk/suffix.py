@@ -18,6 +18,9 @@ from .text import Sequence
 from .wavelet import RankIndex
 
 _MAGIC = b"BWTK1"
+# the largest |T#| whose sort key n**2 + n - 1 fits int64; within it, so does
+# every sum of frequency products a measure forms, at most n1 n2
+_MAX_N = 3_037_000_499
 
 
 def _sort_suffixes(s: np.ndarray) -> np.ndarray:
@@ -26,10 +29,12 @@ def _sort_suffixes(s: np.ndarray) -> np.ndarray:
     Each round of prefix doubling sorts one int64 key, rank * (n + 1) +
     second + 1, where second is the rank k places on (-1 past the end), with
     one stable argsort. Ranks lie in [0, n) and second + 1 in [0, n], so the
-    key orders (rank, second) as a two-key sort would while (n + 1)**2 fits
-    in int64, that is for n below 3e9.
+    key, at most n**2 + n - 1, orders (rank, second) as a two-key sort would
+    while it fits int64: an s longer than _MAX_N raises InputError.
     """
     n = int(s.size)
+    if n > _MAX_N:
+        raise InputError(f"text too long: {n} symbols with the terminator, over {_MAX_N}")
     rank = s.astype(np.int64)
     if int(rank.max()) >= n:
         rank = np.unique(rank, return_inverse=True)[1].astype(np.int64)
@@ -166,6 +171,8 @@ class BwtIndex:
         # codes are held as int64 while the tree is built
         if n < 2 or not 1 <= sigma < 2**63:
             raise InputError(f"{path}: corrupt header")
+        if n > _MAX_N:
+            raise InputError(f"{path}: {n} symbols with the terminator, over {_MAX_N}")
         width = int(sigma).bit_length()
         payload = np.frombuffer(blob, dtype=np.uint8, offset=len(_MAGIC) + 16)
         nbits = n * width
@@ -201,13 +208,10 @@ class BwtIndex:
         end = int(np.flatnonzero(self.codes == 0)[0])
         rows = []
         row = 0
-        for _ in range(self.n):
-            if row == end:
-                break
+        # lf[end] is 0, so the walk from row 0 reaches end
+        while row != end:
             rows.append(row)
             row = lf[row]
-        else:
-            raise InputError("LF walk did not terminate; index is corrupt")
         if len(rows) != self.n - 1:
             raise InputError("LF walk length mismatch; index is corrupt")
         return self.codes[rows[::-1]].tolist()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bwtk.suffix
 from bwtk.cli import _KERNEL_KINDS, run
 from bwtk.suffix import BwtIndex
 
@@ -276,6 +277,19 @@ def test_index_build_dump_roundtrip(capsys, tmp_path, files):
     assert out == "index\t5\t2\n"
     code, _, _ = call(capsys, "index", "build", files["x"])
     assert code == 1
+
+
+def test_index_past_the_length_bound_exits_1(capsys, monkeypatch, tmp_path, files):
+    out_path = tmp_path / "x.bwtk"
+    code, _, _ = call(capsys, "index", "build", files["x"], "-o", str(out_path))
+    assert code == 0
+    monkeypatch.setattr(bwtk.suffix, "_MAX_N", 4)
+    for argv in (("dump", str(out_path)), ("build", files["x"], "-o", str(out_path))):
+        code, out, err = call(capsys, "index", *argv)
+        assert code == 1
+        assert out == ""
+        assert "5 symbols with the terminator, over 4" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_oracle_subcommand(capsys, files, monkeypatch):

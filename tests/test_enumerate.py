@@ -428,6 +428,20 @@ def test_merged_batches_keep_every_node_and_label(monkeypatch, pair):
         assert labels.keys() == set(collect_labels(run, *indexes))
 
 
+@pytest.mark.parametrize("cap", [1024, bwtk.enumerate._CAP], ids=["cap1024", "default"])
+def test_peak_bound_on_a_deep_merged_descent(cap):
+    # a 2e4-symbol pair 0.1% apart descends thousands of depths, most of
+    # them one merged batch, far deeper than the texts above
+    rng = random.Random(11)
+    texts = [rand_seq(rng, 20_000, 4)]
+    texts.append(mutate(rng, texts[0], 0.001))
+    indexes = [build_bwt(s) for s in texts]
+    depths = Counter()
+    _, peak = batched_pass(indexes, lambda batch: depths.update((batch.depth,)), _cap=cap)
+    assert sum(count == 1 for count in depths.values()) > 2_000
+    assert peak <= _peak_bound(indexes, 4, cap)
+
+
 def test_batched_pass_never_ranks_one_symbol_at_a_time(monkeypatch):
     s = rand_seq(random.Random(37), 500, 4)
     ix = build_bwt(s)

@@ -21,7 +21,15 @@ from hypothesis import strategies as st
 
 import bwtk.kernels
 import bwtk.oracle as orc
-from bwtk.enumerate import _CAP, batched_pass
+from bwtk.enumerate import (
+    _CAP,
+    ABSENT,
+    GenRepr,
+    Repr,
+    batched_pass,
+    enumerate_generalized,
+    extend_left_generalized,
+)
 from bwtk.errors import ComputationError, InputError, ZeroDenominatorError
 from bwtk.kernels import (
     calibrate_kmax,
@@ -643,25 +651,69 @@ def test_kernel_values_are_bounded():
         assert -1.0 - 1e-12 <= v <= 1.0 + 1e-12
 
 
-def test_python_int_fallback_gives_identical_values(monkeypatch):
-    # same-depth sums run in int64 below the limit and on Python ints past it
-    rng = random.Random(75)
-    i1 = build_bwt(rand_seq(rng, 400, 4))
-    i2 = build_bwt(rand_seq(rng, 300, 4))
+def _coded_pair(rng: random.Random, n: int, codes: tuple[int, ...]):
+    """A random pair over codes, and the same pair relabelled 1, 2, ..."""
+    texts = [[rng.choice(codes) for _ in range(n)] for _ in range(2)]
+    label = {c: i + 1 for i, c in enumerate(sorted(codes))}
+    relabelled = [Sequence([label[c] for c in t], len(codes)) for t in texts]
+    return [Sequence(t, max(codes)) for t in texts], relabelled
 
-    def values():
-        return (
-            kmer_kernel_range(i1, i2, 1, 6),
-            substring_kernel(i1, i2),
-            weighted_substring_kernel(i1, i2, WeightSpec(kind="band", kmin=2, kmax=5)),
-            weighted_substring_kernel(i1, i2, WeightSpec(kind="charscore", scores=(0.5, 2.0, 1.0, 3.0))),
+
+def _coded_pair_values(i1, i2) -> list:
+    return [
+        kmer_kernel(i1, i2, 3),
+        kmer_kernel_range(i1, i2, 1, 6),
+        substring_kernel(i1, i2),
+        weighted_substring_kernel(i1, i2, WeightSpec("exponential", epsilon=0.5)),
+        weighted_substring_kernel(i1, i2, WeightSpec("band", kmin=2, kmax=5)),
+        maw_jaccard(i1, i2),
+        maw_cosine(i1, i2),
+        markov_kernel(i1, i2, ZScoreParams("unit")),
+        markov_kernel(i1, i2, ZScoreParams("exact")),
+    ]
+
+
+def test_pair_codes_past_the_key_bound_raise():
+    # (2**56 + 1) * 6002 passes 2**63: a pair pass packs (code, node) keys
+    # into int64, so it refuses such a pair rather than wrap them. d2s,
+    # d2star and charscore weights take one parameter per symbol of
+    # [1..sigma], so they cannot be called at these codes at all
+    big, _ = _coded_pair(random.Random(7), 3000, (1, 2, 2**56))
+    small, _ = _coded_pair(random.Random(7), 40, (1, 2**62))
+    for texts in (big, small):
+        i1, i2 = map(build_bwt, texts)
+        calls = (
+            lambda: kmer_kernel(i1, i2, 3),
+            lambda: kmer_kernel_range(i1, i2, 1, 6),
+            lambda: substring_kernel(i1, i2),
+            lambda: weighted_substring_kernel(i1, i2, WeightSpec("band", kmin=2, kmax=5)),
+            lambda: maw_jaccard(i1, i2),
+            lambda: maw_cosine(i1, i2),
+            lambda: markov_kernel(i1, i2, ZScoreParams("exact")),
+            lambda: enumerate_generalized(i1, i2, lambda ev: None),
+            lambda: extend_left_generalized(i1, i2, GenRepr(Repr((1,), (1, 2)), ABSENT)),
         )
+        for fn in calls:
+            with pytest.raises(InputError, match="too large"):
+                fn()
+        # each text alone is fine at these codes
+        assert maw_count(i1) > 0
 
-    fast = values()
-    assert bwtk.kernels._fits_int64(i1.n, i2.n)
-    monkeypatch.setattr(bwtk.kernels, "_INT64_LIMIT", 2**10)
-    assert not bwtk.kernels._fits_int64(i1.n, i2.n)
-    assert values() == fast
+
+@pytest.mark.parametrize(
+    "n, codes",
+    [(3000, (1, 2, 2**48)), (40, (1, 2, 2**40)), (40, (3, 2**20, 2**40 - 1))],
+)
+def test_pair_codes_within_the_key_bound_match_the_relabelled_pair(n, codes):
+    coded, relabelled = _coded_pair(random.Random(7), n, codes)
+    want = _coded_pair_values(*map(build_bwt, relabelled))
+    assert _coded_pair_values(*map(build_bwt, coded)) == want
+    if n <= 40:
+        s1, s2 = relabelled
+        assert _agree(want[0], orc.oracle_kmer_kernel(s1, s2, 3))
+        assert _agree(want[2], orc.oracle_substring_kernel(s1, s2))
+        assert _agree(want[5], orc.oracle_maw_jaccard(s1, s2))
+        assert _agree(want[8], orc.oracle_markov_kernel(s1, s2, ZScoreParams("exact")))
 
 
 def _agree(got, want) -> bool:

@@ -6,6 +6,7 @@ from conftest import idx, rand_seq, seq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bwtk.suffix
 from bwtk.errors import InputError
 from bwtk.suffix import BwtIndex, build_bwt, suffix_array
 from bwtk.text import Sequence
@@ -150,6 +151,21 @@ def test_load_rejects_corrupt_files(tmp_path):
         bad.write_bytes(b"BWTK1" + struct.pack("<QQ", 2, sigma) + codes)
         with pytest.raises(InputError, match="corrupt header"):
             BwtIndex.load(str(bad))
+
+
+def test_length_bound_is_checked(monkeypatch, tmp_path):
+    # past _MAX_N symbols, the terminator counted, the int64 sort key could wrap
+    path = tmp_path / "ix.bwtk"
+    build_bwt(seq("abracadabra")).dump(str(path))
+    monkeypatch.setattr(bwtk.suffix, "_MAX_N", 11)
+    assert build_bwt(seq("abracadabr")).text == seq("abracadabr").symbols
+    for make in (
+        lambda: build_bwt(seq("abracadabra")),
+        lambda: suffix_array(seq("abracadabra")),
+        lambda: BwtIndex.load(str(path)),
+    ):
+        with pytest.raises(InputError, match="12 symbols with the terminator, over 11"):
+            make()
 
 
 def test_load_rejects_header_payload_mismatch(tmp_path):
