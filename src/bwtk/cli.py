@@ -139,8 +139,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--scores", help="comma floats, one per alphabet symbol")
     p.add_argument("--q", help="comma probabilities, one per symbol (d2s, d2star)")
     p.add_argument("--g", choices=("unit", "exact"), default="unit")
-    # kept so existing scripts still run: threads ran no faster under the GIL
-    p.add_argument("--jobs", type=int, default=1, help="ignored; all kinds share one pass")
     p.add_argument("input1")
     p.add_argument("input2")
 
@@ -247,8 +245,8 @@ def _run_kernel(args) -> list[_Record]:
     for kind in kinds:
         if kind not in _KERNEL_KINDS:
             raise InputError(f"unknown kernel kind {kind!r}")
-    s1, s2 = _load(args, args.input1, args.input2)
-    i1, i2 = build_bwt(s1), build_bwt(s2)
+    # the indexes hold the texts, so the symbol lists go before the pass
+    i1, i2 = map(build_bwt, _load(args, args.input1, args.input2))
     # every kind is a fold over one generalized pass of the pair
     values = kernels.run_pair_folds(i1, i2, [(_kernel_fold, kind, args) for kind in kinds])
     return [rec for kind, v in zip(kinds, values) for rec in _kernel_records(kind, args, v)]

@@ -228,7 +228,8 @@ def _telescoped(lo: int, result) -> PairFold:
 
     A node of depth d >= lo adds fo ft - cross, fo^2 - s1 and ft^2 - s2 (its
     own frequency products less those of its right extensions, as in
-    _pair_terms) into bin d of (num, den1, den2), as exact integers. For
+    _pair_terms) into bin d of (num, den1, den2), as exact integers: a
+    batch sum is at most n1 n2, which suffix._MAX_N keeps in int64. For
     every length L >= lo, the sum of f1(U) f2(U) over the length-L
     substrings U is then the sum of num[d] over d >= L, and that of f1(U)^2
     is n1 - L plus the sum of den1[d] over d >= L (likewise for text 2).
@@ -241,29 +242,14 @@ def _telescoped(lo: int, result) -> PairFold:
         d = batch.depth
         if d < lo:
             return
-        for b, total in zip(bins, batch.derive(_batch_totals)):
+        for b, terms in zip(bins, batch.derive(_pair_terms)):
             b.extend([0] * (d + 1 - len(b)))
-            b[d] += total
+            b[d] += int(terms.sum())
 
     def finish():
         return result(*(list(itertools.accumulate(b[::-1]))[::-1] for b in bins))
 
     return PairFold(visit, finish)
-
-
-def _batch_totals(batch: Batch) -> tuple[int, int, int]:
-    """The batch's sums of the _pair_terms, in int64.
-
-    The nodes of one depth have disjoint intervals, so each product sum is
-    at most n1 n2, which the length bound suffix._MAX_N keeps below 2**63.
-    """
-    one, two = batch.sides
-    i, j = batch.match
-    return (
-        int(one.freq @ two.freq - one.w[i] @ two.w[j]),
-        int(one.freq @ one.freq - one.w @ one.w),
-        int(two.freq @ two.freq - two.w @ two.w),
-    )
 
 
 @_pair_measure
@@ -555,7 +541,7 @@ def _charscore_fold(index1: BwtIndex, index2: BwtIndex, scores) -> PairFold:
         m, shift = np.frexp((np.ldexp(1.0, -s) + np.ldexp(pm, pe - s)) * sqm[p.sym])
         e = s + sqe[p.sym] + shift
         p.memo[key] = (m, e)
-        for total, terms in zip(sums, _pair_terms(batch)):
+        for total, terms in zip(sums, batch.derive(_pair_terms)):
             total.add(m * terms.astype(float), e)
 
     def finish() -> float:
@@ -612,36 +598,55 @@ def _fsum_into(parts: list, values) -> None:
         parts.append(math.fsum(np.append(values, -total)))
 
 
+def _row_products(index: BwtIndex, k: int, qs: np.ndarray) -> np.ndarray:
+    """Per suffix row, the product of qs over its first k symbols; nan past T.
+
+    psi, one stable argsort of the BWT, takes a row to the row one symbol on
+    (LF inverted), and a row's first symbol is the BWT symbol at its psi.
+    The products double along psi at each bit of k after the leading one
+    and take one more symbol in front at each set bit: O(n log k), in one
+    order for every k-mer. qs[0] = nan marks the terminator.
+    """
+    psi = np.argsort(index.codes, kind="stable")
+    first = qs[index.codes[psi]]
+    prod, jump = first, psi  # products of m symbols, and psi applied m times
+    for bit in bin(k)[3:]:
+        prod = prod * prod[jump]
+        jump = jump[jump]
+        if bit == "1":
+            prod = first * prod[psi]
+            jump = jump[psi]
+    return prod
+
+
 def _d2_fold(index1: BwtIndex, index2: BwtIndex, k: int, q, phi, absent_coef):
     """Sum of phi(f1(W), f2(W), q(W)) over all k-mers W, absent ones in closed form.
 
     phi takes arrays. Each length-k window of a text adds phi at counts (1,
     0) or (0, 1), and a node of depth >= k adds phi at its own counts less
-    phi at each block's (a letter on both sides is one block). q(W) is the
-    product of q over W's first k symbols, multiplied left to right, for a
-    node through its path and for 4,096 windows at a time through k shifted
-    slices of the text: the same float at a k-mer's windows and node. Those
-    terms cancel to a small value, so each group is summed exactly.
+    phi at each block's (a letter on both sides is one block). q(W) is read
+    from one _row_products array per text: a text's windows are its rows
+    that do not reach the terminator, and a node's q(W) is the entry at its
+    first row in text 1, or in text 2 where W does not occur in text 1, so
+    a k-mer's windows and node read the same float. Those terms cancel to a
+    small value, so each group is summed exactly.
     """
     total, q_present = [], []
-    qs = np.array((0.0, *q))
-    for index, x1 in ((index1, 1), (index2, 0)):
-        for at in range(0, len(index.text) - k + 1, 4096):
-            qt = qs[index.text[at : at + 4095 + k]]
-            qw = qt[: qt.size - k + 1].copy()
-            for j in range(1, k):
-                qw *= qt[j : j + qw.size]
-            with np.errstate(all="ignore"):
-                _fsum_into(total, phi(x1, 1 - x1, qw))
-            _fsum_into(q_present, qw)
+    qs = np.array((math.nan, *q))
+    rows = [_row_products(index, k, qs) for index in (index1, index2)]
+    for qr, x1 in zip(rows, (1, 0)):
+        qw = qr[~np.isnan(qr)]
+        with np.errstate(all="ignore"):
+            _fsum_into(total, phi(x1, 1 - x1, qw))
+        _fsum_into(q_present, qw)
 
     def visit(batch: Batch) -> None:
         if batch.depth < k:
             return
-        qk = None
-        for sym in batch.path.heads(k):
-            qk = qs[sym] if qk is None else qk * qs[sym]
         one, two = batch.sides
+        # an absent node holds one boundary, 0, so both reads stay in range
+        at1, at2 = one.bd[one.end - one.nb], two.bd[two.end - two.nb]
+        qk = np.where(one.freq > 0, rows[0][at1], rows[1][at2])
         i, j = batch.match
         alone1 = ~_mask(one.ch.size, i)
         alone2 = ~_mask(two.ch.size, j)
@@ -666,7 +671,7 @@ def _d2_fold(index1: BwtIndex, index2: BwtIndex, k: int, q, phi, absent_coef):
             )
         return value
 
-    return PairFold(visit, finish, path=True)
+    return PairFold(visit, finish)
 
 
 def _d2_validate(index1: BwtIndex, index2: BwtIndex, k: int, q) -> tuple:
@@ -1045,15 +1050,9 @@ def calibrate_kmax(index: BwtIndex, tau: float, kcap: int) -> int:
     # the KL of k >= n is 0, so the tail at k = n is below tau
     kcap = min(kcap, index.n)
     kls = kl_divergence_range(index, 2, kcap)
-    tail = 0.0
-    tails = [0.0] * (kcap + 1)
-    for k in range(kcap, 1, -1):
-        tail += kls[k - 2]
-        tails[k] = tail
-    for k in range(2, kcap + 1):
-        if tails[k] < tau:
-            return k
-    return kcap + 1
+    # tails[k - 2] sums kls from k to kcap, added from kcap down
+    tails = list(itertools.accumulate(reversed(kls)))[::-1]
+    return next((k for k, tail in enumerate(tails, 2) if tail < tau), kcap + 1)
 
 
 def calibrate_kmin(index: BwtIndex, kcap: int) -> int:

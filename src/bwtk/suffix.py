@@ -68,17 +68,18 @@ def build_bwt(seq: Sequence) -> "BwtIndex":
 class BwtIndex:
     """BWT of T#, its C array, a rank structure, and the original symbols.
 
-    codes holds the BWT once, as np.min_scalar_type(sigma) codes; bwt reads
-    it as a list. The C array covers only the symbols that occur: syms is
-    them in ascending order, the terminator 0 first, and c[k] counts the
-    symbols of T# strictly smaller than syms[k], with c[-1] = n, so the
-    suffix rows starting with syms[k] are exactly [c[k]+1 .. c[k+1]]. A
-    declared sigma, or a code, far above the others costs nothing.
+    codes holds the BWT once, as np.min_scalar_type(sigma) codes, and T is
+    held once in the same dtype; bwt and text read them back as lists. The
+    C array covers only the symbols that occur: syms is them in ascending
+    order, the terminator 0 first, and c[k] counts the symbols of T#
+    strictly smaller than syms[k], with c[-1] = n, so the suffix rows
+    starting with syms[k] are exactly [c[k]+1 .. c[k+1]]. A declared sigma,
+    or a code, far above the others costs nothing.
     enumerations counts how many traversal passes have touched this index
     (used by tests).
     """
 
-    __slots__ = ("codes", "syms", "c", "n", "sigma", "ranks", "text", "name", "enumerations")
+    __slots__ = ("codes", "syms", "c", "n", "sigma", "ranks", "_text", "name", "enumerations")
 
     def __init__(self, symbols: list[int], sigma: int, name: str = "") -> None:
         if sigma < 1:
@@ -89,12 +90,10 @@ class BwtIndex:
         if s[:-1].min() < 1 or s[:-1].max() > sigma:
             raise InputError(f"symbols outside [1..{sigma}]")
         order = _sort_suffixes(s)
-        codes = s[order - 1]
-        self._install(codes, sigma, list(symbols), name)
+        self._install(s[order - 1], sigma, name)
+        self._text = s[:-1].astype(self.codes.dtype)
 
-    def _install(
-        self, codes: np.ndarray, sigma: int, text: list[int], name: str
-    ) -> None:
+    def _install(self, codes: np.ndarray, sigma: int, name: str) -> None:
         self.codes = codes.astype(np.min_scalar_type(sigma))
         self.n = int(codes.size)
         self.sigma = sigma
@@ -102,13 +101,16 @@ class BwtIndex:
         self.syms = syms.astype(np.int64)
         self.c = np.concatenate(([0], np.cumsum(counts)))
         self.ranks = RankIndex(codes, sigma)
-        self.text = text
         self.name = name
         self.enumerations = 0
 
     @property
     def bwt(self) -> list[int]:
         return self.codes.tolist()
+
+    @property
+    def text(self) -> list[int]:
+        return self._text.tolist()
 
     def __len__(self) -> int:
         return self.n
@@ -189,11 +191,11 @@ class BwtIndex:
         if codes.max() > sigma or int((codes == 0).sum()) != 1:
             raise InputError(f"{path}: corrupt BWT payload")
         index = cls.__new__(cls)
-        index._install(codes, int(sigma), [], "")
-        index.text = index._invert()
+        index._install(codes, int(sigma), "")
+        index._text = index._invert()
         return index
 
-    def _invert(self) -> list[int]:
+    def _invert(self) -> np.ndarray:
         """Recover T by walking the LF mapping from the terminator row.
 
         BWT row i holds the symbol a that precedes the suffix of row i, and
@@ -214,7 +216,7 @@ class BwtIndex:
             row = lf[row]
         if len(rows) != self.n - 1:
             raise InputError("LF walk length mismatch; index is corrupt")
-        return self.codes[rows[::-1]].tolist()
+        return self.codes[rows[::-1]]
 
     def to_sequence(self, name: str | None = None) -> Sequence:
-        return Sequence(list(self.text), self.sigma, name=self.name if name is None else name)
+        return Sequence(self.text, self.sigma, name=self.name if name is None else name)

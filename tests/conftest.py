@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import strategies as st
 
 from bwtk.enumerate import batched_pass
+from bwtk.errors import ZeroDenominatorError
 from bwtk.suffix import BwtIndex, build_bwt
 from bwtk.text import Sequence
 
@@ -80,3 +82,16 @@ def draw_repetitive(draw, sigma: int) -> Sequence:
 def repetitive_text(draw) -> Sequence:
     """Runs or a period over sigma in {1, 2, 4}."""
     return draw_repetitive(draw, draw(st.sampled_from((1, 2, 4))))
+
+
+def same_value_or_same_error(compute, expect_fn, rel=1e-9, abs_tol=1e-9):
+    """compute() gives expect_fn()'s value, or both raise ZeroDenominatorError."""
+    try:
+        expect = expect_fn()
+    except ZeroDenominatorError:
+        with pytest.raises(ZeroDenominatorError):
+            compute()
+        return None
+    got = compute()
+    assert got == pytest.approx(expect, rel=rel, abs=abs_tol)
+    return got

@@ -12,6 +12,7 @@ import random
 import time
 
 import pytest
+from conftest import same_value_or_same_error
 
 import bwtk.oracle as orc
 from bwtk.enumerate import enumerate_generalized, enumerate_right_maximal
@@ -65,18 +66,6 @@ def rand_pair(rng):
         [rng.randint(1, sigma) for _ in range(rng.randint(2, 64))], sigma
     )
     return mk(), mk()
-
-
-def same_value_or_same_error(compute, expect_fn, rel=1e-9, abs_tol=1e-9):
-    try:
-        expect = expect_fn()
-    except ZeroDenominatorError:
-        with pytest.raises(ZeroDenominatorError):
-            compute()
-        return None
-    got = compute()
-    assert got == pytest.approx(expect, rel=rel, abs=abs_tol)
-    return got
 
 
 @reported(1, "integer measures vs oracle")

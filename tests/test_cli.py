@@ -196,14 +196,11 @@ def test_precision_flag(capsys, files):
     assert code == 1
 
 
-def test_jobs_output_is_input_ordered(capsys, files):
+def test_kernel_output_is_input_ordered(capsys, files):
     kinds = "maw-cosine,kmer,substring,maw-jaccard,markov"
-    _, serial, _ = call(capsys, "kernel", "--kind", kinds, "-k", "1",
-                        files["a"], files["b"])
-    _, parallel, _ = call(capsys, "kernel", "--kind", kinds, "-k", "1",
-                          "--jobs", "4", files["a"], files["b"])
-    assert parallel == serial
-    assert [line.split("\t")[0] for line in serial.splitlines()] == kinds.split(",")
+    _, out, _ = call(capsys, "kernel", "--kind", kinds, "-k", "1",
+                     files["a"], files["b"])
+    assert [line.split("\t")[0] for line in out.splitlines()] == kinds.split(",")
 
 
 def test_kmer_sweep_emits_defined_rows(capsys, files):
@@ -387,7 +384,6 @@ _FLAGS = {
         "--q": _choice(("0.25,0.25,0.25,0.25", "0.1,0.2,0.3,0.4"),
                        ("0.5,0.5", "1,0,0,0", "nan,0.5,0.25,0.25")),
         "--g": _choice(("unit", "exact")),
-        "--jobs": _ints(1, 4),
     },
     "profile": {"--k1": _ints(1, 3), "--k2": _ints(3, 6), "--f1": _ints(1, 2),
                 "--f2": _ints(2, 4)},

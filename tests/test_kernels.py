@@ -14,6 +14,7 @@ from conftest import (
     mutate,
     rand_seq,
     repetitive_text,
+    same_value_or_same_error,
     seq,
 )
 from hypothesis import given, settings
@@ -279,11 +280,57 @@ def test_d2_matches_oracle_with_random_q_on_long_texts():
         w = [rng.expovariate(1.0) + 0.01 for _ in range(4)]
         q = tuple(x / sum(w) for x in w)
         i1, i2 = build_bwt(s1), build_bwt(s2)
-        for k in (3, 8):
+        for k in (3, 7, 8):
             assert d2s_distance(i1, i2, k, q) == pytest.approx(orc.oracle_d2s(s1, s2, k, q), rel=1e-9)
             assert d2star_distance(i1, i2, k, q) == pytest.approx(
                 orc.oracle_d2star(s1, s2, k, q), rel=1e-9
             )
+
+
+@st.composite
+def d2_case(draw):
+    """A pair over one alphabet, a k up to past the shorter text, and a q.
+
+    The pair is repetitive, or random over sigma in {2, 4} with a partner
+    that is random or the first text with a few letters changed. k keeps
+    sigma**k <= 4,096, so that the oracle scans every k-mer quickly.
+    """
+    if draw(st.booleans()):
+        sigma = draw(st.sampled_from((1, 2, 4)))
+        s1, s2 = draw_repetitive(draw, sigma), draw_repetitive(draw, sigma)
+    else:
+        sigma = draw(st.sampled_from((2, 4)))
+        letters = st.integers(1, sigma)
+        one = draw(st.lists(letters, min_size=1, max_size=60))
+        if draw(st.booleans()):
+            two = list(one)
+            spots = st.tuples(st.integers(0, len(one) - 1), letters)
+            for at, a in draw(st.lists(spots, max_size=3)):
+                two[at] = a
+        else:
+            two = draw(st.lists(letters, min_size=1, max_size=60))
+        s1, s2 = Sequence(one, sigma), Sequence(two, sigma)
+    top = min(len(s1), len(s2)) + 2
+    while sigma**top > 4096:
+        top -= 1
+    k = draw(st.integers(1, top))
+    w = draw(st.lists(st.floats(0.05, 1.0), min_size=sigma, max_size=sigma))
+    return s1, s2, k, tuple(x / sum(w) for x in w)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(d2_case())
+def test_d2_matches_oracle_at_any_k(case):
+    # k with several set bits, k-mers of text 2 only, and windows that
+    # reach the terminator all read the q-products of the suffix rows
+    s1, s2, k, q = case
+    i1, i2 = build_bwt(s1), build_bwt(s2)
+    same_value_or_same_error(
+        lambda: d2s_distance(i1, i2, k, q), lambda: orc.oracle_d2s(s1, s2, k, q)
+    )
+    same_value_or_same_error(
+        lambda: d2star_distance(i1, i2, k, q), lambda: orc.oracle_d2star(s1, s2, k, q)
+    )
 
 
 def test_maw_hand_values():
