@@ -1,6 +1,8 @@
 import random
 import struct
+import tracemalloc
 
+import numpy as np
 import pytest
 from conftest import idx, rand_seq, seq
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 import bwtk.suffix
 from bwtk.errors import InputError
-from bwtk.suffix import BwtIndex, build_bwt, suffix_array
+from bwtk.suffix import _MAGIC, BwtIndex, _sort_suffixes, build_bwt, suffix_array
 from bwtk.text import Sequence
 
 
@@ -18,13 +20,26 @@ def test_suffix_array_hand_values():
     assert suffix_array(seq("a")) == [2, 1]
 
 
-def test_suffix_array_matches_sorted_suffixes():
-    rng = random.Random(101)
-    for _ in range(40):
-        s = rand_seq(rng, rng.randint(1, 50), rng.choice([1, 2, 3, 4, 8]))
-        t = s.symbols + [0]
-        expect = sorted(range(1, len(t) + 1), key=lambda i: t[i - 1 :])
-        assert suffix_array(s) == expect
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_suffix_array_matches_sorted_suffixes(data):
+    # runs longer than one packed key (62 symbols at sigma=1, 27 at sigma=4)
+    # and periodic texts keep groups tied through many rounds; codes of 2**40
+    # are remapped before packing
+    sigma = data.draw(st.sampled_from((1, 2, 4, 20, 255, 2**40)))
+    letter = st.integers(1, sigma)
+    shape = data.draw(st.sampled_from(("random", "periodic", "runs")))
+    if shape == "random":
+        text = data.draw(st.lists(letter, min_size=1, max_size=120))
+    elif shape == "periodic":
+        text = data.draw(st.lists(letter, min_size=1, max_size=6)) * data.draw(st.integers(1, 40))
+    else:
+        runs = data.draw(st.lists(st.tuples(letter, st.integers(1, 150)), min_size=1, max_size=3))
+        text = [a for a, length in runs for _ in range(length)]
+    t = text + [0]
+    expect = sorted(range(len(t)), key=lambda i: t[i:])
+    assert _sort_suffixes(np.array(t, dtype=np.int64)).tolist() == expect
+    assert suffix_array(Sequence(text, sigma)) == [i + 1 for i in expect]
 
 
 def test_bwt_hand_values():
@@ -191,6 +206,38 @@ def test_load_rejects_nonzero_pad_bits(tmp_path):
             BwtIndex.load(str(path))
 
 
+@pytest.mark.parametrize("shape", ["random", "repetitive"])
+def test_build_peak_memory(shape):
+    # blocks copied from a few distinct ones with sparse substitutions keep
+    # most rows tied for many rounds of the sort
+    rng = np.random.default_rng(13)
+    if shape == "random":
+        sigma, codes = 4, rng.integers(0, 4, size=50_000)
+    else:
+        sigma, block, spacing = 20, 1_000, 999
+        pool = rng.integers(0, 20, size=(4, block))
+        codes = pool[rng.integers(0, 4, size=50)].reshape(-1)
+        pos = rng.integers(0, spacing) + spacing * np.arange(codes.size // spacing)
+        codes[pos] = (codes[pos] + rng.integers(1, 20, size=pos.size)) % 20
+    symbols = (codes + 1).tolist()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        BwtIndex(symbols, sigma)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * len(symbols)
+
+
+def _write_index(path, codes, sigma):
+    """A BWTK1 file holding codes as its BWT, packed as dump packs them."""
+    bits = [c >> j & 1 for c in codes for j in range(sigma.bit_length())]
+    payload = np.packbits(np.array(bits, dtype=np.uint8), bitorder="little").tobytes()
+    path.write_bytes(_MAGIC + struct.pack("<QQ", len(codes), sigma) + payload)
+
+
 @pytest.fixture(scope="module")
 def mutant_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("mutants")
@@ -222,6 +269,40 @@ def test_mutated_index_is_rejected_or_dumps_back_identically(mutant_dir, data):
     again = mutant_dir / "again.bwtk"
     back.dump(str(again))
     assert again.read_bytes() == bytes(blob)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_load_inverts_dumped_text(mutant_dir, data):
+    sigma = data.draw(st.sampled_from((1, 2, 4, 20, 255, 2**40)))
+    text = data.draw(st.lists(st.integers(1, sigma), min_size=1, max_size=200))
+    path = mutant_dir / "round.bwtk"
+    build_bwt(Sequence(text, sigma)).dump(str(path))
+    assert BwtIndex.load(str(path)).text == text
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_load_rejects_lf_with_two_cycles(mutant_dir, data):
+    # any arrangement of one 0 and n - 1 letters: it is the BWT of a text
+    # exactly when LF, walked from row 0, comes back only after all n rows
+    sigma = data.draw(st.sampled_from((1, 2, 4, 20)))
+    letters = data.draw(st.lists(st.integers(1, sigma), min_size=1, max_size=40))
+    codes = data.draw(st.permutations(letters + [0]))
+    lf = [0] * len(codes)
+    for row, i in enumerate(sorted(range(len(codes)), key=codes.__getitem__)):
+        lf[i] = row
+    rows = [0]
+    while lf[rows[-1]] != 0:
+        rows.append(lf[rows[-1]])
+    path = mutant_dir / "shuffled.bwtk"
+    _write_index(path, codes, sigma)
+    if len(rows) < len(codes):
+        with pytest.raises(InputError, match="index is corrupt"):
+            BwtIndex.load(str(path))
+    else:
+        # the walk meets T backwards, and its last row is the terminator's
+        assert BwtIndex.load(str(path)).text == [codes[r] for r in reversed(rows[:-1])]
 
 
 def test_to_sequence():
