@@ -21,6 +21,12 @@ its peak of pending boundaries, which the tests hold to sigma log2 n times
 the cap. A pass may stop at a depth bound, so that measures that read only
 short contexts skip the deeper nodes.
 
+No node keeps its label or a link to its parent. A label is read from T
+when asked for: psi takes a suffix row to the row one symbol on, so heads
+walks it from a node's first row. A fold that builds a value from the
+parent's carries it on the batch (Batch.carry), per node, and the pass
+moves it with the nodes into their kids, pieces and merged batches.
+
 The per-node API reads the same pass. enumerate_* call a visitor with a
 VisitEvent, a view of one node of the current batch, in pass order: batch
 by batch, then node by node within a batch. The order is deterministic,
@@ -55,6 +61,7 @@ __all__ = [
     "Side",
     "Batch",
     "batched_pass",
+    "heads",
 ]
 
 
@@ -151,73 +158,6 @@ class Side:
         )
 
 
-class Path:
-    """Where a batch's nodes come from, for folds that read labels.
-
-    node[j] is node j's parent in the batch one level up, whose Path is up,
-    and sym[j] the symbol node j prepends to it. memo maps a fold's key to
-    a tuple of per-node arrays it keeps for the children to read.
-
-    The Path of a merged batch (see _join) is its parts' Paths laid end to
-    end: sym and memo are joined at once, node and up only when first read,
-    so a fold that reads no labels never joins the parents.
-    """
-
-    __slots__ = ("_up", "_node", "sym", "memo", "_parts")
-
-    def __init__(self, up: Path | None, node, sym) -> None:
-        self._up = up
-        self._node = node
-        self.sym = sym
-        self.memo: dict = {}
-        self._parts = None
-
-    @property
-    def up(self) -> Path | None:
-        if self._parts is not None:
-            self._resolve()
-        return self._up
-
-    @property
-    def node(self):
-        if self._parts is not None:
-            self._resolve()
-        return self._node
-
-    def _resolve(self) -> None:
-        """Link each part's nodes into the join of the parts' parents."""
-        parts, self._parts = self._parts, None
-        ups = list({id(p.up): p.up for p in parts}.values())
-        if len(ups) == 1:
-            self._node = np.concatenate([p.node for p in parts])
-        else:
-            sizes = [u.sym.size for u in ups]
-            off = dict(zip(map(id, ups), np.cumsum(sizes) - sizes))
-            self._node = np.concatenate([p.node + off[id(p.up)] for p in parts])
-        self._up = _join(ups)
-
-    def heads(self, k: int):
-        """The arrays of W[0], W[1], .., W[k-1] over the nodes W; depth >= k."""
-        path, at = self, None
-        for _ in range(k):
-            yield path.sym if at is None else path.sym[at]
-            at = path.node if at is None else path.node[at]
-            path = path.up
-
-
-def _join(paths: list[Path]) -> Path:
-    """One Path over the nodes of distinct paths, in order."""
-    if len(paths) == 1:
-        return paths[0]
-    out = Path(None, None, np.concatenate([p.sym for p in paths]))
-    # a memo entry every part holds (a visited parent) is joined array by array
-    keys = set(paths[0].memo).intersection(*(p.memo for p in paths[1:]))
-    for key in keys:
-        out.memo[key] = tuple(map(np.concatenate, zip(*(p.memo[key] for p in paths))))
-    out._parts = paths
-    return out
-
-
 class Batch:
     """Same-depth nodes of a batched pass, with every left extension.
 
@@ -228,19 +168,21 @@ class Batch:
     (aWb occurs only where Wb does). For a pair, match (derived when first
     read) and kid_match are the index arrays of the blocks of text 1 and of
     text 2 that carry the same letter in the same node; terminators never
-    match. path is None unless the pass keeps labels. shared holds what
-    several folds of one pass derive from the batch, computed once.
+    match. shared holds what several folds of one pass derive from the
+    batch, computed once. carry maps a fold's key to a tuple of per-node
+    arrays: on entry they hold each node's parent's values, and the fold
+    replaces them with the node's own for the kids to read.
     """
 
     __slots__ = (
-        "depth", "sides", "path", "shared",
+        "depth", "sides", "carry", "shared",
         "kid_node", "kid_sym", "kid_sides", "kid_blk", "kid_match",
     )
 
-    def __init__(self, depth: int, sides: tuple[Side, ...]) -> None:
+    def __init__(self, depth: int, sides: tuple[Side, ...], carry: dict | None = None) -> None:
         self.depth = depth
         self.sides = sides
-        self.path = None
+        self.carry: dict = {} if carry is None else carry
         self.shared: dict = {}
 
     def derive(self, fn):
@@ -257,6 +199,18 @@ class Batch:
     def size(self) -> int:
         """Boundaries held."""
         return sum(side.bd.size for side in self.sides)
+
+
+def heads(codes: np.ndarray, psi: np.ndarray, rows: np.ndarray, k: int):
+    """The int64 arrays of W[0], W[1], .., W[k-1] over nodes W of depth >= k.
+
+    rows holds a suffix row (0-based) of each W in the text whose BWT is
+    codes, and psi is that text's BwtIndex.psi(): the suffix at the row
+    starts with W, and psi steps it one symbol on.
+    """
+    for _ in range(k):
+        rows = psi[rows]
+        yield codes[rows].astype(np.int64)
 
 
 def _match(one: Side, two: Side) -> tuple[np.ndarray, np.ndarray]:
@@ -364,12 +318,14 @@ def _extend_batch(batch: Batch, indexes) -> None:
     batch.kid_match = _match(*batch.kid_sides)
 
 
-def _take(depth: int, sides, path: Path | None, rows: np.ndarray) -> Batch:
-    """A batch of the nodes of sides where the boolean mask rows is set."""
-    out = Batch(depth, tuple(side.take(rows) for side in sides))
-    if path is not None:
-        out.path = Path(path.up, path.node[rows], path.sym[rows])
-    return out
+def _gather(carry: dict, rows: np.ndarray) -> dict:
+    """carry's per-node arrays at rows, a mask or an index array of nodes."""
+    return {key: tuple(a[rows] for a in arrays) for key, arrays in carry.items()}
+
+
+def _take(depth: int, sides, carry: dict, rows: np.ndarray) -> Batch:
+    """A batch of the nodes of sides, and their carry, where the mask rows is set."""
+    return Batch(depth, tuple(side.take(rows) for side in sides), _gather(carry, rows))
 
 
 def _next_batch(batch: Batch) -> Batch | None:
@@ -385,10 +341,11 @@ def _next_batch(batch: Batch) -> Batch | None:
         push &= one.nb + two.nb - 2 - shared >= 2
     if not np.count_nonzero(push):
         return None
-    path = None
-    if batch.path is not None:
-        path = Path(batch.path, batch.kid_node, batch.kid_sym)
-    return _take(batch.depth + 1, sides, path, push)
+    out = _take(batch.depth + 1, sides, {}, push)
+    if batch.carry:
+        # each kid starts from its parent node's values
+        out.carry = _gather(batch.carry, batch.kid_node[push])
+    return out
 
 
 def _split(batch: Batch, cap: int | None) -> list[Batch]:
@@ -410,7 +367,7 @@ def _split(batch: Batch, cap: int | None) -> list[Batch]:
     for r0, r1 in zip(bounds, bounds[1:]):
         rows = np.zeros(size.size, dtype=bool)
         rows[r0:r1] = True
-        pieces.append(_take(batch.depth, batch.sides, batch.path, rows))
+        pieces.append(_take(batch.depth, batch.sides, batch.carry, rows))
     mass = [sum(int(s.freq.sum()) for s in piece.sides) for piece in pieces]
     order = sorted(range(len(pieces)), key=mass.__getitem__, reverse=True)
     return [pieces[i] for i in order]
@@ -424,10 +381,11 @@ def _merge(parts: list[Batch]) -> Batch:
     for group in zip(*(part.sides for part in parts)):
         arrays = zip(*((side.bd, side.nb, side.ch) for side in group))
         sides.append(Side(*map(np.concatenate, arrays)))
-    out = Batch(parts[0].depth, tuple(sides))
-    if parts[0].path is not None:
-        out.path = _join([part.path for part in parts])
-    return out
+    carry = {
+        key: tuple(map(np.concatenate, zip(*(part.carry[key] for part in parts))))
+        for key in parts[0].carry
+    }
+    return Batch(parts[0].depth, tuple(sides), carry)
 
 
 class _Parked:
@@ -452,7 +410,7 @@ class _Parked:
 
 
 def batched_pass(
-    indexes, visit, *, max_depth: int | None = None, path: bool = False, _cap=_CAP
+    indexes, visit, *, max_depth: int | None = None, _cap=_CAP
 ) -> tuple[int, int]:
     """Call visit(batch) over the nodes of a pass; returns (visits, peak).
 
@@ -462,9 +420,10 @@ def batched_pass(
     distinct extensions. Each node is visited once, in batches of one depth,
     depth-first over batches. Terminator left extensions are delivered as
     kids but never visited: strings through a terminator exist only by the
-    circular convention. Nodes deeper than max_depth are not visited.
-    Batches carry a Path when path is set. peak is the largest number of
-    boundaries the pending batches held at once. A pair raises InputError
+    circular convention. Nodes deeper than max_depth are not visited. What
+    visit leaves in a batch's carry reaches each kid, whichever piece or
+    merged batch it lands in. peak is the largest number of boundaries the
+    pending batches held at once. A pair raises InputError
     when (largest code + 1) (n1 + n2) reaches 2**63 (see _check_keys).
 
     The children of a batch are one batch of the next depth; past _cap
@@ -476,8 +435,7 @@ def batched_pass(
     its children can join the batches parked one depth down. When the
     parked batches hold more than twice the cap in all, the deepest parked
     depths are merged and stacked until they hold at most that; their
-    children lie deeper than any parked batch. A merged batch's Path links
-    each node to its own parent (_join).
+    children lie deeper than any parked batch.
     """
     if len(indexes) == 2:
         if indexes[0].sigma != indexes[1].sigma:
@@ -488,8 +446,6 @@ def batched_pass(
     # the root's blocks are the symbols that occur in T#
     sides = [Side(index.c, np.array([index.c.size]), index.syms) for index in indexes]
     root = Batch(0, tuple(sides))
-    if path:
-        root.path = Path(None, None, None)
     last = math.inf if max_depth is None else max_depth
     small = 0 if _cap is None else _cap // 2
     bound = math.inf if _cap is None else 2 * _cap
@@ -530,16 +486,19 @@ class VisitEvent:
     depth is |W|. repr is repr(W) (a GenRepr in a pair pass); lefts[i] is a
     symbol a (possibly 0) preceding an occurrence of W and children[i] is
     repr(aW), in ascending symbol order; label() is W. They are computed
-    when first read in a batch, so a visitor pays only for what it reads.
+    when first read in a batch, so a visitor pays only for what it reads;
+    the first label() of a pass makes a psi array for the text it reads.
     The object is reused between visits; do not retain it.
     """
 
-    __slots__ = ("depth", "_batch", "_j")
+    __slots__ = ("depth", "_batch", "_j", "_indexes", "_psi")
 
-    def __init__(self) -> None:
+    def __init__(self, indexes) -> None:
         self.depth = 0
         self._batch: Batch | None = None
         self._j = 0
+        self._indexes = indexes
+        self._psi = [None] * len(indexes)
 
     @property
     def repr(self) -> Repr | GenRepr:
@@ -554,13 +513,19 @@ class VisitEvent:
         return self._batch.derive(_kids)[1][self._j]
 
     def label(self) -> tuple[int, ...]:
-        """W[0], W[1], .., read up the batch's Path."""
-        path, at = self._batch.path, self._j
+        """W[0], W[1], .., read from T along psi (see heads), one row at a time."""
+        sides, j = self._batch.sides, self._j
+        # W's first row in text 1 where W occurs there, else in text 2
+        i = int(sides[0].freq[j] == 0)
+        side = sides[i]
+        row = side.bd.item(side.end.item(j) - side.nb.item(j))
+        if self._psi[i] is None:
+            self._psi[i] = self._indexes[i].psi()
+        psi, codes = self._psi[i], self._indexes[i].codes
         out = []
         for _ in range(self.depth):
-            out.append(int(path.sym[at]))
-            at = path.node[at]
-            path = path.up
+            row = psi.item(row)
+            out.append(codes.item(row))
         return tuple(out)
 
 
@@ -607,7 +572,7 @@ def _visit_nodes(indexes, visitor, fire, stats, max_depth=None) -> int:
     Returns the number of calls. stats, when given, receives the pass's
     visits and its peak pending boundaries as peak_frames.
     """
-    ev = VisitEvent()
+    ev = VisitEvent(indexes)
     fired = 0
 
     def visit(batch: Batch) -> None:
@@ -623,7 +588,7 @@ def _visit_nodes(indexes, visitor, fire, stats, max_depth=None) -> int:
             visitor(ev)
         fired += len(nodes)
 
-    visits, peak = batched_pass(indexes, visit, max_depth=max_depth, path=True)
+    visits, peak = batched_pass(indexes, visit, max_depth=max_depth)
     if stats is not None:
         stats["visits"] = visits
         stats["peak_frames"] = peak

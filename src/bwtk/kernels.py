@@ -15,8 +15,9 @@ kernel is a reading of the bins. Uniform and band weights take integer
 coefficients (the k-mer kernel at k is the band reading over [k, k]), and
 exponential weights take geometric sums scaled by each side's heaviest
 length, so no epsilon needs a path of its own. Per-character score weights
-depend on the letters: each node carries its weight from its parent as a
-float times a power of two, so no score overflows.
+depend on the letters: each node builds its weight from its parent's, which
+the batch carries (Batch.carry), as a float times a power of two, so no
+score overflows.
 
 The MAW measures, the KL divergence and the Markov kernel read one record
 of a batch's letter kids, _Kids. maw_words and maw_enumerate list words
@@ -53,6 +54,7 @@ from .enumerate import (  # noqa: F401
     enumerate_generalized,
     enumerate_maximal_repeats,
     enumerate_right_maximal,
+    heads,
 )
 from .errors import BwtkError, ComputationError, InputError, ZeroDenominatorError
 from .params import WeightSpec, ZScoreParams, markov_g, validate_probs
@@ -139,13 +141,11 @@ class PairFold(NamedTuple):
     """One pair measure as a fold over a two-index batched_pass.
 
     visit(batch) runs at every batch and never raises; finish() then
-    returns the value or raises. path asks the pass to link each batch to
-    its parent (Batch.path), for folds that read the nodes' labels.
+    returns the value or raises.
     """
 
     visit: Callable[[Batch], None]
     finish: Callable[[], Any]
-    path: bool = False
 
 
 def run_pair_folds(index1: BwtIndex, index2: BwtIndex, calls) -> list:
@@ -174,7 +174,7 @@ def run_pair_folds(index1: BwtIndex, index2: BwtIndex, calls) -> list:
             for fn in visits:
                 fn(batch)
 
-        batched_pass((index1, index2), visit, path=any(f.path for f in folds))
+        batched_pass((index1, index2), visit)
     values = [fold.finish() for fold in folds]
     if error is not None:
         raise error
@@ -203,6 +203,17 @@ def kmer_complexity(index: BwtIndex, k: int) -> int:
         raise InputError("k must be at least 1")
     # the saturated f >= 1 cell counts every distinct k-mer
     return kmer_profile(index, k, k, 1, 1).cells[0][0]
+
+
+def _at_first_row(batch: Batch, read) -> np.ndarray:
+    """Per node of a pair batch, read(i, rows) at its first row in text i + 1.
+
+    That is text 1 (i = 0) where the node occurs there, and text 2 otherwise.
+    """
+    one, two = batch.sides
+    # an absent node holds one boundary, 0, so both reads stay in range
+    at1, at2 = one.bd[one.end - one.nb], two.bd[two.end - two.nb]
+    return np.where(one.freq > 0, read(0, at1), read(1, at2))
 
 
 def _pair_terms(batch: Batch):
@@ -511,9 +522,11 @@ def _charscore_fold(index1: BwtIndex, index2: BwtIndex, scores) -> PairFold:
     A node W's terms (as in _telescoped) count every prefix U of W that has
     not ended on a block, with weight w(U)^2, the product of the squared
     scores of U's letters. Their sum ps(W) follows ps(aW) = sq[a] (1 +
-    ps(W)) from the parent, and is carried per node as m * 2**e. Each side
-    is then scaled by its heaviest exponent and the shared sum by their
-    mean, so the cosine does not depend on how large the weights grow.
+    ps(W)) from the parent, whose ps the batch carries (Batch.carry) as m *
+    2**e; a, aW's first letter, is the symbol whose C-array rows hold aW's
+    first suffix row. Each side is then scaled by its heaviest exponent and
+    the shared sum by their mean, so the cosine does not depend on how
+    large the weights grow.
     """
     sq = [q * q for q in scores]
     if not all(math.isfinite(v) for v in sq):
@@ -527,20 +540,23 @@ def _charscore_fold(index1: BwtIndex, index2: BwtIndex, scores) -> PairFold:
     # every substring occurrence's squared weight, ending on a leaf edge or not
     sums[1].push(*_charscore_denominator(index1.text, sq))
     sums[2].push(*_charscore_denominator(index2.text, sq))
-    key = object()  # this fold's entry in the path memos
+    key = object()  # this fold's entry in Batch.carry
+
+    def first_letter(i: int, rows: np.ndarray) -> np.ndarray:
+        index = (index1, index2)[i]
+        return index.syms[np.searchsorted(index.c, rows, "right") - 1]
 
     def visit(batch: Batch) -> None:
-        p = batch.path
         if not batch.depth:
-            p.memo[key] = (np.zeros(1), np.zeros(1, dtype=np.int64))
+            batch.carry[key] = (np.zeros(1), np.zeros(1, dtype=np.int64))
             return
-        pm, pe = p.up.memo[key]
-        pm, pe = pm[p.node], pe[p.node]
+        pm, pe = batch.carry[key]
+        a = _at_first_row(batch, first_letter)
         # (1 + ps(W)) / 2**s, exact in scale, then times sq[a]
         s = np.maximum(pe, 0)
-        m, shift = np.frexp((np.ldexp(1.0, -s) + np.ldexp(pm, pe - s)) * sqm[p.sym])
-        e = s + sqe[p.sym] + shift
-        p.memo[key] = (m, e)
+        m, shift = np.frexp((np.ldexp(1.0, -s) + np.ldexp(pm, pe - s)) * sqm[a])
+        e = s + sqe[a] + shift
+        batch.carry[key] = (m, e)
         for total, terms in zip(sums, batch.derive(_pair_terms)):
             total.add(m * terms.astype(float), e)
 
@@ -553,7 +569,7 @@ def _charscore_fold(index1: BwtIndex, index2: BwtIndex, scores) -> PairFold:
             d2, t2 = d2 * 2.0, t2 - 1
         return _cosine(math.ldexp(num, ne - (t1 + t2) // 2), d1, d2)
 
-    return PairFold(visit, finish, path=True)
+    return PairFold(visit, finish)
 
 
 @_pair_measure
@@ -563,7 +579,7 @@ def weighted_substring_kernel(index1: BwtIndex, index2: BwtIndex, weights: Weigh
     The length-based kinds read the depth bins of the telescoping fold.
     charscore weights depend on the letters, so each node's terms are
     scaled by the sum of the squared weights of its label's prefixes, built
-    from the parent's sum.
+    from the parent's sum, which the batch carries.
     """
     if index1.sigma != index2.sigma:
         raise InputError("alphabet mismatch between the two indexes")
@@ -601,13 +617,13 @@ def _fsum_into(parts: list, values) -> None:
 def _row_products(index: BwtIndex, k: int, qs: np.ndarray) -> np.ndarray:
     """Per suffix row, the product of qs over its first k symbols; nan past T.
 
-    psi, one stable argsort of the BWT, takes a row to the row one symbol on
-    (LF inverted), and a row's first symbol is the BWT symbol at its psi.
+    psi (BwtIndex.psi) takes a row to the row one symbol on, and a row's
+    first symbol is the BWT symbol at its psi.
     The products double along psi at each bit of k after the leading one
     and take one more symbol in front at each set bit: O(n log k), in one
     order for every k-mer. qs[0] = nan marks the terminator.
     """
-    psi = np.argsort(index.codes, kind="stable")
+    psi = index.psi()
     first = qs[index.codes[psi]]
     prod, jump = first, psi  # products of m symbols, and psi applied m times
     for bit in bin(k)[3:]:
@@ -644,9 +660,7 @@ def _d2_fold(index1: BwtIndex, index2: BwtIndex, k: int, q, phi, absent_coef):
         if batch.depth < k:
             return
         one, two = batch.sides
-        # an absent node holds one boundary, 0, so both reads stay in range
-        at1, at2 = one.bd[one.end - one.nb], two.bd[two.end - two.nb]
-        qk = np.where(one.freq > 0, rows[0][at1], rows[1][at2])
+        qk = _at_first_row(batch, lambda t, at: rows[t][at])
         i, j = batch.match
         alone1 = ~_mask(one.ch.size, i)
         alone2 = ~_mask(two.ch.size, j)
@@ -792,8 +806,7 @@ def _maw_listing(index: BwtIndex, emit) -> None:
 
     node, a and b are parallel arrays, one entry per MAW, W being node
     node[i] of the batch; they run by node, then a, then b. Batches come in
-    pass order, so this is the order of the listings, and carry their
-    labels (Batch.path).
+    pass order, so this is the order of the listings.
     """
 
     def visit(batch: Batch) -> None:
@@ -822,7 +835,7 @@ def _maw_listing(index: BwtIndex, emit) -> None:
         kept = np.arange(rows.size).repeat(width)[hit]
         emit(batch, node[kept], batch.kid_sym[rows[kept]], side.ch[blk[hit]])
 
-    batched_pass((index,), visit, path=True)
+    batched_pass((index,), visit)
 
 
 def maw_enumerate(index: BwtIndex, visitor) -> int:
@@ -853,13 +866,19 @@ def maw_words(index: BwtIndex) -> list[tuple[int, ...]]:
     They come in pass order: batch by batch (see enumerate.batched_pass;
     the batches may merge nodes of several parents, so the order is
     deterministic but not sorted), then by the infix's node within its
-    batch, then by a, then by b.
+    batch, then by a, then by b. The infixes are read from T along psi.
     """
     out: list[tuple[int, ...]] = []
+    psi = index.psi()
 
     def emit(batch: Batch, node, a, b) -> None:
-        label = [sym[node] for sym in batch.path.heads(batch.depth)]
-        out.extend(map(tuple, np.column_stack([a, *label, b]).tolist()))
+        side = batch.sides[0]
+        rows = side.bd[(side.end - side.nb)[node]]
+        words = np.empty((node.size, batch.depth + 2), dtype=np.int64)
+        words[:, 0], words[:, -1] = a, b
+        for i, sym in enumerate(heads(index.codes, psi, rows, batch.depth), 1):
+            words[:, i] = sym
+        out.extend(map(tuple, words.tolist()))
 
     _maw_listing(index, emit)
     return out

@@ -28,11 +28,13 @@ _MAX_N = 3_037_000_499
 def _sort_suffixes(s: np.ndarray) -> np.ndarray:
     """0-based suffix order of s, which ends in a 0 that occurs nowhere else.
 
-    The first round sorts every suffix by its first h symbols at once. With
-    b the largest code + 1 (codes of n or more are first replaced by their
-    ranks), one int64 key packs h symbols in base b, 0 past the end of s,
-    h as large as b**h < 2**63 allows: 27 at sigma=4, 14 at sigma=20. The
-    unstable argsort is enough, since later rounds refine tied keys.
+    The first round sorts every suffix by its first h symbols at once. The
+    codes are first replaced by their ranks among the distinct codes, through
+    a presence table while the largest code is below n, so that b, the number
+    of distinct codes, does not depend on which codes occur. One int64 key
+    packs h symbols in base b, 0 past the end of s, h as large as b**h <
+    2**63 allows: 27 at sigma=4, 14 at sigma=20. The unstable argsort is
+    enough, since later rounds refine tied keys.
 
     A row's rank is the head slot of its group, the first slot in the
     order that its ties occupy. Each later round, k the prefix length sorted
@@ -49,7 +51,11 @@ def _sort_suffixes(s: np.ndarray) -> np.ndarray:
     if n > _MAX_N:
         raise InputError(f"text too long: {n} symbols with the terminator, over {_MAX_N}")
     rank = s.astype(np.int64)
-    if int(rank.max()) >= n:
+    if int(rank.max()) < n:
+        present = np.bincount(rank) > 0  # O(n + sigma)
+        if not present.all():
+            rank = (present.cumsum() - 1)[rank]
+    else:
         rank = np.unique(rank, return_inverse=True)[1].astype(np.int64)
     b = int(rank.max()) + 1
     k = 1
@@ -245,22 +251,30 @@ class BwtIndex:
         index._text = index._invert()
         return index
 
+    def psi(self) -> np.ndarray:
+        """Per suffix row (0-based), the row of the suffix one symbol on.
+
+        Equal symbols keep their BWT order in the first column F, so a stable
+        argsort of the codes inverts LF, and row r's suffix starts with
+        codes[psi[r]]. Each call makes a fresh array; the index keeps none.
+        """
+        return np.argsort(self.codes, kind="stable")
+
     def _invert(self) -> np.ndarray:
         """Recover T by list ranking over the LF mapping.
 
         BWT row i holds the symbol a that precedes the suffix of row i, and
-        lf[i] is the row of the suffix that starts with that a: equal
-        symbols keep their BWT order in the first column F, so one stable
-        argsort of the codes gives LF, and the codes in that order are F.
-        Row 0 is the suffix #, and the row of the suffix at position p of T
-        reaches it in p + 1 steps along LF. Pointer jumping (Wyllie 1979),
-        with row 0 absorbing, finds every row's distance to row 0 in
-        ceil(log2(n - 1)) rounds, and T[p] is the F symbol of the row at
-        distance p + 1. A row that never reaches row 0 lies on a second
-        cycle of LF, which the BWT of no text has.
+        lf[i] is the row of the suffix that starts with that a: LF inverts
+        psi, and the codes in psi's order are F. Row 0 is the suffix #, and
+        the row of the suffix at position p of T reaches it in p + 1 steps
+        along LF. Pointer jumping (Wyllie 1979), with row 0 absorbing, finds
+        every row's distance to row 0 in ceil(log2(n - 1)) rounds, and T[p]
+        is the F symbol of the row at distance p + 1. A row that never
+        reaches row 0 lies on a second cycle of LF, which the BWT of no text
+        has.
         """
         n = self.n
-        by = np.argsort(self.codes, kind="stable")
+        by = self.psi()
         first = self.codes[by]
         hop = np.empty(n, dtype=np.int64)
         hop[by] = np.arange(n)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -39,21 +40,20 @@ def mutate(rng: random.Random, s: Sequence, rate: float) -> Sequence:
 def merged_batches(indexes, cap) -> int:
     """Batches of a pass at cap whose nodes descend from two or more visited batches.
 
-    A batch's Path links up to the Path of the batch its nodes came from; a
-    batch merged from the children of several batches links up to a join
-    of theirs, which is no visited batch's Path.
+    Each visited batch carries its serial number to its kids, so a batch
+    holds on entry the serials of the batches its nodes came from.
     """
-    seen = []  # every visited Path stays alive, so no id is reused
-    ids = set()
-    merged = 0
+    key = object()
+    serial = merged = 0
 
     def visit(batch):
-        nonlocal merged
-        merged += batch.depth > 0 and id(batch.path.up) not in ids
-        seen.append(batch.path)
-        ids.add(id(batch.path))
+        nonlocal serial, merged
+        if batch.depth:
+            merged += np.unique(batch.carry[key][0]).size > 1
+        serial += 1
+        batch.carry[key] = (np.full(batch.sides[0].nb.size, serial),)
 
-    batched_pass(indexes, visit, path=True, _cap=cap)
+    batched_pass(indexes, visit, _cap=cap)
     return merged
 
 

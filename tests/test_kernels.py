@@ -17,7 +17,7 @@ from conftest import (
     same_value_or_same_error,
     seq,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bwtk.kernels
@@ -843,6 +843,49 @@ def test_charscore_matches_oracle_for_scores_up_to_ten(data):
     spec = WeightSpec(kind="charscore", scores=scores)
     got = weighted_substring_kernel(build_bwt(s1), build_bwt(s2), spec)
     assert got == pytest.approx(orc.oracle_weighted_substring_kernel(s1, s2, spec), rel=1e-9)
+
+
+def _near_pair(seed: int) -> tuple[Sequence, Sequence]:
+    """A 2,000-symbol pair 0.1% apart: a descent about a thousand depths deep."""
+    rng = random.Random(seed)
+    s = rand_seq(rng, 2000, 4)
+    return s, mutate(rng, s, 0.001)
+
+
+@st.composite
+def deep_pair(draw):
+    """Prefixes of one Fibonacci word, or a repetitive pair."""
+    if draw(st.booleans()):
+        a, b = draw(st.permutations((1, 2)))
+        return tuple(Sequence(fibonacci(a, b, draw(st.integers(1, 150))), 2) for _ in range(2))
+    return draw(repetitive_pair())
+
+
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(deep_pair())
+@example(_near_pair(11))
+def test_carried_weights_and_labels_do_not_depend_on_the_cap(pair):
+    # the charscore prefix weights ride on Batch.carry and labels are read
+    # along psi; neither may depend on how nodes are split and merged
+    s1, s2 = pair
+    i1, i2 = build_bwt(s1), build_bwt(s2)
+    spec = WeightSpec(kind="charscore", scores=(0.5, 1.5, 0.9, 2.0)[: s1.sigma])
+
+    def readings():
+        events = Counter()
+        enumerate_generalized(i1, i2, lambda ev: events.update([(ev.depth, ev.label())]))
+        return weighted_substring_kernel(i1, i2, spec).hex(), Counter(maw_words(i1)), events
+
+    got = []
+    for cap in (1, 2, 7, 16, None):
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (bwtk.kernels, bwtk.enumerate):
+                mp.setattr(module, "batched_pass", functools.partial(batched_pass, _cap=cap))
+            got.append(readings())
+    assert all(g == got[-1] for g in got)
+    if len(s1) + len(s2) <= 300:
+        want = orc.oracle_weighted_substring_kernel(s1, s2, spec)
+        assert float.fromhex(got[-1][0]) == pytest.approx(want, rel=1e-9)
 
 
 def test_huge_declared_sigma_costs_only_the_symbols_that_occur(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bwtk.suffix
+from bwtk.enumerate import heads
 from bwtk.errors import InputError
 from bwtk.suffix import _MAGIC, BwtIndex, _sort_suffixes, build_bwt, suffix_array
 from bwtk.text import Sequence
@@ -24,18 +25,27 @@ def test_suffix_array_hand_values():
 @given(st.data())
 def test_suffix_array_matches_sorted_suffixes(data):
     # runs longer than one packed key (62 symbols at sigma=1, 27 at sigma=4)
-    # and periodic texts keep groups tied through many rounds; codes of 2**40
-    # are remapped before packing
-    sigma = data.draw(st.sampled_from((1, 2, 4, 20, 255, 2**40)))
-    letter = st.integers(1, sigma)
-    shape = data.draw(st.sampled_from(("random", "periodic", "runs")))
+    # and periodic texts keep groups tied through many rounds; codes are
+    # ranked before packing, sparse sets such as {1, 2000} through a presence
+    # table once a text is longer than its largest code, and codes of 2**40
+    # through np.unique
+    codes = data.draw(st.sampled_from((1, 2, 4, 20, 255, 2**40, (1, 2000), (5, 10, 15, 20))))
+    if isinstance(codes, int):
+        sigma, letter = codes, st.integers(1, codes)
+    else:
+        sigma, letter = codes[-1], st.sampled_from(codes)
+    shape = data.draw(st.sampled_from(("random", "periodic", "runs", "long")))
     if shape == "random":
         text = data.draw(st.lists(letter, min_size=1, max_size=120))
     elif shape == "periodic":
         text = data.draw(st.lists(letter, min_size=1, max_size=6)) * data.draw(st.integers(1, 40))
-    else:
+    elif shape == "runs":
         runs = data.draw(st.lists(st.tuples(letter, st.integers(1, 150)), min_size=1, max_size=3))
         text = [a for a, length in runs for _ in range(length)]
+    else:
+        # just past 2000 symbols, so that the code 2000 lies below n
+        period = data.draw(st.lists(letter, min_size=1, max_size=120))
+        text = period * (2000 // len(period) + 1)
     t = text + [0]
     expect = sorted(range(len(t)), key=lambda i: t[i:])
     assert _sort_suffixes(np.array(t, dtype=np.int64)).tolist() == expect
@@ -279,6 +289,28 @@ def test_load_inverts_dumped_text(mutant_dir, data):
     path = mutant_dir / "round.bwtk"
     build_bwt(Sequence(text, sigma)).dump(str(path))
     assert BwtIndex.load(str(path)).text == text
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.data())
+def test_psi_walks_each_row_through_its_suffix(mutant_dir, data):
+    # psi, of the index as built and as loaded, is a permutation, and heads
+    # from a row reads the suffix that a naive sort puts at that row
+    sigma = data.draw(st.sampled_from((1, 2, 4, 20, 2**40)))
+    text = data.draw(st.lists(st.integers(1, sigma), min_size=1, max_size=80))
+    t = text + [0]
+    n = len(t)
+    order = sorted(range(n), key=lambda i: t[i:])
+    built = build_bwt(Sequence(text, sigma))
+    path = mutant_dir / "psi.bwtk"
+    built.dump(str(path))
+    for ix in (built, BwtIndex.load(str(path))):
+        psi = ix.psi()
+        assert sorted(psi.tolist()) == list(range(n))
+        # row r's n symbols on, one row per line
+        read = np.array(list(heads(ix.codes, psi, np.arange(n), n))).T
+        for row, p in enumerate(order):
+            assert read[row, : n - p].tolist() == t[p:]
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
