@@ -213,6 +213,22 @@ def heads(codes: np.ndarray, psi: np.ndarray, rows: np.ndarray, k: int):
         yield codes[rows].astype(np.int64)
 
 
+def first_rows(batch: Batch, nodes=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """Per node, its first suffix row (0-based) and whether that row is text 2's.
+
+    The row is bd[end - nb], in text 1 where the node occurs there and in
+    text 2 otherwise. nodes, an index or index array, selects some nodes.
+    """
+    one = batch.sides[0]
+    two = one.freq[nodes] == 0
+    rows = one.bd[one.end[nodes] - one.nb[nodes]]
+    if len(batch.sides) > 1:
+        # an absent node holds one boundary, 0, so both reads stay in range
+        other = batch.sides[1]
+        rows = np.where(two, other.bd[other.end[nodes] - other.nb[nodes]], rows)
+    return rows, two
+
+
 def _match(one: Side, two: Side) -> tuple[np.ndarray, np.ndarray]:
     """Blocks of one and two with the same letter in the same node."""
     l1 = one.ch.nonzero()[0]
@@ -323,11 +339,6 @@ def _gather(carry: dict, rows: np.ndarray) -> dict:
     return {key: tuple(a[rows] for a in arrays) for key, arrays in carry.items()}
 
 
-def _take(depth: int, sides, carry: dict, rows: np.ndarray) -> Batch:
-    """A batch of the nodes of sides, and their carry, where the mask rows is set."""
-    return Batch(depth, tuple(side.take(rows) for side in sides), _gather(carry, rows))
-
-
 def _next_batch(batch: Batch) -> Batch | None:
     """The kids to visit next: letter extensions that are right-maximal."""
     sides = batch.kid_sides
@@ -341,11 +352,9 @@ def _next_batch(batch: Batch) -> Batch | None:
         push &= one.nb + two.nb - 2 - shared >= 2
     if not np.count_nonzero(push):
         return None
-    out = _take(batch.depth + 1, sides, {}, push)
-    if batch.carry:
-        # each kid starts from its parent node's values
-        out.carry = _gather(batch.carry, batch.kid_node[push])
-    return out
+    # each kid starts from its parent node's values
+    carry = _gather(batch.carry, batch.kid_node[push]) if batch.carry else {}
+    return Batch(batch.depth + 1, tuple(side.take(push) for side in sides), carry)
 
 
 def _split(batch: Batch, cap: int | None) -> list[Batch]:
@@ -367,7 +376,8 @@ def _split(batch: Batch, cap: int | None) -> list[Batch]:
     for r0, r1 in zip(bounds, bounds[1:]):
         rows = np.zeros(size.size, dtype=bool)
         rows[r0:r1] = True
-        pieces.append(_take(batch.depth, batch.sides, batch.carry, rows))
+        sides = tuple(side.take(rows) for side in batch.sides)
+        pieces.append(Batch(batch.depth, sides, _gather(batch.carry, rows)))
     mass = [sum(int(s.freq.sum()) for s in piece.sides) for piece in pieces]
     order = sorted(range(len(pieces)), key=mass.__getitem__, reverse=True)
     return [pieces[i] for i in order]
@@ -514,11 +524,7 @@ class VisitEvent:
 
     def label(self) -> tuple[int, ...]:
         """W[0], W[1], .., read from T along psi (see heads), one row at a time."""
-        sides, j = self._batch.sides, self._j
-        # W's first row in text 1 where W occurs there, else in text 2
-        i = int(sides[0].freq[j] == 0)
-        side = sides[i]
-        row = side.bd.item(side.end.item(j) - side.nb.item(j))
+        row, i = map(int, first_rows(self._batch, self._j))
         if self._psi[i] is None:
             self._psi[i] = self._indexes[i].psi()
         psi, codes = self._psi[i], self._indexes[i].codes

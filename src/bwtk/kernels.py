@@ -54,6 +54,7 @@ from .enumerate import (  # noqa: F401
     enumerate_generalized,
     enumerate_maximal_repeats,
     enumerate_right_maximal,
+    first_rows,
     heads,
 )
 from .errors import BwtkError, ComputationError, InputError, ZeroDenominatorError
@@ -206,14 +207,11 @@ def kmer_complexity(index: BwtIndex, k: int) -> int:
 
 
 def _at_first_row(batch: Batch, read) -> np.ndarray:
-    """Per node of a pair batch, read(i, rows) at its first row in text i + 1.
-
-    That is text 1 (i = 0) where the node occurs there, and text 2 otherwise.
-    """
-    one, two = batch.sides
-    # an absent node holds one boundary, 0, so both reads stay in range
-    at1, at2 = one.bd[one.end - one.nb], two.bd[two.end - two.nb]
-    return np.where(one.freq > 0, read(0, at1), read(1, at2))
+    """Per node of a pair batch, read(i, rows) at its first row, in text i + 1 (see first_rows)."""
+    rows, two = first_rows(batch)
+    out = read(0, np.where(two, 0, rows))  # row 0 lies in text 1 too
+    out[two] = read(1, rows[two])
+    return out
 
 
 def _pair_terms(batch: Batch):
@@ -872,8 +870,7 @@ def maw_words(index: BwtIndex) -> list[tuple[int, ...]]:
     psi = index.psi()
 
     def emit(batch: Batch, node, a, b) -> None:
-        side = batch.sides[0]
-        rows = side.bd[(side.end - side.nb)[node]]
+        rows = first_rows(batch, node)[0]
         words = np.empty((node.size, batch.depth + 2), dtype=np.int64)
         words[:, 0], words[:, -1] = a, b
         for i, sym in enumerate(heads(index.codes, psi, rows, batch.depth), 1):

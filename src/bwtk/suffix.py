@@ -28,13 +28,11 @@ _MAX_N = 3_037_000_499
 def _sort_suffixes(s: np.ndarray) -> np.ndarray:
     """0-based suffix order of s, which ends in a 0 that occurs nowhere else.
 
-    The first round sorts every suffix by its first h symbols at once. The
-    codes are first replaced by their ranks among the distinct codes, through
-    a presence table while the largest code is below n, so that b, the number
-    of distinct codes, does not depend on which codes occur. One int64 key
-    packs h symbols in base b, 0 past the end of s, h as large as b**h <
-    2**63 allows: 27 at sigma=4, 14 at sigma=20. The unstable argsort is
-    enough, since later rounds refine tied keys.
+    The first round sorts every suffix by its first h symbols at once. With
+    b the largest code + 1 (codes of n or more are first replaced by their
+    ranks), one int64 key packs h symbols in base b, 0 past the end of s,
+    h as large as b**h < 2**63 allows: 27 at sigma=4, 14 at sigma=20. The
+    unstable argsort is enough, since later rounds refine tied keys.
 
     A row's rank is the head slot of its group, the first slot in the
     order that its ties occupy. Each later round, k the prefix length sorted
@@ -51,11 +49,7 @@ def _sort_suffixes(s: np.ndarray) -> np.ndarray:
     if n > _MAX_N:
         raise InputError(f"text too long: {n} symbols with the terminator, over {_MAX_N}")
     rank = s.astype(np.int64)
-    if int(rank.max()) < n:
-        present = np.bincount(rank) > 0  # O(n + sigma)
-        if not present.all():
-            rank = (present.cumsum() - 1)[rank]
-    else:
+    if int(rank.max()) >= n:
         rank = np.unique(rank, return_inverse=True)[1].astype(np.int64)
     b = int(rank.max()) + 1
     k = 1
