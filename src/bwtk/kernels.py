@@ -7,7 +7,8 @@ true k-mer or substring loci survive: a node adds its own term and
 subtracts one term per child edge, and the strings that end on leaf edges
 are covered by closed-form initializers. Frequencies come straight from
 interval widths, so integer measures are computed in exact integer
-arithmetic, and float terms are summed with math.fsum.
+arithmetic. Float terms are summed exactly, by one binned accumulator
+(_ExactSum), and each float sum is rounded once, when it is read.
 
 The k-mer, substring and length-weighted kernels share one such fold,
 _telescoped, which bins each batch's integer terms by its depth; each
@@ -24,9 +25,9 @@ of a batch's letter kids, _Kids. maw_words and maw_enumerate list words
 through one batch fold, _maw_listing, so both report them in the same
 order: batch by batch, then by the infix's node, then by a, then by b. The
 batches, and so the order, are fixed for a given input, but a batch may
-merge nodes of several parents (see enumerate.batched_pass). Integer
-folds do not depend on how nodes are grouped into batches; float folds
-fsum each batch, so another grouping can move only their last digits.
+merge nodes of several parents (see enumerate.batched_pass). No fold
+depends on how nodes are grouped into batches: integer sums are exact, and
+so are float sums until their one rounding.
 
 Conventions shared with the brute-force reference: alphabets of measures
 range over [1..sigma] (terminators are delivered by the enumerator but
@@ -41,6 +42,7 @@ import itertools
 import math
 import operator
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
@@ -132,6 +134,134 @@ def _cosine(num: float, d1: float, d2: float) -> float:
     if not (math.isfinite(num) and 0.0 < den < math.inf):
         raise ComputationError("weighted sums outside the floating-point range")
     return num / den
+
+
+# terms one np.bincount adds up: each adds less than 2**27 to a bin, so no
+# bin passes 2**53 and every bin stays an exact float64 integer
+_ROOM = 2**26
+# terms add() gathers before it bins them, so that a fold's many small
+# arrays cost a few NumPy passes, not a few per array
+_GATHER = 2**13
+
+
+class _ExactSum:
+    """An exact sum of float64 terms, rounded once when read.
+
+    Binning splits each term m * 2**e (np.frexp) into the top 27 and the low
+    26 bits of its 53-bit integer mantissa, and np.bincount adds each half
+    by e into float64 bins (Neal, "Fast exact summation using small and
+    large superaccumulators", 2015), exact while they take at most _ROOM
+    terms. The bins are then flushed into a Python int, and value() rounds
+    that int once, through Python's correctly rounded int division. So the
+    value is the correctly rounded sum, whatever the order or grouping of
+    the terms. add() gathers arrays until they hold _GATHER terms and bins
+    them together.
+
+    inf and nan terms are summed apart, as floats: a sum with nan, or with
+    inf and -inf, reads nan; one with an infinity reads that infinity; and
+    a finite sum that rounds past the float range reads nan.
+    """
+
+    __slots__ = ("pending", "size", "exact", "unit", "special")
+
+    def __init__(self) -> None:
+        self.pending = None  # arrays not binned yet; made at the first add()
+        self.size = 0  # the terms they hold
+        self.exact, self.unit = 0, 0  # the binned sum, exact * 2**unit
+        self.special = 0.0  # the sum of the inf and nan terms
+
+    def add(self, values: np.ndarray, exps: np.ndarray | None = None) -> None:
+        """Add values, or values * 2**exps with exps an integer array, exactly.
+
+        The arrays are kept until they are binned, so they must not change.
+        """
+        if self.pending is None:
+            self.pending = []
+        self.pending.append((values, exps))
+        self.size += values.size
+        if self.size >= _GATHER:
+            self.settle()
+
+    def add_ratio(self, num: int, den: int = 1) -> None:
+        """Add num / den exactly, den a power of two (see float.as_integer_ratio)."""
+        self.push(num, 1 - den.bit_length())
+
+    def push(self, num: int, unit: int) -> None:
+        """Add num * 2**unit."""
+        if not self.exact:
+            self.exact, self.unit = num, unit
+            return
+        if unit < self.unit:
+            self.exact <<= self.unit - unit
+            self.unit = unit
+        self.exact += num << (unit - self.unit)
+
+    def settle(self) -> tuple[int, int]:
+        """Bin the pending terms; returns (exact, unit), the sum being exact * 2**unit."""
+        if self.size:
+            parts, self.pending, self.size = self.pending, [], 0
+            values = np.concatenate([v for v, _ in parts])
+            exps = None
+            if any(x is not None for _, x in parts):
+                exps = np.concatenate([np.zeros(v.size, np.int64) if x is None else x for v, x in parts])
+            for at in range(0, values.size, _ROOM):
+                self.bin(values[at : at + _ROOM], None if exps is None else exps[at : at + _ROOM])
+        return self.exact, self.unit
+
+    def bin(self, values: np.ndarray, exps: np.ndarray | None) -> None:
+        """Push the sum of at most _ROOM terms values * 2**exps."""
+        if not values.size:
+            return
+        m, e = np.frexp(values)
+        m *= 2.0**27
+        lo, hi = np.modf(m)
+        lo *= 2.0**26  # the low half, an integer below 2**26
+        if exps is not None:
+            e = e + exps
+        low = int(e.min())
+        at = e - low
+        hi = np.bincount(at, hi)
+        lo = np.bincount(at, lo)
+        # an inf or nan term leaves inf or nan in its top half
+        if not math.isfinite(hi.sum()):
+            bad = ~np.isfinite(values)
+            self.special = sum(values[bad].tolist(), self.special)
+            keep = ~bad
+            self.bin(values[keep], None if exps is None else exps[keep])
+            return
+        # bin i is 2**(i + low - 53) in the low half and 2**26 times that in
+        # the top half; int64 holds each sum of the two, below 2**54, and a
+        # limb of eight of them, below 2**62
+        limbs = np.zeros(-(-(lo.size + 26) // 8) * 8, dtype=np.int64)
+        limbs[: lo.size] = lo
+        limbs[26:][: hi.size] += hi.astype(np.int64)
+        limbs = (limbs.reshape(-1, 8) * (1 << np.arange(8))).sum(axis=1)
+        self.push(sum(v << 8 * i for i, v in enumerate(limbs.tolist()) if v), low - 53)
+
+    def value(self) -> float:
+        """The sum rounded to the nearest float (ties to even), or inf or nan."""
+        num, unit = self.settle()
+        if self.special:
+            return self.special
+        try:
+            return float(num << unit) if unit >= 0 else num / (1 << -unit)
+        except OverflowError:
+            return math.nan
+
+    def frexp(self) -> tuple[float, int]:
+        """(m, e), the sum rounded once being m * 2**e, 0.5 <= |m| < 1 or m = 0.
+
+        Unlike value(), it reads sums past the float range.
+        """
+        num, unit = self.settle()
+        if self.special:
+            return math.frexp(self.special)
+        if not num:
+            return 0.0, 0
+        width = abs(num).bit_length()
+        # the quotient lies in [0.5, 1]; frexp takes a rounding up to 1.0
+        m, e = math.frexp(num / (1 << width))
+        return m, e + width + unit
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +472,7 @@ def entropy_range(index: BwtIndex, k1: int, k2: int) -> list[float]:
     """
     if not 0 <= k1 <= k2:
         raise InputError("range must satisfy 0 <= k1 <= k2")
-    sums: list[list[float]] = [[] for _ in range(k2 - k1 + 1)]
+    sums = [_ExactSum() for _ in range(k2 - k1 + 1)]
 
     def visit(batch: Batch) -> None:
         d = batch.depth
@@ -356,12 +486,12 @@ def entropy_range(index: BwtIndex, k1: int, k2: int) -> list[float]:
         keep = (_letters(side) >= 2)[node]
         node, w = node[keep], w[keep]
         fr = _node_sums(w, node, side.nb.size)[node]
-        sums[d - k1].append(math.fsum(w * np.log2(fr / w)))
+        sums[d - k1].add(w * np.log2(fr / w))
 
     # contexts longer than k2 are never read, so the pass stops at depth k2
     batched_pass((index,), visit, max_depth=k2)
     m = index.n - 1
-    return [math.fsum(s) / m for s in sums]
+    return [s.value() / m for s in sums]
 
 
 # ---------------------------------------------------------------------------
@@ -460,35 +590,6 @@ def _length_reading(weights: WeightSpec, ns: tuple[int, int]):
     return result
 
 
-class _ScaledSum:
-    """A sum of terms m * 2**e that no float range bounds.
-
-    Each part is a float in [0.5, 1) and its power of two; value() returns
-    (s, e) with the sum equal to s * 2**e and s at least 0.5 unless 0.
-    """
-
-    def __init__(self) -> None:
-        self.parts: list[tuple[float, int]] = []
-
-    def add(self, m: np.ndarray, e: np.ndarray) -> None:
-        keep = m != 0
-        if keep.any():
-            m, e = m[keep], e[keep]
-            top = int(e.max())
-            self.push(math.fsum(np.ldexp(m, e - top)), top)
-
-    def push(self, s: float, e: int) -> None:
-        m, shift = math.frexp(s)
-        if m:
-            self.parts.append((m, e + shift))
-
-    def value(self) -> tuple[float, int]:
-        if not self.parts:
-            return 0.0, 0
-        top = max(e for _, e in self.parts)
-        return math.fsum(math.ldexp(m, e - top) for m, e in self.parts), top
-
-
 def _charscore_denominator(text: list[int], sq: list[float]) -> tuple[float, int]:
     """(s, e): the squared weights of all substring occurrences are s * 2**e.
 
@@ -522,9 +623,10 @@ def _charscore_fold(index1: BwtIndex, index2: BwtIndex, scores) -> PairFold:
     scores of U's letters. Their sum ps(W) follows ps(aW) = sq[a] (1 +
     ps(W)) from the parent, whose ps the batch carries (Batch.carry) as m *
     2**e; a, aW's first letter, is the symbol whose C-array rows hold aW's
-    first suffix row. Each side is then scaled by its heaviest exponent and
-    the shared sum by their mean, so the cosine does not depend on how
-    large the weights grow.
+    first suffix row. The terms enter each sum with their powers of two
+    exactly, each side's sum is read as a float times its own power of two,
+    and the shared sum is scaled by the mean of the two, so the cosine does
+    not depend on how large the weights grow.
     """
     sq = [q * q for q in scores]
     if not all(math.isfinite(v) for v in sq):
@@ -534,10 +636,12 @@ def _charscore_fold(index1: BwtIndex, index2: BwtIndex, scores) -> PairFold:
 
         return PairFold(lambda batch: None, out_of_range)
     sqm, sqe = np.frexp(np.array([0.0] + sq))
-    sums = (_ScaledSum(), _ScaledSum(), _ScaledSum())
+    sums = (_ExactSum(), _ExactSum(), _ExactSum())
     # every substring occurrence's squared weight, ending on a leaf edge or not
-    sums[1].push(*_charscore_denominator(index1.text, sq))
-    sums[2].push(*_charscore_denominator(index2.text, sq))
+    for total, index in zip(sums[1:], (index1, index2)):
+        tail, e = _charscore_denominator(index.text, sq)
+        num, den = tail.as_integer_ratio()
+        total.add_ratio(num << e, den)
     key = object()  # this fold's entry in Batch.carry
 
     def first_letter(i: int, rows: np.ndarray) -> np.ndarray:
@@ -559,7 +663,7 @@ def _charscore_fold(index1: BwtIndex, index2: BwtIndex, scores) -> PairFold:
             total.add(m * terms.astype(float), e)
 
     def finish() -> float:
-        (num, ne), (d1, t1), (d2, t2) = (total.value() for total in sums)
+        (num, ne), (d1, t1), (d2, t2) = (total.frexp() for total in sums)
         if d1 <= 0 or d2 <= 0:
             return _cosine(0.0, d1, d2)
         # the shared sum takes the geometric mean 2**((t1 + t2) / 2) of the scales
@@ -590,26 +694,6 @@ def weighted_substring_kernel(index1: BwtIndex, index2: BwtIndex, weights: Weigh
 
 # ---------------------------------------------------------------------------
 # centered k-mer distances
-
-
-def _fsum(values) -> float:
-    """math.fsum, or nan where the sum leaves the float range or meets inf - inf."""
-    try:
-        return math.fsum(values)
-    except (OverflowError, ValueError):
-        return math.nan
-
-
-def _fsum_into(parts: list, values) -> None:
-    """Append the fsum of values and what rounding it dropped.
-
-    _fsum(parts) then rounds the sum of every value appended, not of their
-    rounded group sums, so it does not depend on how the values are grouped.
-    """
-    total = _fsum(values)
-    parts.append(total)
-    if math.isfinite(total):
-        parts.append(math.fsum(np.append(values, -total)))
 
 
 def _row_products(index: BwtIndex, k: int, qs: np.ndarray) -> np.ndarray:
@@ -643,16 +727,18 @@ def _d2_fold(index1: BwtIndex, index2: BwtIndex, k: int, q, phi, absent_coef):
     that do not reach the terminator, and a node's q(W) is the entry at its
     first row in text 1, or in text 2 where W does not occur in text 1, so
     a k-mer's windows and node read the same float. Those terms cancel to a
-    small value, so each group is summed exactly.
+    small value, so the phi terms and the q(W) terms are each summed exactly
+    (_ExactSum) and rounded once, in finish(), whatever the batches. An inf
+    or nan term, or a sum past the float range, makes finish() raise.
     """
-    total, q_present = [], []
+    total, q_present = _ExactSum(), _ExactSum()
     qs = np.array((math.nan, *q))
     rows = [_row_products(index, k, qs) for index in (index1, index2)]
     for qr, x1 in zip(rows, (1, 0)):
         qw = qr[~np.isnan(qr)]
         with np.errstate(all="ignore"):
-            _fsum_into(total, phi(x1, 1 - x1, qw))
-        _fsum_into(q_present, qw)
+            total.add(phi(x1, 1 - x1, qw))
+        q_present.add(qw)
 
     def visit(batch: Batch) -> None:
         if batch.depth < k:
@@ -669,13 +755,13 @@ def _d2_fold(index1: BwtIndex, index2: BwtIndex, k: int, q, phi, absent_coef):
                 -phi(one.w[alone1], 0, qk[one.node[alone1]]),
                 -phi(0, two.w[alone2], qk[two.node[alone2]]),
             )
-        _fsum_into(total, np.concatenate(terms))
+        total.add(np.concatenate(terms))
         edges = one.nb + two.nb - 2 - np.bincount(one.node[i], minlength=one.nb.size)
         # q(W) (1 - edges) as exact terms: one +q(W), and -q(W) per edge
-        _fsum_into(q_present, np.concatenate((qk, -qk.repeat(edges))))
+        q_present.add(np.concatenate((qk, -qk.repeat(edges))))
 
     def finish() -> float:
-        value = _fsum(total) + absent_coef * (1.0 - _fsum(q_present))
+        value = total.value() + absent_coef * (1.0 - q_present.value())
         if not math.isfinite(value):
             raise ComputationError(
                 f"k-mer probabilities too small at k={k}: the value is outside"
@@ -941,20 +1027,19 @@ def markov_kernel(index1: BwtIndex, index2: BwtIndex, params: ZScoreParams):
     n1, n2 = index1.n, index2.n
     m1, m2 = n1 - 1, n2 - 1
     exact = params.g_mode == "exact"
+    sums = num, den1, den2 = _ExactSum(), _ExactSum(), _ExactSum()
     if exact:
         # g at lengths 0..n (1 below 2), and prefix sums of the products of g - 1
         g1a, g2a = (markov_g(n, np.arange(n + 1.0)) for n in (n1, n2))
         g1a[:2] = g2a[:2] = 1.0
         e1, e2 = g1a - 1.0, g2a - 1.0
         limit = min(n1, n2) + 1
-        ps1, ps2, psb = (
-            np.cumsum(x).tolist() for x in (e1 * e1, e2 * e2, e1[:limit] * e2[:limit])
-        )
+        ps = [np.cumsum(x) for x in (e1[:limit] * e2[:limit], e1 * e1, e2 * e2)]
         g1a, g2a = g1a.tolist(), g2a.tolist()
-        sums = ([], [sum(ps1[0:n1])], [sum(ps2[0:n2])])
-    else:
-        sums = ([], [], [])
-    num, den1, den2 = sums
+        den1.add(ps[1][:n1])
+        den2.add(ps[2][:n2])
+        # per depth d, the integer coefficient of ps[i][d] in sums[i]
+        coefs = (Counter(), Counter(), Counter())
 
     def visit(batch: Batch) -> None:
         d = batch.depth
@@ -962,13 +1047,11 @@ def markov_kernel(index1: BwtIndex, index2: BwtIndex, params: ZScoreParams):
         p = batch.derive(_Kids)
         if exact:
             on1, on2 = one.freq > 0, two.freq > 0
-            if on1.any():
-                den1.append(ps1[d] * int((2 - one.nb[on1]).sum()))
-            if on2.any():
-                den2.append(ps2[d] * int((2 - two.nb[on2]).sum()))
             both = on1 & on2
-            if both.any():
-                num.append(psb[d] * int((1 - p.shared[both]).sum()))
+            for coef, terms in zip(
+                coefs, (1 - p.shared[both], 2 - one.nb[on1], 2 - two.nb[on2])
+            ):
+                coef[d] += int(terms.sum())
             g1v = g1a[d + 2] if d + 2 <= n1 else 1.0
             g2v = g2a[d + 2] if d + 2 <= n2 else 1.0
         else:
@@ -997,17 +1080,26 @@ def markov_kernel(index1: BwtIndex, index2: BwtIndex, params: ZScoreParams):
         alone2 = p.sel[1] & ~p.k_has[1] & p.w_has[1] & (kid1.freq[kid2.node] > 0)
         # a minimal absent word of both texts: z1 = z2 = -1
         base = (g1v - 1.0) * (g2v - 1.0)
-        terms = (z1[ki] * z2[kj] - base, -z1[alone1], -z2[alone2], [float(p.both)])
-        num.append(math.fsum(np.concatenate(terms)))
+        num.add(np.concatenate((z1[ki] * z2[kj] - base, -z1[alone1], -z2[alone2])))
+        num.add_ratio(p.both)
         for den, on, maws, sel, z, kid, g in zip(
             (den1, den2), p.on, p.maws, p.sel, zs, batch.kid_sides, gs
         ):
             blocks = sel & on[kid.node]
+            den.add(z[blocks] * z[blocks] - (g - 1.0) ** 2)
             # a MAW of this text (z = -1) for each letter of W the kid lacks
-            terms = (z[blocks] * z[blocks] - (g - 1.0) ** 2, [float(maws.sum())])
-            den.append(math.fsum(np.concatenate(terms)))
+            den.add_ratio(int(maws.sum()))
 
-    return PairFold(visit, lambda: _cosine(*(math.fsum(s) for s in sums)))
+    def finish() -> float:
+        if exact:
+            for total, coef, prefix in zip(sums, coefs, ps):
+                for d, c in coef.items():
+                    if c:
+                        top, bottom = prefix[d].as_integer_ratio()
+                        total.add_ratio(top * c, bottom)
+        return _cosine(*(total.value() for total in sums))
+
+    return PairFold(visit, finish)
 
 
 # ---------------------------------------------------------------------------
@@ -1026,11 +1118,7 @@ def kl_divergence_range(index: BwtIndex, k1: int, k2: int) -> list[float]:
         raise InputError("range must satisfy 2 <= k1 <= k2")
     n = index.n
     m = n - 1
-    parts: list[list[float]] = [[] for _ in range(k2 - k1 + 1)]
-    for k in range(k1, k2 + 1):
-        if k <= m:
-            # log2 of (n-k+1)^2 / ((n-k)(n-k+2)) = 1 + 1 / ((n-k)(n-k+2))
-            parts[k - k1].append(math.log1p(1 / ((n - k) * (n - k + 2))) / _LN2)
+    parts = [_ExactSum() for _ in range(k2 - k1 + 1)]
 
     def visit(batch: Batch) -> None:
         d = batch.depth
@@ -1050,11 +1138,14 @@ def kl_divergence_range(index: BwtIndex, k1: int, k2: int) -> list[float]:
         # products, so that ratios near 1 keep their digits
         below = fa * wb
         terms = (x / (n - k)) * (np.log1p((x * fmid - below) / below) / _LN2)
-        parts[k - k1].append(math.fsum(terms))
+        parts[k - k1].add(terms)
 
     # a k-mer's infix has length k - 2 <= k2 - 2; deeper nodes add nothing
     batched_pass((index,), visit, max_depth=k2 - 2)
-    return [math.fsum(p) for p in parts]
+    for k, part in zip(range(k1, m + 1), parts):
+        # log2 of (n-k+1)^2 / ((n-k)(n-k+2)) = 1 + 1 / ((n-k)(n-k+2))
+        part.add_ratio(*(math.log1p(1 / ((n - k) * (n - k + 2))) / _LN2).as_integer_ratio())
+    return [part.value() for part in parts]
 
 
 def calibrate_kmax(index: BwtIndex, tau: float, kcap: int) -> int:

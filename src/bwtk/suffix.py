@@ -270,13 +270,15 @@ class BwtIndex:
         n = self.n
         by = self.psi()
         first = self.codes[by]
-        hop = np.empty(n, dtype=np.int64)
-        hop[by] = np.arange(n)
+        # rows and distances lie below n; int32 halves the gathers' traffic
+        dtype = np.int32 if n < 2**31 else np.int64
+        hop = np.empty(n, dtype=dtype)
+        hop[by] = np.arange(n, dtype=dtype)
         del by
         hop[0] = 0
-        dist = np.ones(n, dtype=np.int64)
+        dist = np.ones(n, dtype=dtype)
         dist[0] = 0
-        step = np.empty(n, dtype=np.int64)
+        step = np.empty(n, dtype=dtype)
         # after r rounds a row has moved 2**r steps or stopped at row 0, and
         # no distance exceeds n - 1
         for _ in range((n - 2).bit_length()):

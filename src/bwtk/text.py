@@ -9,6 +9,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InputError
 
 # raw-mode bytes must be printable ASCII unless an explicit alphabet admits them
@@ -30,11 +32,14 @@ class AlphabetMap:
         return len(self.byte_to_symbol)
 
     def encode(self, data: bytes) -> list[int]:
-        try:
-            b2s = self.byte_to_symbol
-            return [b2s[b] for b in data]
-        except KeyError as exc:
-            raise InputError(f"byte {exc.args[0]!r} is not in the alphabet") from None
+        # symbols by byte value, 0 for bytes outside the alphabet
+        table = np.zeros(256, dtype=np.int64)
+        table[list(self.byte_to_symbol)] = list(self.byte_to_symbol.values())
+        symbols = table[np.frombuffer(data, dtype=np.uint8)]
+        if symbols.size and not symbols.all():
+            bad = data[int(np.argmin(symbols))]
+            raise InputError(f"byte {bad!r} is not in the alphabet")
+        return symbols.tolist()
 
     def decode(self, symbols: list[int]) -> bytes:
         try:
@@ -58,9 +63,10 @@ class Sequence:
             raise InputError("sigma must be at least 1")
         if not self.symbols:
             raise InputError("empty sequence")
-        for s in self.symbols:
-            if not 1 <= s <= self.sigma:
-                raise InputError(f"symbol {s} outside [1..{self.sigma}]")
+        distinct = set(self.symbols)
+        if min(distinct) < 1 or max(distinct) > self.sigma:
+            bad = next(s for s in self.symbols if not 1 <= s <= self.sigma)
+            raise InputError(f"symbol {bad} outside [1..{self.sigma}]")
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -127,7 +133,8 @@ def map_alphabet(
     else:
         seen: set[int] = set()
         for _, payload in records:
-            seen.update(payload)
+            counts = np.bincount(np.frombuffer(payload, dtype=np.uint8), minlength=256)
+            seen.update(np.flatnonzero(counts).tolist())
         for b in seen:
             if not _PRINTABLE_LO <= b <= _PRINTABLE_HI:
                 raise InputError(

@@ -816,10 +816,18 @@ def test_merged_batches_give_the_unsplit_values(monkeypatch):
             Counter(found),
         )
 
-    merged = values()
+    def split(found):
+        # d2s, d2star, both markov modes, the entropies and the KL values sum
+        # their floats exactly, so no grouping moves even their last digit
+        pairs, kmers, substrings, profile, entropy, maws, kl, *listings = found
+        exact = [v.hex() for v in (*pairs[7:11], *entropy, *kl)]
+        return exact, (pairs[:7] + pairs[11:], kmers, substrings, profile, maws, *listings)
+
+    merged = split(values())
     monkeypatch.setattr(bwtk.kernels, "batched_pass", functools.partial(batched_pass, _cap=None))
-    unsplit = values()
-    assert _agree(merged, unsplit)
+    unsplit = split(values())
+    assert merged[0] == unsplit[0]
+    assert _agree(merged[1], unsplit[1])
 
 
 def test_charscore_scores_above_one_do_not_overflow():
