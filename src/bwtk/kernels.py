@@ -136,9 +136,10 @@ def _cosine(num: float, d1: float, d2: float) -> float:
     return num / den
 
 
-# terms one np.bincount adds up: each adds less than 2**27 to a bin, so no
-# bin passes 2**53 and every bin stays an exact float64 integer
-_ROOM = 2**26
+# terms one np.bincount adds up: each adds less than 2**27 to a bin, so up
+# to 2**26 terms keep every bin an exact float64 integer below 2**53; fewer
+# also bound the temporary arrays of one binning
+_ROOM = 2**14
 # terms add() gathers before it bins them, so that a fold's many small
 # arrays cost a few NumPy passes, not a few per array
 _GATHER = 2**13
@@ -175,6 +176,8 @@ class _ExactSum:
 
         The arrays are kept until they are binned, so they must not change.
         """
+        if not values.size:
+            return
         if self.pending is None:
             self.pending = []
         self.pending.append((values, exps))
@@ -200,10 +203,13 @@ class _ExactSum:
         """Bin the pending terms; returns (exact, unit), the sum being exact * 2**unit."""
         if self.size:
             parts, self.pending, self.size = self.pending, [], 0
-            values = np.concatenate([v for v, _ in parts])
-            exps = None
-            if any(x is not None for _, x in parts):
-                exps = np.concatenate([np.zeros(v.size, np.int64) if x is None else x for v, x in parts])
+            values, exps = parts[0]
+            if len(parts) > 1:
+                values = np.concatenate([v for v, _ in parts])
+                if any(x is not None for _, x in parts):
+                    exps = np.concatenate(
+                        [np.zeros(v.size, np.int64) if x is None else x for v, x in parts]
+                    )
             for at in range(0, values.size, _ROOM):
                 self.bin(values[at : at + _ROOM], None if exps is None else exps[at : at + _ROOM])
         return self.exact, self.unit
@@ -214,12 +220,12 @@ class _ExactSum:
             return
         m, e = np.frexp(values)
         m *= 2.0**27
-        lo, hi = np.modf(m)
+        lo, hi = np.modf(m, m)
         lo *= 2.0**26  # the low half, an integer below 2**26
         if exps is not None:
             e = e + exps
         low = int(e.min())
-        at = e - low
+        at = np.subtract(e, low, dtype=np.intp)  # as np.bincount takes it
         hi = np.bincount(at, hi)
         lo = np.bincount(at, lo)
         # an inf or nan term leaves inf or nan in its top half

@@ -33,7 +33,7 @@ class AlphabetMap:
 
     def encode(self, data: bytes) -> list[int]:
         # symbols by byte value, 0 for bytes outside the alphabet
-        table = np.zeros(256, dtype=np.int64)
+        table = np.zeros(256, dtype=np.min_scalar_type(self.sigma))
         table[list(self.byte_to_symbol)] = list(self.byte_to_symbol.values())
         symbols = table[np.frombuffer(data, dtype=np.uint8)]
         if symbols.size and not symbols.all():
@@ -133,8 +133,7 @@ def map_alphabet(
     else:
         seen: set[int] = set()
         for _, payload in records:
-            counts = np.bincount(np.frombuffer(payload, dtype=np.uint8), minlength=256)
-            seen.update(np.flatnonzero(counts).tolist())
+            seen.update(payload)
         for b in seen:
             if not _PRINTABLE_LO <= b <= _PRINTABLE_HI:
                 raise InputError(
