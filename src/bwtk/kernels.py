@@ -42,7 +42,7 @@ import itertools
 import math
 import operator
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
@@ -478,7 +478,7 @@ def entropy_range(index: BwtIndex, k1: int, k2: int) -> list[float]:
     """
     if not 0 <= k1 <= k2:
         raise InputError("range must satisfy 0 <= k1 <= k2")
-    sums = [_ExactSum() for _ in range(k2 - k1 + 1)]
+    sums = defaultdict(_ExactSum)  # by k, made at k's first batch
 
     def visit(batch: Batch) -> None:
         d = batch.depth
@@ -492,12 +492,12 @@ def entropy_range(index: BwtIndex, k1: int, k2: int) -> list[float]:
         keep = (_letters(side) >= 2)[node]
         node, w = node[keep], w[keep]
         fr = _node_sums(w, node, side.nb.size)[node]
-        sums[d - k1].add(w * np.log2(fr / w))
+        sums[d].add(w * np.log2(fr / w))
 
     # contexts longer than k2 are never read, so the pass stops at depth k2
     batched_pass((index,), visit, max_depth=k2)
     m = index.n - 1
-    return [s.value() / m for s in sums]
+    return [sums[k].value() / m if k in sums else 0.0 for k in range(k1, k2 + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -1124,7 +1124,7 @@ def kl_divergence_range(index: BwtIndex, k1: int, k2: int) -> list[float]:
         raise InputError("range must satisfy 2 <= k1 <= k2")
     n = index.n
     m = n - 1
-    parts = [_ExactSum() for _ in range(k2 - k1 + 1)]
+    parts = defaultdict(_ExactSum)  # by k, made at k's first batch
 
     def visit(batch: Batch) -> None:
         d = batch.depth
@@ -1144,14 +1144,20 @@ def kl_divergence_range(index: BwtIndex, k1: int, k2: int) -> list[float]:
         # products, so that ratios near 1 keep their digits
         below = fa * wb
         terms = (x / (n - k)) * (np.log1p((x * fmid - below) / below) / _LN2)
-        parts[k - k1].add(terms)
+        parts[k].add(terms)
 
     # a k-mer's infix has length k - 2 <= k2 - 2; deeper nodes add nothing
     batched_pass((index,), visit, max_depth=k2 - 2)
-    for k, part in zip(range(k1, m + 1), parts):
+
+    def value(k: int) -> float:
         # log2 of (n-k+1)^2 / ((n-k)(n-k+2)) = 1 + 1 / ((n-k)(n-k+2))
-        part.add_ratio(*(math.log1p(1 / ((n - k) * (n - k + 2))) / _LN2).as_integer_ratio())
-    return [part.value() for part in parts]
+        closed = math.log1p(1 / ((n - k) * (n - k + 2))) / _LN2 if k <= m else 0.0
+        if k not in parts:
+            return closed
+        parts[k].add_ratio(*closed.as_integer_ratio())
+        return parts[k].value()
+
+    return [value(k) for k in range(k1, k2 + 1)]
 
 
 def calibrate_kmax(index: BwtIndex, tau: float, kcap: int) -> int:
