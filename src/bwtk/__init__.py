@@ -1,8 +1,9 @@
 """Alignment-free string comparison over Burrows-Wheeler transforms.
 
-The library builds a BWT-based index per input string and computes k-mer,
-substring, minimal-absent-word, Markovian, and entropy measures in single
-passes over the suffix-link-tree enumeration of right-maximal substrings.
+The library builds a BWT-based index per input string, or one for a pair
+of strings, and computes k-mer, substring, minimal-absent-word, Markovian,
+and entropy measures in single passes over the suffix-link-tree
+enumeration of right-maximal substrings.
 """
 
 from .errors import (
@@ -14,7 +15,7 @@ from .errors import (
 )
 from .params import WeightSpec, ZScoreParams
 from .text import AlphabetMap, Sequence, load_input, map_alphabet
-from .suffix import BwtIndex, build_bwt, suffix_array
+from .suffix import BwtIndex, PairIndex, build_bwt, suffix_array
 from .wavelet import RankIndex
 from .enumerate import (
     GenRepr,
@@ -59,6 +60,7 @@ __all__ = [
     "GenRepr",
     "GuardLimitError",
     "InputError",
+    "PairIndex",
     "ProfileMatrix",
     "RankIndex",
     "Repr",

@@ -13,10 +13,10 @@ import argparse
 import json
 import sys
 
-from . import kernels, oracle
+from . import kernels, oracle, suffix
 from .errors import ComputationError, InputError
 from .params import WeightSpec, ZScoreParams
-from .suffix import BwtIndex, build_bwt
+from .suffix import BwtIndex, PairIndex, build_bwt
 from .text import Sequence, load_input, map_alphabet
 
 _KERNEL_KINDS = (
@@ -55,21 +55,22 @@ def _fmt_float(v: float, precision: int) -> str:
     return f"{v:.{precision}f}"
 
 
-def _emit(records: list[_Record], output: str) -> None:
+def _emit(records, output: str) -> None:
+    """Write the records, an iterable read once, as they come."""
     out = sys.stdout
     if output == "tsv":
         for rec in records:
             out.write("\t".join([rec.measure, *rec.params, rec.value]) + "\n")
         return
     # values are spliced in verbatim so JSON numerics match TSV exactly
-    parts = []
-    for rec in records:
+    out.write('{"records":[')
+    for i, rec in enumerate(records):
         params = ",".join(json.dumps(p) for p in rec.params)
-        parts.append(
-            f'{{"measure":{json.dumps(rec.measure)},"params":[{params}],'
+        out.write(
+            f'{"," if i else ""}{{"measure":{json.dumps(rec.measure)},"params":[{params}],'
             f'"value":{rec.value}}}'
         )
-    out.write('{"records":[' + ",".join(parts) + "]}\n")
+    out.write("]}\n")
 
 
 def _load(args, *paths: str) -> list[Sequence]:
@@ -197,16 +198,16 @@ def _run_complexity(args) -> list[_Record]:
     return [_Record("substring", [], str(kernels.substring_complexity(ix)))]
 
 
-def _kernel_fold(i1: BwtIndex, i2: BwtIndex, kind: str, args) -> kernels.PairFold:
+def _kernel_fold(pair: PairIndex, kind: str, args) -> kernels.PairFold:
     """The fold of one --kind; raises what running that kind alone raises."""
     if kind in ("kmer", "d2s", "d2star") and args.k is None:
         raise InputError(f"kernel --kind {kind} requires -k")
     if kind == "kmer":
         if args.k2 is not None:
-            return kernels.kmer_kernel_range.fold(i1, i2, args.k, args.k2)
-        return kernels.kmer_kernel.fold(i1, i2, args.k)
+            return kernels.kmer_kernel_range.fold(pair, args.k, args.k2)
+        return kernels.kmer_kernel.fold(pair, args.k)
     if kind == "substring":
-        return kernels.substring_kernel.fold(i1, i2)
+        return kernels.substring_kernel.fold(pair)
     if kind == "weighted":
         spec = WeightSpec(
             kind=args.weights,
@@ -215,18 +216,18 @@ def _kernel_fold(i1: BwtIndex, i2: BwtIndex, kind: str, args) -> kernels.PairFol
             kmax=args.kmax,
             scores=_parse_floats(args.scores, "scores"),
         )
-        return kernels.weighted_substring_kernel.fold(i1, i2, spec)
+        return kernels.weighted_substring_kernel.fold(pair, spec)
     if kind in ("d2s", "d2star"):
         q = _parse_floats(args.q, "probabilities")
         if q is None:
-            q = tuple(1.0 / i1.sigma for _ in range(i1.sigma))
+            q = tuple(1.0 / pair.letters for _ in range(pair.letters))
         fn = kernels.d2s_distance if kind == "d2s" else kernels.d2star_distance
-        return fn.fold(i1, i2, args.k, q)
+        return fn.fold(pair, args.k, q)
     if kind == "markov":
-        return kernels.markov_kernel.fold(i1, i2, ZScoreParams(g_mode=args.g))
+        return kernels.markov_kernel.fold(pair, ZScoreParams(g_mode=args.g))
     if kind == "maw-jaccard":
-        return kernels.maw_jaccard.fold(i1, i2)
-    return kernels.maw_cosine.fold(i1, i2)
+        return kernels.maw_jaccard.fold(pair)
+    return kernels.maw_cosine.fold(pair)
 
 
 def _kernel_records(kind: str, args, value) -> list[_Record]:
@@ -245,34 +246,49 @@ def _run_kernel(args) -> list[_Record]:
     for kind in kinds:
         if kind not in _KERNEL_KINDS:
             raise InputError(f"unknown kernel kind {kind!r}")
-    # the indexes hold the texts, so the symbol lists go before the pass
-    i1, i2 = map(build_bwt, _load(args, args.input1, args.input2))
-    # every kind is a fold over one generalized pass of the pair
-    values = kernels.run_pair_folds(i1, i2, [(_kernel_fold, kind, args) for kind in kinds])
+    s1, s2 = _load(args, args.input1, args.input2)
+    # one index of T1 $ T2 #; it holds the texts, so the symbol lists go before the pass
+    pair = PairIndex(s1.symbols, s2.symbols, s1.sigma)
+    del s1, s2
+    # every kind is a fold over one pass of the pair's index
+    values = kernels.run_folds(pair, [(_kernel_fold, kind, args) for kind in kinds])
     return [rec for kind, v in zip(kinds, values) for rec in _kernel_records(kind, args, v)]
 
 
-def _run_profile(args) -> list[_Record]:
+def _check_bounds(**bounds: int) -> None:
+    """Refuse a length or frequency past the longest text an index holds."""
+    for flag, value in bounds.items():
+        if value > suffix._MAX_N:
+            raise InputError(
+                f"--{flag} {value} is past the longest text an index holds"
+                f" ({suffix._MAX_N} symbols)"
+            )
+
+
+def _run_profile(args):
+    """The k, f, count rows, made as they are written."""
+    _check_bounds(k2=args.k2, f2=args.f2)
     [s] = _load(args, args.input)
     prof = kernels.kmer_profile(build_bwt(s), args.k1, args.k2, args.f1, args.f2)
-    return [
+    return (
         _Record("profile", [str(k), str(f)], str(prof.cell(k, f)))
         for k in range(args.k1, args.k2 + 1)
         for f in range(args.f1, args.f2 + 1)
-    ]
+    )
 
 
-def _run_per_k(args) -> list[_Record]:
-    """entropy and kl: one value per k in [k1..k2]."""
+def _run_per_k(args):
+    """entropy and kl: one value per k in [k1..k2], made as it is written."""
+    _check_bounds(k2=args.k2)
     [s] = _load(args, args.input)
     if args.command == "entropy":
         values = kernels.entropy_range(build_bwt(s), args.k1, args.k2)
     else:
         values = kernels.kl_divergence_range(build_bwt(s), args.k1, args.k2)
-    return [
+    return (
         _Record(args.command, [str(args.k1 + i)], _fmt_float(v, args.precision))
         for i, v in enumerate(values)
-    ]
+    )
 
 
 def _run_maw(args) -> list[_Record]:

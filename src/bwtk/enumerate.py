@@ -1,4 +1,4 @@
-"""Enumeration of right-maximal substrings over one or two BWTs.
+"""Enumeration of right-maximal substrings over one BWT.
 
 A substring W is represented without its label: repr(W) stores the sorted
 right-extension symbols chars = (b_1 < ... < b_k) and interval boundaries
@@ -21,6 +21,20 @@ its peak of pending boundaries, which the tests hold to sigma log2 n times
 the cap. A pass may stop at a depth bound, so that measures that read only
 short contexts skip the deeper nodes.
 
+A pair of texts is one index too (suffix.PairIndex): the BWT of T1 $ T2 #,
+letters shifted up by one, with the separator $ = 1 below them and # = 0.
+A string through $ occurs once, so the internal nodes of the generalized
+suffix tree of T1 and T2 are exactly the right-maximal strings of T1 $ T2 #
+that the same pass visits, $ and # counting as distinct right extensions.
+A block of right extension $ ends in T1 and one of # ends in T2. The text
+bit marks text 1's suffix rows; each boundary also carries its rank there
+(Side.one), the rows of text 1 before it. So every node and block has a
+width in each text, and a boundary x is boundary one in text 1's own index
+and x - one in text 2's (T1's rows keep their order from T1 #). Left
+extensions by # and $ are the circular ones, kids that are never pushed:
+#W is text 1's terminator extension and $W text 2's, and the pass counts
+their one row in that text whatever the bit says of rows 0 and 1.
+
 No node keeps its label or a link to its parent. A label is read from T
 when asked for: psi takes a suffix row to the row one symbol on, so heads
 walks it from a node's first row. A fold that builds a value from the
@@ -31,12 +45,10 @@ The per-node API reads the same pass. enumerate_* call a visitor with a
 VisitEvent, a view of one node of the current batch, in pass order: batch
 by batch, then node by node within a batch. The order is deterministic,
 but which batch a node falls in depends on the cap, so only the multiset
-of nodes is the same at every cap. extend_left* extend one repr as a
-one-node batch, through the same _extend_batch.
-
-A pair pass walks the generalized suffix tree of the two texts, where the
-two terminators count as distinct right extensions, so a string followed by
-the end of both texts is right-maximal even when no letter follows it.
+of nodes is the same at every cap. A pair's events report each text's
+repr in that text's own rows and symbols, through the same rank.
+extend_left extends one repr as a one-node batch, through the same
+_extend_batch, and extend_left_generalized merges it over the two texts.
 """
 
 from __future__ import annotations
@@ -46,7 +58,7 @@ import math
 import numpy as np
 
 from .errors import InputError
-from .suffix import BwtIndex
+from .suffix import BwtIndex, PairIndex
 
 __all__ = [
     "Repr",
@@ -114,33 +126,46 @@ _CAP = 2**14  # boundaries per batch before it is split
 
 
 class Side:
-    """One text's half of a batch: its nodes as flat arrays.
+    """Nodes as flat arrays: a batch's nodes, or its kids.
 
     bd holds every node's boundaries first - 1 (BWT positions), nb[j] of
     them for node j in node order, and node j's blocks are the row ranges
     between consecutive boundaries; ch gives each block's right symbol,
-    ascending within a node. A node that does not occur in the text has one
-    boundary and no block. Derived: end (cumulative nb), freq per node, and
-    w (width) and node (owner) per block.
+    ascending within a node. Over a PairIndex, one holds the rank of the
+    text bit at each boundary, the rows of text 1 before it (None over one
+    text). Derived: end (cumulative nb), freq and start (first boundary)
+    per node, w (width) and node (owner) per block, and texts(), each
+    text's widths.
     """
 
-    __slots__ = ("bd", "nb", "ch", "end", "freq", "_w", "_node")
+    __slots__ = ("bd", "nb", "ch", "one", "end", "freq", "_inside", "_w", "_node", "_texts")
 
-    def __init__(self, bd: np.ndarray, nb: np.ndarray, ch: np.ndarray) -> None:
+    def __init__(self, bd: np.ndarray, nb: np.ndarray, ch: np.ndarray, one=None) -> None:
         self.bd = bd
         self.nb = nb
         self.ch = ch
+        self.one = one
         self.end = end = nb.cumsum()
         self.freq = bd[end - 1] - bd[end - nb]
         # per-block arrays are made when first read, not while a batch waits
-        self._w = self._node = None
+        self._inside = self._w = self._node = self._texts = None
+
+    @property
+    def start(self) -> np.ndarray:
+        """Per node, its first boundary: the 0-based row of its first suffix."""
+        return self.bd[self.end - self.nb]
+
+    def inside(self) -> np.ndarray:
+        """Per pair of consecutive boundaries, whether they bound a block of one node."""
+        if self._inside is None:
+            self._inside = inside = np.ones(max(self.bd.size - 1, 0), dtype=bool)
+            inside[self.end[:-1] - 1] = False
+        return self._inside
 
     @property
     def w(self) -> np.ndarray:
         if self._w is None:
-            inside = np.ones(max(self.bd.size - 1, 0), dtype=bool)
-            inside[self.end[:-1] - 1] = False
-            self._w = np.diff(self.bd)[inside]
+            self._w = np.diff(self.bd)[self.inside()]
         return self._w
 
     @property
@@ -149,39 +174,46 @@ class Side:
             self._node = np.arange(self.nb.size).repeat(self.nb - 1)
         return self._node
 
+    def texts(self) -> tuple:
+        """Per text, (freq, w): the node and block widths in that text's rows.
+
+        A block's width is 0 in a text where it has no row.
+        """
+        if self._texts is None:
+            if self.one is None:
+                self._texts = ((self.freq, self.w),)
+            else:
+                one = self.one
+                f1 = one[self.end - 1] - one[self.end - self.nb]
+                w1 = np.diff(one)[self.inside()]
+                self._texts = ((f1, w1), (self.freq - f1, self.w - w1))
+        return self._texts
+
     def take(self, rows: np.ndarray) -> Side:
         """The nodes where the boolean mask rows is set."""
-        return Side(
-            self.bd[rows.repeat(self.nb)],
-            self.nb[rows],
-            self.ch[rows.repeat(self.nb - 1)],
-        )
+        at = rows.repeat(self.nb)
+        one = None if self.one is None else self.one[at]
+        return Side(self.bd[at], self.nb[rows], self.ch[rows.repeat(self.nb - 1)], one)
 
 
 class Batch:
     """Same-depth nodes of a batched pass, with every left extension.
 
-    sides[i] holds the nodes in text i. The kids are every (node, a) with aW
-    occurring in some text, ordered by a and then by node: kid_node[r] is
-    the node, kid_sym[r] the symbol a, kid_sides[i] the children aW in text
-    i, and kid_blk[i] the block of the node that each child block lies in
-    (aWb occurs only where Wb does). For a pair, match (derived when first
-    read) and kid_match are the index arrays of the blocks of text 1 and of
-    text 2 that carry the same letter in the same node; terminators never
-    match. shared holds what several folds of one pass derive from the
-    batch, computed once. carry maps a fold's key to a tuple of per-node
-    arrays: on entry they hold each node's parent's values, and the fold
-    replaces them with the node's own for the kids to read.
+    side holds the nodes. The kids are every (node, a) with aW occurring,
+    ordered by a and then by node: kid_node[r] is the node, kid_sym[r] the
+    symbol a, kids the children aW as one Side, and kid_blk the block of
+    the node that each kid block lies in (aWb occurs only where Wb does).
+    shared holds what several folds of one pass derive from the batch,
+    computed once. carry maps a fold's key to a tuple of per-node arrays:
+    on entry they hold each node's parent's values, and the fold replaces
+    them with the node's own for the kids to read.
     """
 
-    __slots__ = (
-        "depth", "sides", "carry", "shared",
-        "kid_node", "kid_sym", "kid_sides", "kid_blk", "kid_match",
-    )
+    __slots__ = ("depth", "side", "carry", "shared", "kid_node", "kid_sym", "kids", "kid_blk")
 
-    def __init__(self, depth: int, sides: tuple[Side, ...], carry: dict | None = None) -> None:
+    def __init__(self, depth: int, side: Side, carry: dict | None = None) -> None:
         self.depth = depth
-        self.sides = sides
+        self.side = side
         self.carry: dict = {} if carry is None else carry
         self.shared: dict = {}
 
@@ -192,13 +224,9 @@ class Batch:
         return self.shared[fn]
 
     @property
-    def match(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.derive(_sides_match)
-
-    @property
     def size(self) -> int:
         """Boundaries held."""
-        return sum(side.bd.size for side in self.sides)
+        return self.side.bd.size
 
 
 def heads(codes: np.ndarray, psi: np.ndarray, rows: np.ndarray, k: int):
@@ -213,73 +241,22 @@ def heads(codes: np.ndarray, psi: np.ndarray, rows: np.ndarray, k: int):
         yield codes[rows].astype(np.int64)
 
 
-def first_rows(batch: Batch, nodes=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-    """Per node, its first suffix row (0-based) and whether that row is text 2's.
+def _extend_batch(batch: Batch, index: BwtIndex) -> None:
+    """Fill in the batch's kids, every left extension of its nodes.
 
-    The row is bd[end - nb], in text 1 where the node occurs there and in
-    text 2 otherwise. nodes, an index or index array, selects some nodes.
+    One descent ranks all boundaries of the nodes. For symbol a, aW
+    continues with W's block b exactly where a's rank rises across it, so
+    the child keeps the node's first boundary and the end of every block
+    where the rank rises, each shifted to a's rows by C[a]; blk gives the
+    node's block that each child block lies in. Over a pair, the kids'
+    boundaries are also ranked in the text bit.
     """
-    one = batch.sides[0]
-    two = one.freq[nodes] == 0
-    rows = one.bd[one.end[nodes] - one.nb[nodes]]
-    if len(batch.sides) > 1:
-        # an absent node holds one boundary, 0, so both reads stay in range
-        other = batch.sides[1]
-        rows = np.where(two, other.bd[other.end[nodes] - other.nb[nodes]], rows)
-    return rows, two
-
-
-def _match(one: Side, two: Side) -> tuple[np.ndarray, np.ndarray]:
-    """Blocks of one and two with the same letter in the same node."""
-    l1 = one.ch.nonzero()[0]
-    l2 = two.ch.nonzero()[0]
-    if not (l1.size and l2.size):
-        return l1[:0], l2[:0]
-    width = int(max(one.ch[l1].max(), two.ch[l2].max())) + 1
-    k1 = one.node[l1] * width + one.ch[l1]
-    k2 = two.node[l2] * width + two.ch[l2]
-    at = np.minimum(np.searchsorted(k2, k1), k2.size - 1)
-    hit = k2[at] == k1
-    return l1[hit], l2[at[hit]]
-
-
-def _check_keys(indexes) -> None:
-    """Reject a pair whose packed (symbol, node) keys could overflow int64.
-
-    A batch's nodes, and its kids, number at most n1 + n2, so the keys of
-    _match and _extend_batch stay below (largest code + 1) (n1 + n2).
-    """
-    top = max(int(index.syms[-1]) for index in indexes) + 1
-    if top * sum(index.n for index in indexes) >= 2**63:
-        raise InputError("symbol codes too large for a pair: (largest + 1) (n1 + n2) >= 2**63")
-
-
-def _sides_match(batch: Batch) -> tuple[np.ndarray, np.ndarray]:
-    return _match(*batch.sides)
-
-
-def _side_kids(side: Side, index: BwtIndex):
-    """(node, sym, bd, nb, ch, blk) of every left extension in one text.
-
-    One descent ranks all boundaries of the nodes that occur in the text.
-    For symbol a, aW continues with W's block b exactly where a's rank rises
-    across it, so the child keeps the node's first boundary and the end of
-    every block where the rank rises, each shifted to a's rows by C[a];
-    blk gives the node's block that each child block lies in.
-    """
-    occurs = side.freq > 0
-    live = occurs.nonzero()[0]
-    if not live.size:
-        empty = live[:0]
-        return empty, empty, empty, empty, empty, empty
-    x, nb = side.bd, side.nb
-    if live.size < nb.size:
-        x, nb = x[occurs.repeat(nb)], nb[live]
-    syms, ids, nbs, ranks = index.ranks.descend(x, nb)
+    side = batch.side
+    syms, ids, nbs, ranks = index.ranks.descend(side.bd, side.nb)
     per = [i.size for i in ids]
     sym = np.repeat(np.array(syms, dtype=np.int64), per)
     base = index.c[np.searchsorted(index.syms, syms)]
-    node = live[np.concatenate(ids)]
+    node = np.concatenate(ids)
     knb = np.concatenate(nbs)
     r = np.concatenate(ranks) + np.repeat(base, per).repeat(knb)
     end = knb.cumsum()
@@ -290,48 +267,19 @@ def _side_kids(side: Side, index: BwtIndex):
     keep = rise.copy()
     keep[beg] = True
     count = keep.cumsum()
-    cnb = count[end - 1] - count[beg] + 1
+    nb = count[end - 1] - count[beg] + 1
     # a rise at the node's (t+1)-th boundary ends its t-th block
     shift = side.end[node] - side.nb[node] - node - 1 - beg
     blk = rise.nonzero()[0] + shift.repeat(knb)[rise]
-    return node, sym, r[keep], cnb, side.ch[blk], blk
-
-
-def _spread(bd: np.ndarray, nb: np.ndarray, at: np.ndarray, rows: int):
-    """Boundaries of nodes placed at rows at of rows; the other rows absent."""
-    if nb.size == rows:
-        return bd, nb
-    out_nb = np.ones(rows, dtype=np.int64)
-    out_nb[at] = nb
-    end = out_nb.cumsum()
-    out = np.zeros(int(end[-1]), dtype=np.int64)
-    out[(end[at] - nb.cumsum()).repeat(nb) + np.arange(bd.size)] = bd
-    return out, out_nb
-
-
-def _extend_batch(batch: Batch, indexes) -> None:
-    """Fill in the batch's kids, one descent per text."""
-    parts = [_side_kids(side, index) for side, index in zip(batch.sides, indexes)]
-    if len(parts) == 1:
-        node, sym, bd, nb, ch, blk = parts[0]
-        batch.kid_node, batch.kid_sym = node, sym
-        batch.kid_sides, batch.kid_blk = (Side(bd, nb, ch),), (blk,)
-        return
-    count = batch.sides[0].nb.size
-    keys = [sym * count + node for node, sym, *_ in parts]
-    rows = keys[0]
-    if not np.array_equal(rows, keys[1]):
-        # a merge of two sorted runs, then one copy of each key
-        rows = np.sort(np.concatenate(keys), kind="stable")
-        rows = rows[np.concatenate(([True], rows[1:] != rows[:-1]))]
-    batch.kid_node = rows % count
-    batch.kid_sym = rows // count
-    batch.kid_sides = tuple(
-        Side(*_spread(bd, nb, np.searchsorted(rows, key), rows.size), ch)
-        for (_, _, bd, nb, ch, _), key in zip(parts, keys)
-    )
-    batch.kid_blk = tuple(part[5] for part in parts)
-    batch.kid_match = _match(*batch.kid_sides)
+    bd, one = r[keep], None
+    if isinstance(index, PairIndex):
+        one = index.bit.ones(bd)
+        # #W (rows [0, 1]) is text 1's and $W (rows [1, 2]) text 2's, though
+        # the bit gives row 0 to text 2 and row 1 to text 1: swap the two
+        ends = (sym < 2).repeat(nb)
+        one[ends] = bd[ends] - one[ends]
+    batch.kid_node, batch.kid_sym, batch.kid_blk = node, sym, blk
+    batch.kids = Side(bd, nb, side.ch[blk], one)
 
 
 def _gather(carry: dict, rows: np.ndarray) -> dict:
@@ -339,22 +287,14 @@ def _gather(carry: dict, rows: np.ndarray) -> dict:
     return {key: tuple(a[rows] for a in arrays) for key, arrays in carry.items()}
 
 
-def _next_batch(batch: Batch) -> Batch | None:
-    """The kids to visit next: letter extensions that are right-maximal."""
-    sides = batch.kid_sides
-    push = batch.kid_sym != 0
-    if len(sides) == 1:
-        push &= sides[0].nb >= 3
-    else:
-        one, two = sides
-        shared = np.bincount(one.node[batch.kid_match[0]], minlength=one.nb.size)
-        # distinct right extensions, the two terminators apart
-        push &= one.nb + two.nb - 2 - shared >= 2
+def _next_batch(batch: Batch, letters: int) -> Batch | None:
+    """The kids to visit next: extensions by a letter (code >= letters) that are right-maximal."""
+    push = (batch.kid_sym >= letters) & (batch.kids.nb >= 3)
     if not np.count_nonzero(push):
         return None
     # each kid starts from its parent node's values
     carry = _gather(batch.carry, batch.kid_node[push]) if batch.carry else {}
-    return Batch(batch.depth + 1, tuple(side.take(push) for side in sides), carry)
+    return Batch(batch.depth + 1, batch.kids.take(push), carry)
 
 
 def _split(batch: Batch, cap: int | None) -> list[Batch]:
@@ -368,7 +308,7 @@ def _split(batch: Batch, cap: int | None) -> list[Batch]:
     """
     if cap is None or batch.size <= cap:
         return [batch]
-    size = sum(side.nb for side in batch.sides)
+    size = batch.side.nb
     group = (size.cumsum() - size) // cap
     cuts = (np.flatnonzero(np.diff(group)) + 1).tolist()
     bounds = [0, *cuts, size.size]
@@ -376,9 +316,8 @@ def _split(batch: Batch, cap: int | None) -> list[Batch]:
     for r0, r1 in zip(bounds, bounds[1:]):
         rows = np.zeros(size.size, dtype=bool)
         rows[r0:r1] = True
-        sides = tuple(side.take(rows) for side in batch.sides)
-        pieces.append(Batch(batch.depth, sides, _gather(batch.carry, rows)))
-    mass = [sum(int(s.freq.sum()) for s in piece.sides) for piece in pieces]
+        pieces.append(Batch(batch.depth, batch.side.take(rows), _gather(batch.carry, rows)))
+    mass = [int(piece.side.freq.sum()) for piece in pieces]
     order = sorted(range(len(pieces)), key=mass.__getitem__, reverse=True)
     return [pieces[i] for i in order]
 
@@ -387,15 +326,14 @@ def _merge(parts: list[Batch]) -> Batch:
     """One batch of the nodes of same-depth parts, in order."""
     if len(parts) == 1:
         return parts[0]
-    sides = []
-    for group in zip(*(part.sides for part in parts)):
-        arrays = zip(*((side.bd, side.nb, side.ch) for side in group))
-        sides.append(Side(*map(np.concatenate, arrays)))
+    sides = [part.side for part in parts]
+    one = None if sides[0].one is None else np.concatenate([s.one for s in sides])
+    arrays = zip(*((s.bd, s.nb, s.ch) for s in sides))
     carry = {
         key: tuple(map(np.concatenate, zip(*(part.carry[key] for part in parts))))
         for key in parts[0].carry
     }
-    return Batch(parts[0].depth, tuple(sides), carry)
+    return Batch(parts[0].depth, Side(*map(np.concatenate, arrays), one), carry)
 
 
 class _Parked:
@@ -420,21 +358,21 @@ class _Parked:
 
 
 def batched_pass(
-    indexes, visit, *, max_depth: int | None = None, _cap=_CAP
+    index: BwtIndex, visit, *, max_depth: int | None = None, _cap=_CAP
 ) -> tuple[int, int]:
     """Call visit(batch) over the nodes of a pass; returns (visits, peak).
 
-    One index gives the right-maximal substrings of T, the empty string
-    included, and two the internal nodes of the generalized suffix tree of
-    the pair: strings right-maximal when the two terminators count as
-    distinct extensions. Each node is visited once, in batches of one depth,
-    depth-first over batches. Terminator left extensions are delivered as
-    kids but never visited: strings through a terminator exist only by the
-    circular convention. Nodes deeper than max_depth are not visited. What
-    visit leaves in a batch's carry reaches each kid, whichever piece or
-    merged batch it lands in. peak is the largest number of boundaries the
-    pending batches held at once. A pair raises InputError
-    when (largest code + 1) (n1 + n2) reaches 2**63 (see _check_keys).
+    The nodes are the right-maximal substrings of the index's text made of
+    letters, the empty string included: those of T, or over a PairIndex
+    the internal nodes of the generalized suffix tree of T1 and T2. Each
+    node is visited once, in batches of one depth, depth-first over
+    batches. Terminator left extensions (# and, in a pair, $) are delivered
+    as kids but never visited: strings through a terminator exist only by
+    the circular convention. Nodes deeper than max_depth are not visited.
+    What visit leaves in a batch's carry reaches each kid, whichever piece
+    or merged batch it lands in. peak is the largest number of boundaries
+    the pending batches held at once. The pass counts in the enumerations
+    of the index and of its parts.
 
     The children of a batch are one batch of the next depth; past _cap
     boundaries it is split (_split). A batch or piece under half the cap is
@@ -447,15 +385,11 @@ def batched_pass(
     depths are merged and stacked until they hold at most that; their
     children lie deeper than any parked batch.
     """
-    if len(indexes) == 2:
-        if indexes[0].sigma != indexes[1].sigma:
-            raise InputError("alphabet mismatch between the two indexes")
-        _check_keys(indexes)
-    for index in indexes:
-        index.enumerations += 1
-    # the root's blocks are the symbols that occur in T#
-    sides = [Side(index.c, np.array([index.c.size]), index.syms) for index in indexes]
-    root = Batch(0, tuple(sides))
+    for counted in (index, *index.parts):
+        counted.enumerations += 1
+    # the root's blocks are the symbols that occur in the text
+    one = index.bit.ones(index.c) if isinstance(index, PairIndex) else None
+    root = Batch(0, Side(index.c, np.array([index.c.size]), index.syms, one))
     last = math.inf if max_depth is None else max_depth
     small = 0 if _cap is None else _cap // 2
     bound = math.inf if _cap is None else 2 * _cap
@@ -468,10 +402,10 @@ def batched_pass(
             stack.append(parked.pop(min(parked.parts)))
         batch = stack.pop()
         held -= batch.size
-        _extend_batch(batch, indexes)
-        visits += batch.sides[0].nb.size
+        _extend_batch(batch, index)
+        visits += batch.side.nb.size
         visit(batch)
-        nxt = _next_batch(batch) if batch.depth < last else None
+        nxt = _next_batch(batch, index.terminators) if batch.depth < last else None
         if nxt is None:
             continue
         held += nxt.size
@@ -497,18 +431,18 @@ class VisitEvent:
     symbol a (possibly 0) preceding an occurrence of W and children[i] is
     repr(aW), in ascending symbol order; label() is W. They are computed
     when first read in a batch, so a visitor pays only for what it reads;
-    the first label() of a pass makes a psi array for the text it reads.
+    the first label() of a pass makes a psi array of the index.
     The object is reused between visits; do not retain it.
     """
 
-    __slots__ = ("depth", "_batch", "_j", "_indexes", "_psi")
+    __slots__ = ("depth", "_batch", "_j", "_index", "_psi")
 
-    def __init__(self, indexes) -> None:
+    def __init__(self, index: BwtIndex) -> None:
         self.depth = 0
         self._batch: Batch | None = None
         self._j = 0
-        self._indexes = indexes
-        self._psi = [None] * len(indexes)
+        self._index = index
+        self._psi = None
 
     @property
     def repr(self) -> Repr | GenRepr:
@@ -524,61 +458,91 @@ class VisitEvent:
 
     def label(self) -> tuple[int, ...]:
         """W[0], W[1], .., read from T along psi (see heads), one row at a time."""
-        row, i = map(int, first_rows(self._batch, self._j))
-        if self._psi[i] is None:
-            self._psi[i] = self._indexes[i].psi()
-        psi, codes = self._psi[i], self._indexes[i].codes
+        side, j = self._batch.side, self._j
+        row = side.bd.item(side.end.item(j) - side.nb.item(j))
+        if self._psi is None:
+            self._psi = self._index.psi()
+        psi, codes = self._psi, self._index.codes
+        # a pair's letters are shifted up by one
+        shift = self._index.terminators - 1
         out = []
         for _ in range(self.depth):
             row = psi.item(row)
-            out.append(codes.item(row))
+            out.append(codes.item(row) - shift)
         return tuple(out)
 
 
-def _reprs(sides) -> list:
-    """The repr of every node of one Side, or the GenRepr over two.
+def _text_reprs(bd: np.ndarray, nb: np.ndarray, ch: np.ndarray) -> list[Repr]:
+    """The repr of every node of one text; a node with no block is ABSENT."""
+    first = (bd + 1).tolist()
+    ch = ch.tolist()
+    reprs = []
+    s = 0
+    for j, count in enumerate(nb.tolist()):
+        # the j nodes before node j hold s - j blocks
+        chars = tuple(ch[s - j : s - j + count - 1])
+        reprs.append(Repr(chars, tuple(first[s : s + count])) if count > 1 else ABSENT)
+        s += count
+    return reprs
 
-    A node that does not occur in a text is ABSENT there.
+
+def _in_text(side: Side, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(bd, nb, ch) of a pair's nodes in text t's own index: its rows and symbols.
+
+    A node keeps its first boundary and the end of each block with rows in
+    the text; $ and # become that text's terminator 0.
     """
-    out = []
-    for side in sides:
-        first = (side.bd + 1).tolist()
-        ch = side.ch.tolist()
-        reprs = []
-        s = 0
-        for j, nb in enumerate(side.nb.tolist()):
-            # the j nodes before node j hold s - j blocks
-            chars = tuple(ch[s - j : s - j + nb - 1])
-            reprs.append(Repr(chars, tuple(first[s : s + nb])) if nb > 1 else ABSENT)
-            s += nb
-        out.append(reprs)
-    return out[0] if len(out) == 1 else list(map(GenRepr, *out))
+    x = side.one if t == 0 else side.bd - side.one
+    kept = side.texts()[t][1] > 0
+    keep = np.zeros(x.size, dtype=bool)
+    keep[side.end - side.nb] = True
+    keep[np.flatnonzero(side.inside())[kept] + 1] = True
+    nb = 1 + np.bincount(side.node[kept], minlength=side.nb.size)
+    ch = side.ch[kept]
+    return x[keep], nb, np.where(ch > 1, ch - 1, 0)
+
+
+def _reprs(side: Side) -> list:
+    """The repr of every node of side; over a pair, the GenRepr of both texts."""
+    if side.one is None:
+        return _text_reprs(side.bd, side.nb, side.ch)
+    return list(map(GenRepr, *(_text_reprs(*_in_text(side, t)) for t in (0, 1))))
 
 
 def _node_reprs(batch: Batch) -> list:
-    return _reprs(batch.sides)
+    return _reprs(batch.side)
 
 
 def _kids(batch: Batch) -> tuple[list, list]:
-    """Per node of the batch: its left symbols and its children."""
-    count = batch.sides[0].nb.size
+    """Per node of the batch: its left symbols and its children.
+
+    Over a pair, #W (text 1's) and $W (text 2's) are the one left symbol 0,
+    and a letter a + 1 is a.
+    """
+    count = batch.side.nb.size
     lefts = [[] for _ in range(count)]
     children = [[] for _ in range(count)]
+    pair = batch.kids.one is not None
     # kids run by symbol, so each node's come out ascending
-    kids = zip(batch.kid_node.tolist(), batch.kid_sym.tolist(), _reprs(batch.kid_sides))
+    kids = zip(batch.kid_node.tolist(), batch.kid_sym.tolist(), _reprs(batch.kids))
     for j, a, kid in kids:
+        if pair:
+            if a == 1 and lefts[j] == [0]:
+                children[j][0] = GenRepr(children[j][0].one, kid.two)
+                continue
+            a = max(a - 1, 0)
         lefts[j].append(a)
         children[j].append(kid)
     return lefts, children
 
 
-def _visit_nodes(indexes, visitor, fire, stats, max_depth=None) -> int:
+def _visit_nodes(index: BwtIndex, visitor, fire, stats, max_depth=None) -> int:
     """Call visitor once per node of a batched_pass where fire(batch) is set.
 
     Returns the number of calls. stats, when given, receives the pass's
     visits and its peak pending boundaries as peak_frames.
     """
-    ev = VisitEvent(indexes)
+    ev = VisitEvent(index)
     fired = 0
 
     def visit(batch: Batch) -> None:
@@ -586,7 +550,7 @@ def _visit_nodes(indexes, visitor, fire, stats, max_depth=None) -> int:
         ev._batch = batch
         ev.depth = batch.depth
         if fire is None:
-            nodes = range(batch.sides[0].nb.size)
+            nodes = range(batch.side.nb.size)
         else:
             nodes = fire(batch).nonzero()[0].tolist()
         for j in nodes:
@@ -594,7 +558,7 @@ def _visit_nodes(indexes, visitor, fire, stats, max_depth=None) -> int:
             visitor(ev)
         fired += len(nodes)
 
-    visits, peak = batched_pass(indexes, visit, max_depth=max_depth)
+    visits, peak = batched_pass(index, visit, max_depth=max_depth)
     if stats is not None:
         stats["visits"] = visits
         stats["peak_frames"] = peak
@@ -603,7 +567,7 @@ def _visit_nodes(indexes, visitor, fire, stats, max_depth=None) -> int:
 
 def _left_maximal(batch: Batch) -> np.ndarray:
     """Nodes with two distinct left symbols, the terminator included."""
-    return np.bincount(batch.kid_node, minlength=batch.sides[0].nb.size) >= 2
+    return np.bincount(batch.kid_node, minlength=batch.side.nb.size) >= 2
 
 
 def enumerate_right_maximal(
@@ -618,7 +582,7 @@ def enumerate_right_maximal(
     With max_depth, only those of length at most max_depth. Returns the
     visit count.
     """
-    return _visit_nodes((index,), visitor, None, stats, max_depth)
+    return _visit_nodes(index, visitor, None, stats, max_depth)
 
 
 def enumerate_maximal_repeats(
@@ -633,7 +597,7 @@ def enumerate_maximal_repeats(
     Left-maximality asks for at least two distinct preceding symbols, the
     terminator included. Returns the number of visitor invocations.
     """
-    return _visit_nodes((index,), visitor, _left_maximal, stats, max_depth)
+    return _visit_nodes(index, visitor, _left_maximal, stats, max_depth)
 
 
 def enumerate_generalized(
@@ -642,10 +606,11 @@ def enumerate_generalized(
     """Visit the internal nodes of the generalized suffix tree of the pair.
 
     A node is any string right-maximal when the two texts' terminators count
-    as distinct extensions. Terminator left-extensions are delivered but
-    never visited. Returns the visit count.
+    as distinct extensions; the pass runs over the PairIndex of the two
+    texts. Terminator left-extensions are delivered but never visited.
+    Returns the visit count.
     """
-    return _visit_nodes((index1, index2), visitor, None, stats)
+    return _visit_nodes(PairIndex.of(index1, index2), visitor, None, stats)
 
 
 def _check_repr(index: BwtIndex, r: Repr) -> None:
@@ -660,34 +625,25 @@ def _check_repr(index: BwtIndex, r: Repr) -> None:
         raise InputError("malformed representation")
 
 
-def _extend_one(indexes, reprs) -> list[tuple[int, Repr | GenRepr]]:
-    """(a, kid) per left symbol a of one node, a ascending: a one-node batch."""
-    sides = [
-        Side(np.array(r.first) - 1, np.array([len(r.first)]), np.array(r.chars, dtype=np.int64))
-        for r in reprs
-    ]
-    batch = Batch(0, tuple(sides))
-    _extend_batch(batch, indexes)
-    lefts, children = _kids(batch)
-    return list(zip(lefts[0], children[0]))
-
-
 def extend_left(index: BwtIndex, r: Repr) -> list[tuple[int, Repr]]:
     """One entry per distinct symbol a preceding W, with repr(aW), a ascending."""
     _check_repr(index, r)
-    return _extend_one((index,), (r,))
+    side = Side(np.array(r.first) - 1, np.array([len(r.first)]), np.array(r.chars, dtype=np.int64))
+    batch = Batch(0, side)
+    _extend_batch(batch, index)
+    lefts, children = _kids(batch)
+    return list(zip(lefts[0], children[0]))
 
 
 def extend_left_generalized(
     index1: BwtIndex, index2: BwtIndex, g: GenRepr
 ) -> list[tuple[int, GenRepr]]:
-    """extend_left on both sides at once; a side absent for aW is ABSENT."""
+    """extend_left on both sides, merged by symbol; a side absent for aW is ABSENT."""
     if not (g.one.present or g.two.present):
         raise InputError("malformed representation: both sides absent")
-    _check_keys((index1, index2))
-    sides = []
-    for index, r in ((index1, g.one), (index2, g.two)):
+    kids: dict[int, list[Repr]] = {}
+    for t, (index, r) in enumerate(((index1, g.one), (index2, g.two))):
         if r.present:
-            _check_repr(index, r)
-        sides.append(r if r.present else ABSENT)
-    return _extend_one((index1, index2), sides)
+            for a, kid in extend_left(index, r):
+                kids.setdefault(a, [ABSENT, ABSENT])[t] = kid
+    return [(a, GenRepr(*kids[a])) for a in sorted(kids)]

@@ -10,6 +10,12 @@ interval widths, so integer measures are computed in exact integer
 arithmetic. Float terms are summed exactly, by one binned accumulator
 (_ExactSum), and each float sum is rounded once, when it is read.
 
+A pair measure folds over one pass of a suffix.PairIndex, the index of
+T1 $ T2 #: every node and block there has a width in each text
+(Side.texts), read from the text bit's ranks, so no fold matches two
+texts' nodes. Its set-up (measure.fold) takes the pair index; the measure
+itself takes the two texts' indexes and builds their pair index.
+
 The k-mer, substring and length-weighted kernels share one such fold,
 _telescoped, which bins each batch's integer terms by its depth; each
 kernel is a reading of the bins. Uniform and band weights take integer
@@ -56,16 +62,17 @@ from .enumerate import (  # noqa: F401
     enumerate_generalized,
     enumerate_maximal_repeats,
     enumerate_right_maximal,
-    first_rows,
     heads,
 )
 from .errors import BwtkError, ComputationError, InputError, ZeroDenominatorError
 from .params import WeightSpec, ZScoreParams, markov_g, validate_probs
-from .suffix import BwtIndex
+from .suffix import BwtIndex, PairIndex
 
 __all__ = [
     "ProfileMatrix",
+    "PerK",
     "PairFold",
+    "run_folds",
     "run_pair_folds",
     "kmer_complexity",
     "kmer_kernel",
@@ -91,16 +98,70 @@ __all__ = [
 
 @dataclass
 class ProfileMatrix:
-    """Distinct k-mer counts by length and frequency, saturated at f2."""
+    """Distinct k-mer counts by length and frequency, saturated at f2.
+
+    held lists the counts of the k-mers that end inside a node, in rows of
+    k = k1, k1 + 1, .. up to the deepest node the pass reached (at most
+    k2), each over f = f1 .. min(f2, n), n being |T| + 1. The other k-mers
+    each occur once, n - k of length k in all, and no k-mer occurs n
+    times, so no slot is held for the cells past held; cell reads any
+    cell, and cells lists them all.
+    """
 
     k1: int
     k2: int
     f1: int
     f2: int
-    cells: list[list[int]]
+    n: int
+    held: list[list[int]]
 
     def cell(self, k: int, f: int) -> int:
-        return self.cells[k - self.k1][f - self.f1]
+        i, j = k - self.k1, f - self.f1
+        count = self.held[i][j] if i < len(self.held) and j < len(self.held[i]) else 0
+        return count + (self.n - k if j == 0 and self.f1 == 1 and k < self.n else 0)
+
+    @property
+    def cells(self) -> list[list[int]]:
+        return [
+            [self.cell(k, f) for f in range(self.f1, self.f2 + 1)]
+            for k in range(self.k1, self.k2 + 1)
+        ]
+
+
+class PerK(list):
+    """One value per k of [k1..k2], that of k at index k - k1.
+
+    The list holds the values up to the deepest k a pass reached. len,
+    indexing, iteration, reversal and == see every k: a later one reads
+    tail(k), its value past the deepest node (0 or a closed form), when
+    asked, so a range far past the text holds no slot per k.
+    """
+
+    def __init__(self, k1: int, k2: int, held: list, tail: Callable[[int], Any]) -> None:
+        super().__init__(held)
+        self.k1, self.k2, self.tail = k1, k2, tail
+
+    def __len__(self) -> int:
+        return self.k2 - self.k1 + 1
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = range(len(self))[i]  # negative indexes, and IndexError past the end
+        return super().__getitem__(i) if i < super().__len__() else self.tail(self.k1 + i)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __reversed__(self):
+        return map(self.__getitem__, range(len(self) - 1, -1, -1))
+
+    def __eq__(self, other) -> bool:
+        same = isinstance(other, list) and len(self) == len(other)
+        return same and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"PerK(k1={self.k1}, k2={self.k2}, held={super().__getitem__(slice(None))!r})"
 
 
 _LN2 = math.log(2.0)
@@ -114,14 +175,8 @@ def _node_sums(values: np.ndarray, node: np.ndarray, count: int) -> np.ndarray:
     return total[at[1:]] - total[at[:-1]]
 
 
-def _mask(size: int, at: np.ndarray) -> np.ndarray:
-    out = np.zeros(size, dtype=bool)
-    out[at] = True
-    return out
-
-
 def _letters(side: Side) -> np.ndarray:
-    """Blocks per node, the terminator's left out."""
+    """Blocks per node of one text, the terminator's left out."""
     count = side.nb - 1
     count[side.node[side.ch == 0]] -= 1
     return count
@@ -275,7 +330,7 @@ class _ExactSum:
 
 
 class PairFold(NamedTuple):
-    """One pair measure as a fold over a two-index batched_pass.
+    """One pair measure as a fold over a batched_pass of a PairIndex.
 
     visit(batch) runs at every batch and never raises; finish() then
     returns the value or raises.
@@ -285,22 +340,21 @@ class PairFold(NamedTuple):
     finish: Callable[[], Any]
 
 
-def run_pair_folds(index1: BwtIndex, index2: BwtIndex, calls) -> list:
-    """Values of several pair measures from one generalized pass.
+def run_folds(pair: PairIndex, calls) -> list:
+    """Values of several pair measures from one pass over the pair's index.
 
     calls lists tuples (setup, *args), setup being the fold set-up of a
-    pair measure such as kmer_kernel.fold: setup(index1, index2, *args)
-    validates its arguments and returns a PairFold. The result, or the error
-    raised, is that of calling the measures one at a time in order: set-up
-    stops at the first call that raises, the pass runs over the folds built
-    before it, their finish() runs in order, and then the set-up error is
-    raised.
+    pair measure such as kmer_kernel.fold: setup(pair, *args) validates
+    its arguments and returns a PairFold. The result, or the error raised,
+    is that of calling the measures one at a time in order: set-up stops at
+    the first call that raises, the pass runs over the folds built before
+    it, their finish() runs in order, and then the set-up error is raised.
     """
     folds = []
     error = None
     for setup, *args in calls:
         try:
-            folds.append(setup(index1, index2, *args))
+            folds.append(setup(pair, *args))
         except BwtkError as exc:
             error = exc
             break
@@ -311,15 +365,20 @@ def run_pair_folds(index1: BwtIndex, index2: BwtIndex, calls) -> list:
             for fn in visits:
                 fn(batch)
 
-        batched_pass((index1, index2), visit)
+        batched_pass(pair, visit)
     values = [fold.finish() for fold in folds]
     if error is not None:
         raise error
     return values
 
 
+def run_pair_folds(index1: BwtIndex, index2: BwtIndex, calls) -> list:
+    """run_folds over the PairIndex of two indexes' texts."""
+    return run_folds(PairIndex.of(index1, index2), calls)
+
+
 def _pair_measure(setup):
-    """setup's measure, computed in a pass of its own; setup stays as .fold."""
+    """setup's measure of two indexes, computed in a pass of its own; setup stays as .fold."""
 
     @functools.wraps(setup)
     def measure(index1: BwtIndex, index2: BwtIndex, *args, **kwargs):
@@ -342,30 +401,16 @@ def kmer_complexity(index: BwtIndex, k: int) -> int:
     return kmer_profile(index, k, k, 1, 1).cells[0][0]
 
 
-def _at_first_row(batch: Batch, read) -> np.ndarray:
-    """Per node of a pair batch, read(i, rows) at its first row, in text i + 1 (see first_rows)."""
-    rows, two = first_rows(batch)
-    out = read(0, np.where(two, 0, rows))  # row 0 lies in text 1 too
-    out[two] = read(1, rows[two])
-    return out
+def _pair_sums(batch: Batch) -> tuple[int, int, int]:
+    """The sums over the batch's nodes of fo ft - cross, fo^2 - s1 and ft^2 - s2.
 
-
-def _pair_terms(batch: Batch):
-    """Per node: fo ft - cross, fo^2 - s1 and ft^2 - s2.
-
-    fo and ft are the node's frequencies, cross sums the products of the
-    two texts' widths of each shared letter, and s1, s2 the squared widths
-    of each text's blocks, terminators included.
+    fo and ft are a node's frequencies in the two texts, cross sums the
+    products of the two texts' widths of each block, and s1, s2 the squared
+    widths of each text's blocks, terminators included ($ has width 0 in
+    text 2 and # in text 1). The sums are exact integers.
     """
-    one, two = batch.sides
-    i, j = batch.match
-    count = one.nb.size
-    cross = _node_sums(one.w[i] * two.w[j], one.node[i], count)
-    return (
-        one.freq * two.freq - cross,
-        one.freq * one.freq - _node_sums(one.w * one.w, one.node, count),
-        two.freq * two.freq - _node_sums(two.w * two.w, two.node, count),
-    )
+    (f1, w1), (f2, w2) = batch.side.texts()
+    return int(f1 @ f2 - w1 @ w2), int(f1 @ f1 - w1 @ w1), int(f2 @ f2 - w2 @ w2)
 
 
 def _telescoped(lo: int, result) -> PairFold:
@@ -373,7 +418,7 @@ def _telescoped(lo: int, result) -> PairFold:
 
     A node of depth d >= lo adds fo ft - cross, fo^2 - s1 and ft^2 - s2 (its
     own frequency products less those of its right extensions, as in
-    _pair_terms) into bin d of (num, den1, den2), as exact integers: a
+    _pair_sums) into bin d of (num, den1, den2), as exact integers: a
     batch sum is at most n1 n2, which suffix._MAX_N keeps in int64. For
     every length L >= lo, the sum of f1(U) f2(U) over the length-L
     substrings U is then the sum of num[d] over d >= L, and that of f1(U)^2
@@ -387,9 +432,9 @@ def _telescoped(lo: int, result) -> PairFold:
         d = batch.depth
         if d < lo:
             return
-        for b, terms in zip(bins, batch.derive(_pair_terms)):
+        for b, total in zip(bins, batch.derive(_pair_sums)):
             b.extend([0] * (d + 1 - len(b)))
-            b[d] += int(terms.sum())
+            b[d] += total
 
     def finish():
         return result(*(list(itertools.accumulate(b[::-1]))[::-1] for b in bins))
@@ -398,7 +443,7 @@ def _telescoped(lo: int, result) -> PairFold:
 
 
 @_pair_measure
-def kmer_kernel_range(index1: BwtIndex, index2: BwtIndex, k1: int, k2: int):
+def kmer_kernel_range(pair: PairIndex, k1: int, k2: int):
     """Cosine of k-mer count vectors for every k in [k1..k2], one pass.
 
     The kernel at k is the band reading over [k, k]. Keys run ascending;
@@ -407,7 +452,7 @@ def kmer_kernel_range(index1: BwtIndex, index2: BwtIndex, k1: int, k2: int):
     """
     if not 1 <= k1 <= k2:
         raise InputError("range must satisfy 1 <= k1 <= k2")
-    ns = (index1.n, index2.n)
+    ns = pair.ns
     top = min(k2, ns[0] - 1, ns[1] - 1)
     band = (WeightSpec("band", kmin=k, kmax=k) for k in range(k1, top + 1))
     readings = {spec.kmin: _length_reading(spec, ns) for spec in band}
@@ -419,9 +464,9 @@ def kmer_kernel_range(index1: BwtIndex, index2: BwtIndex, k1: int, k2: int):
 
 
 @_pair_measure
-def kmer_kernel(index1: BwtIndex, index2: BwtIndex, k: int):
+def kmer_kernel(pair: PairIndex, k: int):
     """Cosine of the k-mer count vectors."""
-    fold = kmer_kernel_range.fold(index1, index2, k, k)
+    fold = kmer_kernel_range.fold(pair, k, k)
 
     def finish() -> float:
         values = fold.finish()
@@ -444,33 +489,31 @@ def kmer_profile(
     """
     if not (1 <= k1 <= k2 and 1 <= f1 <= f2):
         raise InputError("bounds must satisfy 1 <= k1 <= k2 and 1 <= f1 <= f2")
-    rows = k2 - k1 + 1
-    cols = f2 - f1 + 1
-    diff = np.zeros((rows, cols), dtype=np.int64)
+    n = index.n
+    # a k-mer occurs at most n - 1 times, so frequencies past n all count 0
+    cols = max(min(f2, n) - f1 + 1, 0)
+    diff = []  # a row per depth from k1, made when the pass first reaches it
 
     def visit(batch: Batch) -> None:
         d = batch.depth
         if d < k1:
             return
+        if min(d, k2) - k1 == len(diff):
+            diff.append(np.zeros(cols, dtype=np.int64))
         row = diff[min(d, k2) - k1]
-        side = batch.sides[0]
+        side = batch.side
         # a node adds one k-mer at its frequency, and each block takes one off
         for values, sign in ((side.freq, 1), (side.w, -1)):
             col = np.minimum(values, f2) - f1
             counts = np.bincount(col[col >= 0])
             row[: counts.size] += sign * counts
 
-    batched_pass((index,), visit)
-    cells = np.cumsum(diff[::-1], axis=0)[::-1].tolist()
-    if f1 == 1:
-        n = index.n
-        for k in range(k1, k2 + 1):
-            if n - k > 0:
-                cells[k - k1][0] += n - k
-    return ProfileMatrix(k1, k2, f1, f2, cells)
+    batched_pass(index, visit)
+    held = [row.tolist() for row in itertools.accumulate(reversed(diff))][::-1]
+    return ProfileMatrix(k1, k2, f1, f2, n, held)
 
 
-def entropy_range(index: BwtIndex, k1: int, k2: int) -> list[float]:
+def entropy_range(index: BwtIndex, k1: int, k2: int) -> PerK:
     """Order-k empirical entropies H_k for k in [k1..k2], one pass.
 
     H_k averages, over text positions, the entropy of the follower-symbol
@@ -484,7 +527,7 @@ def entropy_range(index: BwtIndex, k1: int, k2: int) -> list[float]:
         d = batch.depth
         if d < k1:
             return
-        side = batch.sides[0]
+        side = batch.side
         letter = side.ch != 0
         node = side.node[letter]
         w = side.w[letter]
@@ -495,9 +538,12 @@ def entropy_range(index: BwtIndex, k1: int, k2: int) -> list[float]:
         sums[d].add(w * np.log2(fr / w))
 
     # contexts longer than k2 are never read, so the pass stops at depth k2
-    batched_pass((index,), visit, max_depth=k2)
+    batched_pass(index, visit, max_depth=k2)
     m = index.n - 1
-    return [sums[k].value() / m if k in sums else 0.0 for k in range(k1, k2 + 1)]
+    # past the deepest node every context is followed by one letter
+    top = min(k2, max(sums, default=k1 - 1))
+    held = [sums[k].value() / m if k in sums else 0.0 for k in range(k1, top + 1)]
+    return PerK(k1, k2, held, lambda k: 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -511,18 +557,18 @@ def substring_complexity(index: BwtIndex) -> int:
 
     def visit(batch: Batch) -> None:
         nonlocal total
-        side = batch.sides[0]
+        side = batch.side
         # every node of depth d adds d (1 - its number of blocks)
         total += batch.depth * (side.nb.size - side.ch.size)
 
-    batched_pass((index,), visit)
+    batched_pass(index, visit)
     return total
 
 
 @_pair_measure
-def substring_kernel(index1: BwtIndex, index2: BwtIndex):
+def substring_kernel(pair: PairIndex):
     """Cosine of the full substring-count vectors."""
-    return weighted_substring_kernel.fold(index1, index2, WeightSpec("uniform"))
+    return weighted_substring_kernel.fold(pair, WeightSpec("uniform"))
 
 
 def _leaf_sum(n: int, lengths, ratio: float) -> float:
@@ -621,7 +667,7 @@ def _charscore_denominator(text: list[int], sq: list[float]) -> tuple[float, int
     return total, to
 
 
-def _charscore_fold(index1: BwtIndex, index2: BwtIndex, scores) -> PairFold:
+def _charscore_fold(pair: PairIndex, scores) -> PairFold:
     """The charscore kernel: node terms times their label's prefix weights.
 
     A node W's terms (as in _telescoped) count every prefix U of W that has
@@ -641,31 +687,33 @@ def _charscore_fold(index1: BwtIndex, index2: BwtIndex, scores) -> PairFold:
             raise ComputationError("weighted sums outside the floating-point range")
 
         return PairFold(lambda batch: None, out_of_range)
-    sqm, sqe = np.frexp(np.array([0.0] + sq))
+    # by the pair's codes: # and $ weigh nothing, and letter a is code a + 1
+    sqm, sqe = np.frexp(np.array([0.0, 0.0] + sq))
     sums = (_ExactSum(), _ExactSum(), _ExactSum())
     # every substring occurrence's squared weight, ending on a leaf edge or not
-    for total, index in zip(sums[1:], (index1, index2)):
-        tail, e = _charscore_denominator(index.text, sq)
+    for t, total in enumerate(sums[1:]):
+        tail, e = _charscore_denominator(pair.part(t), sq)
         num, den = tail.as_integer_ratio()
         total.add_ratio(num << e, den)
     key = object()  # this fold's entry in Batch.carry
-
-    def first_letter(i: int, rows: np.ndarray) -> np.ndarray:
-        index = (index1, index2)[i]
-        return index.syms[np.searchsorted(index.c, rows, "right") - 1]
 
     def visit(batch: Batch) -> None:
         if not batch.depth:
             batch.carry[key] = (np.zeros(1), np.zeros(1, dtype=np.int64))
             return
         pm, pe = batch.carry[key]
-        a = _at_first_row(batch, first_letter)
+        a = pair.syms[np.searchsorted(pair.c, batch.side.start, "right") - 1]
         # (1 + ps(W)) / 2**s, exact in scale, then times sq[a]
         s = np.maximum(pe, 0)
         m, shift = np.frexp((np.ldexp(1.0, -s) + np.ldexp(pm, pe - s)) * sqm[a])
         e = s + sqe[a] + shift
         batch.carry[key] = (m, e)
-        for total, terms in zip(sums, batch.derive(_pair_terms)):
+        side = batch.side
+        (f1, w1), (f2, w2) = side.texts()
+        # each node's terms of _pair_sums
+        products = zip((f1 * f2, f1 * f1, f2 * f2), (w1 * w2, w1 * w1, w2 * w2))
+        for total, (own, blocks) in zip(sums, products):
+            terms = own - _node_sums(blocks, side.node, side.nb.size)
             total.add(m * terms.astype(float), e)
 
     def finish() -> float:
@@ -681,7 +729,7 @@ def _charscore_fold(index1: BwtIndex, index2: BwtIndex, scores) -> PairFold:
 
 
 @_pair_measure
-def weighted_substring_kernel(index1: BwtIndex, index2: BwtIndex, weights: WeightSpec):
+def weighted_substring_kernel(pair: PairIndex, weights: WeightSpec):
     """Cosine of weighted substring vectors g(|W|) f(W) or q-product weights.
 
     The length-based kinds read the depth bins of the telescoping fold.
@@ -689,13 +737,10 @@ def weighted_substring_kernel(index1: BwtIndex, index2: BwtIndex, weights: Weigh
     scaled by the sum of the squared weights of its label's prefixes, built
     from the parent's sum, which the batch carries.
     """
-    if index1.sigma != index2.sigma:
-        raise InputError("alphabet mismatch between the two indexes")
-    weights.validate(index1.sigma)
-    ns = (index1.n, index2.n)
+    weights.validate(pair.letters)
     if weights.kind != "charscore":
-        return _telescoped(1, _length_reading(weights, ns))
-    return _charscore_fold(index1, index2, weights.scores)
+        return _telescoped(1, _length_reading(weights, pair.ns))
+    return _charscore_fold(pair, weights.scores)
 
 
 # ---------------------------------------------------------------------------
@@ -723,24 +768,25 @@ def _row_products(index: BwtIndex, k: int, qs: np.ndarray) -> np.ndarray:
     return prod
 
 
-def _d2_fold(index1: BwtIndex, index2: BwtIndex, k: int, q, phi, absent_coef):
+def _d2_fold(pair: PairIndex, k: int, q, phi, absent_coef):
     """Sum of phi(f1(W), f2(W), q(W)) over all k-mers W, absent ones in closed form.
 
     phi takes arrays. Each length-k window of a text adds phi at counts (1,
     0) or (0, 1), and a node of depth >= k adds phi at its own counts less
-    phi at each block's (a letter on both sides is one block). q(W) is read
-    from one _row_products array per text: a text's windows are its rows
-    that do not reach the terminator, and a node's q(W) is the entry at its
-    first row in text 1, or in text 2 where W does not occur in text 1, so
-    a k-mer's windows and node read the same float. Those terms cancel to a
-    small value, so the phi terms and the q(W) terms are each summed exactly
-    (_ExactSum) and rounded once, in finish(), whatever the batches. An inf
-    or nan term, or a sum past the float range, makes finish() raise.
+    phi at each block's (widths in the two texts). q(W) is read from one
+    _row_products array of the pair, q being nan at $ and #: the windows
+    are the rows that reach neither, text 1's those the text bit marks, and
+    a node's q(W) is the entry at its first row. Every row that starts with
+    a k-mer holds the same float, so a k-mer's windows and node read it
+    alike. Those terms cancel to a small value, so the phi terms and the
+    q(W) terms are each summed exactly (_ExactSum) and rounded once, in
+    finish(), whatever the batches. An inf or nan term, or a sum past the
+    float range, makes finish() raise.
     """
     total, q_present = _ExactSum(), _ExactSum()
-    qs = np.array((math.nan, *q))
-    rows = [_row_products(index, k, qs) for index in (index1, index2)]
-    for qr, x1 in zip(rows, (1, 0)):
+    rows = _row_products(pair, k, np.array((math.nan, math.nan, *q)))
+    text1 = pair.bit.bits()
+    for qr, x1 in ((rows[text1], 1), (rows[~text1], 0)):
         qw = qr[~np.isnan(qr)]
         with np.errstate(all="ignore"):
             total.add(phi(x1, 1 - x1, qw))
@@ -749,22 +795,14 @@ def _d2_fold(index1: BwtIndex, index2: BwtIndex, k: int, q, phi, absent_coef):
     def visit(batch: Batch) -> None:
         if batch.depth < k:
             return
-        one, two = batch.sides
-        qk = _at_first_row(batch, lambda t, at: rows[t][at])
-        i, j = batch.match
-        alone1 = ~_mask(one.ch.size, i)
-        alone2 = ~_mask(two.ch.size, j)
+        side = batch.side
+        qk = rows[side.start]
+        (f1, w1), (f2, w2) = side.texts()
         with np.errstate(all="ignore"):
-            terms = (
-                phi(one.freq, two.freq, qk),
-                -phi(one.w[i], two.w[j], qk[one.node[i]]),
-                -phi(one.w[alone1], 0, qk[one.node[alone1]]),
-                -phi(0, two.w[alone2], qk[two.node[alone2]]),
-            )
+            terms = (phi(f1, f2, qk), -phi(w1, w2, qk[side.node]))
         total.add(np.concatenate(terms))
-        edges = one.nb + two.nb - 2 - np.bincount(one.node[i], minlength=one.nb.size)
-        # q(W) (1 - edges) as exact terms: one +q(W), and -q(W) per edge
-        q_present.add(np.concatenate((qk, -qk.repeat(edges))))
+        # q(W) (1 - blocks) as exact terms: one +q(W), and -q(W) per block
+        q_present.add(np.concatenate((qk, -qk.repeat(side.nb - 1))))
 
     def finish() -> float:
         value = total.value() + absent_coef * (1.0 - q_present.value())
@@ -778,28 +816,27 @@ def _d2_fold(index1: BwtIndex, index2: BwtIndex, k: int, q, phi, absent_coef):
     return PairFold(visit, finish)
 
 
-def _d2_validate(index1: BwtIndex, index2: BwtIndex, k: int, q) -> tuple:
+def _d2_validate(pair: PairIndex, k: int, q) -> tuple:
     if k < 1:
         raise InputError("k must be at least 1")
-    if index1.sigma != index2.sigma:
-        raise InputError("alphabet mismatch between the two indexes")
     q = tuple(float(v) for v in q)
-    validate_probs(q, index1.sigma)
-    if index1.n <= k or index2.n <= k:
+    validate_probs(q, pair.letters)
+    n1, n2 = pair.ns
+    if n1 <= k or n2 <= k:
         raise ZeroDenominatorError(
             f"zero denominator: a string has fewer than k={k} symbols"
         )
-    return q, index1.n - k, index2.n - k
+    return q, n1 - k, n2 - k
 
 
 @_pair_measure
-def d2s_distance(index1: BwtIndex, index2: BwtIndex, k: int, q):
+def d2s_distance(pair: PairIndex, k: int, q):
     """Sum over all k-mers of t1 t2 / sqrt(t1^2 + t2^2) for centered counts.
 
     t_i(W) = f_i(W) - (n_i - k) q(W). Terms for k-mers absent from both
     strings are linear in q(W) and folded in as a closed-form correction.
     """
-    q, e1, e2 = _d2_validate(index1, index2, k, q)
+    q, e1, e2 = _d2_validate(pair, k, q)
 
     def phi(x1, x2, qw):
         t1 = x1 - e1 * qw
@@ -808,13 +845,13 @@ def d2s_distance(index1: BwtIndex, index2: BwtIndex, k: int, q):
         return np.where(dd == 0.0, 0.0, t1 * t2 / np.sqrt(dd))
 
     coef = e1 * e2 / math.sqrt(e1 * e1 + e2 * e2)
-    return _d2_fold(index1, index2, k, q, phi, coef)
+    return _d2_fold(pair, k, q, phi, coef)
 
 
 @_pair_measure
-def d2star_distance(index1: BwtIndex, index2: BwtIndex, k: int, q):
+def d2star_distance(pair: PairIndex, k: int, q):
     """Sum over all k-mers of t1 t2 / (sqrt((n1-k)(n2-k)) q(W))."""
-    q, e1, e2 = _d2_validate(index1, index2, k, q)
+    q, e1, e2 = _d2_validate(pair, k, q)
     scale = math.sqrt(e1 * e2)
     tiny = sys.float_info.min
 
@@ -827,7 +864,7 @@ def d2star_distance(index1: BwtIndex, index2: BwtIndex, k: int, q):
         both = np.where(qw < tiny, math.nan, t1 * t2 / (scale * qw))
         return np.where(x2 == 0, -t1 * e2 / scale, np.where(x1 == 0, -t2 * e1 / scale, both))
 
-    return _d2_fold(index1, index2, k, q, phi, scale)
+    return _d2_fold(pair, k, q, phi, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -837,46 +874,47 @@ def d2star_distance(index1: BwtIndex, index2: BwtIndex, k: int, q):
 class _Kids:
     """What the MAW, KL and Markov folds read of a batch's letter kids.
 
-    A side is maximal at a node W when W has two blocks and two left
-    symbols there, the terminator included. on[i] marks the kids aW with a
-    letter a that occur in text i under a node maximal on side i, and
-    maws[i] counts per kid the MAWs a W b of text i: one for each letter b
-    of W there that aW lacks (0 off on[i]).
+    A text is maximal at a node W when W has two blocks and two left
+    symbols there, its terminator included. on[t] marks the kids aW with a
+    letter a that occur in text t under a node maximal in text t, and
+    maws[t] counts the batch's MAWs a W b of text t: for each kid on in
+    text t, the letters b of W there that aW lacks there.
 
-    For a pair, rows marks the kids on some side, and for their letter
-    blocks (sel[i]) w_has[i] and k_has[i] tell whether W, and the kid, have
-    that letter in the other text. shared counts per node the letters of W
-    in both texts, and both the MAWs of both texts: a W b with b a letter of
-    W in both texts that a W lacks in both.
+    Over a pair, rows marks the kids on in some text, shared counts per
+    node the letters of W in both texts, and both the MAWs of both texts:
+    a W b with b a letter of W in both texts that aW lacks in both.
     """
 
     def __init__(self, batch: Batch) -> None:
-        kn = batch.kid_node
-        count = batch.sides[0].nb.size
-        self.on, self.maws = [], []
-        for side, kid in zip(batch.sides, batch.kid_sides):
-            occurs = kid.freq > 0
-            maximal = (side.nb >= 3) & (np.bincount(kn[occurs], minlength=count) >= 2)
-            on = (batch.kid_sym != 0) & occurs & maximal[kn]
-            self.on.append(on)
-            self.maws.append(np.where(on, _letters(side)[kn] - _letters(kid), 0))
-        if len(batch.sides) == 1:
+        side, kids, kn = batch.side, batch.kids, batch.kid_node
+        count = side.nb.size
+        if side.one is None:
+            # every kid occurs, and every block has rows
+            maximal = (side.nb >= 3) & (np.bincount(kn, minlength=count) >= 2)
+            on = (batch.kid_sym != 0) & maximal[kn]
+            self.on = [on]
+            self.maws = [int(_letters(side)[kn[on]].sum() - _letters(kids)[on].sum())]
             return
-        (one, two), (kid1, kid2) = batch.sides, batch.kid_sides
-        (i, j), (ki, kj) = batch.match, batch.kid_match
-        self.rows = rows = self.on[0] | self.on[1]
-        self.sel = (rows[kid1.node] & (kid1.ch != 0), rows[kid2.node] & (kid2.ch != 0))
-        blk1, blk2 = batch.kid_blk
-        self.w_has = (_mask(one.ch.size, i)[blk1], _mask(two.ch.size, j)[blk2])
-        self.k_has = (_mask(kid1.ch.size, ki), _mask(kid2.ch.size, kj))
-        self.shared = np.bincount(one.node[i], minlength=count)
-        # per kid, the letters of W in both texts that the kid has on some side
-        seen1 = self.sel[0] & self.w_has[0]
-        seen2 = self.sel[1] & self.w_has[1] & ~self.k_has[1]
-        seen = np.bincount(kid1.node[seen1], minlength=kn.size)
-        seen += np.bincount(kid2.node[seen2], minlength=kn.size)
+        letter, kid_letter = side.ch > 1, kids.ch > 1
+        has = [w > 0 for _, w in side.texts()]
+        self.on, self.maws = [], []
+        # the terminator of text 1 is $ (1), that of text 2 # (0)
+        for t, (kf, kw) in enumerate(kids.texts()):
+            blocks = np.bincount(side.node[has[t]], minlength=count)
+            letters = blocks - np.bincount(side.node[side.ch == 1 - t], minlength=count)
+            occurs = kf > 0
+            maximal = (blocks >= 2) & (np.bincount(kn[occurs], minlength=count) >= 2)
+            on = (batch.kid_sym > 1) & occurs & maximal[kn]
+            self.on.append(on)
+            kept = np.count_nonzero(on[kids.node] & kid_letter & (kw > 0))
+            self.maws.append(int(letters[kn[on]].sum() - kept))
+        self.rows = self.on[0] | self.on[1]
+        in_both = letter & has[0] & has[1]
+        self.shared = np.bincount(side.node[in_both], minlength=count)
+        # the letters of W in both texts that a kid on in both has in some text
         both = self.on[0] & self.on[1]
-        self.both = int((self.shared[kn[both]] - seen[both]).sum())
+        seen = np.count_nonzero(both[kids.node] & kid_letter & in_both[batch.kid_blk])
+        self.both = int(self.shared[kn[both]].sum() - seen)
 
 
 def maw_count(index: BwtIndex) -> int:
@@ -885,9 +923,9 @@ def maw_count(index: BwtIndex) -> int:
 
     def visit(batch: Batch) -> None:
         nonlocal total
-        total += int(batch.derive(_Kids).maws[0].sum())
+        total += batch.derive(_Kids).maws[0]
 
-    batched_pass((index,), visit)
+    batched_pass(index, visit)
     return total
 
 
@@ -905,7 +943,7 @@ def _maw_listing(index: BwtIndex, emit) -> None:
             return
         # kids run by a, then node: a stable sort by node keeps a ascending
         rows = rows[np.argsort(batch.kid_node[rows], kind="stable")]
-        side = batch.sides[0]
+        side = batch.side
         node = batch.kid_node[rows]
         # one candidate a W b per kid and block of W, in block (b) order
         width = side.nb[node] - 1
@@ -914,18 +952,18 @@ def _maw_listing(index: BwtIndex, emit) -> None:
         blk = lead.repeat(width) + np.arange(int(width.sum())) - off.repeat(width)
         absent = side.ch[blk] != 0
         # a W b occurs where aW has a block inside W's block b
-        kid = batch.kid_sides[0]
+        kid = batch.kids
         at = np.full(kid.nb.size, -1)
         at[rows] = np.arange(rows.size)
         seen = at[kid.node]
         has = seen >= 0
         seen = seen[has]
-        absent[off[seen] + batch.kid_blk[0][has] - lead[seen]] = False
+        absent[off[seen] + batch.kid_blk[has] - lead[seen]] = False
         hit = absent.nonzero()[0]
         kept = np.arange(rows.size).repeat(width)[hit]
         emit(batch, node[kept], batch.kid_sym[rows[kept]], side.ch[blk[hit]])
 
-    batched_pass((index,), visit)
+    batched_pass(index, visit)
 
 
 def maw_enumerate(index: BwtIndex, visitor) -> int:
@@ -938,8 +976,8 @@ def maw_enumerate(index: BwtIndex, visitor) -> int:
 
     def emit(batch: Batch, node, a, b) -> None:
         nonlocal count
-        side = batch.sides[0]
-        sp = side.bd[(side.end - side.nb)[node]] + 1
+        side = batch.side
+        sp = side.start[node] + 1
         ep = side.bd[side.end[node] - 1]
         d = batch.depth
         for x, i, j, y in zip(a.tolist(), sp.tolist(), ep.tolist(), b.tolist()):
@@ -962,7 +1000,7 @@ def maw_words(index: BwtIndex) -> list[tuple[int, ...]]:
     psi = index.psi()
 
     def emit(batch: Batch, node, a, b) -> None:
-        rows = first_rows(batch, node)[0]
+        rows = batch.side.start[node]
         words = np.empty((node.size, batch.depth + 2), dtype=np.int64)
         words[:, 0], words[:, -1] = a, b
         for i, sym in enumerate(heads(index.codes, psi, rows, batch.depth), 1):
@@ -979,15 +1017,15 @@ def _maw_pair_fold(result) -> PairFold:
 
     def visit(batch: Batch) -> None:
         p = batch.derive(_Kids)
-        counts[0] += int(p.maws[0].sum())
-        counts[1] += int(p.maws[1].sum())
+        counts[0] += p.maws[0]
+        counts[1] += p.maws[1]
         counts[2] += p.both
 
     return PairFold(visit, lambda: result(*counts))
 
 
 @_pair_measure
-def maw_jaccard(index1: BwtIndex, index2: BwtIndex):
+def maw_jaccard(pair: PairIndex):
     """Jaccard similarity of the two MAW sets; empty-empty counts as 1."""
 
     def jaccard(c1: int, c2: int, inter: int) -> float:
@@ -1000,7 +1038,7 @@ def maw_jaccard(index1: BwtIndex, index2: BwtIndex):
 
 
 @_pair_measure
-def maw_cosine(index1: BwtIndex, index2: BwtIndex):
+def maw_cosine(pair: PairIndex):
     """Cosine of the binary MAW indicator vectors; empty-empty is 1."""
 
     def cosine(c1: int, c2: int, inter: int) -> float:
@@ -1018,7 +1056,7 @@ def maw_cosine(index1: BwtIndex, index2: BwtIndex):
 
 
 @_pair_measure
-def markov_kernel(index1: BwtIndex, index2: BwtIndex, params: ZScoreParams):
+def markov_kernel(pair: PairIndex, params: ZScoreParams):
     """Cosine of z-score vectors over strings a W b with letter a, b.
 
     z is g f(aWb) f(W) / (f(aW) f(Wb)) - 1 for occurring strings and -1 at
@@ -1028,9 +1066,7 @@ def markov_kernel(index1: BwtIndex, index2: BwtIndex, params: ZScoreParams):
     sums, exactly mirrored by a (g1-1)(g2-1) subtraction on shared terms.
     """
     params.validate()
-    if index1.sigma != index2.sigma:
-        raise InputError("alphabet mismatch between the two indexes")
-    n1, n2 = index1.n, index2.n
+    n1, n2 = pair.ns
     m1, m2 = n1 - 1, n2 - 1
     exact = params.g_mode == "exact"
     sums = num, den1, den2 = _ExactSum(), _ExactSum(), _ExactSum()
@@ -1049,15 +1085,17 @@ def markov_kernel(index1: BwtIndex, index2: BwtIndex, params: ZScoreParams):
 
     def visit(batch: Batch) -> None:
         d = batch.depth
-        one, two = batch.sides
+        side, kids, kn, blk = batch.side, batch.kids, batch.kid_node, batch.kid_blk
+        texts = side.texts()
         p = batch.derive(_Kids)
         if exact:
-            on1, on2 = one.freq > 0, two.freq > 0
-            both = on1 & on2
-            for coef, terms in zip(
-                coefs, (1 - p.shared[both], 2 - one.nb[on1], 2 - two.nb[on2])
-            ):
-                coef[d] += int(terms.sum())
+            # per node in both texts 1 less its shared letters, and per node
+            # in a text 1 less its blocks there
+            (f1, _), (f2, _) = texts
+            terms = [np.count_nonzero((f1 > 0) & (f2 > 0)) - p.shared.sum()]
+            terms += [np.count_nonzero(f > 0) - np.count_nonzero(w > 0) for f, w in texts]
+            for coef, term in zip(coefs, terms):
+                coef[d] += int(term)
             g1v = g1a[d + 2] if d + 2 <= n1 else 1.0
             g2v = g2a[d + 2] if d + 2 <= n2 else 1.0
         else:
@@ -1065,36 +1103,33 @@ def markov_kernel(index1: BwtIndex, index2: BwtIndex, params: ZScoreParams):
         if not p.rows.any():
             return
         gs = (g1v, g2v)
-        fs = (one.freq, two.freq) if d else (np.array([m1]), np.array([m2]))
-        kid1, kid2 = batch.kid_sides
-        kn = batch.kid_node
-        zs = []
-        for side, kid, sel, blk, f, g in zip(
-            batch.sides, batch.kid_sides, p.sel, batch.kid_blk, fs, gs
-        ):
-            # z of the selected kid blocks, against W's block of that letter
-            z = np.full(kid.ch.size, math.nan)
-            r = kid.node[sel]
-            z[sel] = g * (kid.w[sel] * f[kn[r]] / (kid.freq[r] * side.w[blk[sel]])) - 1.0
-            zs.append(z)
-        z1, z2 = zs
-        ki, kj = batch.kid_match
-        pair = p.sel[0][ki]
-        ki, kj = ki[pair], kj[pair]
-        # letters aWb on one side only, against a W b absent from the other
-        alone1 = p.sel[0] & ~p.k_has[0] & p.w_has[0] & (kid2.freq[kid1.node] > 0)
-        alone2 = p.sel[1] & ~p.k_has[1] & p.w_has[1] & (kid1.freq[kid2.node] > 0)
+        fs = [f for f, _ in texts] if d else (np.array([m1]), np.array([m2]))
+        # the letter blocks of the kids on in some text, and their kid and node
+        picked = (p.rows[kids.node] & (kids.ch > 1)).nonzero()[0]
+        r = kids.node[picked]
+        node, wb = kn[r], blk[picked]
+        zs, has, parts = [], [], []
+        for (kf, kw), (_, w), f, g in zip(kids.texts(), texts, fs, gs):
+            kf, kw, w = kf[r], kw[picked], w[wb]
+            # z of aWb against W's block of letter b, where aWb occurs in the text
+            with np.errstate(all="ignore"):
+                zs.append(g * (kw * f[node] / (kf * w)) - 1.0)
+            has.append(kw > 0)
+            parts.append((kf > 0) & (w > 0))
+        (z1, z2), (has1, has2) = zs, has
+        in_both = has1 & has2
+        # letters aWb in one text only, against a W b absent from the other
+        alone1 = has1 & ~has2 & parts[1]
+        alone2 = has2 & ~has1 & parts[0]
         # a minimal absent word of both texts: z1 = z2 = -1
         base = (g1v - 1.0) * (g2v - 1.0)
-        num.add(np.concatenate((z1[ki] * z2[kj] - base, -z1[alone1], -z2[alone2])))
+        num.add(np.concatenate((z1[in_both] * z2[in_both] - base, -z1[alone1], -z2[alone2])))
         num.add_ratio(p.both)
-        for den, on, maws, sel, z, kid, g in zip(
-            (den1, den2), p.on, p.maws, p.sel, zs, batch.kid_sides, gs
-        ):
-            blocks = sel & on[kid.node]
+        for den, on, maws, sel, z, g in zip((den1, den2), p.on, p.maws, has, zs, gs):
+            blocks = sel & on[r]
             den.add(z[blocks] * z[blocks] - (g - 1.0) ** 2)
             # a MAW of this text (z = -1) for each letter of W the kid lacks
-            den.add_ratio(int(maws.sum()))
+            den.add_ratio(maws)
 
     def finish() -> float:
         if exact:
@@ -1112,7 +1147,7 @@ def markov_kernel(index1: BwtIndex, index2: BwtIndex, params: ZScoreParams):
 # relative entropy and calibration
 
 
-def kl_divergence_range(index: BwtIndex, k1: int, k2: int) -> list[float]:
+def kl_divergence_range(index: BwtIndex, k1: int, k2: int) -> PerK:
     """KL divergence of k-mer probabilities from their Markov estimate.
 
     p(X) = f(X)/(n-k) against p(pre) p(suf) / p(mid) with each factor
@@ -1131,15 +1166,15 @@ def kl_divergence_range(index: BwtIndex, k1: int, k2: int) -> list[float]:
         k = d + 2
         if k < k1 or k > m:
             return
-        side = batch.sides[0]
-        kid = batch.kid_sides[0]
+        side = batch.side
+        kid = batch.kids
         # every letter block x of a letter kid aW of a maximal repeat W
         sel = batch.derive(_Kids).on[0][kid.node] & (kid.ch != 0)
         x = kid.w[sel]
         r = kid.node[sel]
         fa = kid.freq[r]
         fmid = side.freq[batch.kid_node[r]] if d else m
-        wb = side.w[batch.kid_blk[0][sel]]
+        wb = side.w[batch.kid_blk[sel]]
         # log2(x fmid / (fa wb)) through the exact difference of the two
         # products, so that ratios near 1 keep their digits
         below = fa * wb
@@ -1147,17 +1182,21 @@ def kl_divergence_range(index: BwtIndex, k1: int, k2: int) -> list[float]:
         parts[k].add(terms)
 
     # a k-mer's infix has length k - 2 <= k2 - 2; deeper nodes add nothing
-    batched_pass((index,), visit, max_depth=k2 - 2)
+    batched_pass(index, visit, max_depth=k2 - 2)
+
+    def closed(k: int) -> float:
+        # log2 of (n-k+1)^2 / ((n-k)(n-k+2)) = 1 + 1 / ((n-k)(n-k+2))
+        return math.log1p(1 / ((n - k) * (n - k + 2))) / _LN2 if k <= m else 0.0
 
     def value(k: int) -> float:
-        # log2 of (n-k+1)^2 / ((n-k)(n-k+2)) = 1 + 1 / ((n-k)(n-k+2))
-        closed = math.log1p(1 / ((n - k) * (n - k + 2))) / _LN2 if k <= m else 0.0
         if k not in parts:
-            return closed
-        parts[k].add_ratio(*closed.as_integer_ratio())
+            return closed(k)
+        parts[k].add_ratio(*closed(k).as_integer_ratio())
         return parts[k].value()
 
-    return [value(k) for k in range(k1, k2 + 1)]
+    # past the deepest node's k-mers, only the closed form is left
+    top = min(k2, max(parts, default=k1 - 1))
+    return PerK(k1, k2, [value(k) for k in range(k1, top + 1)], closed)
 
 
 def calibrate_kmax(index: BwtIndex, tau: float, kcap: int) -> int:
@@ -1184,7 +1223,7 @@ def calibrate_kmin(index: BwtIndex, kcap: int) -> int:
     best_k = 1
     best = -1
     for k in range(1, kcap + 1):
-        count = profile.cells[k - 1][0]
+        count = profile.cell(k, 2)
         if count > best:
             best = count
             best_k = k

@@ -7,6 +7,7 @@ one argsort orders every suffix by its first h symbols, h up to 27 at
 sigma=4, and each later round doubles the sorted prefix with one numpy
 argsort of a single int64 key over only the rows still tied. Loading
 inverts the BWT by pointer jumping over LF, in about log2 n numpy rounds.
+PairIndex holds two texts in one such index, that of T1 $ T2 #.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import InputError
 from .text import Sequence
-from .wavelet import RankIndex
+from .wavelet import BitVector, RankIndex
 
 _MAGIC = b"BWTK1"
 # the largest |T#| whose sort key n**2 + n - 1 fits int64; within it, so does
@@ -48,34 +49,37 @@ def _sort_suffixes(s: np.ndarray) -> np.ndarray:
     n = int(s.size)
     if n > _MAX_N:
         raise InputError(f"text too long: {n} symbols with the terminator, over {_MAX_N}")
-    rank = s.astype(np.int64)
-    if int(rank.max()) >= n:
-        rank = np.unique(rank, return_inverse=True)[1].astype(np.int64)
-    b = int(rank.max()) + 1
+    if int(s.max()) >= n:
+        s = np.unique(s, return_inverse=True)[1]
+    b = int(s.max()) + 1
     k = 1
     while k < n and b ** (k + 1) < 2**63:
         k += 1
-    key = rank.copy()
+    key = s.astype(np.int64)
     for j in range(1, k):
         key *= b
-        key[: n - j] += rank[j:]
-    order = np.argsort(key)
+        key[: n - j] += s[j:]
+    # ranks, rows and slots lie below n; int32 halves their memory
+    dtype = np.int32 if n < 2**31 else np.int64
+    rank = s.astype(dtype)
+    order = np.argsort(key).astype(dtype)
     key = key[order]
-    tied = _regroup(rank, order, np.arange(n), key)
+    tied = _regroup(rank, order, np.arange(n, dtype=dtype), key)
     del key
-    # each round holds at most four int64 arrays of the tied rows' size
+    # each round holds one int64 key and a few int32 arrays of the tied rows' size
+    # (take gathers through int32 indexes without widening them first)
     while tied.size:
-        rows = order[tied]
-        key = rank[rows]
+        rows = order.take(tied)
+        key = rank.take(rows).astype(np.int64)
         key *= n + 1
         rows += k
-        key += rank[rows]
+        key += rank.take(rows)
         key += 1
         del rows
         by = np.argsort(key, kind="stable")
         key = key[by]
         by = tied[by]
-        rows = order[by]
+        rows = order.take(by)
         del by
         order[tied] = rows
         tied = _regroup(rank, rows, tied, key)
@@ -125,6 +129,10 @@ class BwtIndex:
     """
 
     __slots__ = ("codes", "syms", "c", "n", "sigma", "ranks", "_text", "name", "enumerations")
+    # codes below it are terminators: # here, # and $ in a PairIndex
+    terminators = 1
+    # the indexes whose texts a PairIndex was built from
+    parts: tuple = ()
 
     def __init__(self, symbols: list[int], sigma: int, name: str = "") -> None:
         if sigma < 1:
@@ -295,3 +303,69 @@ class BwtIndex:
 
     def to_sequence(self, name: str | None = None) -> Sequence:
         return Sequence(self.text, self.sigma, name=self.name if name is None else name)
+
+
+class PairIndex(BwtIndex):
+    """One index of a pair of texts: the BWT of T1 $ T2 #, and each row's text.
+
+    Codes are shifted up by one so that the separator $ sorts below every
+    letter: letter a of [1..sigma] is code a + 1, $ is 1 and # is 0, and
+    the index's sigma is the texts' sigma + 1. As $ occurs once, T1's
+    suffixes T1[i..] $ T2 # compare as T1[i..] # do, and T2's are those of
+    T2 #, so each text's rows keep the order they have in its own index.
+    bit marks text 1's rows, those of the suffixes that start in T1 $: a
+    text-1 row r is row bit.ones(r) of T1's BwtIndex and a text-2 row r is
+    row r - bit.ones(r) of T2's. The row of $ T2 # plays T1's row of #, so
+    a block of right extension $ ends in T1 and one of # in T2. The left
+    extensions by # and $ are the circular ones: #W is text 1's terminator
+    extension and $W text 2's, whatever the bit says of their rows 0 and 1.
+
+    parts holds the two indexes the pair was built from (see of); a pass
+    over the pair counts as a pass over each of them.
+    """
+
+    __slots__ = ("split", "bit", "parts")
+    terminators = 2
+
+    def __init__(self, symbols1, symbols2, sigma: int, parts: tuple = ()) -> None:
+        if not 1 <= sigma < 2**63 - 1:
+            raise InputError("sigma of a pair must lie in [1..2**63 - 2]")
+        texts = [np.asarray(t, dtype=np.int64) for t in (symbols1, symbols2)]
+        for t in texts:
+            if not t.size:
+                raise InputError("empty input")
+            if t.min() < 1 or t.max() > sigma:
+                raise InputError(f"symbols outside [1..{sigma}]")
+        n = sum(t.size for t in texts) + 2
+        if n > _MAX_N:
+            raise InputError(f"pair too long: {n} symbols with $ and #, over {_MAX_N}")
+        one, two = texts
+        s = np.concatenate([one + 1, [1], two + 1, [0]])
+        order = _sort_suffixes(s)
+        self._install(s[order - 1], sigma + 1, "")
+        self._text = s[:-1].astype(self.codes.dtype)
+        self.split = one.size + 1
+        self.bit = BitVector(order < self.split)
+        self.parts = parts
+
+    @classmethod
+    def of(cls, index1: BwtIndex, index2: BwtIndex) -> "PairIndex":
+        """The pair index of two indexes' texts."""
+        if index1.sigma != index2.sigma:
+            raise InputError("alphabet mismatch between the two indexes")
+        return cls(index1._text, index2._text, index1.sigma, (index1, index2))
+
+    @property
+    def letters(self) -> int:
+        """The texts' sigma."""
+        return self.sigma - 1
+
+    @property
+    def ns(self) -> tuple[int, int]:
+        """Each text's length with its terminator: n of its own BwtIndex."""
+        return self.split, self.n - self.split
+
+    def part(self, t: int) -> list[int]:
+        """The symbols of text t (0 or 1)."""
+        text = self._text[: self.split - 1] if t == 0 else self._text[self.split :]
+        return (text.astype(np.int64) - 1).tolist()

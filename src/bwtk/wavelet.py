@@ -8,6 +8,7 @@ carries a batch of nodes, each a run of ascending boundaries, down the tree
 at once and reports, for every symbol of every node's range, its ranks at
 all of that node's boundaries; distinct_ranks and range_distinct are its
 one-node case. rank and access walk one position down the same arrays.
+BitVector keeps one plain bit vector in a wavelet node's layout.
 """
 
 from __future__ import annotations
@@ -19,15 +20,52 @@ from .errors import InputError
 _WORD_MASKS = np.array([(1 << r) - 1 for r in range(64)], dtype=np.uint64)
 
 
+def _pack(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """bits as little-endian 64-bit words, and the count of 1s before each word.
+
+    One zero word past the last bit keeps every position in 0..len(bits)
+    valid, a 64-aligned length included.
+    """
+    packed = np.packbits(bits, bitorder="little")
+    pad = (-packed.size) % 8 + 8
+    words = np.concatenate([packed, np.zeros(pad, dtype=np.uint8)]).view("<u8")
+    counts = np.zeros(words.size, dtype=np.int64)
+    np.cumsum(np.bitwise_count(words[:-1]), out=counts[1:])
+    return words, counts
+
+
+def _ones(words: np.ndarray, counts: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Number of 1 bits among the first x bits, for every position of the array x."""
+    q = x >> 6
+    return counts[q] + np.bitwise_count(words[q] & _WORD_MASKS[x & 63])
+
+
+class BitVector:
+    """A bit vector with rank over arrays of positions, laid out as a wavelet node."""
+
+    __slots__ = ("n", "words", "counts")
+
+    def __init__(self, bits: np.ndarray) -> None:
+        self.n = int(bits.size)
+        self.words, self.counts = _pack(bits)
+
+    def ones(self, x: np.ndarray) -> np.ndarray:
+        """1s among the first x bits, for each entry of x in [0..n]."""
+        return _ones(self.words, self.counts, x)
+
+    def bits(self) -> np.ndarray:
+        """The bits, as a bool array."""
+        raw = np.unpackbits(self.words.view(np.uint8), count=self.n, bitorder="little")
+        return raw.view(bool)
+
+
 class _Node:
     """One wavelet node: symbols lo..hi, split at mid.
 
     words holds one bit per element (set when the symbol is above mid),
-    little-endian in 64-bit words, and counts[w] the number of 1s before
-    word w. One zero word past the last bit keeps every position in
-    0..len(bits) valid, a 64-aligned length included. A leaf, and a node
-    over a range with no element, has words None: every rank there is 0
-    or the position itself, and no descent goes below it.
+    and counts the 1s before each word, as _pack lays them out. A leaf,
+    and a node over a range with no element, has words None: every rank
+    there is 0 or the position itself, and no descent goes below it.
     """
 
     __slots__ = ("lo", "mid", "words", "counts", "left", "right")
@@ -68,11 +106,7 @@ class RankIndex:
         if lo == hi or not arr.size:
             return node
         bits = arr > node.mid
-        packed = np.packbits(bits, bitorder="little")
-        pad = (-packed.size) % 8 + 8
-        node.words = np.concatenate([packed, np.zeros(pad, dtype=np.uint8)]).view("<u8")
-        node.counts = np.zeros(node.words.size, dtype=np.int64)
-        np.cumsum(np.bitwise_count(node.words[:-1]), out=node.counts[1:])
+        node.words, node.counts = _pack(bits)
         node.left = self._build(arr[~bits], lo, node.mid)
         node.right = self._build(arr[bits], node.mid + 1, hi)
         return node
@@ -164,8 +198,7 @@ class RankIndex:
                 nbs.append(nb)
                 ranks.append(x)
                 continue
-            q = x >> 6
-            ones = node.counts[q] + np.bitwise_count(node.words[q] & _WORD_MASKS[x & 63])
+            ones = _ones(node.words, node.counts, x)
             # the right child is stacked first, so symbols come out ascending
             for child, y in ((node.right, ones), (node.left, x - ones)):
                 alive = y[last] > y[first]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bwtk.enumerate import batched_pass
 from bwtk.errors import ZeroDenominatorError
-from bwtk.suffix import BwtIndex, build_bwt
+from bwtk.suffix import BwtIndex, PairIndex, build_bwt
 from bwtk.text import Sequence
 
 
@@ -37,6 +37,11 @@ def mutate(rng: random.Random, s: Sequence, rate: float) -> Sequence:
     return Sequence(symbols, s.sigma)
 
 
+def one_index(indexes) -> BwtIndex:
+    """The index a pass over one text, or over the pair of two, runs on."""
+    return indexes[0] if len(indexes) == 1 else PairIndex.of(*indexes)
+
+
 def merged_batches(indexes, cap) -> int:
     """Batches of a pass at cap whose nodes descend from two or more visited batches.
 
@@ -51,9 +56,9 @@ def merged_batches(indexes, cap) -> int:
         if batch.depth:
             merged += np.unique(batch.carry[key][0]).size > 1
         serial += 1
-        batch.carry[key] = (np.full(batch.sides[0].nb.size, serial),)
+        batch.carry[key] = (np.full(batch.side.nb.size, serial),)
 
-    batched_pass(indexes, visit, _cap=cap)
+    batched_pass(one_index(indexes), visit, _cap=cap)
     return merged
 
 

@@ -71,6 +71,41 @@ def test_parameters_past_the_text(capsys, tmp_path):
         assert call(capsys, "calibrate", *flags, "--kcap", huge, paths[0]) == at_n
 
 
+def test_lengths_past_any_index_are_refused_in_one_line(capsys, tmp_path):
+    # --k2 or --f2 past the longest indexable text on a 12-symbol text: one
+    # stderr line, not a slot per k (which ran out of memory)
+    path = tmp_path / "a.txt"
+    path.write_bytes(b"ACGTTGCAACGT")
+    huge = "100000000000"
+    for argv in (
+        ("entropy", "--k2", huge),
+        ("kl", "--k2", huge),
+        ("profile", "--k1", "1", "--k2", huge, "--f1", "1", "--f2", "2"),
+        ("profile", "--k1", "1", "--k2", "2", "--f1", "1", "--f2", huge),
+    ):
+        code, out, err = call(capsys, *argv, str(path))
+        assert (code, out) == (1, "")
+        assert "past the longest text" in err
+        assert len(err.strip().splitlines()) == 1
+    # far past the text but within the bound, the rows are the closed forms
+    code, out, _ = call(capsys, "entropy", "--k1", "11", "--k2", "100000", str(path))
+    assert code == 0
+    assert out.splitlines()[-1] == "entropy\t100000\t0.000000000000"
+    assert len(out.splitlines()) == 100000 - 11 + 1
+
+
+def test_pair_past_the_length_bound_exits_1(capsys, monkeypatch, files):
+    # aab and abb fit alone (4 symbols with the terminator), but their pair
+    # index holds aab $ abb #, 8 symbols
+    monkeypatch.setattr(bwtk.suffix, "_MAX_N", 7)
+    code, out, _ = call(capsys, "complexity", "--kind", "substring", files["a"])
+    assert code == 0
+    code, out, err = call(capsys, "kernel", "--kind", "kmer", "-k", "1", files["a"], files["b"])
+    assert (code, out) == (1, "")
+    assert "8 symbols with $ and #, over 7" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_weight_overflow_exit_codes(capsys, tmp_path):
     path = tmp_path / "long.txt"
     path.write_bytes(b"abaab" * 60)

@@ -10,6 +10,7 @@ from conftest import (
     idx,
     merged_batches,
     mutate,
+    one_index,
     rand_seq,
     repetitive_text,
 )
@@ -203,7 +204,7 @@ def test_visit_count_and_peak_bound(pair):
         n = sum(ix.n for ix in indexes)
         assert stats["visits"] <= n
         # the per-node passes report the batched pass they read
-        visits, peak = batched_pass(indexes, lambda b: None)
+        visits, peak = batched_pass(one_index(indexes), lambda b: None)
         assert (stats["visits"], stats["peak_frames"]) == (visits, peak)
 
 
@@ -305,19 +306,27 @@ def _oracle_events(texts, max_depth=None) -> Counter:
 
 def _batched_events(indexes, cap, max_depth=None) -> tuple[Counter, int, int]:
     out = Counter()
+    pair = len(indexes) > 1
 
     def visit(batch):
-        freqs = list(zip(*(side.freq.tolist() for side in batch.sides)))
-        kid_freqs = list(zip(*(side.freq.tolist() for side in batch.kid_sides)))
+        freqs = list(zip(*(f.tolist() for f, _ in batch.side.texts())))
+        kid_freqs = list(zip(*(f.tolist() for f, _ in batch.kids.texts())))
         kids = [[] for _ in freqs]
         for r, (j, a) in enumerate(zip(batch.kid_node.tolist(), batch.kid_sym.tolist())):
+            if pair:
+                # a pair's letters are shifted up by one; # and $ are the
+                # terminator extensions of text 1 and of text 2
+                a = max(a - 1, 0)
+                if kids[j] and kids[j][-1][0] == a:
+                    a, f = kids[j].pop()
+                    kid_freqs[r] = tuple(map(sum, zip(f, kid_freqs[r])))
             kids[j].append((a, kid_freqs[r]))
         for j, f in enumerate(freqs):
             lefts = tuple(a for a, _ in kids[j])
             assert lefts == tuple(sorted(lefts))
             out[batch.depth, f, lefts, tuple(k for _, k in kids[j])] += 1
 
-    visits, peak = batched_pass(indexes, visit, max_depth=max_depth, _cap=cap)
+    visits, peak = batched_pass(one_index(indexes), visit, max_depth=max_depth, _cap=cap)
     return out, visits, peak
 
 
@@ -437,7 +446,8 @@ def test_peak_bound_on_a_deep_merged_descent(cap):
     texts.append(mutate(rng, texts[0], 0.001))
     indexes = [build_bwt(s) for s in texts]
     depths = Counter()
-    _, peak = batched_pass(indexes, lambda batch: depths.update((batch.depth,)), _cap=cap)
+    index = one_index(indexes)
+    _, peak = batched_pass(index, lambda batch: depths.update((batch.depth,)), _cap=cap)
     assert sum(count == 1 for count in depths.values()) > 2_000
     assert peak <= _peak_bound(indexes, 4, cap)
 
@@ -451,7 +461,7 @@ def test_batched_pass_never_ranks_one_symbol_at_a_time(monkeypatch):
 
     monkeypatch.setattr(type(ix.ranks), "rank", refuse)
     monkeypatch.setattr(type(ix.ranks), "range_distinct", refuse)
-    visits, _ = batched_pass((ix,), lambda batch: None)
+    visits, _ = batched_pass(ix, lambda batch: None)
     assert visits == len(oracle_right_maximal_set(s))
 
 
@@ -534,3 +544,55 @@ def test_extend_left_matches_backward_search_and_window_scans(texts):
         for a, sides in kids:
             for ix, t, kid in zip(indexes, tables, sides):
                 _check_kid(ix, t, a, w, kid)
+
+
+@st.composite
+def mapped_pairs(draw):
+    """Two texts over sigma in 2..20: unrelated, identical, nested, or one of length 1."""
+    sigma = draw(st.integers(2, 20))
+    text = st.lists(st.integers(1, sigma), min_size=1, max_size=30)
+    t1 = draw(text)
+    shape = draw(st.sampled_from(("random", "identical", "inside", "single")))
+    if shape == "identical":
+        t2 = list(t1)
+    elif shape == "inside":
+        i = draw(st.integers(0, len(t1) - 1))
+        t2 = t1[i : draw(st.integers(i + 1, len(t1)))]
+    elif shape == "single":
+        t2 = [draw(st.integers(1, sigma))]
+    else:
+        t2 = draw(text)
+    if draw(st.booleans()):
+        t1, t2 = t2, t1
+    return Sequence(t1, sigma), Sequence(t2, sigma)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(mapped_pairs())
+def test_pair_events_map_to_each_texts_own_rows(pair):
+    # the pass runs over one index of T1 $ T2 #; each event reports both
+    # texts in their own indexes' rows, through the rank of the text bit
+    indexes = [build_bwt(s) for s in pair]
+    tables = [tuple(s.symbols) for s in pair]
+    labels = []
+
+    def visit(ev):
+        w = ev.label()
+        labels.append(w)
+        for ix, t, r in zip(indexes, tables, (ev.repr.one, ev.repr.two)):
+            if r is ABSENT:
+                assert ix.interval(list(w)) is None
+            else:
+                assert r.interval() == ix.interval(list(w))
+                want = _repr_by_scan(ix, t, w)
+                assert (r.chars, r.first) == (want.chars, want.first)
+        # the merged extend_left of each text's own index
+        merged = extend_left_generalized(*indexes, ev.repr)
+        assert ev.lefts == [a for a, _ in merged]
+        for kid, (_, want) in zip(ev.children, merged):
+            for got, expect in ((kid.one, want.one), (kid.two, want.two)):
+                assert (got.chars, got.first) == (expect.chars, expect.first)
+
+    enumerate_generalized(*indexes, visit)
+    assert len(labels) == len(set(labels))
+    assert set(labels) == oracle_generalized_right_maximal_set(*pair)

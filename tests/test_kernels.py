@@ -22,15 +22,7 @@ from hypothesis import strategies as st
 
 import bwtk.kernels
 import bwtk.oracle as orc
-from bwtk.enumerate import (
-    _CAP,
-    ABSENT,
-    GenRepr,
-    Repr,
-    batched_pass,
-    enumerate_generalized,
-    extend_left_generalized,
-)
+from bwtk.enumerate import _CAP, batched_pass, enumerate_generalized
 from bwtk.errors import ComputationError, InputError, ZeroDenominatorError
 from bwtk.kernels import (
     calibrate_kmax,
@@ -720,31 +712,34 @@ def _coded_pair_values(i1, i2) -> list:
     ]
 
 
-def test_pair_codes_past_the_key_bound_raise():
-    # (2**56 + 1) * 6002 passes 2**63: a pair pass packs (code, node) keys
-    # into int64, so it refuses such a pair rather than wrap them. d2s,
-    # d2star and charscore weights take one parameter per symbol of
-    # [1..sigma], so they cannot be called at these codes at all
-    big, _ = _coded_pair(random.Random(7), 3000, (1, 2, 2**56))
-    small, _ = _coded_pair(random.Random(7), 40, (1, 2**62))
-    for texts in (big, small):
-        i1, i2 = map(build_bwt, texts)
-        calls = (
-            lambda: kmer_kernel(i1, i2, 3),
-            lambda: kmer_kernel_range(i1, i2, 1, 6),
-            lambda: substring_kernel(i1, i2),
-            lambda: weighted_substring_kernel(i1, i2, WeightSpec("band", kmin=2, kmax=5)),
-            lambda: maw_jaccard(i1, i2),
-            lambda: maw_cosine(i1, i2),
-            lambda: markov_kernel(i1, i2, ZScoreParams("exact")),
-            lambda: enumerate_generalized(i1, i2, lambda ev: None),
-            lambda: extend_left_generalized(i1, i2, GenRepr(Repr((1,), (1, 2)), ABSENT)),
-        )
-        for fn in calls:
-            with pytest.raises(InputError, match="too large"):
-                fn()
-        # each text alone is fine at these codes
-        assert maw_count(i1) > 0
+def test_large_pair_codes_match_the_relabelled_pair_or_raise():
+    # codes far apart give the relabelled pair's values and visits, as below.
+    # Only a code that the pair index's shift past $ takes to 2**63 raises,
+    # though each text alone is fine. d2s, d2star and charscore weights take
+    # one parameter per symbol of [1..sigma], so they cannot be called at
+    # these codes at all
+    for n, codes in ((3000, (1, 2, 2**56)), (40, (1, 2**62))):
+        coded, relabelled = _coded_pair(random.Random(7), n, codes)
+        want = _coded_pair_values(*map(build_bwt, relabelled))
+        i1, i2 = map(build_bwt, coded)
+        assert _coded_pair_values(i1, i2) == want
+        visits = [
+            enumerate_generalized(*map(build_bwt, texts), lambda ev: None)
+            for texts in (coded, relabelled)
+        ]
+        assert visits[0] == visits[1]
+    coded, _ = _coded_pair(random.Random(7), 40, (1, 2**63 - 1))
+    i1, i2 = map(build_bwt, coded)
+    calls = (
+        lambda: kmer_kernel(i1, i2, 3),
+        lambda: maw_jaccard(i1, i2),
+        lambda: markov_kernel(i1, i2, ZScoreParams("exact")),
+        lambda: enumerate_generalized(i1, i2, lambda ev: None),
+    )
+    for fn in calls:
+        with pytest.raises(InputError, match="sigma of a pair"):
+            fn()
+    assert maw_count(i1) > 0
 
 
 @pytest.mark.parametrize(
