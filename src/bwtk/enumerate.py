@@ -276,7 +276,7 @@ def _extend_batch(batch: Batch, index: BwtIndex) -> None:
         one = index.bit.ones(bd)
         # #W (rows [0, 1]) is text 1's and $W (rows [1, 2]) text 2's, though
         # the bit gives row 0 to text 2 and row 1 to text 1: swap the two
-        ends = (sym < 2).repeat(nb)
+        ends = (sym < index.terminators).repeat(nb)
         one[ends] = bd[ends] - one[ends]
     batch.kid_node, batch.kid_sym, batch.kid_blk = node, sym, blk
     batch.kids = Side(bd, nb, side.ch[blk], one)

@@ -688,7 +688,7 @@ def _charscore_fold(pair: PairIndex, scores) -> PairFold:
 
         return PairFold(lambda batch: None, out_of_range)
     # by the pair's codes: # and $ weigh nothing, and letter a is code a + 1
-    sqm, sqe = np.frexp(np.array([0.0, 0.0] + sq))
+    sqm, sqe = np.frexp(np.array([0.0] * pair.terminators + sq))
     sums = (_ExactSum(), _ExactSum(), _ExactSum())
     # every substring occurrence's squared weight, ending on a leaf edge or not
     for t, total in enumerate(sums[1:]):
@@ -784,7 +784,7 @@ def _d2_fold(pair: PairIndex, k: int, q, phi, absent_coef):
     float range, makes finish() raise.
     """
     total, q_present = _ExactSum(), _ExactSum()
-    rows = _row_products(pair, k, np.array((math.nan, math.nan, *q)))
+    rows = _row_products(pair, k, np.array((math.nan,) * pair.terminators + q))
     text1 = pair.bit.bits()
     for qr, x1 in ((rows[text1], 1), (rows[~text1], 0)):
         qw = qr[~np.isnan(qr)]
@@ -895,7 +895,8 @@ class _Kids:
             self.on = [on]
             self.maws = [int(_letters(side)[kn[on]].sum() - _letters(kids)[on].sum())]
             return
-        letter, kid_letter = side.ch > 1, kids.ch > 1
+        # codes below PairIndex.terminators are # and $, the others letters
+        letter, kid_letter = side.ch >= PairIndex.terminators, kids.ch >= PairIndex.terminators
         has = [w > 0 for _, w in side.texts()]
         self.on, self.maws = [], []
         # the terminator of text 1 is $ (1), that of text 2 # (0)
@@ -904,7 +905,7 @@ class _Kids:
             letters = blocks - np.bincount(side.node[side.ch == 1 - t], minlength=count)
             occurs = kf > 0
             maximal = (blocks >= 2) & (np.bincount(kn[occurs], minlength=count) >= 2)
-            on = (batch.kid_sym > 1) & occurs & maximal[kn]
+            on = (batch.kid_sym >= PairIndex.terminators) & occurs & maximal[kn]
             self.on.append(on)
             kept = np.count_nonzero(on[kids.node] & kid_letter & (kw > 0))
             self.maws.append(int(letters[kn[on]].sum() - kept))
@@ -1105,7 +1106,7 @@ def markov_kernel(pair: PairIndex, params: ZScoreParams):
         gs = (g1v, g2v)
         fs = [f for f, _ in texts] if d else (np.array([m1]), np.array([m2]))
         # the letter blocks of the kids on in some text, and their kid and node
-        picked = (p.rows[kids.node] & (kids.ch > 1)).nonzero()[0]
+        picked = (p.rows[kids.node] & (kids.ch >= pair.terminators)).nonzero()[0]
         r = kids.node[picked]
         node, wb = kn[r], blk[picked]
         zs, has, parts = [], [], []
