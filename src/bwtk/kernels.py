@@ -122,19 +122,20 @@ class ProfileMatrix:
 
     @property
     def cells(self) -> list[list[int]]:
-        return [
-            [self.cell(k, f) for f in range(self.f1, self.f2 + 1)]
-            for k in range(self.k1, self.k2 + 1)
-        ]
+        fs = range(self.f1, self.f2 + 1)
+        return [[self.cell(k, f) for f in fs] for k in range(self.k1, self.k2 + 1)]
 
 
 class PerK(list):
     """One value per k of [k1..k2], that of k at index k - k1.
 
     The list holds the values up to the deepest k a pass reached. len,
-    indexing, iteration, reversal and == see every k: a later one reads
-    tail(k), its value past the deepest node (0 or a closed form), when
-    asked, so a range far past the text holds no slot per k.
+    indexing, slicing, iteration, reversal, == and repr see every k: a
+    later one reads tail(k), its value past the deepest node (0 or a closed
+    form), when asked, so a range far past the text holds no slot per k.
+    Other list operations (+, copy, in, sort, ..) see the held values only;
+    list(values) makes a plain list. It is a list so that callers that
+    test for one accept it.
     """
 
     def __init__(self, k1: int, k2: int, held: list, tail: Callable[[int], Any]) -> None:
