@@ -247,7 +247,7 @@ def _run_kernel(args) -> list[_Record]:
         if kind not in _KERNEL_KINDS:
             raise InputError(f"unknown kernel kind {kind!r}")
     s1, s2 = _load(args, args.input1, args.input2)
-    # one index of T1 $ T2 #; it holds the texts, so the symbol lists go before the pass
+    # one index of T1 $ T2 #; the symbol lists are not needed past the build
     pair = PairIndex(s1.symbols, s2.symbols, s1.sigma)
     del s1, s2
     # every kind is a fold over one pass of the pair's index

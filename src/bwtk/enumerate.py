@@ -229,16 +229,17 @@ class Batch:
         return self.side.bd.size
 
 
-def heads(codes: np.ndarray, psi: np.ndarray, rows: np.ndarray, k: int):
+def heads(first: np.ndarray, psi: np.ndarray, rows: np.ndarray, k: int):
     """The int64 arrays of W[0], W[1], .., W[k-1] over nodes W of depth >= k.
 
-    rows holds a suffix row (0-based) of each W in the text whose BWT is
-    codes, and psi is that text's BwtIndex.psi(): the suffix at the row
-    starts with W, and psi steps it one symbol on.
+    rows holds a suffix row (0-based) of each W in an index, first is the
+    index's first column F (BwtIndex.first()) and psi its psi(): the
+    suffix at the row starts with W, F gives its first symbol, and psi
+    steps it one symbol on.
     """
     for _ in range(k):
+        yield first[rows]
         rows = psi[rows]
-        yield codes[rows].astype(np.int64)
 
 
 def _extend_batch(batch: Batch, index: BwtIndex) -> None:
@@ -431,18 +432,19 @@ class VisitEvent:
     symbol a (possibly 0) preceding an occurrence of W and children[i] is
     repr(aW), in ascending symbol order; label() is W. They are computed
     when first read in a batch, so a visitor pays only for what it reads;
-    the first label() of a pass makes a psi array of the index.
+    the first label() of a pass makes a psi array and the first column F
+    of the index, which the pass holds until it ends.
     The object is reused between visits; do not retain it.
     """
 
-    __slots__ = ("depth", "_batch", "_j", "_index", "_psi")
+    __slots__ = ("depth", "_batch", "_j", "_index", "_walk")
 
     def __init__(self, index: BwtIndex) -> None:
         self.depth = 0
         self._batch: Batch | None = None
         self._j = 0
         self._index = index
-        self._psi = None
+        self._walk = None
 
     @property
     def repr(self) -> Repr | GenRepr:
@@ -457,18 +459,18 @@ class VisitEvent:
         return self._batch.derive(_kids)[1][self._j]
 
     def label(self) -> tuple[int, ...]:
-        """W[0], W[1], .., read from T along psi (see heads), one row at a time."""
+        """W[0], W[1], .., read from F along psi (see heads), one row at a time."""
         side, j = self._batch.side, self._j
         row = side.bd.item(side.end.item(j) - side.nb.item(j))
-        if self._psi is None:
-            self._psi = self._index.psi()
-        psi, codes = self._psi, self._index.codes
+        if self._walk is None:
+            self._walk = self._index.psi(), self._index.first()
+        psi, first = self._walk
         # a pair's letters are shifted up by one
         shift = self._index.terminators - 1
         out = []
         for _ in range(self.depth):
+            out.append(first.item(row) - shift)
             row = psi.item(row)
-            out.append(codes.item(row) - shift)
         return tuple(out)
 
 

@@ -692,8 +692,8 @@ def _charscore_fold(pair: PairIndex, scores) -> PairFold:
     sqm, sqe = np.frexp(np.array([0.0] * pair.terminators + sq))
     sums = (_ExactSum(), _ExactSum(), _ExactSum())
     # every substring occurrence's squared weight, ending on a leaf edge or not
-    for t, total in enumerate(sums[1:]):
-        tail, e = _charscore_denominator(pair.part(t), sq)
+    for text, total in zip(pair.texts(), sums[1:]):
+        tail, e = _charscore_denominator(text, sq)
         num, den = tail.as_integer_ratio()
         total.add_ratio(num << e, den)
     key = object()  # this fold's entry in Batch.carry
@@ -703,7 +703,7 @@ def _charscore_fold(pair: PairIndex, scores) -> PairFold:
             batch.carry[key] = (np.zeros(1), np.zeros(1, dtype=np.int64))
             return
         pm, pe = batch.carry[key]
-        a = pair.syms[np.searchsorted(pair.c, batch.side.start, "right") - 1]
+        a = pair.first(batch.side.start)
         # (1 + ps(W)) / 2**s, exact in scale, then times sq[a]
         s = np.maximum(pe, 0)
         m, shift = np.frexp((np.ldexp(1.0, -s) + np.ldexp(pm, pe - s)) * sqm[a])
@@ -752,13 +752,13 @@ def _row_products(index: BwtIndex, k: int, qs: np.ndarray) -> np.ndarray:
     """Per suffix row, the product of qs over its first k symbols; nan past T.
 
     psi (BwtIndex.psi) takes a row to the row one symbol on, and a row's
-    first symbol is the BWT symbol at its psi.
+    first symbol is its F symbol (BwtIndex.first).
     The products double along psi at each bit of k after the leading one
     and take one more symbol in front at each set bit: O(n log k), in one
     order for every k-mer. qs[0] = nan marks the terminator.
     """
     psi = index.psi()
-    first = qs[index.codes[psi]]
+    first = qs[index.first()]
     prod, jump = first, psi  # products of m symbols, and psi applied m times
     for bit in bin(k)[3:]:
         prod = prod * prod[jump]
@@ -996,16 +996,16 @@ def maw_words(index: BwtIndex) -> list[tuple[int, ...]]:
     They come in pass order: batch by batch (see enumerate.batched_pass;
     the batches may merge nodes of several parents, so the order is
     deterministic but not sorted), then by the infix's node within its
-    batch, then by a, then by b. The infixes are read from T along psi.
+    batch, then by a, then by b. The infixes are read from F along psi.
     """
     out: list[tuple[int, ...]] = []
-    psi = index.psi()
+    psi, first = index.psi(), index.first()
 
     def emit(batch: Batch, node, a, b) -> None:
         rows = batch.side.start[node]
         words = np.empty((node.size, batch.depth + 2), dtype=np.int64)
         words[:, 0], words[:, -1] = a, b
-        for i, sym in enumerate(heads(index.codes, psi, rows, batch.depth), 1):
+        for i, sym in enumerate(heads(first, psi, rows, batch.depth), 1):
             words[:, i] = sym
         out.extend(map(tuple, words.tolist()))
 

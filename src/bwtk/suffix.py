@@ -6,7 +6,12 @@ one 0. Construction sorts suffixes by prefix doubling from a packed start:
 one argsort orders every suffix by its first h symbols, h up to 27 at
 sigma=4, and each later round doubles the sorted prefix with one numpy
 argsort of a single int64 key over only the rows still tied. Loading
-inverts the BWT by pointer jumping over LF, in about log2 n numpy rounds.
+inverts the BWT by pointer jumping over LF, in about log2 n numpy rounds,
+to check that it is the BWT of a text.
+
+An index keeps only a wavelet tree of the BWT and the C array: about
+log2(sigma + 1) bits per row plus half a bit per bit of rank counts. The
+BWT, psi and the text are made from them on each call and not kept.
 PairIndex holds two texts in one such index, that of T1 $ T2 #.
 """
 
@@ -114,21 +119,32 @@ def build_bwt(seq: Sequence) -> "BwtIndex":
     return BwtIndex(seq.symbols, seq.sigma, name=seq.name)
 
 
-class BwtIndex:
-    """BWT of T#, its C array, a rank structure, and the original symbols.
+def _narrow(s: np.ndarray) -> np.ndarray:
+    """Non-negative codes below 2**63 in the smallest integer dtype that holds them."""
+    return s.astype(np.min_scalar_type(int(s.max())))
 
-    codes holds the BWT once, as np.min_scalar_type(sigma) codes, and T is
-    held once in the same dtype; bwt and text read them back as lists. The
-    C array covers only the symbols that occur: syms is them in ascending
-    order, the terminator 0 first, and c[k] counts the symbols of T#
-    strictly smaller than syms[k], with c[-1] = n, so the suffix rows
-    starting with syms[k] are exactly [c[k]+1 .. c[k+1]]. A declared sigma,
-    or a code, far above the others costs nothing.
+
+class BwtIndex:
+    """BWT of T#, kept only as a wavelet tree, and its C array.
+
+    ranks, a wavelet.RankIndex of the BWT, is the whole index besides n,
+    sigma and the C array. The C array covers only the symbols that occur:
+    syms is them in ascending order, the terminator 0 first, and c[k]
+    counts the symbols of T# strictly smaller than syms[k], with c[-1] = n,
+    so the suffix rows starting with syms[k] are exactly [c[k]+1 .. c[k+1]].
+    A declared sigma, or a code, far above the others costs nothing.
+    Everything else is computed on each call and not kept:
+    - codes (and bwt, its list) decodes the tree, O(n log sigma);
+    - psi() is the stable argsort of that decode, O(n log sigma);
+    - first(rows) reads the first column F from the C array, O(log sigma)
+      per row;
+    - text (and to_sequence) inverts the BWT by pointer jumping over LF,
+      O(n log n).
     enumerations counts how many traversal passes have touched this index
     (used by tests).
     """
 
-    __slots__ = ("codes", "syms", "c", "n", "sigma", "ranks", "_text", "name", "enumerations")
+    __slots__ = ("syms", "c", "n", "sigma", "ranks", "name", "enumerations")
     # codes below it are terminators: # here, # and $ in a PairIndex
     terminators = 1
     # the indexes whose texts a PairIndex was built from
@@ -142,20 +158,25 @@ class BwtIndex:
         s = np.concatenate([np.asarray(symbols, dtype=np.int64), [0]])
         if s[:-1].min() < 1 or s[:-1].max() > sigma:
             raise InputError(f"symbols outside [1..{sigma}]")
+        s = _narrow(s)
         order = _sort_suffixes(s)
         self._install(s[order - 1], sigma, name)
-        self._text = s[:-1].astype(self.codes.dtype)
 
     def _install(self, codes: np.ndarray, sigma: int, name: str) -> None:
-        self.codes = codes.astype(np.min_scalar_type(sigma))
+        """Index the BWT codes; the tree is built in their dtype and they are not kept."""
         self.n = int(codes.size)
         self.sigma = sigma
-        syms, counts = np.unique(codes, return_counts=True)
-        self.syms = syms.astype(np.int64)
-        self.c = np.concatenate(([0], np.cumsum(counts)))
         self.ranks = RankIndex(codes, sigma)
+        syms, counts = self.ranks.counts()
+        self.syms = np.array(syms, dtype=np.int64)
+        self.c = np.concatenate(([0], np.cumsum(counts)))
         self.name = name
         self.enumerations = 0
+
+    @property
+    def codes(self) -> np.ndarray:
+        """The BWT, decoded from the tree on each read: O(n log sigma)."""
+        return self.ranks.decode()
 
     @property
     def bwt(self) -> list[int]:
@@ -163,7 +184,8 @@ class BwtIndex:
 
     @property
     def text(self) -> list[int]:
-        return self._text.tolist()
+        """T, inverted from the BWT on each read (see _invert)."""
+        return self._invert().tolist()
 
     def __len__(self) -> int:
         return self.n
@@ -172,9 +194,7 @@ class BwtIndex:
         return self.ranks.rank(c, i)
 
     def access(self, i: int) -> int:
-        if not 1 <= i <= self.n:
-            raise InputError(f"position {i} outside [1..{self.n}]")
-        return int(self.codes[i - 1])
+        return self.ranks.access(i)
 
     def interval(self, word) -> tuple[int, int] | None:
         """Suffix-row interval of word via backward search; None if absent."""
@@ -223,7 +243,6 @@ class BwtIndex:
         if len(blob) < len(_MAGIC) + 16 or not blob.startswith(_MAGIC):
             raise InputError(f"{path}: not a BWTK1 index")
         n, sigma = struct.unpack_from("<QQ", blob, len(_MAGIC))
-        # codes are held as int64 while the tree is built
         if n < 2 or not 1 <= sigma < 2**63:
             raise InputError(f"{path}: corrupt header")
         if n > _MAX_N:
@@ -239,9 +258,11 @@ class BwtIndex:
             raise InputError(f"{path}: non-zero padding after the BWT payload")
         # one bit column at a time, so no (n, width) integer matrix is made
         bits = bits[:nbits].reshape(n, width)
-        codes = np.zeros(n, dtype=np.int64)
+        # 2**width - 1 fits the smallest dtype that holds sigma
+        dtype = np.min_scalar_type(sigma)
+        codes = np.zeros(n, dtype=dtype)
         for j in range(width):
-            column = bits[:, j].astype(np.int64)
+            column = bits[:, j].astype(dtype)
             column <<= j
             codes |= column
         del bits, column
@@ -250,15 +271,26 @@ class BwtIndex:
         index = cls.__new__(cls)
         index._install(codes, int(sigma), "")
         del codes
-        index._text = index._invert()
+        index._invert()  # raises unless LF is one cycle; T is not kept
         return index
+
+    def first(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """The first column F at 0-based suffix rows, as int64; all of F when rows is None.
+
+        Rows c[k] .. c[k+1] - 1 start with syms[k], so F comes from the C
+        array alone.
+        """
+        if rows is None:
+            return np.repeat(self.syms, np.diff(self.c))
+        return self.syms[np.searchsorted(self.c, rows, "right") - 1]
 
     def psi(self) -> np.ndarray:
         """Per suffix row (0-based), the row of the suffix one symbol on.
 
         Equal symbols keep their BWT order in the first column F, so a stable
-        argsort of the codes inverts LF, and row r's suffix starts with
-        codes[psi[r]]. Each call makes a fresh array; the index keeps none.
+        argsort of the BWT inverts LF, and row r's suffix starts with F[r]
+        (first). Each call decodes the tree and makes a fresh array, in
+        O(n log sigma); the index keeps none.
         """
         return np.argsort(self.codes, kind="stable")
 
@@ -267,17 +299,16 @@ class BwtIndex:
 
         BWT row i holds the symbol a that precedes the suffix of row i, and
         lf[i] is the row of the suffix that starts with that a: LF inverts
-        psi, and the codes in psi's order are F. Row 0 is the suffix #, and
-        the row of the suffix at position p of T reaches it in p + 1 steps
-        along LF. Pointer jumping (Wyllie 1979), with row 0 absorbing, finds
-        every row's distance to row 0 in ceil(log2(n - 1)) rounds, and T[p]
-        is the F symbol of the row at distance p + 1. A row that never
-        reaches row 0 lies on a second cycle of LF, which the BWT of no text
-        has.
+        psi. Row 0 is the suffix #, and the row of the suffix at position p
+        of T reaches it in p + 1 steps along LF. Pointer jumping (Wyllie
+        1979), with row 0 absorbing, finds every row's distance to row 0 in
+        ceil(log2(n - 1)) rounds, and T[p] is the F symbol of the row at
+        distance p + 1. A row that never reaches row 0 lies on a second
+        cycle of LF, which the BWT of no text has. Returns T as int64, in
+        O(n log n) time; the index keeps nothing of it.
         """
         n = self.n
         by = self.psi()
-        first = self.codes[by]
         # rows and distances lie below n; int32 halves the gathers' traffic
         dtype = np.int32 if n < 2**31 else np.int64
         hop = np.empty(n, dtype=dtype)
@@ -297,8 +328,8 @@ class BwtIndex:
         if hop.any():
             raise InputError("LF has more than one cycle; index is corrupt")
         del hop, step
-        text = np.empty(n - 1, dtype=self.codes.dtype)
-        text[dist[1:] - 1] = first[1:]
+        text = np.empty(n - 1, dtype=np.int64)
+        text[dist[1:] - 1] = self.first()[1:]
         return text
 
     def to_sequence(self, name: str | None = None) -> Sequence:
@@ -321,7 +352,9 @@ class PairIndex(BwtIndex):
     extension and $W text 2's, whatever the bit says of their rows 0 and 1.
 
     parts holds the two indexes the pair was built from (see of); a pass
-    over the pair counts as a pass over each of them.
+    over the pair counts as a pass over each of them. The pair keeps its
+    wavelet tree, C array and bit, as a BwtIndex does, and no text: texts()
+    inverts the pair's BWT on each call.
     """
 
     __slots__ = ("split", "bit", "parts")
@@ -340,20 +373,19 @@ class PairIndex(BwtIndex):
         if n > _MAX_N:
             raise InputError(f"pair too long: {n} symbols with $ and #, over {_MAX_N}")
         one, two = texts
-        s = np.concatenate([one + 1, [1], two + 1, [0]])
+        s = _narrow(np.concatenate([one + 1, [1], two + 1, [0]]))
         order = _sort_suffixes(s)
         self._install(s[order - 1], sigma + 1, "")
-        self._text = s[:-1].astype(self.codes.dtype)
         self.split = one.size + 1
         self.bit = BitVector(order < self.split)
         self.parts = parts
 
     @classmethod
     def of(cls, index1: BwtIndex, index2: BwtIndex) -> "PairIndex":
-        """The pair index of two indexes' texts."""
+        """The pair index of two indexes' texts, each inverted from its BWT (see _invert)."""
         if index1.sigma != index2.sigma:
             raise InputError("alphabet mismatch between the two indexes")
-        return cls(index1._text, index2._text, index1.sigma, (index1, index2))
+        return cls(index1._invert(), index2._invert(), index1.sigma, (index1, index2))
 
     @property
     def letters(self) -> int:
@@ -365,7 +397,7 @@ class PairIndex(BwtIndex):
         """Each text's length with its terminator: n of its own BwtIndex."""
         return self.split, self.n - self.split
 
-    def part(self, t: int) -> list[int]:
-        """The symbols of text t (0 or 1)."""
-        text = self._text[: self.split - 1] if t == 0 else self._text[self.split :]
-        return (text.astype(np.int64) - 1).tolist()
+    def texts(self) -> tuple[list[int], list[int]]:
+        """The symbols of T1 and T2, from one inversion of the pair's BWT."""
+        text = self._invert() - 1
+        return text[: self.split - 1].tolist(), text[self.split :].tolist()

@@ -3,12 +3,16 @@
 The array is stored as a binary wavelet tree over [0..maxsym]: each node
 splits its symbol range at the midpoint and keeps one bit per element,
 packed into NumPy 64-bit words with the count of 1s before each word, so a
-rank costs O(log maxsym) word operations. One descent, RankIndex.descend,
-carries a batch of nodes, each a run of ascending boundaries, down the tree
-at once and reports, for every symbol of every node's range, its ranks at
-all of that node's boundaries; distinct_ranks and range_distinct are its
-one-node case. rank and access walk one position down the same arrays.
-BitVector keeps one plain bit vector in a wavelet node's layout.
+rank costs O(log maxsym) word operations. The counts are int32 while a
+node holds fewer than 2**31 bits (half a bit per bit) and int64 past that,
+as _sort_suffixes sizes its arrays; every rank that leaves this module is
+int64 either way. The tree is all that is kept of the array: decode reads
+it back in O(n log maxsym) on each call. One descent, RankIndex.descend,
+carries a batch of nodes, each a run of ascending boundaries, down the
+tree at once and reports, for every symbol of every node's range, its
+ranks at all of that node's boundaries; distinct_ranks and range_distinct
+are its one-node case. rank and access walk one position down the same
+arrays. BitVector keeps one plain bit vector in a wavelet node's layout.
 """
 
 from __future__ import annotations
@@ -24,20 +28,26 @@ def _pack(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """bits as little-endian 64-bit words, and the count of 1s before each word.
 
     One zero word past the last bit keeps every position in 0..len(bits)
-    valid, a 64-aligned length included.
+    valid, a 64-aligned length included. No count exceeds len(bits), so
+    they are int32 below 2**31 bits.
     """
     packed = np.packbits(bits, bitorder="little")
     pad = (-packed.size) % 8 + 8
     words = np.concatenate([packed, np.zeros(pad, dtype=np.uint8)]).view("<u8")
-    counts = np.zeros(words.size, dtype=np.int64)
-    np.cumsum(np.bitwise_count(words[:-1]), out=counts[1:])
+    counts = np.zeros(words.size, dtype=np.int32 if bits.size < 2**31 else np.int64)
+    np.cumsum(np.bitwise_count(words[:-1]), out=counts[1:], dtype=counts.dtype)
     return words, counts
 
 
 def _ones(words: np.ndarray, counts: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Number of 1 bits among the first x bits, for every position of the array x."""
+    """Number of 1 bits among the first x bits, as int64, for every position of the array x."""
     q = x >> 6
-    return counts[q] + np.bitwise_count(words[q] & _WORD_MASKS[x & 63])
+    return np.add(counts[q], np.bitwise_count(words[q] & _WORD_MASKS[x & 63]), dtype=np.int64)
+
+
+def _bits(words: np.ndarray, size: int) -> np.ndarray:
+    """The first size bits of words, as a bool array."""
+    return np.unpackbits(words.view(np.uint8), count=size, bitorder="little").view(bool)
 
 
 class BitVector:
@@ -55,8 +65,7 @@ class BitVector:
 
     def bits(self) -> np.ndarray:
         """The bits, as a bool array."""
-        raw = np.unpackbits(self.words.view(np.uint8), count=self.n, bitorder="little")
-        return raw.view(bool)
+        return _bits(self.words, self.n)
 
 
 class _Node:
@@ -92,7 +101,10 @@ class RankIndex:
     def __init__(self, data, maxsym: int) -> None:
         if maxsym < 0:
             raise InputError("maxsym must be non-negative")
-        arr = np.asarray(data, dtype=np.int64)
+        # integer codes keep their own dtype, so no int64 copy is made of them
+        arr = np.asarray(data)
+        if arr.dtype.kind not in "iu":
+            arr = np.asarray(data, dtype=np.int64)
         if arr.ndim != 1:
             raise InputError("data must be one-dimensional")
         if arr.size and (arr.min() < 0 or arr.max() > maxsym):
@@ -146,6 +158,51 @@ class RankIndex:
                 i -= ones
                 node = node.left
         return node.lo
+
+    def counts(self) -> tuple[list[int], list[int]]:
+        """The symbols that occur, ascending, and how many times each does.
+
+        A node's elements split into its children's by the 1s among its
+        bits, so this reads one count per wavelet node and no element.
+        """
+        syms, counts = [], []
+        stack = [(self.root, self.n)]
+        while stack:
+            node, size = stack.pop()
+            if node.words is None:
+                if size:
+                    syms.append(node.lo)
+                    counts.append(size)
+                continue
+            ones = node.ones(size)
+            # the right child is stacked first, so symbols come out ascending
+            stack += ((node.right, ones), (node.left, size - ones))
+        return syms, counts
+
+    def decode(self) -> np.ndarray:
+        """The array, in the smallest integer dtype that holds maxsym, read from the tree.
+
+        Each node's elements are its children's, placed at the positions of
+        its 1 and 0 bits: one pass per level, O(n log maxsym) time.
+        """
+        # every symbol fits int64, whatever maxsym is declared
+        dtype = np.min_scalar_type(min(self.maxsym, 2**63 - 1))
+
+        def elements(node: _Node, size: int) -> np.ndarray:
+            if not size:
+                return np.empty(0, dtype=dtype)
+            if node.words is None:
+                return np.full(size, node.lo, dtype=dtype)
+            bits = _bits(node.words, size)
+            out = np.empty(size, dtype=dtype)
+            # index arrays, as a boolean mask of random bits is several times slower
+            at = np.flatnonzero(bits)
+            out[at] = elements(node.right, at.size)
+            at = np.flatnonzero(~bits)
+            out[at] = elements(node.left, at.size)
+            return out
+
+        return elements(self.root, self.n)
 
     def distinct_ranks(self, bounds) -> list[tuple[int, list[int]]]:
         """Every symbol c of positions [bounds[0]+1 .. bounds[-1]], ascending.

@@ -5,6 +5,7 @@ import struct
 import time
 from collections import Counter
 
+import numpy as np
 import pytest
 from conftest import (
     draw_repetitive,
@@ -46,8 +47,9 @@ from bwtk.kernels import (
     substring_kernel,
     weighted_substring_kernel,
 )
+from bwtk.kernels import _pair_sums
 from bwtk.params import WeightSpec, ZScoreParams
-from bwtk.suffix import BwtIndex, build_bwt
+from bwtk.suffix import BwtIndex, PairIndex, build_bwt
 from bwtk.text import Sequence
 
 
@@ -911,3 +913,29 @@ def test_huge_declared_sigma_costs_only_the_symbols_that_occur(tmp_path):
     assert calibrate_kmin(ix, 3) == 1
     assert calibrate_kmax(ix, 0.5, 3) == 2
     assert time.perf_counter() - start < 1.0
+
+
+def test_pair_sums_do_not_wrap_at_int32():
+    # the root's frequencies are about 7e4 in each text, so f1 @ f1 is past
+    # 2**31; the ranks behind the widths must be int64, not the wavelet
+    # nodes' int32 counts
+    rng = np.random.default_rng(16)
+    one, two = (rng.integers(1, 5, size=70_000) for _ in range(2))
+    pair = PairIndex(one, two, 4)
+    checked = 0
+
+    def visit(batch):
+        nonlocal checked
+        if batch.depth > 1:
+            return
+        (f1, w1), (f2, w2) = (tuple(a.tolist() for a in t) for t in batch.side.texts())
+
+        def dot(x, y):
+            return sum(a * b for a, b in zip(x, y))
+
+        want = (dot(f1, f2) - dot(w1, w2), dot(f1, f1) - dot(w1, w1), dot(f2, f2) - dot(w2, w2))
+        assert _pair_sums(batch) == want
+        checked += 1
+
+    batched_pass(pair, visit, max_depth=1)
+    assert checked >= 2

@@ -1,3 +1,4 @@
+import gc
 import random
 import struct
 import tracemalloc
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import bwtk.suffix
 from bwtk.enumerate import heads
 from bwtk.errors import InputError
-from bwtk.suffix import _MAGIC, BwtIndex, _sort_suffixes, build_bwt, suffix_array
+from bwtk.suffix import _MAGIC, BwtIndex, PairIndex, _sort_suffixes, build_bwt, suffix_array
 from bwtk.text import Sequence
 
 
@@ -232,6 +233,45 @@ def test_build_peak_memory(shape):
     assert peak <= 64 * len(symbols)
 
 
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_derived_reads_match_the_plain_arrays(data):
+    # the index keeps only its wavelet tree: psi, access and text are made
+    # from it on each call and must equal what the plain BWT gives
+    sigma = data.draw(st.sampled_from((1, 2, 4, 20, 2**40)))
+    text = st.lists(st.integers(1, sigma), min_size=1, max_size=60)
+    one = data.draw(text)
+    if data.draw(st.booleans()):
+        ix, want = build_bwt(Sequence(one, sigma)), one
+    else:
+        two = data.draw(text)
+        ix = PairIndex(one, two, sigma)
+        want = [a + 1 for a in one] + [1] + [a + 1 for a in two]
+        assert ix.texts() == (one, two)
+    bwt = np.array(ix.bwt)
+    assert ix.psi().tolist() == np.argsort(bwt, kind="stable").tolist()
+    assert [ix.access(i) for i in range(1, ix.n + 1)] == bwt.tolist()
+    assert ix.first(np.arange(ix.n)).tolist() == np.sort(bwt).tolist()
+    assert ix.text == want
+
+
+def test_retained_index_is_at_most_half_a_byte_per_symbol():
+    # the wavelet tree, 2.25 bits per row at sigma=4, with one int32 count
+    # per 64-bit word; no BWT or text array stays behind
+    symbols = (np.random.default_rng(4).integers(0, 4, size=200_000) + 1).tolist()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ix = BwtIndex(symbols, 4)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert ix.n == len(symbols) + 1
+    assert kept <= 0.5 * len(symbols)
+
+
 def _write_index(path, codes, sigma):
     """A BWTK1 file holding codes as its BWT, packed as dump packs them."""
     bits = [c >> j & 1 for c in codes for j in range(sigma.bit_length())]
@@ -299,7 +339,7 @@ def test_psi_walks_each_row_through_its_suffix(mutant_dir, data):
         psi = ix.psi()
         assert sorted(psi.tolist()) == list(range(n))
         # row r's n symbols on, one row per line
-        read = np.array(list(heads(ix.codes, psi, np.arange(n), n))).T
+        read = np.array(list(heads(ix.first(), psi, np.arange(n), n))).T
         for row, p in enumerate(order):
             assert read[row, : n - p].tolist() == t[p:]
 

@@ -1,9 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from bwtk.errors import InputError
-from bwtk.wavelet import RankIndex
+from bwtk.wavelet import BitVector, RankIndex, _ones
 
 
 def test_rank_hand_values():
@@ -121,3 +122,38 @@ def test_distinct_ranks_match_rank_at_every_boundary(maxsym):
     for bad in ([], [-1, 3], [3, 2], [0, n + 1]):
         with pytest.raises(InputError):
             rix.distinct_ranks(bad)
+
+
+def test_ranks_stay_int64_over_int32_counts():
+    # counts are int32 below 2**31 bits; every rank handed out is int64, so
+    # products of ranks (frequency products of a pair) cannot wrap at 2**31
+    rng = np.random.default_rng(31)
+    data = rng.integers(0, 6, size=3_000).astype(np.uint8)
+    rix = RankIndex(data, maxsym=5)
+    x = np.arange(0, data.size + 1, 7)
+    node = rix.root
+    assert node.counts.dtype == np.int32
+    assert _ones(node.words, node.counts, x).dtype == np.int64
+    bit = BitVector(data > 2)
+    assert bit.counts.dtype == np.int32
+    ones = bit.ones(x)
+    assert ones.dtype == np.int64
+    assert ones.tolist() == [int((data[:i] > 2).sum()) for i in x.tolist()]
+    syms, _, _, ranks = rix.descend(np.array([0, 1_000, data.size]), np.array([3]))
+    assert syms == sorted(set(data.tolist()))
+    for c, r in zip(syms, ranks):
+        assert r.dtype == np.int64
+        assert r.tolist() == [int((data[:i] == c).sum()) for i in (0, 1_000, data.size)]
+
+
+@pytest.mark.parametrize("maxsym", [0, 1, 5, 20, 2**40])
+def test_decode_and_counts_read_the_array_back(maxsym):
+    rng = np.random.default_rng(maxsym % 97)
+    for n in (0, 1, 63, 64, 65, 500):
+        data = np.minimum(rng.integers(0, 21, size=n), maxsym)
+        if maxsym == 2**40:
+            data[::3] = maxsym
+        rix = RankIndex(data, maxsym)
+        assert rix.decode().tolist() == data.tolist()
+        syms, counts = np.unique(data, return_counts=True)
+        assert rix.counts() == (syms.tolist(), counts.tolist())
