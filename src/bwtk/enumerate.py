@@ -11,8 +11,11 @@ aW continues with b_i exactly where the rank of a rises across block i.
 One engine walks the tree: batched_pass takes same-depth nodes a batch at a
 time, each batch held in flat NumPy arrays (Side, Batch), and extends all
 of them with one wavelet descent that ranks every boundary of the batch per
-wavelet node (RankIndex.descend). It goes depth-first over batches and
-splits a batch past _CAP boundaries, lightest piece first. Below the split
+wavelet node (RankIndex.descend). Its selections use compress or index
+gathers, never boolean-mask indexing, and it repeats values only to the
+size of its output; only masks are repeated to the size of its input. It
+goes depth-first over batches and splits a batch past _CAP boundaries,
+lightest piece first, into runs of consecutive nodes. Below the split
 depths most batches are small, so a batch under half the cap waits, parked
 with the others of its depth, until they are merged into one batch: each
 depth then costs about one batch, not one per split piece. Between two
@@ -53,6 +56,7 @@ _extend_batch, and extend_left_generalized merges it over the two texts.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -138,17 +142,23 @@ class Side:
     text's widths.
     """
 
-    __slots__ = ("bd", "nb", "ch", "one", "end", "freq", "_inside", "_w", "_node", "_texts")
+    __slots__ = ("bd", "nb", "ch", "one", "end", "_freq", "_inside", "_w", "_node", "_texts")
 
     def __init__(self, bd: np.ndarray, nb: np.ndarray, ch: np.ndarray, one=None) -> None:
         self.bd = bd
         self.nb = nb
         self.ch = ch
         self.one = one
-        self.end = end = nb.cumsum()
-        self.freq = bd[end - 1] - bd[end - nb]
-        # per-block arrays are made when first read, not while a batch waits
-        self._inside = self._w = self._node = self._texts = None
+        self.end = nb.cumsum()
+        # derived arrays are made when first read, not while a batch waits
+        self._freq = self._inside = self._w = self._node = self._texts = None
+
+    @property
+    def freq(self) -> np.ndarray:
+        """Per node, its number of suffix rows."""
+        if self._freq is None:
+            self._freq = self.bd[self.end - 1] - self.start
+        return self._freq
 
     @property
     def start(self) -> np.ndarray:
@@ -191,9 +201,10 @@ class Side:
 
     def take(self, rows: np.ndarray) -> Side:
         """The nodes where the boolean mask rows is set."""
-        at = rows.repeat(self.nb)
+        at = rows.repeat(self.nb).nonzero()[0]
         one = None if self.one is None else self.one[at]
-        return Side(self.bd[at], self.nb[rows], self.ch[rows.repeat(self.nb - 1)], one)
+        ch = self.ch.compress(rows.repeat(self.nb - 1))
+        return Side(self.bd[at], self.nb.compress(rows), ch, one)
 
 
 class Batch:
@@ -255,69 +266,74 @@ def _extend_batch(batch: Batch, index: BwtIndex) -> None:
     side = batch.side
     syms, ids, nbs, ranks = index.ranks.descend(side.bd, side.nb)
     per = [i.size for i in ids]
-    sym = np.repeat(np.array(syms, dtype=np.int64), per)
-    base = index.c[np.searchsorted(index.syms, syms)]
+    sym = np.array(syms, dtype=np.int64).repeat(per)
+    base = index.c[index.syms.searchsorted(syms)].tolist()
     node = np.concatenate(ids)
     knb = np.concatenate(nbs)
-    r = np.concatenate(ranks) + np.repeat(base, per).repeat(knb)
-    end = knb.cumsum()
-    beg = end - knb
+    r = np.concatenate([x + c for x, c in zip(ranks, base)])
+    beg = knb.cumsum() - knb
     rise = np.empty(r.size, dtype=bool)
     np.greater(r[1:], r[:-1], out=rise[1:])
     rise[beg] = False  # beg[0] is 0
     keep = rise.copy()
     keep[beg] = True
-    count = keep.cumsum()
-    nb = count[end - 1] - count[beg] + 1
-    # a rise at the node's (t+1)-th boundary ends its t-th block
+    nb = np.add.reduceat(keep, beg)
+    # a rise at the node's (t+1)-th boundary ends its t-th block, and kid j has nb[j] - 1 rises
     shift = side.end[node] - side.nb[node] - node - 1 - beg
-    blk = rise.nonzero()[0] + shift.repeat(knb)[rise]
-    bd, one = r[keep], None
+    blk = rise.nonzero()[0] + shift.repeat(nb - 1)
+    bd, one = r.compress(keep), None
     if isinstance(index, PairIndex):
         one = index.bit.ones(bd)
         # #W (rows [0, 1]) is text 1's and $W (rows [1, 2]) text 2's, though
-        # the bit gives row 0 to text 2 and row 1 to text 1: swap the two
-        ends = (sym < index.terminators).repeat(nb)
-        one[ends] = bd[ends] - one[ends]
+        # the bit gives row 0 to text 2 and row 1 to text 1: swap the two.
+        # Kids run by symbol, so theirs are the first boundaries, of at most
+        # two kids, as # and $ each occur once in the BWT.
+        kids = sum(per[: bisect.bisect_left(syms, index.terminators)])
+        ends = sum(nb[:kids].tolist())
+        one[:ends] = bd[:ends] - one[:ends]
     batch.kid_node, batch.kid_sym, batch.kid_blk = node, sym, blk
     batch.kids = Side(bd, nb, side.ch[blk], one)
 
 
-def _gather(carry: dict, rows: np.ndarray) -> dict:
-    """carry's per-node arrays at rows, a mask or an index array of nodes."""
+def _gather(carry: dict, rows) -> dict:
+    """carry's per-node arrays at rows, an index array or a slice of nodes."""
     return {key: tuple(a[rows] for a in arrays) for key, arrays in carry.items()}
 
 
 def _next_batch(batch: Batch, letters: int) -> Batch | None:
     """The kids to visit next: extensions by a letter (code >= letters) that are right-maximal."""
     push = (batch.kid_sym >= letters) & (batch.kids.nb >= 3)
-    if not np.count_nonzero(push):
+    node = batch.kid_node.compress(push)
+    if not node.size:
         return None
     # each kid starts from its parent node's values
-    carry = _gather(batch.carry, batch.kid_node[push]) if batch.carry else {}
+    carry = _gather(batch.carry, node) if batch.carry else {}
     return Batch(batch.depth + 1, batch.kids.take(push), carry)
 
 
 def _split(batch: Batch, cap: int | None) -> list[Batch]:
-    """Pieces of at most cap boundaries (or one node), in push order.
+    """Pieces whose nodes start within cap boundaries of their first, in push order.
 
-    The lightest piece (fewest suffix rows) comes last and so is visited
-    first: a piece visited while another is pending holds at most half of
-    its parent's rows, so a descent that merges nothing holds pending pieces
-    at no more than log2 n depths. Pieces under half the cap are parked by
-    batched_pass, not stacked.
+    Each piece is a run of consecutive nodes, and its arrays and carry are
+    slices of the batch's. The lightest piece (fewest suffix rows) comes
+    last and so is visited first: a piece visited while another is pending
+    holds at most half of its parent's rows, so a descent that merges
+    nothing holds pending pieces at no more than log2 n depths. Pieces
+    under half the cap are parked by batched_pass, not stacked.
     """
     if cap is None or batch.size <= cap:
         return [batch]
-    size = batch.side.nb
-    group = (size.cumsum() - size) // cap
-    cuts = (np.flatnonzero(np.diff(group)) + 1).tolist()
-    bounds = [0, *cuts, size.size]
+    side = batch.side
+    group = (side.end - side.nb) // cap
+    cuts = (group[1:] > group[:-1]).nonzero()[0] + 1
+    rows = [0, *cuts.tolist(), side.nb.size]
+    # node r's boundaries start at end[r - 1] and its blocks r places earlier
+    ends = [0, *side.end[cuts - 1].tolist(), side.bd.size]
     pieces = []
-    for r0, r1 in zip(bounds, bounds[1:]):
-        rows = np.zeros(size.size, dtype=bool)
-        rows[r0:r1] = True
-        pieces.append(Batch(batch.depth, batch.side.take(rows), _gather(batch.carry, rows)))
+    for r0, r1, b0, b1 in zip(rows, rows[1:], ends, ends[1:]):
+        one = None if side.one is None else side.one[b0:b1]
+        piece = Side(side.bd[b0:b1], side.nb[r0:r1], side.ch[b0 - r0 : b1 - r1], one)
+        pieces.append(Batch(batch.depth, piece, _gather(batch.carry, slice(r0, r1))))
     mass = [int(piece.side.freq.sum()) for piece in pieces]
     order = sorted(range(len(pieces)), key=mass.__getitem__, reverse=True)
     return [pieces[i] for i in order]

@@ -119,8 +119,9 @@ class RankIndex:
             return node
         bits = arr > node.mid
         node.words, node.counts = _pack(bits)
-        node.left = self._build(arr[~bits], lo, node.mid)
-        node.right = self._build(arr[bits], node.mid + 1, hi)
+        # compress, as a boolean mask of random bits is several times slower
+        node.left = self._build(arr.compress(~bits), lo, node.mid)
+        node.right = self._build(arr.compress(bits), node.mid + 1, hi)
         return node
 
     def _check_symbol(self, c: int) -> None:
@@ -243,7 +244,9 @@ class RankIndex:
         range, in ascending c: c, the indexes of those nodes, their nb and
         the ranks of c at their boundaries. Each wavelet node ranks all the
         boundaries it receives in one step, and a node whose range holds no
-        symbol of a child does not follow the batch into it.
+        symbol of a child does not follow the batch into it: the batch is
+        compacted by compress and index gathers, never by boolean-mask
+        indexing.
         """
         syms, ids_out, nbs, ranks = [], [], [], []
         stack = [(self.root, x, nb, np.arange(nb.size), _ends(nb))]
@@ -259,12 +262,12 @@ class RankIndex:
             # the right child is stacked first, so symbols come out ascending
             for child, y in ((node.right, ones), (node.left, x - ones)):
                 alive = y[last] > y[first]
-                count = np.count_nonzero(alive)
-                if count == alive.size:
+                at = alive.nonzero()[0]
+                if at.size == alive.size:
                     stack.append((child, y, nb, ids, (first, last)))
-                elif count:
-                    kept = nb[alive]
-                    stack.append((child, y[alive.repeat(nb)], kept, ids[alive], _ends(kept)))
+                elif at.size:
+                    kept = nb[at]
+                    stack.append((child, y.compress(alive.repeat(nb)), kept, ids[at], _ends(kept)))
         return syms, ids_out, nbs, ranks
 
 

@@ -3,6 +3,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from conftest import (
     draw_repetitive,
@@ -20,8 +21,13 @@ from hypothesis import strategies as st
 import bwtk.enumerate
 from bwtk.enumerate import (
     ABSENT,
+    Batch,
     GenRepr,
     Repr,
+    Side,
+    _extend_batch,
+    _merge,
+    _split,
     batched_pass,
     enumerate_generalized,
     enumerate_maximal_repeats,
@@ -35,7 +41,7 @@ from bwtk.oracle import (
     oracle_maximal_repeat_set,
     oracle_right_maximal_set,
 )
-from bwtk.suffix import build_bwt
+from bwtk.suffix import PairIndex, build_bwt
 from bwtk.text import Sequence
 
 
@@ -596,3 +602,118 @@ def test_pair_events_map_to_each_texts_own_rows(pair):
     enumerate_generalized(*indexes, visit)
     assert len(labels) == len(set(labels))
     assert set(labels) == oracle_generalized_right_maximal_set(*pair)
+
+
+@st.composite
+def random_sides(draw):
+    """An index over one text or a pair, and random nodes over its rows.
+
+    Each node has two or more increasing boundaries in [0..n]; ch holds a
+    random symbol per block, and over a pair one holds the text bit's rank.
+    """
+    sigma = draw(st.sampled_from((1, 2, 4, 20)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    texts = [rand_seq(rng, draw(st.integers(1, 120)), sigma)]
+    if draw(st.booleans()):
+        near = sigma > 1 and draw(st.booleans())
+        texts.append(mutate(rng, texts[0], 0.05) if near else rand_seq(rng, 40, sigma))
+    index = one_index([build_bwt(s) for s in texts])
+    bd, nb = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        count = draw(st.integers(2, min(6, index.n + 1)))
+        bd += sorted(rng.sample(range(index.n + 1), count))
+        nb.append(count)
+    bd, nb = np.array(bd, dtype=np.int64), np.array(nb)
+    ch = np.array([rng.randint(0, sigma + 1) for _ in range(bd.size - nb.size)], dtype=np.int64)
+    one = index.bit.ones(bd) if isinstance(index, PairIndex) else None
+    return index, Side(bd, nb, ch, one)
+
+
+def _brute_kids(index, side: Side) -> tuple[list, ...]:
+    """Every left extension aW of side's nodes, by a then by node, from the BWT's prefix counts."""
+    codes = index.codes.astype(np.int64)
+    ones = None
+    if isinstance(index, PairIndex):
+        ones = np.concatenate(([0], np.cumsum(index.bit.bits())))
+    nodes, s = [], 0
+    for j, count in enumerate(side.nb.tolist()):
+        # node j's blocks start s - j blocks in
+        nodes.append((side.bd[s : s + count].tolist(), s - j))
+        s += count
+    kid_node, kid_sym, kid_blk, bd, nb, one = [], [], [], [], [], []
+    for a in np.unique(codes).tolist():
+        # aW's rows start after those of every symbol below a
+        prefix = np.concatenate(([0], np.cumsum(codes == a))) + np.count_nonzero(codes < a)
+        for j, (x, blk0) in enumerate(nodes):
+            r = prefix[x].tolist()
+            if r[-1] == r[0]:
+                continue
+            rises = [t for t in range(1, len(r)) if r[t] > r[t - 1]]
+            kid = [r[0]] + [r[t] for t in rises]
+            kid_node.append(j)
+            kid_sym.append(a)
+            kid_blk += [blk0 + t - 1 for t in rises]
+            bd += kid
+            nb.append(len(kid))
+            if ones is not None:
+                # #W is text 1's (one row of it), $W text 2's
+                one += [int(ones[y]) if a >= index.terminators else y - int(ones[y]) for y in kid]
+    return kid_node, kid_sym, kid_blk, bd, nb, one
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(random_sides())
+def test_kids_match_a_brute_force_left_extension(case):
+    index, side = case
+    batch = Batch(0, side)
+    _extend_batch(batch, index)
+    kid_node, kid_sym, kid_blk, bd, nb, one = _brute_kids(index, side)
+    kids = batch.kids
+    assert batch.kid_node.tolist() == kid_node
+    assert batch.kid_sym.tolist() == kid_sym
+    assert batch.kid_blk.tolist() == kid_blk
+    assert (kids.bd.tolist(), kids.nb.tolist()) == (bd, nb)
+    assert kids.ch.tolist() == side.ch[kid_blk].tolist()
+    assert (kids.one is None) == (side.one is None)
+    if kids.one is not None:
+        assert kids.one.tolist() == one
+
+
+def _arrays(side: Side) -> list:
+    return [a.tolist() for a in (side.bd, side.nb, side.ch, side.one) if a is not None]
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(random_sides(), st.data())
+def test_take_matches_a_mask_reference(case, data):
+    _, side = case
+    count = side.nb.size
+    rows = np.array(data.draw(st.lists(st.booleans(), min_size=count, max_size=count)))
+    at = rows.repeat(side.nb)
+    one = None if side.one is None else side.one[at]
+    want = Side(side.bd[at], side.nb[rows], side.ch[rows.repeat(side.nb - 1)], one)
+    assert _arrays(side.take(rows)) == _arrays(want)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(random_sides(), st.data())
+def test_split_pieces_merge_back_into_the_batch(case, data):
+    _, side = case
+    key = object()
+    count = side.nb.size
+    weights = np.arange(count) * 0.5
+    batch = Batch(3, side, {key: (np.arange(count), weights)})
+    cap = data.draw(st.none() | st.integers(1, side.bd.size + 1))
+    pieces = _split(batch, cap)
+    for piece in pieces:
+        assert piece.depth == 3
+        # every node of a piece starts within cap boundaries of its first
+        assert cap is None or piece.size - piece.side.nb[-1] < cap
+    mass = [int(piece.side.freq.sum()) for piece in pieces]
+    assert mass == sorted(mass, reverse=True)
+    # the pieces are runs of consecutive nodes: back in node order they merge into the batch
+    pieces.sort(key=lambda piece: piece.carry[key][0][0])
+    merged = _merge(pieces)
+    assert _arrays(merged.side) == _arrays(side)
+    assert merged.carry[key][0].tolist() == list(range(count))
+    assert merged.carry[key][1].tolist() == weights.tolist()

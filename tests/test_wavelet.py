@@ -2,8 +2,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bwtk.errors import InputError
+from bwtk.suffix import BwtIndex
 from bwtk.wavelet import BitVector, RankIndex, _ones
 
 
@@ -157,3 +160,44 @@ def test_decode_and_counts_read_the_array_back(maxsym):
         assert rix.decode().tolist() == data.tolist()
         syms, counts = np.unique(data, return_counts=True)
         assert rix.counts() == (syms.tolist(), counts.tolist())
+
+
+@st.composite
+def descent_inputs(draw):
+    """A BWT over sigma in {1, 2, 4, 20, 255} and a batch of nodes over its rows.
+
+    The text uses a drawn subset of the letters; nodes run from the whole
+    range down to one row, so a wavelet child is followed by every node of
+    the batch, by some, or by none.
+    """
+    sigma = draw(st.sampled_from((1, 2, 4, 20, 255)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    letters = rng.sample(range(1, sigma + 1), draw(st.integers(1, min(sigma, 6))))
+    index = BwtIndex([rng.choice(letters) for _ in range(draw(st.integers(1, 200)))], sigma)
+    n = index.n
+    nodes = []
+    for _ in range(draw(st.integers(1, 8))):
+        lo = draw(st.just(0) | st.integers(0, n - 1))
+        hi = draw(st.just(n) | st.integers(lo + 1, n))
+        inner = draw(st.lists(st.integers(lo, hi), max_size=4))
+        nodes.append([lo, *sorted(inner), hi])
+    return index, nodes
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(descent_inputs())
+def test_descend_matches_prefix_counts_of_the_decoded_bwt(case):
+    index, nodes = case
+    codes = index.codes.astype(np.int64)
+    want = []
+    for c in range(index.ranks.maxsym + 1):
+        prefix = np.concatenate(([0], np.cumsum(codes == c)))
+        ids = [j for j, x in enumerate(nodes) if prefix[x[-1]] > prefix[x[0]]]
+        if ids:
+            ranks = [int(prefix[x]) for j in ids for x in nodes[j]]
+            want.append((c, ids, [len(nodes[j]) for j in ids], ranks))
+    x = np.array([x for node in nodes for x in node], dtype=np.int64)
+    syms, ids, nbs, ranks = index.ranks.descend(x, np.array([len(node) for node in nodes]))
+    assert all(r.dtype == np.int64 for r in ranks)
+    got = [(c, i.tolist(), nb.tolist(), r.tolist()) for c, i, nb, r in zip(syms, ids, nbs, ranks)]
+    assert got == want
