@@ -9,9 +9,9 @@ argsort of a single int64 key over only the rows still tied. Loading
 inverts the BWT by pointer jumping over LF, in about log2 n numpy rounds,
 to check that it is the BWT of a text.
 
-An index keeps only a wavelet tree of the BWT and the C array: about
-log2(sigma + 1) bits per row plus half a bit per bit of rank counts. The
-BWT, psi and the text are made from them on each call and not kept.
+An index keeps only the C array and a wavelet tree of the BWT, terminator
+rows apart at its root: ceil(log2 sigma) bits per row plus a quarter bit
+per bit of counts. BWT, psi and text are made on each call and not kept.
 PairIndex holds two texts in one such index, that of T1 $ T2 #.
 """
 
@@ -166,7 +166,7 @@ class BwtIndex:
         """Index the BWT codes; the tree is built in their dtype and they are not kept."""
         self.n = int(codes.size)
         self.sigma = sigma
-        self.ranks = RankIndex(codes, sigma)
+        self.ranks = RankIndex(codes, sigma, self.terminators)
         syms, counts = self.ranks.counts()
         self.syms = np.array(syms, dtype=np.int64)
         self.c = np.concatenate(([0], np.cumsum(counts)))

@@ -1,21 +1,24 @@
 """Rank and rangeDistinct queries over a symbol array.
 
 The array is stored as a binary wavelet tree over [0..maxsym]: each node
-splits its symbol range at the midpoint and keeps one bit per element,
-packed into NumPy 64-bit words with the count of 1s before each word, so a
-rank costs O(log maxsym) word operations. The counts are int32 while a
-node holds fewer than 2**31 bits (half a bit per bit) and int64 past that,
-as _sort_suffixes sizes its arrays; every rank that leaves this module is
-int64 either way. The tree is all that is kept of the array: decode reads
-it back in O(n log maxsym) on each call. One descent, RankIndex.descend,
-carries a batch of nodes, each a run of ascending boundaries, down the
-tree at once and reports, for every symbol of every node's range, its
-ranks at all of that node's boundaries; distinct_ranks and range_distinct
-are its one-node case. rank and access walk one position down the same
-arrays. BitVector keeps one plain bit vector in a wavelet node's layout.
+splits its symbol range at the midpoint and keeps one bit per element in
+NumPy 64-bit words, ranked through a uint16 count per word (a quarter bit
+per bit) over an int32 count per 2**16-bit superblock, int64 past 2**31
+bits (González, Grabowski, Mäkinen and Navarro 2005); every rank leaves
+this module as int64. A root split at `split` keeps the rows of the few
+codes below it as positions, so a BWT's letters cost ceil(log2 sigma) bits
+per row and its terminators none. The tree is all that is kept of the
+array: decode reads it back in O(n log maxsym) on each call. One descent,
+RankIndex.descend, carries a batch of nodes, each a run of ascending
+boundaries, down the tree at once and reports, for every symbol of every
+node's range, its ranks at all of that node's boundaries; distinct_ranks
+and range_distinct are its one-node case. rank and access walk one
+position down the same nodes. BitVector is a wavelet node's bits alone.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 import numpy as np
 
@@ -24,83 +27,118 @@ from .errors import InputError
 _WORD_MASKS = np.array([(1 << r) - 1 for r in range(64)], dtype=np.uint64)
 
 
-def _pack(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """bits as little-endian 64-bit words, and the count of 1s before each word.
+def _pack(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """bits as little-endian 64-bit words, and their two-level rank directory.
 
     One zero word past the last bit keeps every position in 0..len(bits)
-    valid, a 64-aligned length included. No count exceeds len(bits), so
-    they are int32 below 2**31 bits.
+    valid, a 64-aligned length included. sup counts the 1s before each
+    superblock of 1,024 words (2**16 bits), int32 below 2**31 bits; rel
+    counts those before each word since its superblock's start, at most
+    1,023 * 64 = 65,472, as uint16. Both come from one cumsum.
     """
     packed = np.packbits(bits, bitorder="little")
     pad = (-packed.size) % 8 + 8
     words = np.concatenate([packed, np.zeros(pad, dtype=np.uint8)]).view("<u8")
-    counts = np.zeros(words.size, dtype=np.int32 if bits.size < 2**31 else np.int64)
-    np.cumsum(np.bitwise_count(words[:-1]), out=counts[1:], dtype=counts.dtype)
-    return words, counts
+    before = np.zeros(words.size, dtype=np.int64)
+    np.cumsum(np.bitwise_count(words[:-1]), out=before[1:], dtype=np.int64)
+    rel = (before - before[::1024].repeat(1024)[: before.size]).astype(np.uint16)
+    return words, before[::1024].astype(np.int32 if bits.size < 2**31 else np.int64), rel
 
 
-def _ones(words: np.ndarray, counts: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _ones(words: np.ndarray, sup: np.ndarray, rel: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Number of 1 bits among the first x bits, as int64, for every position of the array x."""
     q = x >> 6
-    return np.add(counts[q], np.bitwise_count(words[q] & _WORD_MASKS[x & 63]), dtype=np.int64)
-
-
-def _bits(words: np.ndarray, size: int) -> np.ndarray:
-    """The first size bits of words, as a bool array."""
-    return np.unpackbits(words.view(np.uint8), count=size, bitorder="little").view(bool)
+    # at most 65,472 + 63, so the word's count and its popcount add in uint16
+    ones = (rel[q] + np.bitwise_count(words[q] & _WORD_MASKS[x & 63])).astype(np.int64)
+    ones += sup[x >> 16]
+    return ones
 
 
 class BitVector:
-    """A bit vector with rank over arrays of positions, laid out as a wavelet node."""
+    """A bit vector with rank over arrays of positions, in _pack's layout."""
 
-    __slots__ = ("n", "words", "counts")
+    __slots__ = ("n", "words", "sup", "rel")
 
     def __init__(self, bits: np.ndarray) -> None:
         self.n = int(bits.size)
-        self.words, self.counts = _pack(bits)
+        self.words, self.sup, self.rel = _pack(bits)
 
     def ones(self, x: np.ndarray) -> np.ndarray:
         """1s among the first x bits, for each entry of x in [0..n]."""
-        return _ones(self.words, self.counts, x)
+        return _ones(self.words, self.sup, self.rel, x)
+
+    def one(self, i: int) -> int:
+        """1s among the first i bits, 0 <= i <= n."""
+        q = i >> 6
+        word = self.words.item(q) & ((1 << (i & 63)) - 1)
+        return self.sup.item(q >> 10) + self.rel.item(q) + word.bit_count()
+
+    def bit(self, i: int) -> int:
+        """Bit i, 0 <= i < n."""
+        return self.words.item(i >> 6) >> (i & 63) & 1
 
     def bits(self) -> np.ndarray:
         """The bits, as a bool array."""
-        return _bits(self.words, self.n)
+        return np.unpackbits(self.words.view(np.uint8), count=self.n, bitorder="little").view(bool)
 
 
-class _Node:
-    """One wavelet node: symbols lo..hi, split at mid.
+class _Node(BitVector):
+    """One wavelet node: symbols lo..hi, split after mid.
 
-    words holds one bit per element (set when the symbol is above mid),
-    and counts the 1s before each word, as _pack lays them out. A leaf,
-    and a node over a range with no element, has words None: every rank
-    there is 0 or the position itself, and no descent goes below it.
+    It is the BitVector of its elements, set where the symbol is above mid.
+    A leaf, and a node over a range with no element, has no children and no
+    bits: every rank there is 0 or the position itself, and no descent goes
+    below it.
     """
 
-    __slots__ = ("lo", "mid", "words", "counts", "left", "right")
+    __slots__ = ("lo", "mid", "left", "right")
 
-    def __init__(self, lo: int, hi: int) -> None:
-        self.lo = lo
-        self.mid = (lo + hi) // 2
-        self.words: np.ndarray | None = None
-        self.counts: np.ndarray | None = None
-        self.left: _Node | None = None
-        self.right: _Node | None = None
+    def __init__(self, lo: int, mid: int, bits: np.ndarray | None = None) -> None:
+        self.lo, self.mid = lo, mid
+        self.left = self.right = None
+        if bits is not None:
+            super().__init__(bits)
 
-    def ones(self, i: int) -> int:
-        """Number of 1 bits among the first i bits, 0 <= i <= len(bits)."""
-        q = i >> 6
-        return self.counts.item(q) + (self.words.item(q) & ((1 << (i & 63)) - 1)).bit_count()
+
+class _SplitRoot(_Node):
+    """A root that keeps its few 0 bits, the elements up to mid, as int64 rows, not words."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, lo: int, mid: int, bits: np.ndarray) -> None:
+        super().__init__(lo, mid)
+        self.n = int(bits.size)
+        self.rows = np.flatnonzero(~bits)
+
+    def ones(self, x: np.ndarray) -> np.ndarray:
+        return x - np.searchsorted(self.rows, x)
+
+    def one(self, i: int) -> int:
+        return i - bisect_left(self.rows, i)
+
+    def bit(self, i: int) -> int:
+        return int(i not in self.rows)
+
+    def bits(self) -> np.ndarray:
+        bits = np.ones(self.n, dtype=bool)
+        bits[self.rows] = False
+        return bits
 
 
 class RankIndex:
-    """Wavelet tree over symbols in [0..maxsym] with 1-based positions."""
+    """Wavelet tree over symbols in [0..maxsym] with 1-based positions.
+
+    With split > 0 the root is a _SplitRoot over codes 0..split-1 and
+    split..maxsym, and below it each node splits at its midpoint.
+    """
 
     __slots__ = ("n", "maxsym", "root")
 
-    def __init__(self, data, maxsym: int) -> None:
+    def __init__(self, data, maxsym: int, split: int = 0) -> None:
         if maxsym < 0:
             raise InputError("maxsym must be non-negative")
+        if not 0 <= split <= maxsym:
+            raise InputError(f"split {split} outside [0..{maxsym}]")
         # integer codes keep their own dtype, so no int64 copy is made of them
         arr = np.asarray(data)
         if arr.dtype.kind not in "iu":
@@ -111,17 +149,17 @@ class RankIndex:
             raise InputError("symbol outside [0..maxsym]")
         self.n = int(arr.size)
         self.maxsym = maxsym
-        self.root = self._build(arr, 0, maxsym)
+        self.root = self._build(arr, 0, maxsym, split)
 
-    def _build(self, arr: np.ndarray, lo: int, hi: int) -> _Node:
-        node = _Node(lo, hi)
+    def _build(self, arr: np.ndarray, lo: int, hi: int, split: int = 0) -> _Node:
         if lo == hi or not arr.size:
-            return node
-        bits = arr > node.mid
-        node.words, node.counts = _pack(bits)
+            return _Node(lo, lo)
+        mid = split - 1 if split else (lo + hi) // 2
+        bits = arr > mid
+        node = (_SplitRoot if split else _Node)(lo, mid, bits)
         # compress, as a boolean mask of random bits is several times slower
-        node.left = self._build(arr.compress(~bits), lo, node.mid)
-        node.right = self._build(arr.compress(bits), node.mid + 1, hi)
+        node.left = self._build(arr.compress(~bits), lo, mid)
+        node.right = self._build(arr.compress(bits), mid + 1, hi)
         return node
 
     def _check_symbol(self, c: int) -> None:
@@ -134,8 +172,8 @@ class RankIndex:
         if not 0 <= i <= self.n:
             raise InputError(f"position {i} outside [0..{self.n}]")
         node = self.root
-        while node.words is not None:
-            ones = node.ones(i)
+        while node.left is not None:
+            ones = node.one(i)
             if c <= node.mid:
                 i -= ones
                 node = node.left
@@ -150,9 +188,9 @@ class RankIndex:
             raise InputError(f"position {i} outside [1..{self.n}]")
         node = self.root
         i -= 1
-        while node.words is not None:
-            ones = node.ones(i)
-            if node.words.item(i >> 6) >> (i & 63) & 1:
+        while node.left is not None:
+            ones = node.one(i)
+            if node.bit(i):
                 i = ones
                 node = node.right
             else:
@@ -170,12 +208,12 @@ class RankIndex:
         stack = [(self.root, self.n)]
         while stack:
             node, size = stack.pop()
-            if node.words is None:
+            if node.left is None:
                 if size:
                     syms.append(node.lo)
                     counts.append(size)
                 continue
-            ones = node.ones(size)
+            ones = node.one(size)
             # the right child is stacked first, so symbols come out ascending
             stack += ((node.right, ones), (node.left, size - ones))
         return syms, counts
@@ -192,9 +230,9 @@ class RankIndex:
         def elements(node: _Node, size: int) -> np.ndarray:
             if not size:
                 return np.empty(0, dtype=dtype)
-            if node.words is None:
+            if node.left is None:
                 return np.full(size, node.lo, dtype=dtype)
-            bits = _bits(node.words, size)
+            bits = node.bits()
             out = np.empty(size, dtype=dtype)
             # index arrays, as a boolean mask of random bits is several times slower
             at = np.flatnonzero(bits)
@@ -252,13 +290,13 @@ class RankIndex:
         stack = [(self.root, x, nb, np.arange(nb.size), _ends(nb))]
         while stack:
             node, x, nb, ids, (first, last) = stack.pop()
-            if node.words is None:
+            if node.left is None:
                 syms.append(node.lo)
                 ids_out.append(ids)
                 nbs.append(nb)
                 ranks.append(x)
                 continue
-            ones = _ones(node.words, node.counts, x)
+            ones = node.ones(x)
             # the right child is stacked first, so symbols come out ascending
             for child, y in ((node.right, ones), (node.left, x - ones)):
                 alive = y[last] > y[first]

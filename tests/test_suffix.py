@@ -255,21 +255,27 @@ def test_derived_reads_match_the_plain_arrays(data):
     assert ix.text == want
 
 
-def test_retained_index_is_at_most_half_a_byte_per_symbol():
-    # the wavelet tree, 2.25 bits per row at sigma=4, with one int32 count
-    # per 64-bit word; no BWT or text array stays behind
-    symbols = (np.random.default_rng(4).integers(0, 4, size=200_000) + 1).tolist()
-    gc.collect()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        ix = BwtIndex(symbols, 4)
+def test_retained_index_is_at_most_0_35_bytes_per_symbol_and_a_pair_0_55():
+    # the letters' wavelet tree, 2 bits per row at sigma=4, with a uint16
+    # count per 64-bit word; the terminators are rows of the split root and
+    # a pair adds its text bit; no BWT or text array stays behind
+    rng = np.random.default_rng(4)
+    symbols = (rng.integers(0, 4, size=200_000) + 1).tolist()
+    halves = symbols[:100_000], symbols[100_000:]
+    cases = ((lambda: BwtIndex(symbols, 4), 0.35), (lambda: PairIndex(*halves, 4), 0.55))
+    for make, bound in cases:
         gc.collect()
-        kept = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
-    assert ix.n == len(symbols) + 1
-    assert kept <= 0.5 * len(symbols)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ix = make()
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert ix.n == len(symbols) + ix.terminators
+        assert kept <= bound * len(symbols)
+        del ix
 
 
 def _write_index(path, codes, sigma):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bwtk.errors import InputError
-from bwtk.suffix import BwtIndex
-from bwtk.wavelet import BitVector, RankIndex, _ones
+from bwtk.suffix import BwtIndex, PairIndex, _sort_suffixes
+from bwtk.wavelet import BitVector, RankIndex, _ones, _SplitRoot
 
 
 def test_rank_hand_values():
@@ -127,18 +127,21 @@ def test_distinct_ranks_match_rank_at_every_boundary(maxsym):
             rix.distinct_ranks(bad)
 
 
-def test_ranks_stay_int64_over_int32_counts():
-    # counts are int32 below 2**31 bits; every rank handed out is int64, so
-    # products of ranks (frequency products of a pair) cannot wrap at 2**31
+def test_rank_directory_is_uint16_word_counts_under_int32_superblock_counts():
+    # a uint16 count per word and an int32 count per 2**16-bit superblock
+    # below 2**31 bits; every rank handed out is int64, so products of
+    # ranks (frequency products of a pair) cannot wrap at 2**31
     rng = np.random.default_rng(31)
     data = rng.integers(0, 6, size=3_000).astype(np.uint8)
     rix = RankIndex(data, maxsym=5)
     x = np.arange(0, data.size + 1, 7)
     node = rix.root
-    assert node.counts.dtype == np.int32
-    assert _ones(node.words, node.counts, x).dtype == np.int64
+    assert node.rel.dtype == np.uint16
+    assert node.sup.dtype == np.int32
+    assert _ones(node.words, node.sup, node.rel, x).dtype == np.int64
     bit = BitVector(data > 2)
-    assert bit.counts.dtype == np.int32
+    assert bit.rel.dtype == np.uint16
+    assert bit.sup.dtype == np.int32
     ones = bit.ones(x)
     assert ones.dtype == np.int64
     assert ones.tolist() == [int((data[:i] > 2).sum()) for i in x.tolist()]
@@ -147,6 +150,145 @@ def test_ranks_stay_int64_over_int32_counts():
     for c, r in zip(syms, ranks):
         assert r.dtype == np.int64
         assert r.tolist() == [int((data[:i] == c).sum()) for i in (0, 1_000, data.size)]
+
+
+@pytest.mark.parametrize("pattern", ["random", "ones", "zeros", "alternating"])
+def test_ones_match_prefix_sums_across_superblocks(pattern):
+    # three 2**16-bit superblocks and part of a fourth; all ones takes the
+    # uint16 word counts to their largest value, 65,472
+    n = 3 * 2**16 + 37
+    bits = {
+        "random": np.random.default_rng(16).integers(0, 2, size=n) == 1,
+        "ones": np.ones(n, dtype=bool),
+        "zeros": np.zeros(n, dtype=bool),
+        "alternating": np.arange(n) % 2 == 1,
+    }[pattern]
+    want = np.concatenate(([0], np.cumsum(bits)))
+    edges = np.arange(2**16, n, 2**16)[:, None] + np.arange(-70, 71)
+    x = np.unique(np.clip(np.concatenate([edges.ravel(), np.arange(n - 100, n + 1)]), 0, n))
+    bit = BitVector(bits)
+    node = RankIndex(bits.astype(np.uint8), 1).root
+    for got in (_ones(bit.words, bit.sup, bit.rel, x), bit.ones(x), node.ones(x)):
+        assert got.dtype == np.int64
+        assert got.tolist() == want[x].tolist()
+    assert [node.one(i) for i in x.tolist()] == want[x].tolist()
+    assert [bit.bit(i) for i in x[x < n].tolist()] == bits[x[x < n]].tolist()
+    assert bit.bits().tolist() == bits.tolist()
+    if pattern == "ones":
+        assert int(bit.rel.max()) == 65_472
+
+
+def _bwt_and_index(pair: bool, size: int):
+    """A seeded sigma=4 BwtIndex of size letters, or a PairIndex of two halves.
+
+    Returns the index, its BWT and its suffix order, both from _sort_suffixes.
+    """
+    rng = np.random.default_rng(size)
+    if pair:
+        one, two = rng.integers(1, 5, size=(2, size // 2))
+        s = np.concatenate([one + 1, [1], two + 1, [0]])
+        index = PairIndex(one, two, 4)
+    else:
+        text = rng.integers(1, 5, size=size)
+        s = np.concatenate([text, [0]])
+        index = BwtIndex(text.tolist(), 4)
+    order = _sort_suffixes(s)
+    return index, s[order - 1], order
+
+
+@pytest.mark.parametrize("pair", [False, True], ids=["single", "pair"])
+def test_index_reads_match_the_bwt_across_superblocks(pair):
+    index, bwt, order = _bwt_and_index(pair, 200_000)
+    rix, n = index.ranks, index.n
+    assert rix.decode().tolist() == bwt.tolist()
+    syms, counts = np.unique(bwt, return_counts=True)
+    assert rix.counts() == (syms.tolist(), counts.tolist())
+    prefix = {c: np.concatenate(([0], np.cumsum(bwt == c))) for c in syms.tolist()}
+    # one node whose boundaries are every row ranks every position of every wavelet node
+    got, _, _, ranks = rix.descend(np.arange(n + 1), np.array([n + 1]))
+    assert got == syms.tolist()
+    for c, r in zip(got, ranks):
+        assert r.dtype == np.int64
+        assert np.array_equal(r, prefix[c])
+    # scalar reads near the superblock edges of every wavelet node (each
+    # counts the rows of a symbol range) and around the terminator rows
+    near = [np.flatnonzero(bwt < index.terminators)[:, None] + np.arange(-3, 4)]
+    for lo in range(rix.maxsym + 1):
+        for hi in range(lo, rix.maxsym + 1):
+            inside = np.concatenate(([0], np.cumsum((bwt >= lo) & (bwt <= hi))))
+            at = np.searchsorted(inside, np.arange(2**16, inside[-1] + 1, 2**16))
+            near.append(at[:, None] + np.arange(-70, 71))
+    x = np.unique(np.clip(np.concatenate([a.ravel() for a in near]), 0, n)).tolist()
+    for c in syms.tolist():
+        assert [rix.rank(c, i) for i in x] == prefix[c][x].tolist()
+    assert [rix.access(i) for i in x if i] == bwt[[i - 1 for i in x if i]].tolist()
+    if pair:
+        text1 = order < index.split
+        want = np.concatenate(([0], np.cumsum(text1)))
+        assert np.array_equal(index.bit.ones(np.arange(n + 1)), want)
+
+
+@pytest.mark.parametrize(
+    "make, rows",
+    [
+        (lambda: BwtIndex([2] + [1] * 62, 2), [63]),
+        (lambda: BwtIndex([2] + [1] * 63, 2), [64]),
+        (lambda: BwtIndex([4, 1, 1, 1], 4), [4]),
+        (lambda: PairIndex([2] + [1] * 58, [1, 1, 1], 2), [6, 63]),
+        (lambda: PairIndex([2] + [1] * 59, [1, 1, 1], 2), [6, 64]),
+        (lambda: PairIndex([2, 1], [2, 2], 2), [4, 5]),
+    ],
+    ids=["single-63", "single-64", "single-last", "pair-63", "pair-64", "pair-last"],
+)
+def test_split_root_keeps_exactly_the_terminator_rows(make, rows):
+    # row 0 of a BWT is the suffix # and holds the text's last letter, so
+    # the rows fall on word edges and at the last row; row 0 is covered below
+    index = make()
+    bwt = np.array(index.bwt)
+    root = index.ranks.root
+    assert root.rows.dtype == np.int64
+    assert root.rows.tolist() == np.flatnonzero(bwt < index.terminators).tolist() == rows
+    assert root.mid == index.terminators - 1 and root.right.lo == index.terminators
+    for c in range(index.ranks.maxsym + 1):
+        want = np.concatenate(([0], np.cumsum(bwt == c))).tolist()
+        assert [index.rank(c, i) for i in range(index.n + 1)] == want
+    assert [index.access(i) for i in range(1, index.n + 1)] == bwt.tolist()
+
+
+@pytest.mark.parametrize("split", [1, 2, 3])
+def test_split_root_matches_the_plain_tree(split):
+    # split-off codes at row 0, on a word edge and at the last row
+    rng = np.random.default_rng(split)
+    data = rng.integers(split, 6, size=130)
+    data[[0, 64, 129]] = rng.integers(0, split, size=3)
+    split_ix, plain = RankIndex(data, 5, split), RankIndex(data, 5)
+    assert isinstance(split_ix.root, _SplitRoot) and not isinstance(plain.root, _SplitRoot)
+    assert split_ix.root.rows.tolist() == [0, 64, 129]
+    assert split_ix.decode().tolist() == plain.decode().tolist() == data.tolist()
+    assert split_ix.counts() == plain.counts()
+    for c in range(6):
+        assert [split_ix.rank(c, i) for i in range(131)] == [plain.rank(c, i) for i in range(131)]
+    assert [split_ix.access(i) for i in range(1, 131)] == data.tolist()
+    x, nb = np.array([0, 1, 64, 65, 65, 100, 129, 130]), np.array([3, 2, 3])
+    for a, b in zip(split_ix.descend(x, nb), plain.descend(x, nb)):
+        assert [np.asarray(v).tolist() for v in a] == [np.asarray(v).tolist() for v in b]
+    with pytest.raises(InputError):
+        RankIndex(data, 5, 6)
+    with pytest.raises(InputError):
+        RankIndex(data, 5, -1)
+
+
+def test_bwt_tree_spends_log_sigma_bits_per_letter_row():
+    # terminators are rows of the split root, not bits: at sigma=4 the
+    # letters' tree holds exactly 2 bits per row
+    for index in _bwt_and_index(False, 5_000)[0], _bwt_and_index(True, 5_000)[0]:
+        stack, bits = [index.ranks.root.right], 0
+        while stack:
+            node = stack.pop()
+            if node.left is not None:
+                bits += node.n
+                stack += (node.left, node.right)
+        assert bits == 2 * (index.n - index.terminators)
 
 
 @pytest.mark.parametrize("maxsym", [0, 1, 5, 20, 2**40])
