@@ -66,7 +66,7 @@ from .enumerate import (  # noqa: F401
 )
 from .errors import BwtkError, ComputationError, InputError, ZeroDenominatorError
 from .params import WeightSpec, ZScoreParams, markov_g, validate_probs
-from .suffix import BwtIndex, PairIndex
+from .suffix import _MAX_N, BwtIndex, PairIndex
 
 __all__ = [
     "ProfileMatrix",
@@ -492,7 +492,9 @@ def kmer_profile(
         raise InputError("bounds must satisfy 1 <= k1 <= k2 and 1 <= f1 <= f2")
     n = index.n
     # a k-mer occurs at most n - 1 times, so frequencies past n all count 0
-    cols = max(min(f2, n) - f1 + 1, 0)
+    # and neither bound reaches NumPy past n
+    top = min(f2, n)
+    cols = max(top - f1 + 1, 0)
     diff = []  # a row per depth from k1, made when the pass first reaches it
 
     def visit(batch: Batch) -> None:
@@ -505,11 +507,12 @@ def kmer_profile(
         side = batch.side
         # a node adds one k-mer at its frequency, and each block takes one off
         for values, sign in ((side.freq, 1), (side.w, -1)):
-            col = np.minimum(values, f2) - f1
+            col = np.minimum(values, top) - f1
             counts = np.bincount(col[col >= 0])
             row[: counts.size] += sign * counts
 
-    batched_pass(index, visit)
+    if cols:
+        batched_pass(index, visit)
     held = [row.tolist() for row in itertools.accumulate(reversed(diff))][::-1]
     return ProfileMatrix(k1, k2, f1, f2, n, held)
 
@@ -522,6 +525,8 @@ def entropy_range(index: BwtIndex, k1: int, k2: int) -> PerK:
     """
     if not 0 <= k1 <= k2:
         raise InputError("range must satisfy 0 <= k1 <= k2")
+    if k2 > _MAX_N:
+        raise InputError(f"k2 {k2} is past the longest text an index holds ({_MAX_N} symbols)")
     sums = defaultdict(_ExactSum)  # by k, made at k's first batch
 
     def visit(batch: Batch) -> None:
@@ -1159,6 +1164,8 @@ def kl_divergence_range(index: BwtIndex, k1: int, k2: int) -> PerK:
     """
     if not 2 <= k1 <= k2:
         raise InputError("range must satisfy 2 <= k1 <= k2")
+    if k2 > _MAX_N:
+        raise InputError(f"k2 {k2} is past the longest text an index holds ({_MAX_N} symbols)")
     n = index.n
     m = n - 1
     parts = defaultdict(_ExactSum)  # by k, made at k's first batch

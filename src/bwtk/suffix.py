@@ -109,9 +109,24 @@ def _regroup(rank: np.ndarray, rows: np.ndarray, slots: np.ndarray, key: np.ndar
     return slots[fresh]
 
 
+def _text(symbols, sigma: int) -> np.ndarray:
+    """symbols, a list or array, as a non-empty 1-D int64 array over [1..sigma].
+
+    sigma must lie in [1..2**63 - 1], as load requires; int64 input is not copied.
+    """
+    if not 1 <= sigma < 2**63:
+        raise InputError("sigma must lie in [1..2**63 - 1]")
+    s = np.asarray(symbols)
+    if s.ndim != 1 or not s.size:
+        raise InputError("symbols must be a non-empty one-dimensional sequence")
+    if s.dtype.kind not in "iu" or s.min() < 1 or s.max() > sigma:
+        raise InputError(f"symbols must be integers in [1..{sigma}]")
+    return s.astype(np.int64, copy=False)
+
+
 def suffix_array(seq: Sequence) -> list[int]:
     """1-based starting positions of the sorted suffixes of T#."""
-    s = np.concatenate([np.asarray(seq.symbols, dtype=np.int64), [0]])
+    s = np.concatenate([_text(seq.symbols, seq.sigma), [0]])
     return (_sort_suffixes(s) + 1).tolist()
 
 
@@ -127,10 +142,12 @@ def _narrow(s: np.ndarray) -> np.ndarray:
 class BwtIndex:
     """BWT of T#, kept only as a wavelet tree, and its C array.
 
-    ranks, a wavelet.RankIndex of the BWT, is the whole index besides n,
-    sigma and the C array. The C array covers only the symbols that occur:
-    syms is them in ascending order, the terminator 0 first, and c[k]
-    counts the symbols of T# strictly smaller than syms[k], with c[-1] = n,
+    T is a list or 1-D integer array over [1..sigma], sigma below 2**63 so
+    that a dump loads back (see _text). ranks, a wavelet.RankIndex of the
+    BWT, is the whole index besides n, sigma and the C array, which one
+    descent reads off the tree (counts). The C array covers only the
+    symbols that occur: syms is them in ascending order, the terminator 0
+    first, and c[k] counts the symbols of T# below syms[k], with c[-1] = n,
     so the suffix rows starting with syms[k] are exactly [c[k]+1 .. c[k+1]].
     A declared sigma, or a code, far above the others costs nothing.
     Everything else is computed on each call and not kept:
@@ -150,15 +167,8 @@ class BwtIndex:
     # the indexes whose texts a PairIndex was built from
     parts: tuple = ()
 
-    def __init__(self, symbols: list[int], sigma: int, name: str = "") -> None:
-        if sigma < 1:
-            raise InputError("sigma must be at least 1")
-        if not symbols:
-            raise InputError("empty input")
-        s = np.concatenate([np.asarray(symbols, dtype=np.int64), [0]])
-        if s[:-1].min() < 1 or s[:-1].max() > sigma:
-            raise InputError(f"symbols outside [1..{sigma}]")
-        s = _narrow(s)
+    def __init__(self, symbols, sigma: int, name: str = "") -> None:
+        s = _narrow(np.concatenate([_text(symbols, sigma), [0]]))
         order = _sort_suffixes(s)
         self._install(s[order - 1], sigma, name)
 
@@ -363,16 +373,10 @@ class PairIndex(BwtIndex):
     def __init__(self, symbols1, symbols2, sigma: int, parts: tuple = ()) -> None:
         if not 1 <= sigma < 2**63 - 1:
             raise InputError("sigma of a pair must lie in [1..2**63 - 2]")
-        texts = [np.asarray(t, dtype=np.int64) for t in (symbols1, symbols2)]
-        for t in texts:
-            if not t.size:
-                raise InputError("empty input")
-            if t.min() < 1 or t.max() > sigma:
-                raise InputError(f"symbols outside [1..{sigma}]")
-        n = sum(t.size for t in texts) + 2
+        one, two = _text(symbols1, sigma), _text(symbols2, sigma)
+        n = one.size + two.size + 2
         if n > _MAX_N:
             raise InputError(f"pair too long: {n} symbols with $ and #, over {_MAX_N}")
-        one, two = texts
         s = _narrow(np.concatenate([one + 1, [1], two + 1, [0]]))
         order = _sort_suffixes(s)
         self._install(s[order - 1], sigma + 1, "")

@@ -11,9 +11,10 @@ per row and its terminators none. The tree is all that is kept of the
 array: decode reads it back in O(n log maxsym) on each call. One descent,
 RankIndex.descend, carries a batch of nodes, each a run of ascending
 boundaries, down the tree at once and reports, for every symbol of every
-node's range, its ranks at all of that node's boundaries; distinct_ranks
-and range_distinct are its one-node case. rank and access walk one
-position down the same nodes. BitVector is a wavelet node's bits alone.
+node's range, its ranks at all of that node's boundaries. distinct_ranks,
+range_distinct, counts (the node [0, n]) and access (the node [i-1, i])
+are one-node descents; rank, for backward search, walks one position down
+the same nodes. BitVector is a wavelet node's bits alone.
 """
 
 from __future__ import annotations
@@ -73,10 +74,6 @@ class BitVector:
         word = self.words.item(q) & ((1 << (i & 63)) - 1)
         return self.sup.item(q >> 10) + self.rel.item(q) + word.bit_count()
 
-    def bit(self, i: int) -> int:
-        """Bit i, 0 <= i < n."""
-        return self.words.item(i >> 6) >> (i & 63) & 1
-
     def bits(self) -> np.ndarray:
         """The bits, as a bool array."""
         return np.unpackbits(self.words.view(np.uint8), count=self.n, bitorder="little").view(bool)
@@ -116,9 +113,6 @@ class _SplitRoot(_Node):
     def one(self, i: int) -> int:
         return i - bisect_left(self.rows, i)
 
-    def bit(self, i: int) -> int:
-        return int(i not in self.rows)
-
     def bits(self) -> np.ndarray:
         bits = np.ones(self.n, dtype=bool)
         bits[self.rows] = False
@@ -139,14 +133,14 @@ class RankIndex:
             raise InputError("maxsym must be non-negative")
         if not 0 <= split <= maxsym:
             raise InputError(f"split {split} outside [0..{maxsym}]")
-        # integer codes keep their own dtype, so no int64 copy is made of them
+        # integer and bool codes keep their own dtype, so no int64 copy is made of them
         arr = np.asarray(data)
-        if arr.dtype.kind not in "iu":
-            arr = np.asarray(data, dtype=np.int64)
         if arr.ndim != 1:
             raise InputError("data must be one-dimensional")
-        if arr.size and (arr.min() < 0 or arr.max() > maxsym):
-            raise InputError("symbol outside [0..maxsym]")
+        # decode reads every symbol back as int64
+        top = min(maxsym, 2**63 - 1)
+        if arr.size and (arr.dtype.kind not in "biu" or arr.min() < 0 or arr.max() > top):
+            raise InputError(f"data must be integers in [0..{top}]")
         self.n = int(arr.size)
         self.maxsym = maxsym
         self.root = self._build(arr, 0, maxsym, split)
@@ -183,40 +177,21 @@ class RankIndex:
         return i
 
     def access(self, i: int) -> int:
-        """The symbol at position i in [1..n]."""
+        """The symbol at position i in [1..n]: the one symbol of the node [i-1, i]."""
         if not 1 <= i <= self.n:
             raise InputError(f"position {i} outside [1..{self.n}]")
-        node = self.root
-        i -= 1
-        while node.left is not None:
-            ones = node.one(i)
-            if node.bit(i):
-                i = ones
-                node = node.right
-            else:
-                i -= ones
-                node = node.left
-        return node.lo
+        return self.descend(np.array([i - 1, i]), np.array([2]))[0][0]
 
     def counts(self) -> tuple[list[int], list[int]]:
         """The symbols that occur, ascending, and how many times each does.
 
-        A node's elements split into its children's by the 1s among its
-        bits, so this reads one count per wavelet node and no element.
+        It is the descent of the one node [0, n], whose ranks at n are the
+        counts: two ranks per wavelet node it reaches, and no element read.
         """
-        syms, counts = [], []
-        stack = [(self.root, self.n)]
-        while stack:
-            node, size = stack.pop()
-            if node.left is None:
-                if size:
-                    syms.append(node.lo)
-                    counts.append(size)
-                continue
-            ones = node.one(size)
-            # the right child is stacked first, so symbols come out ascending
-            stack += ((node.right, ones), (node.left, size - ones))
-        return syms, counts
+        if not self.n:
+            return [], []
+        syms, _, _, ranks = self.descend(np.array([0, self.n]), np.array([2]))
+        return syms, [int(r[1]) for r in ranks]
 
     def decode(self) -> np.ndarray:
         """The array, in the smallest integer dtype that holds maxsym, read from the tree.

@@ -69,6 +69,9 @@ def test_parameters_past_the_text(capsys, tmp_path):
         at_n = call(capsys, "calibrate", *flags, "--kcap", "13", paths[0])
         assert at_n[0] == 0
         assert call(capsys, "calibrate", *flags, "--kcap", huge, paths[0]) == at_n
+    # no k-mer is longer than the text, whatever NumPy's integer range
+    code, out, _ = call(capsys, "complexity", "--kind", "kmer", "-k", str(2**70), paths[0])
+    assert (code, out) == (0, f"kmer\t{2**70}\t0\n")
 
 
 def test_lengths_past_any_index_are_refused_in_one_line(capsys, tmp_path):

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import bwtk.kernels
 import bwtk.oracle as orc
+import bwtk.suffix
 from bwtk.enumerate import _CAP, batched_pass, enumerate_generalized
 from bwtk.errors import ComputationError, InputError, ZeroDenominatorError
 from bwtk.kernels import (
@@ -102,6 +103,31 @@ def test_profile_hand_value_and_invariants():
         kmer_profile(idx("abab"), 2, 1, 1, 2)
     with pytest.raises(InputError):
         kmer_profile(idx("abab"), 1, 2, 0, 2)
+
+
+def test_lengths_and_frequencies_past_any_index_give_a_value_or_input_error():
+    # k2 past the longest indexable text is refused as the CLI refuses it;
+    # frequencies past n count 0 and never reach NumPy
+    s = seq("abaababaab")
+    ix = build_bwt(s)
+    for call in (
+        lambda: entropy_range(ix, 0, 2**63)[0],
+        lambda: kl_divergence_range(ix, 2, 2**64)[0],
+    ):
+        with pytest.raises(InputError, match="past the longest text an index holds"):
+            call()
+    assert entropy_range(ix, 0, bwtk.suffix._MAX_N)[-1] == 0.0
+    assert kl_divergence_range(ix, 2, bwtk.suffix._MAX_N)[-1] == 0.0
+    want = orc.oracle_kmer_profile(s, 1, 2, 1, ix.n)
+    for f2 in (2**63, 2**64):
+        prof = kmer_profile(ix, 1, 2, 1, f2)
+        assert [[prof.cell(k, f) for f in range(1, ix.n + 1)] for k in (1, 2)] == want
+        assert prof.cell(1, f2) == prof.cell(2, f2) == 0
+    for f1 in (ix.n + 1, 2**63, 2**70):
+        prof = kmer_profile(ix, 1, 2, f1, f1 + 1)
+        assert prof.held == []
+        assert prof.cells == [[0, 0], [0, 0]]
+    assert kmer_complexity(ix, 2**70) == 0
 
 
 def test_entropy_hand_values():

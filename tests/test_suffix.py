@@ -2,6 +2,7 @@ import gc
 import random
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,15 @@ from hypothesis import strategies as st
 import bwtk.suffix
 from bwtk.enumerate import heads
 from bwtk.errors import InputError
-from bwtk.suffix import _MAGIC, BwtIndex, PairIndex, _sort_suffixes, build_bwt, suffix_array
+from bwtk.suffix import (
+    _MAGIC,
+    BwtIndex,
+    PairIndex,
+    _sort_suffixes,
+    _text,
+    build_bwt,
+    suffix_array,
+)
 from bwtk.text import Sequence
 
 
@@ -141,6 +150,71 @@ def test_dump_load_round_trip(tmp_path):
         assert back.n == ix.n
         assert back.sigma == ix.sigma
         assert back.text == s.symbols
+
+
+@pytest.mark.parametrize(
+    "symbols, sigma, pair_sigma",
+    [
+        ([1, 2], 2**63, 2**63 - 1),
+        ([1, 2**63], 2**63 - 1, 2**63 - 2),
+        ([1, 2**64], 2**63 - 1, 2**63 - 2),
+        (np.array([1, 2**63], dtype=np.uint64), 2**63 - 1, 2**63 - 2),
+        ([1.0, 2.0], 4, 4),
+        (np.array([1.5, 2.0]), 4, 4),
+        ([[1, 2]], 4, 4),
+        (np.array([[1, 2], [2, 1]]), 4, 4),
+        ([], 4, 4),
+        (np.array([], dtype=np.int64), 4, 4),
+        ([0, 1], 4, 4),
+        ([1, 5], 4, 4),
+    ],
+    ids=[
+        "sigma-2**63", "symbol-2**63", "symbol-2**64", "uint64-2**63", "floats",
+        "float-array", "2-D", "2-D-array", "empty", "empty-array", "zero", "past-sigma",
+    ],
+)
+def test_one_text_check_refuses_bad_input_in_every_constructor(symbols, sigma, pair_sigma):
+    # BwtIndex, suffix_array and both texts of a PairIndex share one check;
+    # suffix_array reads any object's symbols and sigma, as a Sequence checks
+    # only some of these
+    builds = (
+        lambda: BwtIndex(symbols, sigma),
+        lambda: suffix_array(SimpleNamespace(symbols=symbols, sigma=sigma)),
+        lambda: PairIndex(symbols, [1], pair_sigma),
+        lambda: PairIndex([1], symbols, pair_sigma),
+    )
+    for build in builds:
+        with pytest.raises(InputError):
+            build()
+
+
+def test_integer_arrays_build_the_index_of_their_list(tmp_path):
+    rng = random.Random(63)
+    one = [rng.randint(1, 4) for _ in range(300)]
+    two = [rng.randint(1, 4) for _ in range(200)]
+    want = BwtIndex(one, 4)
+    pair = PairIndex(one, two, 4)
+    for dtype in (np.uint8, np.int32, np.uint64, np.int64):
+        ix = BwtIndex(np.array(one, dtype=dtype), 4)
+        assert (ix.bwt, ix.syms.tolist(), ix.c.tolist()) == (
+            want.bwt, want.syms.tolist(), want.c.tolist()
+        )
+        got = PairIndex(np.array(one, dtype=dtype), np.array(two, dtype=dtype), 4)
+        assert got.bwt == pair.bwt
+        assert got.bit.bits().tolist() == pair.bit.bits().tolist()
+        arr = SimpleNamespace(symbols=np.array(one, dtype=dtype), sigma=4)
+        assert suffix_array(arr) == suffix_array(Sequence(one, 4))
+    # an int64 text is checked in place, not copied
+    text = np.array(one, dtype=np.int64)
+    assert _text(text, 4) is text
+    # the largest sigma a dump holds: 63-bit codes that load and dump back
+    top = BwtIndex([1, 2**63 - 1, 5, 2**63 - 1], 2**63 - 1)
+    path, again = tmp_path / "top.bwtk", tmp_path / "again.bwtk"
+    top.dump(str(path))
+    back = BwtIndex.load(str(path))
+    back.dump(str(again))
+    assert again.read_bytes() == path.read_bytes()
+    assert (back.sigma, back.text) == (2**63 - 1, [1, 2**63 - 1, 5, 2**63 - 1])
 
 
 def test_load_rejects_corrupt_files(tmp_path):

@@ -93,6 +93,32 @@ def test_validation_errors():
         RankIndex([0], maxsym=-1)
     with pytest.raises(InputError):
         RankIndex([[0, 1]], maxsym=1)
+    # object arrays (Python ints past uint64), floats, strings, and uint64
+    # codes past the int64 that decode reads back
+    for data, maxsym in (
+        ([2**64], 2**64),
+        ([1.5], 3),
+        (np.array([1.5, 2.0]), 3),
+        (["a"], 3),
+        ([2**63], 2**63),
+        (np.array([0, 2**63], dtype=np.uint64), 2**64),
+    ):
+        with pytest.raises(InputError):
+            RankIndex(data, maxsym)
+
+
+def test_integer_and_bool_arrays_build_as_their_list():
+    want = RankIndex([3, 0, 2, 2, 1], 3)
+    for dtype in (np.uint8, np.int16, np.uint64, np.int64):
+        rix = RankIndex(np.array([3, 0, 2, 2, 1], dtype=dtype), 3)
+        assert rix.decode().tolist() == want.decode().tolist()
+        assert rix.counts() == want.counts() == ([0, 1, 2, 3], [1, 1, 2, 1])
+    flags = RankIndex(np.array([True, False, True]), 1)
+    assert flags.decode().tolist() == [1, 0, 1]
+    assert [flags.rank(1, i) for i in range(4)] == [0, 1, 1, 2]
+    top = RankIndex([2**63 - 1, 0], 2**64)
+    assert top.decode().tolist() == [2**63 - 1, 0]
+    assert RankIndex([], 0).counts() == ([], [])
 
 
 def test_single_symbol_alphabet():
@@ -172,7 +198,6 @@ def test_ones_match_prefix_sums_across_superblocks(pattern):
         assert got.dtype == np.int64
         assert got.tolist() == want[x].tolist()
     assert [node.one(i) for i in x.tolist()] == want[x].tolist()
-    assert [bit.bit(i) for i in x[x < n].tolist()] == bits[x[x < n]].tolist()
     assert bit.bits().tolist() == bits.tolist()
     if pattern == "ones":
         assert int(bit.rel.max()) == 65_472
@@ -302,6 +327,7 @@ def test_decode_and_counts_read_the_array_back(maxsym):
         assert rix.decode().tolist() == data.tolist()
         syms, counts = np.unique(data, return_counts=True)
         assert rix.counts() == (syms.tolist(), counts.tolist())
+        assert [rix.access(i) for i in range(1, n + 1)] == data.tolist()
 
 
 @st.composite
