@@ -175,7 +175,7 @@ class Side:
     @property
     def w(self) -> np.ndarray:
         if self._w is None:
-            self._w = np.diff(self.bd)[self.inside()]
+            self._w = np.diff(self.bd).compress(self.inside())
         return self._w
 
     @property
@@ -185,18 +185,26 @@ class Side:
         return self._node
 
     def texts(self) -> tuple:
-        """Per text, (freq, w): the node and block widths in that text's rows.
+        """(f, w): per text, the node widths f[t] and block widths w[t] in that text's rows.
 
-        A block's width is 0 in a text where it has no row.
+        f and w have one row per text, text 1's first; a block's width is 0
+        in a text where it has no row.
         """
         if self._texts is None:
             if self.one is None:
-                self._texts = ((self.freq, self.w),)
+                self._texts = self.freq[None], self.w[None]
             else:
-                one = self.one
-                f1 = one[self.end - 1] - one[self.end - self.nb]
-                w1 = np.diff(one)[self.inside()]
-                self._texts = ((f1, w1), (self.freq - f1, self.w - w1))
+                # text 1's widths from the ranks of the text bit, and text 2's
+                # as the rest, written in place: np.stack would copy
+                f = np.empty((2, self.nb.size), dtype=np.int64)
+                w = np.empty((2, max(self.bd.size - 1, 0)), dtype=np.int64)
+                ends = self.end - 1, self.end - self.nb
+                for t, x in enumerate((self.one, self.bd)):
+                    np.subtract(*(x.take(at) for at in ends), out=f[t])
+                    np.subtract(x[1:], x[:-1], out=w[t])
+                f[1] -= f[0]
+                w[1] -= w[0]
+                self._texts = f, w.compress(self.inside(), axis=1)
         return self._texts
 
     def take(self, rows: np.ndarray) -> Side:
@@ -511,7 +519,7 @@ def _in_text(side: Side, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the text; $ and # become that text's terminator 0.
     """
     x = side.one if t == 0 else side.bd - side.one
-    kept = side.texts()[t][1] > 0
+    kept = side.texts()[1][t] > 0
     keep = np.zeros(x.size, dtype=bool)
     keep[side.end - side.nb] = True
     keep[np.flatnonzero(side.inside())[kept] + 1] = True

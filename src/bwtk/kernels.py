@@ -26,14 +26,19 @@ depend on the letters: each node builds its weight from its parent's, which
 the batch carries (Batch.carry), as a float times a power of two, so no
 score overflows.
 
-The MAW measures, the KL divergence and the Markov kernel read one record
-of a batch's letter kids, _Kids. maw_words and maw_enumerate list words
-through one batch fold, _maw_listing, so both report them in the same
-order: batch by batch, then by the infix's node, then by a, then by b. The
-batches, and so the order, are fixed for a given input, but a batch may
-merge nodes of several parents (see enumerate.batched_pass). No fold
-depends on how nodes are grouped into batches: integer sums are exact, and
-so are float sums until their one rounding.
+A fused pass (run_folds) derives each batch quantity once: Side.texts,
+each text's widths, for every pair fold; _pair_sums (Batch.derive) for the
+k-mer, substring and length-weighted kernels; _Kids (Batch.derive) for the
+MAW folds, the KL divergence and markov. d2s and d2star evaluate their
+terms over many batches at once.
+
+maw_words and maw_enumerate list words through one batch fold,
+_maw_listing, so both report them in the same order: batch by batch, then
+by the infix's node, then by a, then by b. The batches, and so the order,
+are fixed for a given input, but a batch may merge nodes of several
+parents (see enumerate.batched_pass). No fold depends on how nodes are
+grouped into batches: integer sums are exact, and so are float sums until
+their one rounding.
 
 Conventions shared with the brute-force reference: alphabets of measures
 range over [1..sigma] (terminators are delivered by the enumerator but
@@ -195,10 +200,10 @@ def _cosine(num: float, d1: float, d2: float) -> float:
 # terms one np.bincount adds up: each adds less than 2**27 to a bin, so up
 # to 2**26 terms keep every bin an exact float64 integer below 2**53; fewer
 # also bound the temporary arrays of one binning
-_ROOM = 2**14
+_ROOM = 2**15
 # terms add() gathers before it bins them, so that a fold's many small
 # arrays cost a few NumPy passes, not a few per array
-_GATHER = 2**13
+_GATHER = 2**14
 
 
 class _ExactSum:
@@ -276,8 +281,9 @@ class _ExactSum:
             return
         m, e = np.frexp(values)
         m *= 2.0**27
-        lo, hi = np.modf(m, m)
-        lo *= 2.0**26  # the low half, an integer below 2**26
+        hi = np.trunc(m)  # np.modf is several times slower
+        with np.errstate(invalid="ignore"):  # inf - inf; hi flags it below
+            lo = np.subtract(m, hi, out=m)  # the low half over 2**26
         if exps is not None:
             e = e + exps
         low = int(e.min())
@@ -295,7 +301,7 @@ class _ExactSum:
         # the top half; int64 holds each sum of the two, below 2**54, and a
         # limb of eight of them, below 2**62
         limbs = np.zeros(-(-(lo.size + 26) // 8) * 8, dtype=np.int64)
-        limbs[: lo.size] = lo
+        limbs[: lo.size] = lo * 2.0**26
         limbs[26:][: hi.size] += hi.astype(np.int64)
         limbs = (limbs.reshape(-1, 8) * (1 << np.arange(8))).sum(axis=1)
         self.push(sum(v << 8 * i for i, v in enumerate(limbs.tolist()) if v), low - 53)
@@ -410,8 +416,9 @@ def _pair_sums(batch: Batch) -> tuple[int, int, int]:
     widths of each text's blocks, terminators included ($ has width 0 in
     text 2 and # in text 1). The sums are exact integers.
     """
-    (f1, w1), (f2, w2) = batch.side.texts()
-    return int(f1 @ f2 - w1 @ w2), int(f1 @ f1 - w1 @ w1), int(f2 @ f2 - w2 @ w2)
+    f, w = batch.side.texts()
+    sums = f @ f.T - w @ w.T  # every product of two texts' widths at once
+    return int(sums[0, 1]), int(sums[0, 0]), int(sums[1, 1])
 
 
 def _telescoped(lo: int, result) -> PairFold:
@@ -715,7 +722,7 @@ def _charscore_fold(pair: PairIndex, scores) -> PairFold:
         e = s + sqe[a] + shift
         batch.carry[key] = (m, e)
         side = batch.side
-        (f1, w1), (f2, w2) = side.texts()
+        (f1, f2), (w1, w2) = side.texts()
         # each node's terms of _pair_sums
         products = zip((f1 * f2, f1 * f1, f2 * f2), (w1 * w2, w1 * w1, w2 * w2))
         for total, (own, blocks) in zip(sums, products):
@@ -777,40 +784,54 @@ def _row_products(index: BwtIndex, k: int, qs: np.ndarray) -> np.ndarray:
 def _d2_fold(pair: PairIndex, k: int, q, phi, absent_coef):
     """Sum of phi(f1(W), f2(W), q(W)) over all k-mers W, absent ones in closed form.
 
-    phi takes arrays. Each length-k window of a text adds phi at counts (1,
-    0) or (0, 1), and a node of depth >= k adds phi at its own counts less
-    phi at each block's (widths in the two texts). q(W) is read from one
-    _row_products array of the pair, q being nan at $ and #: the windows
-    are the rows that reach neither, text 1's those the text bit marks, and
-    a node's q(W) is the entry at its first row. Every row that starts with
-    a k-mer holds the same float, so a k-mer's windows and node read it
-    alike. Those terms cancel to a small value, so the phi terms and the
-    q(W) terms are each summed exactly (_ExactSum) and rounded once, in
-    finish(), whatever the batches. An inf or nan term, or a sum past the
-    float range, makes finish() raise.
+    phi takes arrays. A node of depth >= k adds phi at its own counts less
+    phi at each block's (widths in the two texts) but a leaf's (one row),
+    and a leaf of a node of depth < k adds phi at its row, (1, 0) or (0, 1),
+    unless the row's k symbols reach $ or # (a leaf of depth >= k would take
+    off what its row's window adds). q(W) comes from one _row_products array
+    of the pair, nan at $ and #, at a node's first row or a leaf's row:
+    every row that starts with a k-mer holds the same float. The terms
+    cancel to a small value, so the phi and the q(W) terms, evaluated for
+    about _GATHER at a time, are each summed exactly (_ExactSum) and rounded
+    once, in finish(). An inf or nan term, or a sum past the float range,
+    makes finish() raise.
     """
     total, q_present = _ExactSum(), _ExactSum()
     rows = _row_products(pair, k, np.array((math.nan,) * pair.terminators + q))
-    text1 = pair.bit.bits()
-    for qr, x1 in ((rows[text1], 1), (rows[~text1], 0)):
-        qw = qr[~np.isnan(qr)]
-        with np.errstate(all="ignore"):
-            total.add(phi(x1, 1 - x1, qw))
-        q_present.add(qw)
+    pending, held = ([], []), 0  # (counts, q(W)) of the terms to add and to subtract
+
+    def evaluate() -> None:
+        nonlocal held
+        for part, negate in zip(pending, (False, True)):
+            if part:
+                x, qw = (np.concatenate(arrays, axis=-1) for arrays in zip(*part))
+                part.clear()
+                with np.errstate(all="ignore"):
+                    terms = phi(x[0], x[1], qw)
+                total.add(np.negative(terms, out=terms) if negate else terms)
+                q_present.add(-qw if negate else qw)
+        held = 0
 
     def visit(batch: Batch) -> None:
-        if batch.depth < k:
-            return
+        nonlocal held
         side = batch.side
-        qk = rows[side.start]
-        (f1, w1), (f2, w2) = side.texts()
-        with np.errstate(all="ignore"):
-            terms = (phi(f1, f2, qk), -phi(w1, w2, qk[side.node]))
-        total.add(np.concatenate(terms))
-        # q(W) (1 - blocks) as exact terms: one +q(W), and -q(W) per block
-        q_present.add(np.concatenate((qk, -qk.repeat(side.nb - 1))))
+        f, w = side.texts()
+        leaf = w[0] + w[1] == 1
+        if batch.depth < k:
+            at = leaf.nonzero()[0]
+            qw = rows.take(side.bd.take(at + side.node.take(at)))
+            keep = ~np.isnan(qw)
+            pending[0].append((w.take(at.compress(keep), axis=1), qw.compress(keep)))
+        else:
+            qk, at = rows.take(side.start), (~leaf).nonzero()[0]
+            pending[0].append((f, qk))
+            pending[1].append((w.take(at, axis=1), qk.take(side.node.take(at))))
+        held += side.ch.size
+        if held >= _GATHER:
+            evaluate()
 
     def finish() -> float:
+        evaluate()
         value = total.value() + absent_coef * (1.0 - q_present.value())
         if not math.isfinite(value):
             raise ComputationError(
@@ -867,8 +888,12 @@ def d2star_distance(pair: PairIndex, k: int, q):
         # with one count 0, q(W) cancels: an underflowing q-product is harmless;
         # otherwise 1/q(W) may leave the float range (or 0 divides): nan, and
         # finish() raises
-        both = np.where(qw < tiny, math.nan, t1 * t2 / (scale * qw))
-        return np.where(x2 == 0, -t1 * e2 / scale, np.where(x1 == 0, -t2 * e1 / scale, both))
+        out = t1 * t2 / (scale * qw)
+        out[qw < tiny] = math.nan
+        # -t1 e2 / scale where x2 = 0, else -t2 e1 / scale where x1 = 0
+        for zero, t, e in ((x1 == 0, t2, e1), (x2 == 0, t1, e2)):
+            out[zero] = t[zero] * -e / scale
+        return out
 
     return _d2_fold(pair, k, q, phi, scale)
 
@@ -881,14 +906,15 @@ class _Kids:
     """What the MAW, KL and Markov folds read of a batch's letter kids.
 
     A text is maximal at a node W when W has two blocks and two left
-    symbols there, its terminator included. on[t] marks the kids aW with a
-    letter a that occur in text t under a node maximal in text t, and
-    maws[t] counts the batch's MAWs a W b of text t: for each kid on in
-    text t, the letters b of W there that aW lacks there.
-
-    Over a pair, rows marks the kids on in some text, shared counts per
-    node the letters of W in both texts, and both the MAWs of both texts:
-    a W b with b a letter of W in both texts that aW lacks in both.
+    symbols there, its terminator included; only there can a kid aW with a
+    letter a lack a letter b of W. maws[t] counts the batch's MAWs a W b of
+    text t: for each kid aW in text t, the letters b of W there that aW
+    lacks there. Over one text, on marks the kids aW with a letter a under
+    a maximal node. Over a pair, wide marks the nodes with two rows in some
+    text, the only ones that can be maximal (most batches past the shallow
+    depths have none, and make no kid widths); shared counts per node the
+    letters of W in both texts, and both the MAWs of both texts: a W b with
+    b a letter of W in both texts that aW, in both, lacks in both.
     """
 
     def __init__(self, batch: Batch) -> None:
@@ -901,27 +927,30 @@ class _Kids:
             self.on = [on]
             self.maws = [int(_letters(side)[kn[on]].sum() - _letters(kids)[on].sum())]
             return
-        # codes below PairIndex.terminators are # and $, the others letters
-        letter, kid_letter = side.ch >= PairIndex.terminators, kids.ch >= PairIndex.terminators
-        has = [w > 0 for _, w in side.texts()]
-        self.on, self.maws = [], []
-        # the terminator of text 1 is $ (1), that of text 2 # (0)
-        for t, (kf, kw) in enumerate(kids.texts()):
-            blocks = np.bincount(side.node[has[t]], minlength=count)
-            letters = blocks - np.bincount(side.node[side.ch == 1 - t], minlength=count)
-            occurs = kf > 0
-            maximal = (blocks >= 2) & (np.bincount(kn[occurs], minlength=count) >= 2)
-            on = (batch.kid_sym >= PairIndex.terminators) & occurs & maximal[kn]
-            self.on.append(on)
-            kept = np.count_nonzero(on[kids.node] & kid_letter & (kw > 0))
-            self.maws.append(int(letters[kn[on]].sum() - kept))
-        self.rows = self.on[0] | self.on[1]
+        f, w = side.texts()
+        self.wide = (f > 1).any(axis=0)
+        self.maws, self.both, self.shared = [0, 0], 0, np.zeros(count)
+        if not self.wide.any():
+            return
+        # codes below PairIndex.terminators are # and $, the others letters;
+        # kids run by symbol, so the letter kids come from the nt-th kid on,
+        # and their blocks from the first-th kid block on
+        nt = int(np.searchsorted(batch.kid_sym, PairIndex.terminators))
+        self.first = first = int(kids.end[nt - 1]) - nt if nt else 0
+        self.kid_letter = kids.ch[first:] >= PairIndex.terminators
+        letter, has, (kf, kw) = side.ch >= PairIndex.terminators, w > 0, kids.texts()
+        kn, occurs = kn[nt:], kf[:, nt:] > 0
+        # per text, the letters of W there that a letter kid aW there lacks
+        letters = np.array([np.bincount(side.node, x, count) for x in has & letter])
+        lacks = (letters.take(kn, axis=1) * occurs).sum(axis=1)
+        lacks -= np.count_nonzero((kw[:, first:] > 0) & self.kid_letter, axis=1)
+        self.maws = [int(x) for x in lacks]
         in_both = letter & has[0] & has[1]
-        self.shared = np.bincount(side.node[in_both], minlength=count)
-        # the letters of W in both texts that a kid on in both has in some text
-        both = self.on[0] & self.on[1]
-        seen = np.count_nonzero(both[kids.node] & kid_letter & in_both[batch.kid_blk])
-        self.both = int(self.shared[kn[both]].sum() - seen)
+        self.shared = np.bincount(side.node, in_both, count)
+        # the letters of W in both texts that a kid aW in both has in some text
+        both = occurs[0] & occurs[1]
+        seen = both.take(kids.node[first:] - nt) & in_both.take(batch.kid_blk[first:])
+        self.both = int((self.shared.take(kn) * both).sum() - np.count_nonzero(seen & self.kid_letter))
 
 
 def maw_count(index: BwtIndex) -> int:
@@ -1092,51 +1121,51 @@ def markov_kernel(pair: PairIndex, params: ZScoreParams):
 
     def visit(batch: Batch) -> None:
         d = batch.depth
-        side, kids, kn, blk = batch.side, batch.kids, batch.kid_node, batch.kid_blk
-        texts = side.texts()
+        side, kids = batch.side, batch.kids
+        f, w = side.texts()
         p = batch.derive(_Kids)
+        g1v = g2v = 1.0
         if exact:
             # per node in both texts 1 less its shared letters, and per node
             # in a text 1 less its blocks there
-            (f1, _), (f2, _) = texts
-            terms = [np.count_nonzero((f1 > 0) & (f2 > 0)) - p.shared.sum()]
-            terms += [np.count_nonzero(f > 0) - np.count_nonzero(w > 0) for f, w in texts]
+            terms = [np.count_nonzero(f.all(axis=0)) - p.shared.sum()]
+            terms += (np.count_nonzero(f, axis=1) - np.count_nonzero(w, axis=1)).tolist()
             for coef, term in zip(coefs, terms):
                 coef[d] += int(term)
             g1v = g1a[d + 2] if d + 2 <= n1 else 1.0
             g2v = g2a[d + 2] if d + 2 <= n2 else 1.0
-        else:
-            g1v = g2v = 1.0
-        if not p.rows.any():
+        # the minimal absent words, where z is -1
+        for total, count in zip(sums, (p.both, *p.maws)):
+            total.add_ratio(count)
+        if not p.wide.any():
             return
-        gs = (g1v, g2v)
-        fs = [f for f, _ in texts] if d else (np.array([m1]), np.array([m2]))
-        # the letter blocks of the kids on in some text, and their kid and node
-        picked = (p.rows[kids.node] & (kids.ch >= pair.terminators)).nonzero()[0]
+        # the letter blocks of the kids aW with a letter a under a wide node:
+        # elsewhere every z is g - 1, and every term 0
+        on = p.wide.take(batch.kid_node).take(kids.node[p.first :])
+        picked = (on & p.kid_letter).nonzero()[0] + p.first
         r = kids.node[picked]
-        node, wb = kn[r], blk[picked]
-        zs, has, parts = [], [], []
-        for (kf, kw), (_, w), f, g in zip(kids.texts(), texts, fs, gs):
-            kf, kw, w = kf[r], kw[picked], w[wb]
-            # z of aWb against W's block of letter b, where aWb occurs in the text
-            with np.errstate(all="ignore"):
-                zs.append(g * (kw * f[node] / (kf * w)) - 1.0)
-            has.append(kw > 0)
-            parts.append((kf > 0) & (w > 0))
-        (z1, z2), (has1, has2) = zs, has
-        in_both = has1 & has2
-        # letters aWb in one text only, against a W b absent from the other
-        alone1 = has1 & ~has2 & parts[1]
-        alone2 = has2 & ~has1 & parts[0]
-        # a minimal absent word of both texts: z1 = z2 = -1
-        base = (g1v - 1.0) * (g2v - 1.0)
-        num.add(np.concatenate((z1[in_both] * z2[in_both] - base, -z1[alone1], -z2[alone2])))
-        num.add_ratio(p.both)
-        for den, on, maws, sel, z, g in zip((den1, den2), p.on, p.maws, has, zs, gs):
-            blocks = sel & on[r]
-            den.add(z[blocks] * z[blocks] - (g - 1.0) ** 2)
-            # a MAW of this text (z = -1) for each letter of W the kid lacks
-            den.add_ratio(maws)
+        kf, kw = (x.take(at, axis=1) for x, at in zip(kids.texts(), (r, picked)))
+        has = kw > 0
+        # z of aWb against W's block of letter b, in each text, from exact
+        # int64 products made in place; -1 where aW and Wb occur but aWb does
+        # not, and not finite where aW or Wb is absent
+        kw *= f.take(batch.kid_node[r], axis=1) if d else np.array([[m1], [m2]])
+        kf *= w.take(batch.kid_blk[picked], axis=1)
+        with np.errstate(all="ignore"):
+            z = np.divide(kw, kf)
+            del kf, kw
+            if exact:
+                z *= np.array([[g1v], [g2v]])
+            z -= 1.0
+            terms = z[0] * z[1]
+        if exact:
+            np.subtract(terms, (g1v - 1.0) * (g2v - 1.0), out=terms, where=has[0] & has[1])
+        # aWb in both texts, or in one against a W b absent from the other,
+        # where z1 z2 is -z of the one: where both z are finite
+        num.add(terms.compress(np.isfinite(terms)))
+        for den, zt, blocks, g in zip((den1, den2), z, has, (g1v, g2v)):
+            zt = zt.compress(blocks)
+            den.add(zt * zt - (g - 1.0) ** 2 if exact else zt * zt)
 
     def finish() -> float:
         if exact:

@@ -17,6 +17,7 @@ PairIndex holds two texts in one such index, that of T1 $ T2 #.
 
 from __future__ import annotations
 
+import operator
 import struct
 
 import numpy as np
@@ -112,11 +113,19 @@ def _regroup(rank: np.ndarray, rows: np.ndarray, slots: np.ndarray, key: np.ndar
 def _text(symbols, sigma: int) -> np.ndarray:
     """symbols, a list or array, as a non-empty 1-D int64 array over [1..sigma].
 
-    sigma must lie in [1..2**63 - 1], as load requires; int64 input is not copied.
+    sigma must be an integer, not a bool, in [1..2**63 - 1], as load
+    requires; int64 input is not copied.
     """
+    try:
+        sigma = operator.index(sigma if not isinstance(sigma, bool) else None)
+    except TypeError:
+        raise InputError(f"sigma must be an integer, not {sigma!r}") from None
     if not 1 <= sigma < 2**63:
         raise InputError("sigma must lie in [1..2**63 - 1]")
-    s = np.asarray(symbols)
+    try:
+        s = np.asarray(symbols)
+    except ValueError:  # a ragged nest of sequences
+        s = np.empty((0, 0))
     if s.ndim != 1 or not s.size:
         raise InputError("symbols must be a non-empty one-dimensional sequence")
     if s.dtype.kind not in "iu" or s.min() < 1 or s.max() > sigma:
@@ -170,7 +179,7 @@ class BwtIndex:
     def __init__(self, symbols, sigma: int, name: str = "") -> None:
         s = _narrow(np.concatenate([_text(symbols, sigma), [0]]))
         order = _sort_suffixes(s)
-        self._install(s[order - 1], sigma, name)
+        self._install(s[order - 1], int(sigma), name)
 
     def _install(self, codes: np.ndarray, sigma: int, name: str) -> None:
         """Index the BWT codes; the tree is built in their dtype and they are not kept."""
@@ -379,7 +388,7 @@ class PairIndex(BwtIndex):
             raise InputError(f"pair too long: {n} symbols with $ and #, over {_MAX_N}")
         s = _narrow(np.concatenate([one + 1, [1], two + 1, [0]]))
         order = _sort_suffixes(s)
-        self._install(s[order - 1], sigma + 1, "")
+        self._install(s[order - 1], int(sigma) + 1, "")
         self.split = one.size + 1
         self.bit = BitVector(order < self.split)
         self.parts = parts

@@ -134,7 +134,10 @@ class RankIndex:
         if not 0 <= split <= maxsym:
             raise InputError(f"split {split} outside [0..{maxsym}]")
         # integer and bool codes keep their own dtype, so no int64 copy is made of them
-        arr = np.asarray(data)
+        try:
+            arr = np.asarray(data)
+        except ValueError:  # a ragged nest of sequences
+            arr = np.empty((0, 0))
         if arr.ndim != 1:
             raise InputError("data must be one-dimensional")
         # decode reads every symbol back as int64

@@ -315,8 +315,8 @@ def _batched_events(indexes, cap, max_depth=None) -> tuple[Counter, int, int]:
     pair = len(indexes) > 1
 
     def visit(batch):
-        freqs = list(zip(*(f.tolist() for f, _ in batch.side.texts())))
-        kid_freqs = list(zip(*(f.tolist() for f, _ in batch.kids.texts())))
+        freqs = list(zip(*batch.side.texts()[0].tolist()))
+        kid_freqs = list(zip(*batch.kids.texts()[0].tolist()))
         kids = [[] for _ in freqs]
         for r, (j, a) in enumerate(zip(batch.kid_node.tolist(), batch.kid_sym.tolist())):
             if pair:

@@ -25,7 +25,7 @@ import bwtk.kernels
 import bwtk.oracle as orc
 import bwtk.suffix
 from bwtk.enumerate import _CAP, batched_pass, enumerate_generalized
-from bwtk.errors import ComputationError, InputError, ZeroDenominatorError
+from bwtk.errors import BwtkError, ComputationError, InputError, ZeroDenominatorError
 from bwtk.kernels import (
     calibrate_kmax,
     calibrate_kmin,
@@ -43,12 +43,13 @@ from bwtk.kernels import (
     maw_enumerate,
     maw_jaccard,
     maw_words,
+    run_folds,
     run_pair_folds,
     substring_complexity,
     substring_kernel,
     weighted_substring_kernel,
 )
-from bwtk.kernels import _pair_sums
+from bwtk.kernels import PairFold, _pair_sums
 from bwtk.params import WeightSpec, ZScoreParams
 from bwtk.suffix import BwtIndex, PairIndex, build_bwt
 from bwtk.text import Sequence
@@ -853,6 +854,84 @@ def test_merged_batches_give_the_unsplit_values(monkeypatch):
     assert _agree(merged[1], unsplit[1])
 
 
+def _outcome(compute):
+    """compute()'s value as float.hex, or the class of the BwtkError it raises."""
+    try:
+        return compute().hex()
+    except BwtkError as exc:
+        return type(exc)
+
+
+def _caught(setup):
+    """setup, with its own error and its fold's finish() read as an _outcome."""
+
+    def caught(pair, *args):
+        try:
+            fold = setup(pair, *args)
+        except BwtkError as exc:
+            return PairFold(lambda batch: None, functools.partial(type, exc))
+        return fold._replace(finish=lambda: _outcome(fold.finish))
+
+    return caught
+
+
+@st.composite
+def cli_pair(draw):
+    """Two texts of 1..60 symbols over 1..5 letters: random, equal, one-letter or disjoint."""
+    sigma = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["random", "equal", "one-letter", "disjoint"]))
+    letters = [range(1, sigma + 1)] * 2
+    if kind == "one-letter":
+        letters = [[draw(st.integers(1, sigma))] for _ in range(2)]
+    elif kind == "disjoint" and sigma > 1:
+        cut = draw(st.integers(1, sigma - 1))
+        letters = [range(1, cut + 1), range(cut + 1, sigma + 1)]
+    texts = [draw(st.lists(st.sampled_from(list(a)), min_size=1, max_size=60)) for a in letters]
+    if kind == "equal":
+        texts[1] = texts[0]
+    return [Sequence(t, sigma) for t in texts], draw(st.integers(1, 4))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(cli_pair())
+def test_each_cli_fold_fused_gives_its_value_alone_and_the_oracles(case):
+    # the six folds of the CLI's kernel command: fused in one pass, each
+    # gives bit for bit its value alone, and that is the oracle's value or
+    # the oracle's error
+    (s1, s2), k = case
+    sigma = s1.sigma
+    q = tuple(1.0 / sigma for _ in range(sigma))
+    exponential = WeightSpec(kind="exponential")
+    folds = [
+        (kmer_kernel.fold, (k,), lambda: orc.oracle_kmer_kernel(s1, s2, k)),
+        (substring_kernel.fold, (), lambda: orc.oracle_substring_kernel(s1, s2)),
+        (
+            weighted_substring_kernel.fold,
+            (exponential,),
+            lambda: orc.oracle_weighted_substring_kernel(s1, s2, exponential),
+        ),
+        (d2star_distance.fold, (k, q), lambda: orc.oracle_d2star(s1, s2, k, q)),
+        (
+            markov_kernel.fold,
+            (ZScoreParams(g_mode="unit"),),
+            lambda: orc.oracle_markov_kernel(s1, s2, ZScoreParams(g_mode="unit")),
+        ),
+        (maw_jaccard.fold, (), lambda: orc.oracle_maw_jaccard(s1, s2)),
+    ]
+    pair = PairIndex(s1.symbols, s2.symbols, sigma)
+    calls = [(_caught(setup), *args) for setup, args, _ in folds]
+    fused = run_folds(pair, calls)
+    for call, got, (*_, oracle) in zip(calls, fused, folds):
+        assert run_folds(pair, [call]) == [got]
+        try:
+            want = oracle()
+        except BwtkError as exc:
+            assert got is type(exc)
+            continue
+        assert isinstance(got, str)
+        assert float.fromhex(got) == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
 def test_charscore_scores_above_one_do_not_overflow():
     # the squared weights of long prefixes pass 1e308 at scores of 10
     rng = random.Random(76)
@@ -954,7 +1033,7 @@ def test_pair_sums_do_not_wrap_at_int32():
         nonlocal checked
         if batch.depth > 1:
             return
-        (f1, w1), (f2, w2) = (tuple(a.tolist() for a in t) for t in batch.side.texts())
+        (f1, f2), (w1, w2) = (a.tolist() for a in batch.side.texts())
 
         def dot(x, y):
             return sum(a * b for a, b in zip(x, y))

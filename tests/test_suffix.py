@@ -167,10 +167,15 @@ def test_dump_load_round_trip(tmp_path):
         (np.array([], dtype=np.int64), 4, 4),
         ([0, 1], 4, 4),
         ([1, 5], 4, 4),
+        ([[1], [1, 2]], 4, 4),
+        ([1, 2], 4.0, 4.0),
+        ([1, 2], True, True),
+        ([1, 2], np.float64(4.0), np.float64(4.0)),
     ],
     ids=[
         "sigma-2**63", "symbol-2**63", "symbol-2**64", "uint64-2**63", "floats",
         "float-array", "2-D", "2-D-array", "empty", "empty-array", "zero", "past-sigma",
+        "ragged", "float-sigma", "bool-sigma", "numpy-float-sigma",
     ],
 )
 def test_one_text_check_refuses_bad_input_in_every_constructor(symbols, sigma, pair_sigma):

@@ -93,6 +93,8 @@ def test_validation_errors():
         RankIndex([0], maxsym=-1)
     with pytest.raises(InputError):
         RankIndex([[0, 1]], maxsym=1)
+    with pytest.raises(InputError):
+        RankIndex([[1], [1, 2]], maxsym=2)
     # object arrays (Python ints past uint64), floats, strings, and uint64
     # codes past the int64 that decode reads back
     for data, maxsym in (
