@@ -198,7 +198,7 @@ def _run_complexity(args) -> list[_Record]:
     return [_Record("substring", [], str(kernels.substring_complexity(ix)))]
 
 
-def _kernel_fold(pair: PairIndex, kind: str, args) -> kernels.PairFold:
+def _kernel_fold(pair: PairIndex, kind: str, args) -> kernels.Fold:
     """The fold of one --kind; raises what running that kind alone raises."""
     if kind in ("kmer", "d2s", "d2star") and args.k is None:
         raise InputError(f"kernel --kind {kind} requires -k")

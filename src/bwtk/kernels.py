@@ -10,11 +10,12 @@ interval widths, so integer measures are computed in exact integer
 arithmetic. Float terms are summed exactly, by one binned accumulator
 (_ExactSum), and each float sum is rounded once, when it is read.
 
-A pair measure folds over one pass of a suffix.PairIndex, the index of
-T1 $ T2 #: every node and block there has a width in each text
-(Side.texts), read from the text bit's ranks, so no fold matches two
-texts' nodes. Its set-up (measure.fold) takes the pair index; the measure
-itself takes the two texts' indexes and builds their pair index.
+Each measure's set-up, measure.fold, returns its Fold, which the measure
+runs alone and run_folds with any others in one pass of a BwtIndex or, for
+a pair measure, of a suffix.PairIndex, the index of T1 $ T2 #: every node
+and block there has a width in each text (Side.texts), read from the text
+bit's ranks, so no fold matches two texts' nodes. A pair measure itself
+takes the two texts' indexes and builds their pair index.
 
 The k-mer, substring and length-weighted kernels share one such fold,
 _telescoped, which bins each batch's integer terms by its depth; each
@@ -76,9 +77,8 @@ from .suffix import _MAX_N, BwtIndex, PairIndex
 __all__ = [
     "ProfileMatrix",
     "PerK",
-    "PairFold",
+    "Fold",
     "run_folds",
-    "run_pair_folds",
     "kmer_complexity",
     "kmer_kernel",
     "kmer_kernel_range",
@@ -333,79 +333,97 @@ class _ExactSum:
 
 
 # ---------------------------------------------------------------------------
-# pair measures as folds over one generalized pass
+# every measure as a fold over one pass
 
 
-class PairFold(NamedTuple):
-    """One pair measure as a fold over a batched_pass of a PairIndex.
+class Fold(NamedTuple):
+    """One measure as a fold over a batched_pass.
 
-    visit(batch) runs at every batch and never raises; finish() then
-    returns the value or raises.
+    visit(batch) runs at every batch of depth at most depth (None: every
+    batch) and never raises; finish() then returns the value or raises.
     """
 
     visit: Callable[[Batch], None]
     finish: Callable[[], Any]
+    depth: int | None = None
+
+    def then(self, read) -> Fold:
+        """This fold, its value read through read."""
+        return self._replace(finish=lambda: read(self.finish()))
 
 
-def run_folds(pair: PairIndex, calls) -> list:
-    """Values of several pair measures from one pass over the pair's index.
+def run_folds(index: BwtIndex, calls) -> list:
+    """Values of several measures from one pass over a BwtIndex or a PairIndex.
 
-    calls lists tuples (setup, *args), setup being the fold set-up of a
-    pair measure such as kmer_kernel.fold: setup(pair, *args) validates
-    its arguments and returns a PairFold. The result, or the error raised,
-    is that of calling the measures one at a time in order: set-up stops at
-    the first call that raises, the pass runs over the folds built before
-    it, their finish() runs in order, and then the set-up error is raised.
+    calls lists tuples (setup, *args), setup being a measure's .fold:
+    setup(index, *args) validates its arguments and returns a Fold. The
+    result, or the error raised, is that of calling the measures one at a
+    time in order: set-up stops at the first call that raises, the pass
+    runs over the folds built before it, their finish() runs in order, and
+    then the set-up error is raised.
     """
     folds = []
     error = None
     for setup, *args in calls:
         try:
-            folds.append(setup(pair, *args))
+            folds.append(setup(index, *args))
         except BwtkError as exc:
             error = exc
             break
     if folds:
-        visits = [fold.visit for fold in folds]
+        gated = [(fold.visit, math.inf if fold.depth is None else fold.depth) for fold in folds]
+        deepest = max(last for _, last in gated)
 
         def visit(batch: Batch) -> None:
-            for fn in visits:
-                fn(batch)
+            for fn, last in gated:
+                if batch.depth <= last:
+                    fn(batch)
 
-        batched_pass(pair, visit)
+        batched_pass(index, visit, max_depth=None if deepest == math.inf else deepest)
     values = [fold.finish() for fold in folds]
     if error is not None:
         raise error
     return values
 
 
-def run_pair_folds(index1: BwtIndex, index2: BwtIndex, calls) -> list:
-    """run_folds over the PairIndex of two indexes' texts."""
-    return run_folds(PairIndex.of(index1, index2), calls)
+def _measure(texts: int):
+    """setup's measure of one index, or of the pair of two (texts = 2), in a pass of its own.
 
+    setup stays as .fold, which refuses an index of the other kind.
+    """
+    kind = PairIndex if texts == 2 else BwtIndex
 
-def _pair_measure(setup):
-    """setup's measure of two indexes, computed in a pass of its own; setup stays as .fold."""
+    def wrap(setup):
+        @functools.wraps(setup)
+        def fold(index: BwtIndex, *args, **kwargs) -> Fold:
+            if type(index) is not kind:
+                raise InputError(f"{setup.__name__} takes a {kind.__name__}, not a {type(index).__name__}")
+            return setup(index, *args, **kwargs)
 
-    @functools.wraps(setup)
-    def measure(index1: BwtIndex, index2: BwtIndex, *args, **kwargs):
-        call = (functools.partial(setup, **kwargs), *args)
-        return run_pair_folds(index1, index2, [call])[0]
+        def one(index: BwtIndex, *args, **kwargs):
+            return run_folds(index, [(functools.partial(fold, **kwargs), *args)])[0]
 
-    measure.fold = setup
-    return measure
+        def two(index1: BwtIndex, index2: BwtIndex, *args, **kwargs):
+            return one(PairIndex.of(index1, index2), *args, **kwargs)
+
+        measure = functools.wraps(setup)(two if texts == 2 else one)
+        measure.fold = fold
+        return measure
+
+    return wrap
 
 
 # ---------------------------------------------------------------------------
 # k-mer measures
 
 
-def kmer_complexity(index: BwtIndex, k: int) -> int:
+@_measure(1)
+def kmer_complexity(index: BwtIndex, k: int):
     """Number of distinct k-mers over [1..sigma] occurring in the text."""
     if k < 1:
         raise InputError("k must be at least 1")
     # the saturated f >= 1 cell counts every distinct k-mer
-    return kmer_profile(index, k, k, 1, 1).cells[0][0]
+    return kmer_profile.fold(index, k, k, 1, 1).then(lambda profile: profile.cell(k, 1))
 
 
 def _pair_sums(batch: Batch) -> tuple[int, int, int]:
@@ -421,7 +439,7 @@ def _pair_sums(batch: Batch) -> tuple[int, int, int]:
     return int(sums[0, 1]), int(sums[0, 0]), int(sums[1, 1])
 
 
-def _telescoped(lo: int, result) -> PairFold:
+def _telescoped(lo: int, result) -> Fold:
     """Telescoped sums of f1 f2, f1^2 and f2^2 over substrings, binned by length.
 
     A node of depth d >= lo adds fo ft - cross, fo^2 - s1 and ft^2 - s2 (its
@@ -447,10 +465,10 @@ def _telescoped(lo: int, result) -> PairFold:
     def finish():
         return result(*(list(itertools.accumulate(b[::-1]))[::-1] for b in bins))
 
-    return PairFold(visit, finish)
+    return Fold(visit, finish)
 
 
-@_pair_measure
+@_measure(2)
 def kmer_kernel_range(pair: PairIndex, k1: int, k2: int):
     """Cosine of k-mer count vectors for every k in [k1..k2], one pass.
 
@@ -471,25 +489,22 @@ def kmer_kernel_range(pair: PairIndex, k1: int, k2: int):
     return _telescoped(k1, result)
 
 
-@_pair_measure
+@_measure(2)
 def kmer_kernel(pair: PairIndex, k: int):
     """Cosine of the k-mer count vectors."""
-    fold = kmer_kernel_range.fold(pair, k, k)
 
-    def finish() -> float:
-        values = fold.finish()
+    def kernel(values: dict[int, float]) -> float:
         if k not in values:
             raise ZeroDenominatorError(
                 f"zero denominator: a string has fewer than k={k} symbols"
             )
         return values[k]
 
-    return fold._replace(finish=finish)
+    return kmer_kernel_range.fold(pair, k, k).then(kernel)
 
 
-def kmer_profile(
-    index: BwtIndex, k1: int, k2: int, f1: int, f2: int
-) -> ProfileMatrix:
+@_measure(1)
+def kmer_profile(index: BwtIndex, k1: int, k2: int, f1: int, f2: int):
     """Distinct k-mers per (length, frequency) cell.
 
     cells[k][f] counts k-mers occurring exactly f times for f < f2 and at
@@ -518,13 +533,16 @@ def kmer_profile(
             counts = np.bincount(col[col >= 0])
             row[: counts.size] += sign * counts
 
-    if cols:
-        batched_pass(index, visit)
-    held = [row.tolist() for row in itertools.accumulate(reversed(diff))][::-1]
-    return ProfileMatrix(k1, k2, f1, f2, n, held)
+    def finish() -> ProfileMatrix:
+        held = [row.tolist() for row in itertools.accumulate(reversed(diff))][::-1]
+        return ProfileMatrix(k1, k2, f1, f2, n, held)
+
+    # with no column to count, the pass need not leave the root, of depth 0 < k1
+    return Fold(visit, finish, None if cols else 0)
 
 
-def entropy_range(index: BwtIndex, k1: int, k2: int) -> PerK:
+@_measure(1)
+def entropy_range(index: BwtIndex, k1: int, k2: int):
     """Order-k empirical entropies H_k for k in [k1..k2], one pass.
 
     H_k averages, over text positions, the entropy of the follower-symbol
@@ -550,20 +568,23 @@ def entropy_range(index: BwtIndex, k1: int, k2: int) -> PerK:
         fr = _node_sums(w, node, side.nb.size)[node]
         sums[d].add(w * np.log2(fr / w))
 
-    # contexts longer than k2 are never read, so the pass stops at depth k2
-    batched_pass(index, visit, max_depth=k2)
-    m = index.n - 1
-    # past the deepest node every context is followed by one letter
-    top = min(k2, max(sums, default=k1 - 1))
-    held = [sums[k].value() / m if k in sums else 0.0 for k in range(k1, top + 1)]
-    return PerK(k1, k2, held, lambda k: 0.0)
+    def finish() -> PerK:
+        m = index.n - 1
+        # past the deepest node every context is followed by one letter
+        top = min(k2, max(sums, default=k1 - 1))
+        held = [sums[k].value() / m if k in sums else 0.0 for k in range(k1, top + 1)]
+        return PerK(k1, k2, held, lambda k: 0.0)
+
+    # contexts longer than k2 are never read
+    return Fold(visit, finish, k2)
 
 
 # ---------------------------------------------------------------------------
 # substring measures
 
 
-def substring_complexity(index: BwtIndex) -> int:
+@_measure(1)
+def substring_complexity(index: BwtIndex):
     """Number of distinct non-empty substrings over [1..sigma]."""
     n = index.n
     total = (n - 1) * n // 2
@@ -574,11 +595,10 @@ def substring_complexity(index: BwtIndex) -> int:
         # every node of depth d adds d (1 - its number of blocks)
         total += batch.depth * (side.nb.size - side.ch.size)
 
-    batched_pass(index, visit)
-    return total
+    return Fold(visit, lambda: total)
 
 
-@_pair_measure
+@_measure(2)
 def substring_kernel(pair: PairIndex):
     """Cosine of the full substring-count vectors."""
     return weighted_substring_kernel.fold(pair, WeightSpec("uniform"))
@@ -680,7 +700,7 @@ def _charscore_denominator(text: list[int], sq: list[float]) -> tuple[float, int
     return total, to
 
 
-def _charscore_fold(pair: PairIndex, scores) -> PairFold:
+def _charscore_fold(pair: PairIndex, scores) -> Fold:
     """The charscore kernel: node terms times their label's prefix weights.
 
     A node W's terms (as in _telescoped) count every prefix U of W that has
@@ -695,11 +715,7 @@ def _charscore_fold(pair: PairIndex, scores) -> PairFold:
     """
     sq = [q * q for q in scores]
     if not all(math.isfinite(v) for v in sq):
-
-        def out_of_range() -> float:
-            raise ComputationError("weighted sums outside the floating-point range")
-
-        return PairFold(lambda batch: None, out_of_range)
+        raise ComputationError("weighted sums outside the floating-point range")
     # by the pair's codes: # and $ weigh nothing, and letter a is code a + 1
     sqm, sqe = np.frexp(np.array([0.0] * pair.terminators + sq))
     sums = (_ExactSum(), _ExactSum(), _ExactSum())
@@ -738,10 +754,10 @@ def _charscore_fold(pair: PairIndex, scores) -> PairFold:
             d2, t2 = d2 * 2.0, t2 - 1
         return _cosine(math.ldexp(num, ne - (t1 + t2) // 2), d1, d2)
 
-    return PairFold(visit, finish)
+    return Fold(visit, finish)
 
 
-@_pair_measure
+@_measure(2)
 def weighted_substring_kernel(pair: PairIndex, weights: WeightSpec):
     """Cosine of weighted substring vectors g(|W|) f(W) or q-product weights.
 
@@ -772,12 +788,15 @@ def _row_products(index: BwtIndex, k: int, qs: np.ndarray) -> np.ndarray:
     psi = index.psi()
     first = qs[index.first()]
     prod, jump = first, psi  # products of m symbols, and psi applied m times
-    for bit in bin(k)[3:]:
+    bits = bin(k)[3:]
+    for i, bit in enumerate(bits, 1):
         prod = prod * prod[jump]
-        jump = jump[jump]
         if bit == "1":
             prod = first * prod[psi]
-            jump = jump[psi]
+        if i < len(bits):  # the last bit's jump would not be read
+            jump = jump[jump]
+            if bit == "1":
+                jump = jump[psi]
     return prod
 
 
@@ -840,7 +859,7 @@ def _d2_fold(pair: PairIndex, k: int, q, phi, absent_coef):
             )
         return value
 
-    return PairFold(visit, finish)
+    return Fold(visit, finish)
 
 
 def _d2_validate(pair: PairIndex, k: int, q) -> tuple:
@@ -856,7 +875,7 @@ def _d2_validate(pair: PairIndex, k: int, q) -> tuple:
     return q, n1 - k, n2 - k
 
 
-@_pair_measure
+@_measure(2)
 def d2s_distance(pair: PairIndex, k: int, q):
     """Sum over all k-mers of t1 t2 / sqrt(t1^2 + t2^2) for centered counts.
 
@@ -875,7 +894,7 @@ def d2s_distance(pair: PairIndex, k: int, q):
     return _d2_fold(pair, k, q, phi, coef)
 
 
-@_pair_measure
+@_measure(2)
 def d2star_distance(pair: PairIndex, k: int, q):
     """Sum over all k-mers of t1 t2 / (sqrt((n1-k)(n2-k)) q(W))."""
     q, e1, e2 = _d2_validate(pair, k, q)
@@ -910,11 +929,12 @@ class _Kids:
     letter a lack a letter b of W. maws[t] counts the batch's MAWs a W b of
     text t: for each kid aW in text t, the letters b of W there that aW
     lacks there. Over one text, on marks the kids aW with a letter a under
-    a maximal node. Over a pair, wide marks the nodes with two rows in some
-    text, the only ones that can be maximal (most batches past the shallow
-    depths have none, and make no kid widths); shared counts per node the
-    letters of W in both texts, and both the MAWs of both texts: a W b with
-    b a letter of W in both texts that aW, in both, lacks in both.
+    a maximal node, and maws[1] and both are 0. Over a pair, wide marks the
+    nodes with two rows in some text, the only ones that can be maximal
+    (most batches past the shallow depths have none, and make no kid
+    widths); shared counts per node the letters of W in both texts, and
+    both the MAWs of both texts: a W b with b a letter of W in both texts
+    that aW, in both, lacks in both.
     """
 
     def __init__(self, batch: Batch) -> None:
@@ -925,7 +945,8 @@ class _Kids:
             maximal = (side.nb >= 3) & (np.bincount(kn, minlength=count) >= 2)
             on = (batch.kid_sym != 0) & maximal[kn]
             self.on = [on]
-            self.maws = [int(_letters(side)[kn[on]].sum() - _letters(kids)[on].sum())]
+            self.maws = [int(_letters(side)[kn[on]].sum() - _letters(kids)[on].sum()), 0]
+            self.both = 0
             return
         f, w = side.texts()
         self.wide = (f > 1).any(axis=0)
@@ -953,20 +974,27 @@ class _Kids:
         self.both = int((self.shared.take(kn) * both).sum() - np.count_nonzero(seen & self.kid_letter))
 
 
-def maw_count(index: BwtIndex) -> int:
-    """Number of minimal absent words a W b with letter a, b."""
-    total = 0
+def _maw_fold(result) -> Fold:
+    """Fold whose finish() is result(|MAW(T1)|, |MAW(T2)|, |intersection|); over one text, T1."""
+    counts = [0, 0, 0]
 
     def visit(batch: Batch) -> None:
-        nonlocal total
-        total += batch.derive(_Kids).maws[0]
+        p = batch.derive(_Kids)
+        counts[0] += p.maws[0]
+        counts[1] += p.maws[1]
+        counts[2] += p.both
 
-    batched_pass(index, visit)
-    return total
+    return Fold(visit, lambda: result(*counts))
 
 
-def _maw_listing(index: BwtIndex, emit) -> None:
-    """Call emit(batch, node, a, b) for the batches that hold a MAW a W b.
+@_measure(1)
+def maw_count(index: BwtIndex):
+    """Number of minimal absent words a W b with letter a, b."""
+    return _maw_fold(lambda count, *_: count)
+
+
+def _maw_listing(emit, finish) -> Fold:
+    """Fold calling emit(batch, node, a, b) for the batches that hold a MAW a W b.
 
     node, a and b are parallel arrays, one entry per MAW, W being node
     node[i] of the batch; they run by node, then a, then b. Batches come in
@@ -999,10 +1027,11 @@ def _maw_listing(index: BwtIndex, emit) -> None:
         kept = np.arange(rows.size).repeat(width)[hit]
         emit(batch, node[kept], batch.kid_sym[rows[kept]], side.ch[blk[hit]])
 
-    batched_pass(index, visit)
+    return Fold(visit, finish)
 
 
-def maw_enumerate(index: BwtIndex, visitor) -> int:
+@_measure(1)
+def maw_enumerate(index: BwtIndex, visitor):
     """Fire visitor(a, sp, ep, depth, b) per MAW a W b; returns the count.
 
     (sp, ep) is the suffix-row interval of the infix W and depth is |W|. The
@@ -1020,11 +1049,11 @@ def maw_enumerate(index: BwtIndex, visitor) -> int:
             visitor(x, i, j, d, y)
         count += node.size
 
-    _maw_listing(index, emit)
-    return count
+    return _maw_listing(emit, lambda: count)
 
 
-def maw_words(index: BwtIndex) -> list[tuple[int, ...]]:
+@_measure(1)
+def maw_words(index: BwtIndex):
     """All minimal absent words as symbol tuples.
 
     They come in pass order: batch by batch (see enumerate.batched_pass;
@@ -1043,24 +1072,10 @@ def maw_words(index: BwtIndex) -> list[tuple[int, ...]]:
             words[:, i] = sym
         out.extend(map(tuple, words.tolist()))
 
-    _maw_listing(index, emit)
-    return out
+    return _maw_listing(emit, lambda: out)
 
 
-def _maw_pair_fold(result) -> PairFold:
-    """Fold whose finish() is result(|MAW(T1)|, |MAW(T2)|, |intersection|)."""
-    counts = [0, 0, 0]
-
-    def visit(batch: Batch) -> None:
-        p = batch.derive(_Kids)
-        counts[0] += p.maws[0]
-        counts[1] += p.maws[1]
-        counts[2] += p.both
-
-    return PairFold(visit, lambda: result(*counts))
-
-
-@_pair_measure
+@_measure(2)
 def maw_jaccard(pair: PairIndex):
     """Jaccard similarity of the two MAW sets; empty-empty counts as 1."""
 
@@ -1070,10 +1085,10 @@ def maw_jaccard(pair: PairIndex):
             return 1.0
         return inter / union
 
-    return _maw_pair_fold(jaccard)
+    return _maw_fold(jaccard)
 
 
-@_pair_measure
+@_measure(2)
 def maw_cosine(pair: PairIndex):
     """Cosine of the binary MAW indicator vectors; empty-empty is 1."""
 
@@ -1084,14 +1099,14 @@ def maw_cosine(pair: PairIndex):
             raise ZeroDenominatorError("zero denominator: one MAW set is empty")
         return inter / math.sqrt(c1 * c2)
 
-    return _maw_pair_fold(cosine)
+    return _maw_fold(cosine)
 
 
 # ---------------------------------------------------------------------------
 # Markovian z-score kernel
 
 
-@_pair_measure
+@_measure(2)
 def markov_kernel(pair: PairIndex, params: ZScoreParams):
     """Cosine of z-score vectors over strings a W b with letter a, b.
 
@@ -1176,14 +1191,15 @@ def markov_kernel(pair: PairIndex, params: ZScoreParams):
                         total.add_ratio(top * c, bottom)
         return _cosine(*(total.value() for total in sums))
 
-    return PairFold(visit, finish)
+    return Fold(visit, finish)
 
 
 # ---------------------------------------------------------------------------
 # relative entropy and calibration
 
 
-def kl_divergence_range(index: BwtIndex, k1: int, k2: int) -> PerK:
+@_measure(1)
+def kl_divergence_range(index: BwtIndex, k1: int, k2: int):
     """KL divergence of k-mer probabilities from their Markov estimate.
 
     p(X) = f(X)/(n-k) against p(pre) p(suf) / p(mid) with each factor
@@ -1219,9 +1235,6 @@ def kl_divergence_range(index: BwtIndex, k1: int, k2: int) -> PerK:
         terms = (x / (n - k)) * (np.log1p((x * fmid - below) / below) / _LN2)
         parts[k].add(terms)
 
-    # a k-mer's infix has length k - 2 <= k2 - 2; deeper nodes add nothing
-    batched_pass(index, visit, max_depth=k2 - 2)
-
     def closed(k: int) -> float:
         # log2 of (n-k+1)^2 / ((n-k)(n-k+2)) = 1 + 1 / ((n-k)(n-k+2))
         return math.log1p(1 / ((n - k) * (n - k + 2))) / _LN2 if k <= m else 0.0
@@ -1232,12 +1245,17 @@ def kl_divergence_range(index: BwtIndex, k1: int, k2: int) -> PerK:
         parts[k].add_ratio(*closed(k).as_integer_ratio())
         return parts[k].value()
 
-    # past the deepest node's k-mers, only the closed form is left
-    top = min(k2, max(parts, default=k1 - 1))
-    return PerK(k1, k2, [value(k) for k in range(k1, top + 1)], closed)
+    def finish() -> PerK:
+        # past the deepest node's k-mers, only the closed form is left
+        top = min(k2, max(parts, default=k1 - 1))
+        return PerK(k1, k2, [value(k) for k in range(k1, top + 1)], closed)
+
+    # a k-mer's infix has length k - 2 <= k2 - 2; deeper nodes add nothing
+    return Fold(visit, finish, k2 - 2)
 
 
-def calibrate_kmax(index: BwtIndex, tau: float, kcap: int) -> int:
+@_measure(1)
+def calibrate_kmax(index: BwtIndex, tau: float, kcap: int):
     """Smallest k in [2..kcap] whose KL tail sum drops below tau."""
     if not tau > 0:
         raise InputError("tau must be positive")
@@ -1245,24 +1263,31 @@ def calibrate_kmax(index: BwtIndex, tau: float, kcap: int) -> int:
         raise InputError("kcap must be at least 2")
     # the KL of k >= n is 0, so the tail at k = n is below tau
     kcap = min(kcap, index.n)
-    kls = kl_divergence_range(index, 2, kcap)
-    # tails[k - 2] sums kls from k to kcap, added from kcap down
-    tails = list(itertools.accumulate(reversed(kls)))[::-1]
-    return next((k for k, tail in enumerate(tails, 2) if tail < tau), kcap + 1)
+
+    def smallest(kls: PerK) -> int:
+        # tails[k - 2] sums kls from k to kcap, added from kcap down
+        tails = list(itertools.accumulate(reversed(kls)))[::-1]
+        return next((k for k, tail in enumerate(tails, 2) if tail < tau), kcap + 1)
+
+    return kl_divergence_range.fold(index, 2, kcap).then(smallest)
 
 
-def calibrate_kmin(index: BwtIndex, kcap: int) -> int:
+@_measure(1)
+def calibrate_kmin(index: BwtIndex, kcap: int):
     """The k in [1..kcap] maximizing distinct k-mers of frequency >= 2."""
     if kcap < 1:
         raise InputError("kcap must be at least 1")
     # no k-mer with k >= n occurs twice
     kcap = min(kcap, index.n)
-    profile = kmer_profile(index, 1, kcap, 2, 2)
-    best_k = 1
-    best = -1
-    for k in range(1, kcap + 1):
-        count = profile.cell(k, 2)
-        if count > best:
-            best = count
-            best_k = k
-    return best_k
+
+    def most_repeated(profile: ProfileMatrix) -> int:
+        best_k = 1
+        best = -1
+        for k in range(1, kcap + 1):
+            count = profile.cell(k, 2)
+            if count > best:
+                best = count
+                best_k = k
+        return best_k
+
+    return kmer_profile.fold(index, 1, kcap, 2, 2).then(most_repeated)

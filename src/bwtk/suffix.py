@@ -396,6 +396,8 @@ class PairIndex(BwtIndex):
     @classmethod
     def of(cls, index1: BwtIndex, index2: BwtIndex) -> "PairIndex":
         """The pair index of two indexes' texts, each inverted from its BWT (see _invert)."""
+        if type(index1) is not BwtIndex or type(index2) is not BwtIndex:
+            raise InputError("a pair index is built from two one-text BwtIndexes")
         if index1.sigma != index2.sigma:
             raise InputError("alphabet mismatch between the two indexes")
         return cls(index1._invert(), index2._invert(), index1.sigma, (index1, index2))

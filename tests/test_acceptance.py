@@ -32,13 +32,13 @@ from bwtk.kernels import (
     maw_enumerate,
     maw_jaccard,
     maw_words,
-    run_pair_folds,
+    run_folds,
     substring_complexity,
     substring_kernel,
     weighted_substring_kernel,
 )
 from bwtk.params import WeightSpec, ZScoreParams
-from bwtk.suffix import BwtIndex, build_bwt
+from bwtk.suffix import BwtIndex, PairIndex, build_bwt
 from bwtk.text import Sequence
 
 SIGMAS = (2, 3, 4, 8)
@@ -284,7 +284,7 @@ def test_single_pass_discipline():
         (markov_kernel.fold, ZScoreParams(g_mode="exact")),
     ]
     b1, b2 = i1.enumerations, i2.enumerations
-    values = run_pair_folds(i1, i2, fused)
+    values = run_folds(PairIndex.of(i1, i2), fused)
     assert (i1.enumerations, i2.enumerations) == (b1 + 1, b2 + 1)
     assert values == [fn() for fn in paired]
 

@@ -44,12 +44,11 @@ from bwtk.kernels import (
     maw_jaccard,
     maw_words,
     run_folds,
-    run_pair_folds,
     substring_complexity,
     substring_kernel,
     weighted_substring_kernel,
 )
-from bwtk.kernels import PairFold, _pair_sums
+from bwtk.kernels import Fold, ProfileMatrix, _pair_sums
 from bwtk.params import WeightSpec, ZScoreParams
 from bwtk.suffix import BwtIndex, PairIndex, build_bwt
 from bwtk.text import Sequence
@@ -673,6 +672,33 @@ def test_self_kernels_are_one():
         assert maw_jaccard(i1, i2) == pytest.approx(1.0, abs=1e-12)
 
 
+# every one-text measure's fold, with arguments for a text over 5 letters
+SINGLE_FOLDS = [
+    (kmer_complexity.fold, 2),
+    (substring_complexity.fold,),
+    (kmer_profile.fold, 1, 3, 1, 2),
+    (entropy_range.fold, 0, 3),
+    (maw_count.fold,),
+    (maw_words.fold,),
+    (maw_enumerate.fold, lambda *maw: None),
+    (kl_divergence_range.fold, 2, 4),
+    (calibrate_kmin.fold, 6),
+    (calibrate_kmax.fold, 0.5, 6),
+]
+# every pair measure's fold, likewise
+PAIR_FOLDS = [
+    (kmer_kernel.fold, 2),
+    (kmer_kernel_range.fold, 1, 4),
+    (substring_kernel.fold,),
+    (weighted_substring_kernel.fold, WeightSpec(kind="uniform")),
+    (d2s_distance.fold, 2, (0.2,) * 5),
+    (d2star_distance.fold, 2, (0.2,) * 5),
+    (maw_jaccard.fold,),
+    (maw_cosine.fold,),
+    (markov_kernel.fold, ZScoreParams(g_mode="exact")),
+]
+
+
 def test_every_measure_enumerates_each_index_once():
     i1, i2 = idx("abracadabra"), idx("abracadaca", sigma=5)
     single = [
@@ -682,7 +708,12 @@ def test_every_measure_enumerates_each_index_once():
         lambda: entropy_range(i1, 0, 3),
         lambda: maw_count(i1),
         lambda: maw_words(i1),
+        lambda: maw_enumerate(i1, lambda *maw: None),
         lambda: kl_divergence_range(i1, 2, 4),
+        lambda: calibrate_kmin(i1, 6),
+        lambda: calibrate_kmax(i1, 0.5, 6),
+        # every one-text fold, fused
+        lambda: run_folds(i1, SINGLE_FOLDS),
     ]
     for fn in single:
         before = i1.enumerations
@@ -703,6 +734,57 @@ def test_every_measure_enumerates_each_index_once():
         b1, b2 = i1.enumerations, i2.enumerations
         fn()
         assert (i1.enumerations, i2.enumerations) == (b1 + 1, b2 + 1)
+
+
+def test_every_measure_of_the_module_has_a_fold_listed_here():
+    listed = {setup.__name__ for setup, *_ in SINGLE_FOLDS + PAIR_FOLDS}
+    measures = {
+        name
+        for name in bwtk.kernels.__all__
+        if callable(getattr(bwtk.kernels, name)) and not isinstance(getattr(bwtk.kernels, name), type)
+    }
+    assert measures - {"run_folds"} == listed
+    assert all(getattr(bwtk.kernels, name).fold.__name__ == name for name in listed)
+
+
+@pytest.mark.parametrize(
+    "call, pair",
+    [(call, False) for call in SINGLE_FOLDS] + [(call, True) for call in PAIR_FOLDS],
+    ids=lambda x: x[0].__name__ if isinstance(x, tuple) else None,
+)
+def test_a_fold_given_the_other_index_kind_raises_input_error(call, pair):
+    # a one-text fold given a PairIndex, and a pair fold given a BwtIndex,
+    # directly and through run_folds
+    i1, i2 = idx("abracadabra"), idx("abracadaca", sigma=5)
+    setup, *args = call
+    both = PairIndex.of(i1, i2)
+    wrong = i1 if pair else both
+    with pytest.raises(InputError, match="takes"):
+        setup(wrong, *args)
+    with pytest.raises(InputError, match="takes"):
+        run_folds(wrong, [call])
+    # and through the measure: a one-text measure given the PairIndex, and a
+    # pair measure given it for either of its two indexes
+    measure = getattr(bwtk.kernels, setup.__name__)
+    for indexes in [(i1, both), (both, i1)] if pair else [(both,)]:
+        with pytest.raises(InputError):
+            measure(*indexes, *args)
+    # no pass starts, over either index or their pair
+    assert (i1.enumerations, i2.enumerations) == (0, 0)
+
+
+def test_run_folds_visits_each_fold_to_its_own_depth():
+    # a fold bounded at depth 2 sees no deeper batch, though the pass that an
+    # unbounded fold fused with it makes goes deeper
+    index = BwtIndex(fibonacci(1, 2, 200), 2)
+    seen = {2: [], None: []}
+
+    def probe(ix, depth):
+        return Fold(lambda batch: seen[depth].append(batch.depth), lambda: None, depth)
+
+    run_folds(index, [(probe, 2), (probe, None)])
+    assert max(seen[2]) == 2 < max(seen[None])
+    assert sorted(seen[2]) == sorted(d for d in seen[None] if d <= 2)
 
 
 def test_kernel_values_are_bounded():
@@ -828,7 +910,7 @@ def test_merged_batches_give_the_unsplit_values(monkeypatch):
         found = []
         maw_enumerate(i1, lambda *maw: found.append(maw))
         return (
-            run_pair_folds(i1, i2, pair),
+            run_folds(PairIndex.of(i1, i2), pair),
             kmer_complexity(i1, 12),
             substring_complexity(i1),
             kmer_profile(i1, 1, 12, 1, 4).cells,
@@ -854,10 +936,30 @@ def test_merged_batches_give_the_unsplit_values(monkeypatch):
     assert _agree(merged[1], unsplit[1])
 
 
+def _hexed(value):
+    """value with each float as float.hex, in lists too; a ProfileMatrix as its cells."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, ProfileMatrix):
+        return value.cells
+    if isinstance(value, list):
+        return [_hexed(v) for v in value]
+    return value
+
+
+def _unhexed(value):
+    """_hexed's value with each float.hex string read back."""
+    if isinstance(value, str):
+        return float.fromhex(value)
+    if isinstance(value, list):
+        return [_unhexed(v) for v in value]
+    return value
+
+
 def _outcome(compute):
-    """compute()'s value as float.hex, or the class of the BwtkError it raises."""
+    """compute()'s value, _hexed, or the class of the BwtkError it raises."""
     try:
-        return compute().hex()
+        return _hexed(compute())
     except BwtkError as exc:
         return type(exc)
 
@@ -869,7 +971,7 @@ def _caught(setup):
         try:
             fold = setup(pair, *args)
         except BwtkError as exc:
-            return PairFold(lambda batch: None, functools.partial(type, exc))
+            return Fold(lambda batch: None, functools.partial(type, exc))
         return fold._replace(finish=lambda: _outcome(fold.finish))
 
     return caught
@@ -930,6 +1032,61 @@ def test_each_cli_fold_fused_gives_its_value_alone_and_the_oracles(case):
             continue
         assert isinstance(got, str)
         assert float.fromhex(got) == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+@st.composite
+def single_case(draw):
+    """A random or repetitive text of 1..60 symbols over 1..5 letters, and measure arguments.
+
+    The arguments are k of kmer_complexity, the profile's k1, k2, f1 and
+    f2, the entropies' and the KL values' k1 and k2, the kcap of each
+    calibration, and tau; k = 0, a KL k1 of 1 and a kcap below 1 or 2 are
+    errors.
+    """
+    sigma = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        s = Sequence(draw(st.lists(st.integers(1, sigma), min_size=1, max_size=60)), sigma)
+    else:
+        s = draw_repetitive(draw, sigma)
+    k1, f1, e1, l1 = (draw(st.integers(lo, 4)) for lo in (1, 1, 0, 1))
+    k2, f2, e2, l2 = (lo + draw(st.integers(0, 3)) for lo in (k1, f1, e1, l1))
+    k, kmin_cap, kmax_cap = (draw(st.integers(lo, 8)) for lo in (0, 0, 1))
+    tau = draw(st.sampled_from((0.05, 0.5, 2.0)))
+    return s, (k, (k1, k2, f1, f2), (e1, e2), (l1, l2), kmin_cap, kmax_cap), tau
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(single_case())
+def test_each_single_text_fold_fused_gives_its_value_alone_and_the_oracles(case):
+    # the one-text folds fused in one pass, the depth-bounded ones (the
+    # entropies, the KL values and calibrate_kmax) among unbounded ones:
+    # each gives bit for bit its value alone, and that is the oracle's value
+    # or the oracle's error
+    s, (k, profile, (e1, e2), (l1, l2), kmin_cap, kmax_cap), tau = case
+    folds = [
+        (kmer_complexity.fold, (k,), lambda: orc.oracle_kmer_complexity(s, k)),
+        (substring_complexity.fold, (), lambda: orc.oracle_substring_complexity(s)),
+        (kmer_profile.fold, profile, lambda: orc.oracle_kmer_profile(s, *profile)),
+        (entropy_range.fold, (e1, e2), lambda: [orc.oracle_entropy(s, j) for j in range(e1, e2 + 1)]),
+        (maw_count.fold, (), lambda: orc.oracle_maw_count(s)),
+        (kl_divergence_range.fold, (l1, l2), lambda: [orc.oracle_kl(s, j) for j in range(l1, l2 + 1)]),
+        (calibrate_kmin.fold, (kmin_cap,), lambda: orc.oracle_calibrate_kmin(s, kmin_cap)),
+        (calibrate_kmax.fold, (tau, kmax_cap), lambda: orc.oracle_calibrate_kmax(s, tau, kmax_cap)),
+    ]
+    index = build_bwt(s)
+    calls = [(_caught(setup), *args) for setup, args, _ in folds]
+    fused = run_folds(index, calls)
+    for call, got, (*_, oracle) in zip(calls, fused, folds):
+        assert run_folds(index, [call]) == [got]
+        try:
+            want = oracle()
+        except BwtkError as exc:
+            assert got is type(exc)
+            continue
+        if isinstance(want, list) and isinstance(want[0], float):
+            assert _unhexed(got) == pytest.approx(want, rel=1e-9, abs=1e-9)
+        else:
+            assert got == want
 
 
 def test_charscore_scores_above_one_do_not_overflow():
