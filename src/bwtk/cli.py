@@ -31,44 +31,24 @@ _KERNEL_KINDS = (
 )
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage problems; the contract wants 1
-    def error(self, message: str) -> None:
-        self.print_usage(sys.stderr)
-        raise SystemExit(self._usage_exit(message))
-
-    def _usage_exit(self, message: str) -> int:
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return 1
-
-
-class _Record:
-    __slots__ = ("measure", "params", "value")
-
-    def __init__(self, measure: str, params: list[str], value: str) -> None:
-        self.measure = measure
-        self.params = params
-        self.value = value
-
-
 def _fmt_float(v: float, precision: int) -> str:
     return f"{v:.{precision}f}"
 
 
 def _emit(records, output: str) -> None:
-    """Write the records, an iterable read once, as they come."""
+    """Write the records, (measure, params, value) tuples of strings read once, as they come."""
     out = sys.stdout
     if output == "tsv":
-        for rec in records:
-            out.write("\t".join([rec.measure, *rec.params, rec.value]) + "\n")
+        for measure, params, value in records:
+            out.write("\t".join([measure, *params, value]) + "\n")
         return
     # values are spliced in verbatim so JSON numerics match TSV exactly
     out.write('{"records":[')
-    for i, rec in enumerate(records):
-        params = ",".join(json.dumps(p) for p in rec.params)
+    for i, (measure, params, value) in enumerate(records):
+        params = ",".join(json.dumps(p) for p in params)
         out.write(
-            f'{"," if i else ""}{{"measure":{json.dumps(rec.measure)},"params":[{params}],'
-            f'"value":{rec.value}}}'
+            f'{"," if i else ""}{{"measure":{json.dumps(measure)},"params":[{params}],'
+            f'"value":{value}}}'
         )
     out.write("]}\n")
 
@@ -105,8 +85,8 @@ def _parse_floats(arg: str | None, what: str) -> tuple[float, ...] | None:
         raise InputError(f"cannot parse {what} {arg!r}") from None
 
 
-def _build_parser() -> _Parser:
-    top = _Parser(prog="bwtk", description=__doc__.splitlines()[0])
+def _build_parser() -> argparse.ArgumentParser:
+    top = argparse.ArgumentParser(prog="bwtk", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(
         dest="command",
         required=True,
@@ -188,14 +168,14 @@ def _build_parser() -> _Parser:
     return top
 
 
-def _run_complexity(args) -> list[_Record]:
+def _run_complexity(args):
     [s] = _load(args, args.input)
     ix = build_bwt(s)
     if args.kind == "kmer":
         if args.k is None:
             raise InputError("complexity --kind kmer requires -k")
-        return [_Record("kmer", [str(args.k)], str(kernels.kmer_complexity(ix, args.k)))]
-    return [_Record("substring", [], str(kernels.substring_complexity(ix)))]
+        return [("kmer", [str(args.k)], str(kernels.kmer_complexity(ix, args.k)))]
+    return [("substring", [], str(kernels.substring_complexity(ix)))]
 
 
 def _kernel_fold(pair: PairIndex, kind: str, args) -> kernels.Fold:
@@ -230,16 +210,16 @@ def _kernel_fold(pair: PairIndex, kind: str, args) -> kernels.Fold:
     return kernels.maw_cosine.fold(pair)
 
 
-def _kernel_records(kind: str, args, value) -> list[_Record]:
+def _kernel_records(kind: str, args, value):
     prec = args.precision
     if kind == "kmer" and args.k2 is not None:
-        return [_Record("kmer", [str(k)], _fmt_float(value[k], prec)) for k in sorted(value)]
+        return [("kmer", [str(k)], _fmt_float(value[k], prec)) for k in sorted(value)]
     params = {"kmer": [str(args.k)], "weighted": [args.weights], "d2s": [str(args.k)],
               "d2star": [str(args.k)], "markov": [args.g]}.get(kind, [])
-    return [_Record(kind, params, _fmt_float(value, prec))]
+    return [(kind, params, _fmt_float(value, prec))]
 
 
-def _run_kernel(args) -> list[_Record]:
+def _run_kernel(args):
     kinds = [tok.strip() for tok in args.kind.split(",") if tok.strip()]
     if not kinds:
         raise InputError("no kernel kind given")
@@ -271,7 +251,7 @@ def _run_profile(args):
     [s] = _load(args, args.input)
     prof = kernels.kmer_profile(build_bwt(s), args.k1, args.k2, args.f1, args.f2)
     return (
-        _Record("profile", [str(k), str(f)], str(prof.cell(k, f)))
+        ("profile", [str(k), str(f)], str(prof.cell(k, f)))
         for k in range(args.k1, args.k2 + 1)
         for f in range(args.f1, args.f2 + 1)
     )
@@ -286,56 +266,56 @@ def _run_per_k(args):
     else:
         values = kernels.kl_divergence_range(build_bwt(s), args.k1, args.k2)
     return (
-        _Record(args.command, [str(args.k1 + i)], _fmt_float(v, args.precision))
+        (args.command, [str(args.k1 + i)], _fmt_float(v, args.precision))
         for i, v in enumerate(values)
     )
 
 
-def _run_maw(args) -> list[_Record]:
+def _run_maw(args):
     [s] = _load(args, args.input)
     ix = build_bwt(s)
     if args.kind == "count":
-        return [_Record("maw-count", [], str(kernels.maw_count(ix)))]
+        return [("maw-count", [], str(kernels.maw_count(ix)))]
     # _load maps every input through an alphabet, which decodes the words
     decode = s.alphabet.decode
     return [
-        _Record("maw", [], decode(list(w)).decode("ascii", "replace"))
+        ("maw", [], decode(list(w)).decode("ascii", "replace"))
         for w in kernels.maw_words(ix)
     ]
 
 
-def _run_calibrate(args) -> list[_Record]:
+def _run_calibrate(args):
     [s] = _load(args, args.input)
     ix = build_bwt(s)
     if args.kind == "kmin":
-        return [_Record("kmin", [], str(kernels.calibrate_kmin(ix, args.kcap)))]
-    return [_Record("kmax", [], str(kernels.calibrate_kmax(ix, args.tau, args.kcap)))]
+        return [("kmin", [], str(kernels.calibrate_kmin(ix, args.kcap)))]
+    return [("kmax", [], str(kernels.calibrate_kmax(ix, args.tau, args.kcap)))]
 
 
-def _run_index(args) -> list[_Record]:
+def _run_index(args):
     if args.action == "build":
         if args.out is None:
             raise InputError("index build requires -o OUT")
         [s] = _load(args, args.input)
         ix = build_bwt(s)
         ix.dump(args.out)
-        return [_Record("index", [str(ix.n)], str(ix.sigma))]
+        return [("index", [str(ix.n)], str(ix.sigma))]
     ix = BwtIndex.load(args.input)
-    return [_Record("index", [str(ix.n)], str(ix.sigma))]
+    return [("index", [str(ix.n)], str(ix.sigma))]
 
 
-def _run_oracle(args) -> list[_Record]:
+def _run_oracle(args):
     [s] = _load(args, args.input)
     prec = args.precision
     if args.measure == "kmer-complexity":
-        return [_Record("kmer", [str(args.k)], str(oracle.oracle_kmer_complexity(s, args.k)))]
+        return [("kmer", [str(args.k)], str(oracle.oracle_kmer_complexity(s, args.k)))]
     if args.measure == "substring-complexity":
-        return [_Record("substring", [], str(oracle.oracle_substring_complexity(s)))]
+        return [("substring", [], str(oracle.oracle_substring_complexity(s)))]
     if args.measure == "maw-count":
-        return [_Record("maw-count", [], str(oracle.oracle_maw_count(s)))]
+        return [("maw-count", [], str(oracle.oracle_maw_count(s)))]
     if args.measure == "entropy":
-        return [_Record("entropy", [str(args.k)], _fmt_float(oracle.oracle_entropy(s, args.k), prec))]
-    return [_Record("kl", [str(args.k)], _fmt_float(oracle.oracle_kl(s, args.k), prec))]
+        return [("entropy", [str(args.k)], _fmt_float(oracle.oracle_entropy(s, args.k), prec))]
+    return [("kl", [str(args.k)], _fmt_float(oracle.oracle_kl(s, args.k), prec))]
 
 
 _RUNNERS = {
@@ -356,7 +336,8 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        # argparse exits with 2 on a usage error; the contract wants 1
+        return 1 if exc.code == 2 else int(exc.code or 0)
     if args.precision < 0 or args.precision > 17:
         print("bwtk: error: --precision must be in [0..17]", file=sys.stderr)
         return 1

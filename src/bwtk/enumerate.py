@@ -61,7 +61,7 @@ import math
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, integer
 from .suffix import BwtIndex, PairIndex
 
 __all__ = [
@@ -562,7 +562,7 @@ def _kids(batch: Batch) -> tuple[list, list]:
     return lefts, children
 
 
-def _visit_nodes(index: BwtIndex, visitor, fire, stats, max_depth=None) -> int:
+def _visit_nodes(index: BwtIndex, visitor, fire, stats) -> int:
     """Call visitor once per node of a batched_pass where fire(batch) is set.
 
     Returns the number of calls. stats, when given, receives the pass's
@@ -584,7 +584,7 @@ def _visit_nodes(index: BwtIndex, visitor, fire, stats, max_depth=None) -> int:
             visitor(ev)
         fired += len(nodes)
 
-    visits, peak = batched_pass(index, visit, max_depth=max_depth)
+    visits, peak = batched_pass(index, visit)
     if stats is not None:
         stats["visits"] = visits
         stats["peak_frames"] = peak
@@ -596,34 +596,21 @@ def _left_maximal(batch: Batch) -> np.ndarray:
     return np.bincount(batch.kid_node, minlength=batch.side.nb.size) >= 2
 
 
-def enumerate_right_maximal(
-    index: BwtIndex,
-    visitor,
-    *,
-    stats: dict | None = None,
-    max_depth: int | None = None,
-) -> int:
+def enumerate_right_maximal(index: BwtIndex, visitor, *, stats: dict | None = None) -> int:
     """Visit every right-maximal substring of T, the empty string included.
 
-    With max_depth, only those of length at most max_depth. Returns the
-    visit count.
+    Returns the visit count.
     """
-    return _visit_nodes(index, visitor, None, stats, max_depth)
+    return _visit_nodes(index, visitor, None, stats)
 
 
-def enumerate_maximal_repeats(
-    index: BwtIndex,
-    visitor,
-    *,
-    stats: dict | None = None,
-    max_depth: int | None = None,
-) -> int:
+def enumerate_maximal_repeats(index: BwtIndex, visitor, *, stats: dict | None = None) -> int:
     """As enumerate_right_maximal, but fire only at left-maximal nodes.
 
     Left-maximality asks for at least two distinct preceding symbols, the
     terminator included. Returns the number of visitor invocations.
     """
-    return _visit_nodes(index, visitor, _left_maximal, stats, max_depth)
+    return _visit_nodes(index, visitor, _left_maximal, stats)
 
 
 def enumerate_generalized(
@@ -640,21 +627,21 @@ def enumerate_generalized(
 
 
 def _check_repr(index: BwtIndex, r: Repr) -> None:
-    """Reject a repr whose boundaries are not increasing rows in [1..n+1]."""
-    first = r.first
-    if not (
-        len(first) == len(r.chars) + 1 >= 2
-        and 1 <= first[0]
-        and first[-1] <= index.n + 1
-        and all(x < y for x, y in zip(first, first[1:]))
-    ):
+    """Reject a repr unless its chars are symbols and its boundaries increasing rows in [1..n+1]."""
+    if not (isinstance(r, Repr) and len(r.first) == len(r.chars) + 1 >= 2):
         raise InputError("malformed representation")
+    for a in r.chars:
+        integer(a, "a char of a representation", 0, index.sigma)
+    row = 0
+    for x in r.first:
+        row = integer(x, "a boundary of a representation", row + 1, index.n + 1)
 
 
 def extend_left(index: BwtIndex, r: Repr) -> list[tuple[int, Repr]]:
     """One entry per distinct symbol a preceding W, with repr(aW), a ascending."""
     _check_repr(index, r)
-    side = Side(np.array(r.first) - 1, np.array([len(r.first)]), np.array(r.chars, dtype=np.int64))
+    bd, ch = (np.array(x, dtype=np.int64) for x in (r.first, r.chars))
+    side = Side(bd - 1, np.array([bd.size]), ch)
     batch = Batch(0, side)
     _extend_batch(batch, index)
     lefts, children = _kids(batch)

@@ -25,7 +25,8 @@ exponential weights take geometric sums scaled by each side's heaviest
 length, so no epsilon needs a path of its own. Per-character score weights
 depend on the letters: each node builds its weight from its parent's, which
 the batch carries (Batch.carry), as a float times a power of two, so no
-score overflows.
+score overflows. entropy_range and kl_divergence_range are readings of one
+per-k fold, _per_k: an exact sum per depth, plus a closed form per k.
 
 A fused pass (run_folds) derives each batch quantity once: Side.texts,
 each text's widths, for every pair fold; _pair_sums (Batch.derive) for the
@@ -54,7 +55,7 @@ import itertools
 import math
 import operator
 import sys
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
@@ -70,7 +71,7 @@ from .enumerate import (  # noqa: F401
     enumerate_right_maximal,
     heads,
 )
-from .errors import BwtkError, ComputationError, InputError, ZeroDenominatorError
+from .errors import BwtkError, ComputationError, InputError, ZeroDenominatorError, integer, real
 from .params import WeightSpec, ZScoreParams, markov_g, validate_probs
 from .suffix import _MAX_N, BwtIndex, PairIndex
 
@@ -420,8 +421,7 @@ def _measure(texts: int):
 @_measure(1)
 def kmer_complexity(index: BwtIndex, k: int):
     """Number of distinct k-mers over [1..sigma] occurring in the text."""
-    if k < 1:
-        raise InputError("k must be at least 1")
+    k = integer(k, "k", 1)
     # the saturated f >= 1 cell counts every distinct k-mer
     return kmer_profile.fold(index, k, k, 1, 1).then(lambda profile: profile.cell(k, 1))
 
@@ -437,6 +437,14 @@ def _pair_sums(batch: Batch) -> tuple[int, int, int]:
     f, w = batch.side.texts()
     sums = f @ f.T - w @ w.T  # every product of two texts' widths at once
     return int(sums[0, 1]), int(sums[0, 0]), int(sums[1, 1])
+
+
+def _kmer_length(pair: PairIndex, k) -> int:
+    """k as an int, if each text holds a k-mer; else ZeroDenominatorError."""
+    k = integer(k, "k", 1)
+    if min(pair.ns) <= k:
+        raise ZeroDenominatorError(f"zero denominator: a string has fewer than k={k} symbols")
+    return k
 
 
 def _telescoped(lo: int, result) -> Fold:
@@ -476,8 +484,8 @@ def kmer_kernel_range(pair: PairIndex, k1: int, k2: int):
     those with an undefined kernel (a string with fewer than k symbols) are
     absent from the result.
     """
-    if not 1 <= k1 <= k2:
-        raise InputError("range must satisfy 1 <= k1 <= k2")
+    k1 = integer(k1, "k1", 1)
+    k2 = integer(k2, "k2", k1)
     ns = pair.ns
     top = min(k2, ns[0] - 1, ns[1] - 1)
     band = (WeightSpec("band", kmin=k, kmax=k) for k in range(k1, top + 1))
@@ -492,15 +500,8 @@ def kmer_kernel_range(pair: PairIndex, k1: int, k2: int):
 @_measure(2)
 def kmer_kernel(pair: PairIndex, k: int):
     """Cosine of the k-mer count vectors."""
-
-    def kernel(values: dict[int, float]) -> float:
-        if k not in values:
-            raise ZeroDenominatorError(
-                f"zero denominator: a string has fewer than k={k} symbols"
-            )
-        return values[k]
-
-    return kmer_kernel_range.fold(pair, k, k).then(kernel)
+    k = _kmer_length(pair, k)
+    return kmer_kernel_range.fold(pair, k, k).then(operator.itemgetter(k))
 
 
 @_measure(1)
@@ -510,8 +511,10 @@ def kmer_profile(index: BwtIndex, k1: int, k2: int, f1: int, f2: int):
     cells[k][f] counts k-mers occurring exactly f times for f < f2 and at
     least f2 times in the saturated last column.
     """
-    if not (1 <= k1 <= k2 and 1 <= f1 <= f2):
-        raise InputError("bounds must satisfy 1 <= k1 <= k2 and 1 <= f1 <= f2")
+    k1 = integer(k1, "k1", 1)
+    k2 = integer(k2, "k2", k1)
+    f1 = integer(f1, "f1", 1)
+    f2 = integer(f2, "f2", f1)
     n = index.n
     # a k-mer occurs at most n - 1 times, so frequencies past n all count 0
     # and neither bound reaches NumPy past n
@@ -541,23 +544,46 @@ def kmer_profile(index: BwtIndex, k1: int, k2: int, f1: int, f2: int):
     return Fold(visit, finish, None if cols else 0)
 
 
-@_measure(1)
-def entropy_range(index: BwtIndex, k1: int, k2: int):
-    """Order-k empirical entropies H_k for k in [k1..k2], one pass.
+def _per_k(k1: int, k2: int, lag: int, terms, closed, norm=1) -> Fold:
+    """One value per k in [k1..k2], k1 >= lag, from exact sums over the nodes of depth k - lag.
 
-    H_k averages, over text positions, the entropy of the follower-symbol
-    distribution after each length-k context; the normalizer is n-1.
+    k's value is the sum of terms(batch), a batch's float terms, over its
+    batches, plus closed(k), added exactly, rounded once and divided by
+    norm. A k past the deepest node the pass reached reads closed(k) /
+    norm, and nodes deeper than k2 - lag are not visited.
     """
-    if not 0 <= k1 <= k2:
-        raise InputError("range must satisfy 0 <= k1 <= k2")
+    k1 = integer(k1, "k1", lag)
+    k2 = integer(k2, "k2", k1)
     if k2 > _MAX_N:
         raise InputError(f"k2 {k2} is past the longest text an index holds ({_MAX_N} symbols)")
     sums = defaultdict(_ExactSum)  # by k, made at k's first batch
 
     def visit(batch: Batch) -> None:
-        d = batch.depth
-        if d < k1:
-            return
+        k = batch.depth + lag
+        if k >= k1:
+            sums[k].add(terms(batch))
+
+    def value(k: int) -> float:
+        sums[k].add_ratio(*closed(k).as_integer_ratio())
+        return sums[k].value() / norm
+
+    def finish() -> PerK:
+        top = min(k2, max(sums, default=k1 - 1))
+        return PerK(k1, k2, [value(k) for k in range(k1, top + 1)], lambda k: closed(k) / norm)
+
+    return Fold(visit, finish, k2 - lag)
+
+
+@_measure(1)
+def entropy_range(index: BwtIndex, k1: int, k2: int):
+    """Order-k empirical entropies H_k for k in [k1..k2], one pass.
+
+    H_k averages, over text positions, the entropy of the follower-symbol
+    distribution after each length-k context; the normalizer is n-1. Past
+    the deepest node every context is followed by one letter, so H_k is 0.
+    """
+
+    def terms(batch: Batch) -> np.ndarray:
         side = batch.side
         letter = side.ch != 0
         node = side.node[letter]
@@ -566,17 +592,9 @@ def entropy_range(index: BwtIndex, k1: int, k2: int):
         keep = (_letters(side) >= 2)[node]
         node, w = node[keep], w[keep]
         fr = _node_sums(w, node, side.nb.size)[node]
-        sums[d].add(w * np.log2(fr / w))
+        return w * np.log2(fr / w)
 
-    def finish() -> PerK:
-        m = index.n - 1
-        # past the deepest node every context is followed by one letter
-        top = min(k2, max(sums, default=k1 - 1))
-        held = [sums[k].value() / m if k in sums else 0.0 for k in range(k1, top + 1)]
-        return PerK(k1, k2, held, lambda k: 0.0)
-
-    # contexts longer than k2 are never read
-    return Fold(visit, finish, k2)
+    return _per_k(k1, k2, 0, terms, lambda k: 0.0, index.n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +784,9 @@ def weighted_substring_kernel(pair: PairIndex, weights: WeightSpec):
     scaled by the sum of the squared weights of its label's prefixes, built
     from the parent's sum, which the batch carries.
     """
-    weights.validate(pair.letters)
+    if not isinstance(weights, WeightSpec):
+        raise InputError(f"weights must be a WeightSpec, not {weights!r}")
+    weights = weights.validate(pair.letters)
     if weights.kind != "charscore":
         return _telescoped(1, _length_reading(weights, pair.ns))
     return _charscore_fold(pair, weights.scores)
@@ -863,16 +883,9 @@ def _d2_fold(pair: PairIndex, k: int, q, phi, absent_coef):
 
 
 def _d2_validate(pair: PairIndex, k: int, q) -> tuple:
-    if k < 1:
-        raise InputError("k must be at least 1")
-    q = tuple(float(v) for v in q)
-    validate_probs(q, pair.letters)
-    n1, n2 = pair.ns
-    if n1 <= k or n2 <= k:
-        raise ZeroDenominatorError(
-            f"zero denominator: a string has fewer than k={k} symbols"
-        )
-    return q, n1 - k, n2 - k
+    q = validate_probs(q, pair.letters)
+    k = _kmer_length(pair, k)
+    return k, q, pair.ns[0] - k, pair.ns[1] - k
 
 
 @_measure(2)
@@ -882,7 +895,7 @@ def d2s_distance(pair: PairIndex, k: int, q):
     t_i(W) = f_i(W) - (n_i - k) q(W). Terms for k-mers absent from both
     strings are linear in q(W) and folded in as a closed-form correction.
     """
-    q, e1, e2 = _d2_validate(pair, k, q)
+    k, q, e1, e2 = _d2_validate(pair, k, q)
 
     def phi(x1, x2, qw):
         t1 = x1 - e1 * qw
@@ -897,7 +910,7 @@ def d2s_distance(pair: PairIndex, k: int, q):
 @_measure(2)
 def d2star_distance(pair: PairIndex, k: int, q):
     """Sum over all k-mers of t1 t2 / (sqrt((n1-k)(n2-k)) q(W))."""
-    q, e1, e2 = _d2_validate(pair, k, q)
+    k, q, e1, e2 = _d2_validate(pair, k, q)
     scale = math.sqrt(e1 * e2)
     tiny = sys.float_info.min
 
@@ -1116,6 +1129,8 @@ def markov_kernel(pair: PairIndex, params: ZScoreParams):
     of every other occurring string is folded in through per-length prefix
     sums, exactly mirrored by a (g1-1)(g2-1) subtraction on shared terms.
     """
+    if not isinstance(params, ZScoreParams):
+        raise InputError(f"params must be a ZScoreParams, not {params!r}")
     params.validate()
     n1, n2 = pair.ns
     m1, m2 = n1 - 1, n2 - 1
@@ -1131,8 +1146,6 @@ def markov_kernel(pair: PairIndex, params: ZScoreParams):
         g1a, g2a = g1a.tolist(), g2a.tolist()
         den1.add(ps[1][:n1])
         den2.add(ps[2][:n2])
-        # per depth d, the integer coefficient of ps[i][d] in sums[i]
-        coefs = (Counter(), Counter(), Counter())
 
     def visit(batch: Batch) -> None:
         d = batch.depth
@@ -1141,12 +1154,14 @@ def markov_kernel(pair: PairIndex, params: ZScoreParams):
         p = batch.derive(_Kids)
         g1v = g2v = 1.0
         if exact:
-            # per node in both texts 1 less its shared letters, and per node
-            # in a text 1 less its blocks there
+            # the (g - 1) baseline: the prefix sum at d times, per node in both texts 1
+            # less its shared letters and, per node in a text, 1 less its blocks there
             terms = [np.count_nonzero(f.all(axis=0)) - p.shared.sum()]
             terms += (np.count_nonzero(f, axis=1) - np.count_nonzero(w, axis=1)).tolist()
-            for coef, term in zip(coefs, terms):
-                coef[d] += int(term)
+            for total, term, prefix in zip(sums, terms, ps):
+                if term:
+                    top, bottom = prefix[d].as_integer_ratio()
+                    total.add_ratio(top * int(term), bottom)
             g1v = g1a[d + 2] if d + 2 <= n1 else 1.0
             g2v = g2a[d + 2] if d + 2 <= n2 else 1.0
         # the minimal absent words, where z is -1
@@ -1182,16 +1197,7 @@ def markov_kernel(pair: PairIndex, params: ZScoreParams):
             zt = zt.compress(blocks)
             den.add(zt * zt - (g - 1.0) ** 2 if exact else zt * zt)
 
-    def finish() -> float:
-        if exact:
-            for total, coef, prefix in zip(sums, coefs, ps):
-                for d, c in coef.items():
-                    if c:
-                        top, bottom = prefix[d].as_integer_ratio()
-                        total.add_ratio(top * c, bottom)
-        return _cosine(*(total.value() for total in sums))
-
-    return Fold(visit, finish)
+    return Fold(visit, lambda: _cosine(*(total.value() for total in sums)))
 
 
 # ---------------------------------------------------------------------------
@@ -1207,19 +1213,12 @@ def kl_divergence_range(index: BwtIndex, k1: int, k2: int):
     the infix is a maximal repeat; all other k-mers contribute the length
     normalizer G(k), added in closed form. k beyond the text length gives 0.
     """
-    if not 2 <= k1 <= k2:
-        raise InputError("range must satisfy 2 <= k1 <= k2")
-    if k2 > _MAX_N:
-        raise InputError(f"k2 {k2} is past the longest text an index holds ({_MAX_N} symbols)")
     n = index.n
     m = n - 1
-    parts = defaultdict(_ExactSum)  # by k, made at k's first batch
 
-    def visit(batch: Batch) -> None:
+    def terms(batch: Batch) -> np.ndarray:
         d = batch.depth
         k = d + 2
-        if k < k1 or k > m:
-            return
         side = batch.side
         kid = batch.kids
         # every letter block x of a letter kid aW of a maximal repeat W
@@ -1232,37 +1231,24 @@ def kl_divergence_range(index: BwtIndex, k1: int, k2: int):
         # log2(x fmid / (fa wb)) through the exact difference of the two
         # products, so that ratios near 1 keep their digits
         below = fa * wb
-        terms = (x / (n - k)) * (np.log1p((x * fmid - below) / below) / _LN2)
-        parts[k].add(terms)
+        return (x / (n - k)) * (np.log1p((x * fmid - below) / below) / _LN2)
 
     def closed(k: int) -> float:
         # log2 of (n-k+1)^2 / ((n-k)(n-k+2)) = 1 + 1 / ((n-k)(n-k+2))
         return math.log1p(1 / ((n - k) * (n - k + 2))) / _LN2 if k <= m else 0.0
 
-    def value(k: int) -> float:
-        if k not in parts:
-            return closed(k)
-        parts[k].add_ratio(*closed(k).as_integer_ratio())
-        return parts[k].value()
-
-    def finish() -> PerK:
-        # past the deepest node's k-mers, only the closed form is left
-        top = min(k2, max(parts, default=k1 - 1))
-        return PerK(k1, k2, [value(k) for k in range(k1, top + 1)], closed)
-
-    # a k-mer's infix has length k - 2 <= k2 - 2; deeper nodes add nothing
-    return Fold(visit, finish, k2 - 2)
+    # a k-mer's infix, of length k - 2, is a node's label
+    return _per_k(k1, k2, 2, terms, closed)
 
 
 @_measure(1)
 def calibrate_kmax(index: BwtIndex, tau: float, kcap: int):
     """Smallest k in [2..kcap] whose KL tail sum drops below tau."""
+    tau = real(tau, "tau")
     if not tau > 0:
         raise InputError("tau must be positive")
-    if kcap < 2:
-        raise InputError("kcap must be at least 2")
     # the KL of k >= n is 0, so the tail at k = n is below tau
-    kcap = min(kcap, index.n)
+    kcap = min(integer(kcap, "kcap", 2), index.n)
 
     def smallest(kls: PerK) -> int:
         # tails[k - 2] sums kls from k to kcap, added from kcap down
@@ -1274,20 +1260,12 @@ def calibrate_kmax(index: BwtIndex, tau: float, kcap: int):
 
 @_measure(1)
 def calibrate_kmin(index: BwtIndex, kcap: int):
-    """The k in [1..kcap] maximizing distinct k-mers of frequency >= 2."""
-    if kcap < 1:
-        raise InputError("kcap must be at least 1")
+    """The k in [1..kcap] maximizing distinct k-mers of frequency >= 2, the least on a tie."""
     # no k-mer with k >= n occurs twice
-    kcap = min(kcap, index.n)
+    kcap = min(integer(kcap, "kcap", 1), index.n)
 
     def most_repeated(profile: ProfileMatrix) -> int:
-        best_k = 1
-        best = -1
-        for k in range(1, kcap + 1):
-            count = profile.cell(k, 2)
-            if count > best:
-                best = count
-                best_k = k
-        return best_k
+        # max keeps the first of equal keys
+        return max(range(1, kcap + 1), key=lambda k: profile.cell(k, 2))
 
     return kmer_profile.fold(index, 1, kcap, 2, 2).then(most_repeated)

@@ -8,9 +8,10 @@ brute-force oracle and the index-based path remain independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, replace
 
-from .errors import InputError
+from .errors import InputError, integer, real
 
 WEIGHT_KINDS = ("uniform", "exponential", "band", "charscore")
 G_MODES = ("unit", "exact")
@@ -32,18 +33,24 @@ class WeightSpec:
     kmax: int = 1
     scores: tuple[float, ...] | None = None
 
-    def validate(self, sigma: int) -> None:
+    def validate(self, sigma: int) -> WeightSpec:
+        """This spec, its numbers as Python ints and floats; InputError if it is malformed."""
         if self.kind not in WEIGHT_KINDS:
             raise InputError(f"unknown weight kind {self.kind!r}")
-        if self.kind == "exponential" and not 0 < self.epsilon < math.inf:
-            raise InputError("epsilon must be positive and finite")
-        if self.kind == "band" and not 1 <= self.kmin <= self.kmax:
-            raise InputError("band bounds must satisfy 1 <= kmin <= kmax")
+        if self.kind == "exponential":
+            epsilon = real(self.epsilon, "epsilon")
+            if not 0 < epsilon < math.inf:
+                raise InputError("epsilon must be positive and finite")
+            return replace(self, epsilon=epsilon)
+        if self.kind == "band":
+            kmin = integer(self.kmin, "kmin", 1)
+            return replace(self, kmin=kmin, kmax=integer(self.kmax, "kmax", kmin))
         if self.kind == "charscore":
-            if self.scores is None or len(self.scores) != sigma:
-                raise InputError(f"charscore needs exactly {sigma} scores")
-            if any(not 0 < s < math.inf for s in self.scores):
+            scores = _reals(self.scores, "scores", sigma)
+            if any(not 0 < s < math.inf for s in scores):
                 raise InputError("charscore scores must be positive and finite")
+            return replace(self, scores=scores)
+        return self
 
     def length_weight(self, length: int) -> float:
         """Weight of any substring of the given length (length-based kinds)."""
@@ -82,11 +89,19 @@ def markov_g(x: int, y: int) -> float:
     return (d + 2) * (d + 2) / ((d + 1) * (d + 3))
 
 
-def validate_probs(q: tuple[float, ...], sigma: int) -> None:
-    """Check that q is a positive probability vector over [1..sigma]."""
-    if len(q) != sigma:
-        raise InputError(f"need exactly {sigma} probabilities")
+def _reals(values, name: str, count: int) -> tuple[float, ...]:
+    """values, count numbers, as a tuple of floats (see errors.real)."""
+    values = tuple(values) if isinstance(values, Iterable) else ()
+    if len(values) != count:
+        raise InputError(f"need exactly {count} {name}")
+    return tuple(real(v, f"each of the {name}") for v in values)
+
+
+def validate_probs(q, sigma: int) -> tuple[float, ...]:
+    """q as floats, if it is a positive probability vector over [1..sigma]."""
+    q = _reals(q, "probabilities", sigma)
     if any(not p > 0 for p in q):
         raise InputError("probabilities must be positive")
     if abs(sum(q) - 1.0) > 1e-9:
         raise InputError("probabilities must sum to 1")
+    return q

@@ -17,12 +17,11 @@ PairIndex holds two texts in one such index, that of T1 $ T2 #.
 
 from __future__ import annotations
 
-import operator
 import struct
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, integer
 from .text import Sequence
 from .wavelet import BitVector, RankIndex
 
@@ -113,15 +112,10 @@ def _regroup(rank: np.ndarray, rows: np.ndarray, slots: np.ndarray, key: np.ndar
 def _text(symbols, sigma: int) -> np.ndarray:
     """symbols, a list or array, as a non-empty 1-D int64 array over [1..sigma].
 
-    sigma must be an integer, not a bool, in [1..2**63 - 1], as load
-    requires; int64 input is not copied.
+    sigma must lie in [1..2**63 - 1], as load requires; int64 input is not
+    copied.
     """
-    try:
-        sigma = operator.index(sigma if not isinstance(sigma, bool) else None)
-    except TypeError:
-        raise InputError(f"sigma must be an integer, not {sigma!r}") from None
-    if not 1 <= sigma < 2**63:
-        raise InputError("sigma must lie in [1..2**63 - 1]")
+    sigma = integer(sigma, "sigma", 1, 2**63 - 1)
     try:
         s = np.asarray(symbols)
     except ValueError:  # a ragged nest of sequences
@@ -217,10 +211,9 @@ class BwtIndex:
 
     def interval(self, word) -> tuple[int, int] | None:
         """Suffix-row interval of word via backward search; None if absent."""
+        word = [integer(sym, "symbol", 1, self.sigma) for sym in word]
         sp, ep = 1, self.n
-        for sym in reversed(tuple(word)):
-            if not 1 <= sym <= self.sigma:
-                raise InputError(f"symbol {sym} outside [1..{self.sigma}]")
+        for sym in reversed(word):
             k = int(np.searchsorted(self.syms, sym))
             if k == self.syms.size or self.syms[k] != sym:
                 return None  # sym does not occur
@@ -380,15 +373,14 @@ class PairIndex(BwtIndex):
     terminators = 2
 
     def __init__(self, symbols1, symbols2, sigma: int, parts: tuple = ()) -> None:
-        if not 1 <= sigma < 2**63 - 1:
-            raise InputError("sigma of a pair must lie in [1..2**63 - 2]")
+        sigma = integer(sigma, "sigma of a pair", 1, 2**63 - 2)
         one, two = _text(symbols1, sigma), _text(symbols2, sigma)
         n = one.size + two.size + 2
         if n > _MAX_N:
             raise InputError(f"pair too long: {n} symbols with $ and #, over {_MAX_N}")
         s = _narrow(np.concatenate([one + 1, [1], two + 1, [0]]))
         order = _sort_suffixes(s)
-        self._install(s[order - 1], int(sigma) + 1, "")
+        self._install(s[order - 1], sigma + 1, "")
         self.split = one.size + 1
         self.bit = BitVector(order < self.split)
         self.parts = parts

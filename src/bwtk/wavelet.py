@@ -23,7 +23,7 @@ from bisect import bisect_left
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, integer
 
 _WORD_MASKS = np.array([(1 << r) - 1 for r in range(64)], dtype=np.uint64)
 
@@ -129,10 +129,8 @@ class RankIndex:
     __slots__ = ("n", "maxsym", "root")
 
     def __init__(self, data, maxsym: int, split: int = 0) -> None:
-        if maxsym < 0:
-            raise InputError("maxsym must be non-negative")
-        if not 0 <= split <= maxsym:
-            raise InputError(f"split {split} outside [0..{maxsym}]")
+        maxsym = integer(maxsym, "maxsym", 0)
+        split = integer(split, "split", 0, maxsym)
         # integer and bool codes keep their own dtype, so no int64 copy is made of them
         try:
             arr = np.asarray(data)
@@ -159,15 +157,10 @@ class RankIndex:
         node.right = self._build(arr.compress(bits), mid + 1, hi)
         return node
 
-    def _check_symbol(self, c: int) -> None:
-        if not 0 <= c <= self.maxsym:
-            raise InputError(f"symbol {c} outside [0..{self.maxsym}]")
-
     def rank(self, c: int, i: int) -> int:
         """Occurrences of c among the first i entries; rank(c, 0) = 0."""
-        self._check_symbol(c)
-        if not 0 <= i <= self.n:
-            raise InputError(f"position {i} outside [0..{self.n}]")
+        c = integer(c, "symbol", 0, self.maxsym)
+        i = integer(i, "position", 0, self.n)
         node = self.root
         while node.left is not None:
             ones = node.one(i)
@@ -181,8 +174,7 @@ class RankIndex:
 
     def access(self, i: int) -> int:
         """The symbol at position i in [1..n]: the one symbol of the node [i-1, i]."""
-        if not 1 <= i <= self.n:
-            raise InputError(f"position {i} outside [1..{self.n}]")
+        i = integer(i, "position", 1, self.n)
         return self.descend(np.array([i - 1, i]), np.array([2]))[0][0]
 
     def counts(self) -> tuple[list[int], list[int]]:
@@ -228,10 +220,8 @@ class RankIndex:
         between equal boundaries are empty; each entry is
         (c, [rank(c, x) for x in bounds]).
         """
-        bounds = list(bounds)
-        if not bounds or bounds[0] < 0 or bounds[-1] > self.n or any(
-            x > y for x, y in zip(bounds, bounds[1:])
-        ):
+        bounds = [integer(x, "boundary", 0, self.n) for x in bounds]
+        if not bounds or any(x > y for x, y in zip(bounds, bounds[1:])):
             raise InputError(f"invalid boundaries {bounds} over [0..{self.n}]")
         if bounds[-1] == bounds[0]:
             return []
@@ -247,8 +237,8 @@ class RankIndex:
         occurrence p_c/q_c of c inside the range, which equals
         (c, rank(c, i-1) + 1, rank(c, j)).
         """
-        if not 1 <= i <= j <= self.n:
-            raise InputError(f"invalid range [{i}..{j}] over [1..{self.n}]")
+        i = integer(i, "position", 1, self.n)
+        j = integer(j, "position", i, self.n)
         return [(c, x + 1, y) for c, (x, y) in self.distinct_ranks([i - 1, j])]
 
     def descend(self, x: np.ndarray, nb: np.ndarray):

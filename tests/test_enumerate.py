@@ -13,7 +13,6 @@ from conftest import (
     mutate,
     one_index,
     rand_seq,
-    repetitive_text,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -259,29 +258,6 @@ def test_label_symbols_are_letters():
             assert all(sym != 0 for sym in ev.label())
 
         enumerate_right_maximal(ix, visit)
-
-
-def _events(run, ix, **kwargs) -> list:
-    out = []
-
-    def visit(ev):
-        kids = [(kid.chars, kid.first) for kid in ev.children]
-        r = ev.repr
-        out.append((ev.depth, ev.label(), (r.chars, r.first), list(ev.lefts), kids))
-
-    fired = run(ix, visit, **kwargs)
-    assert fired == len(out)
-    return out
-
-
-@settings(derandomize=True, database=None, max_examples=80, deadline=None)
-@given(repetitive_text(), st.integers(0, 45))
-def test_depth_bound_keeps_the_shallow_events_in_order(s, max_depth):
-    ix = build_bwt(s)
-    for run in (enumerate_right_maximal, enumerate_maximal_repeats):
-        full = _events(run, ix)
-        bounded = _events(run, ix, max_depth=max_depth)
-        assert bounded == [e for e in full if e[0] <= max_depth]
 
 
 def _oracle_events(texts, max_depth=None) -> Counter:

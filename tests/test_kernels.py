@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import random
@@ -48,10 +49,12 @@ from bwtk.kernels import (
     substring_kernel,
     weighted_substring_kernel,
 )
-from bwtk.kernels import Fold, ProfileMatrix, _pair_sums
+from bwtk.enumerate import Repr, extend_left
+from bwtk.kernels import Fold, PerK, ProfileMatrix, _pair_sums
 from bwtk.params import WeightSpec, ZScoreParams
 from bwtk.suffix import BwtIndex, PairIndex, build_bwt
 from bwtk.text import Sequence
+from bwtk.wavelet import RankIndex
 
 
 def test_complexity_hand_values():
@@ -787,6 +790,128 @@ def test_run_folds_visits_each_fold_to_its_own_depth():
     assert sorted(seen[2]) == sorted(d for d in seen[None] if d <= 2)
 
 
+# what one argument of a call is swapped for; the valid value as a NumPy
+# number is drawn too
+SWAPS = (2.5, 2.0, True, None, "3", np.float64(2.0), 2**70)
+# each measure's valid arguments past its indexes, for texts over 5 letters,
+# and what each one is: an integer, a real, a tuple of reals, a parameter
+# object or a callback, which is not swapped
+MEASURE_ARGS = [
+    ("kmer_complexity", (2,), ("int",)),
+    ("substring_complexity", (), ()),
+    ("maw_count", (), ()),
+    ("maw_words", (), ()),
+    ("maw_enumerate", (lambda *maw: None,), ("callback",)),
+    ("kmer_profile", (1, 3, 1, 2), ("int",) * 4),
+    ("entropy_range", (0, 3), ("int", "int")),
+    ("kl_divergence_range", (2, 4), ("int", "int")),
+    ("calibrate_kmin", (6,), ("int",)),
+    ("calibrate_kmax", (0.5, 6), ("real", "int")),
+    ("kmer_kernel", (2,), ("int",)),
+    ("kmer_kernel_range", (1, 4), ("int", "int")),
+    ("weighted_substring_kernel", (WeightSpec("exponential", epsilon=0.5),), ("object",)),
+    ("weighted_substring_kernel", (WeightSpec("band", kmin=1, kmax=3),), ("object",)),
+    ("weighted_substring_kernel", (WeightSpec("charscore", scores=(0.5, 1, 2, 1.5, 1)),), ("object",)),
+    ("d2s_distance", (2, (0.2,) * 5), ("int", "reals")),
+    ("d2star_distance", (2, (0.2,) * 5), ("int", "reals")),
+    ("markov_kernel", (ZScoreParams("exact"),), ("object",)),
+    ("substring_kernel", (), ()),
+    ("maw_jaccard", (), ()),
+    ("maw_cosine", (), ()),
+]
+# the numbers of a WeightSpec of each kind, and what each one is
+SPEC_FIELDS = {
+    "exponential": {"epsilon": "real"},
+    "band": {"kmin": "int", "kmax": "int"},
+    "charscore": {"scores": "reals"},
+}
+# the index entry points, each reading "abracadabra" or [1, 2, 0, 2]; a word,
+# a representation's chars and its boundaries are swapped one entry at a time
+_TEXT, _OTHER = idx("abracadabra"), idx("abracadaca", sigma=5)
+_CODES = RankIndex([1, 2, 0, 2], 3, 1)
+ENTRY_ARGS = [
+    ("BwtIndex", lambda sigma: BwtIndex([1, 2, 1, 3], sigma).bwt, (3,), ("int",)),
+    ("PairIndex", lambda sigma: PairIndex([1, 2], [2, 3, 1], sigma).bwt, (3,), ("int",)),
+    ("BwtIndex.rank", _TEXT.rank, (2, 7), ("int", "int")),
+    ("BwtIndex.access", _TEXT.access, (4,), ("int",)),
+    ("BwtIndex.interval", lambda *word: _TEXT.interval(word), (1, 2), ("int", "int")),
+    ("BwtIndex.count", lambda *word: _TEXT.count(word), (1, 2, 1), ("int",) * 3),
+    ("RankIndex", lambda *bounds: RankIndex([1, 2, 0, 2], *bounds).decode().tolist(), (3, 1), ("int", "int")),
+    ("RankIndex.rank", _CODES.rank, (2, 3), ("int", "int")),
+    ("RankIndex.access", _CODES.access, (2,), ("int",)),
+    ("RankIndex.range_distinct", _CODES.range_distinct, (1, 3), ("int", "int")),
+    (
+        "extend_left",
+        lambda chars, first: [(a, r.chars, r.first) for a, r in extend_left(_TEXT, Repr(chars, first))],
+        ((0, 1, 2, 3, 4, 5), (1, 2, 7, 9, 10, 11, 13)),
+        ("ints", "ints"),
+    ),
+    ("extend_left", lambda r: len(extend_left(_TEXT, r)), (Repr((1, 2), (2, 4, 6)),), ("object",)),
+]
+
+
+def _swapped(data, value, kind):
+    """(value with it or one of its parts swapped, malformed?, the valid value as a NumPy number?)."""
+    if kind in ("reals", "ints") and (kind == "ints" or data.draw(st.booleans())):
+        at = data.draw(st.integers(0, len(value) - 1))
+        part, malformed, same = _swapped(data, value[at], kind[:-1])
+        return value[:at] + (part, *value[at + 1 :]), malformed, same
+    if kind == "object" and isinstance(value, WeightSpec) and data.draw(st.booleans()):
+        fields = SPEC_FIELDS[value.kind]
+        field = data.draw(st.sampled_from(sorted(fields)))
+        part, malformed, same = _swapped(data, getattr(value, field), fields[field])
+        return dataclasses.replace(value, **{field: part}), malformed, same
+    numpy = np.int64(value) if kind == "int" else np.float64(value) if kind == "real" else None
+    swap = data.draw(st.sampled_from(SWAPS + ((numpy,) if numpy is not None else ())))
+    if numpy is not None and swap is numpy:
+        return swap, False, True
+    # a real argument may be any int or float; the other kinds take neither
+    number = isinstance(swap, (int, float)) and not isinstance(swap, bool)
+    malformed = kind not in ("int", "real") or not number or kind == "int" and not isinstance(swap, int)
+    return swap, malformed, False
+
+
+def _kept(compute):
+    """compute()'s value, or the class of the BwtkError it raises; a range of k as its repr.
+
+    A PerK or a ProfileMatrix over a range far past the text holds only
+    the values a pass reached, and its repr reads no more.
+    """
+    try:
+        value = compute()
+    except BwtkError as exc:
+        return type(exc)
+    return repr(value) if isinstance(value, (PerK, ProfileMatrix)) else _hexed(value)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.data())
+def test_an_entry_point_given_a_malformed_argument_raises_input_error_alone_and_fused(data):
+    # one argument of a valid call swapped, an index of a measure included: a
+    # malformed one raises InputError, the others give a value or a
+    # BwtkError, and the valid value as a NumPy number gives the valid call's
+    # outcome; a measure fused with every other fold of its index kind gives
+    # its outcome alone
+    name, *call, valid, kinds = data.draw(st.sampled_from(MEASURE_ARGS + ENTRY_ARGS))
+    run = call[0] if call else getattr(bwtk.kernels, name)
+    pair = any(setup is getattr(run, "fold", None) for setup, *_ in PAIR_FOLDS)
+    indexes = () if call else (_TEXT, _OTHER) if pair else (_TEXT,)
+    valid, kinds = indexes + valid, ("index",) * len(indexes) + kinds
+    at = data.draw(st.sampled_from([i for i, kind in enumerate(kinds) if kind != "callback"]))
+    swap, malformed, same = _swapped(data, valid[at], kinds[at])
+    args = valid[:at] + (swap, *valid[at + 1 :])
+    outcome = _kept(lambda: run(*args))
+    if malformed:
+        assert outcome is InputError
+    if same:
+        assert outcome == _kept(lambda: run(*valid))
+    if indexes and at >= len(indexes):
+        calls = [(_caught(setup), *rest) for setup, *rest in (PAIR_FOLDS if pair else SINGLE_FOLDS)]
+        place = data.draw(st.integers(0, len(calls)))
+        calls.insert(place, (_caught(run.fold, _kept), *args[len(indexes) :]))
+        assert run_folds(PairIndex.of(*indexes) if pair else _TEXT, calls)[place] == outcome
+
+
 def test_kernel_values_are_bounded():
     rng = random.Random(9004)
     for _ in range(25):
@@ -964,15 +1089,15 @@ def _outcome(compute):
         return type(exc)
 
 
-def _caught(setup):
-    """setup, with its own error and its fold's finish() read as an _outcome."""
+def _caught(setup, read=_outcome):
+    """setup, with its own error and its fold's finish() read as an _outcome, or by read."""
 
     def caught(pair, *args):
         try:
             fold = setup(pair, *args)
         except BwtkError as exc:
             return Fold(lambda batch: None, functools.partial(type, exc))
-        return fold._replace(finish=lambda: _outcome(fold.finish))
+        return fold._replace(finish=lambda: read(fold.finish))
 
     return caught
 

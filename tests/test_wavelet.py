@@ -109,6 +109,12 @@ def test_validation_errors():
             RankIndex(data, maxsym)
 
 
+def test_a_float_maxsym_raises_input_error():
+    # it built a tree that decoded the codes to float16
+    with pytest.raises(InputError):
+        RankIndex([1, 2, 0, 2], 3.0)
+
+
 def test_integer_and_bool_arrays_build_as_their_list():
     want = RankIndex([3, 0, 2, 2, 1], 3)
     for dtype in (np.uint8, np.int16, np.uint64, np.int64):
