@@ -9,20 +9,25 @@ wavelet-tree descent that ranks the k+1 boundaries of repr(W) together:
 aW continues with b_i exactly where the rank of a rises across block i.
 
 One engine walks the tree: batched_pass takes same-depth nodes a batch at a
-time, each batch held in flat NumPy arrays (Side, Batch), and extends all
-of them with one wavelet descent that ranks every boundary of the batch per
-wavelet node (RankIndex.descend). Its selections use compress or index
-gathers, never boolean-mask indexing, and it repeats values only to the
-size of its output; only masks are repeated to the size of its input. It
-goes depth-first over batches and splits a batch past _CAP boundaries,
-lightest piece first, into runs of consecutive nodes. Below the split
-depths most batches are small, so a batch under half the cap waits, parked
-with the others of its depth, until they are merged into one batch: each
-depth then costs about one batch, not one per split piece. Between two
-visits the parked batches hold at most twice the cap; each pass reports
-its peak of pending boundaries, which the tests hold to sigma log2 n times
-the cap. A pass may stop at a depth bound, so that measures that read only
-short contexts skip the deeper nodes.
+time, each batch held in flat NumPy arrays (Side, Batch). A batch's kids
+are made when something first reads them, all at once, by one wavelet
+descent that ranks every boundary of the batch per wavelet node
+(RankIndex.descend); a pass whose folds read only the nodes never extends
+the batches at its depth bound. The descent carries a wavelet child's
+boundaries down whole, nodes without a symbol of the child included, while
+more than a quarter of its nodes hold one, and otherwise cuts them to those
+nodes by one gather the size of its output. The kids are read off the
+rises of every leaf's ranks laid end to end: aW has a block wherever a's
+rank rises across a block of W. Selections use compress or index gathers,
+never boolean-mask indexing. The pass goes depth-first over batches and
+splits a batch past _CAP boundaries, lightest piece first, into runs of
+consecutive nodes. Below the split depths most batches are small, so a
+batch under half the cap waits, parked with the others of its depth, until
+they are merged into one batch: each depth then costs about one batch, not
+one per split piece. Between two visits the parked batches hold at most
+twice the cap; each pass reports its peak of pending boundaries, which the
+tests hold to sigma log2 n times the cap. A pass may stop at a depth bound,
+so that measures that read only short contexts skip the deeper nodes.
 
 A pair of texts is one index too (suffix.PairIndex): the BWT of T1 $ T2 #,
 letters shifted up by one, with the separator $ = 1 below them and # = 0.
@@ -56,12 +61,11 @@ _extend_batch, and extend_left_generalized merges it over the two texts.
 
 from __future__ import annotations
 
-import bisect
 import math
 
 import numpy as np
 
-from .errors import InputError, integer
+from .errors import InputError, integer, sequence
 from .suffix import BwtIndex, PairIndex
 
 __all__ = [
@@ -145,11 +149,9 @@ class Side:
     __slots__ = ("bd", "nb", "ch", "one", "end", "_freq", "_inside", "_w", "_node", "_texts")
 
     def __init__(self, bd: np.ndarray, nb: np.ndarray, ch: np.ndarray, one=None) -> None:
-        self.bd = bd
-        self.nb = nb
-        self.ch = ch
-        self.one = one
-        self.end = nb.cumsum()
+        self.bd, self.nb, self.ch, self.one = bd, nb, ch, one
+        # the ufunc, as the cumsum method costs about 1 us more a call, twice a batch
+        self.end = np.add.accumulate(nb)
         # derived arrays are made when first read, not while a batch waits
         self._freq = self._inside = self._w = self._node = self._texts = None
 
@@ -166,16 +168,19 @@ class Side:
         return self.bd[self.end - self.nb]
 
     def inside(self) -> np.ndarray:
-        """Per pair of consecutive boundaries, whether they bound a block of one node."""
+        """Per boundary, whether it and the next bound a block of one node."""
         if self._inside is None:
-            self._inside = inside = np.ones(max(self.bd.size - 1, 0), dtype=bool)
-            inside[self.end[:-1] - 1] = False
+            # boundary b is entry b + 1, so the last boundaries are the entries at end
+            buf = np.empty(self.bd.size + 1, dtype=bool)
+            buf.fill(True)
+            buf[self.end] = False
+            self._inside = buf[1:]
         return self._inside
 
     @property
     def w(self) -> np.ndarray:
         if self._w is None:
-            self._w = np.diff(self.bd).compress(self.inside())
+            self._w = np.diff(self.bd).compress(self.inside()[:-1])
         return self._w
 
     @property
@@ -204,37 +209,50 @@ class Side:
                     np.subtract(x[1:], x[:-1], out=w[t])
                 f[1] -= f[0]
                 w[1] -= w[0]
-                self._texts = f, w.compress(self.inside(), axis=1)
+                self._texts = f, w.compress(self.inside()[:-1], axis=1)
         return self._texts
 
     def take(self, rows: np.ndarray) -> Side:
-        """The nodes where the boolean mask rows is set."""
-        at = rows.repeat(self.nb).nonzero()[0]
-        one = None if self.one is None else self.one[at]
-        ch = self.ch.compress(rows.repeat(self.nb - 1))
-        return Side(self.bd[at], self.nb.compress(rows), ch, one)
+        """The nodes where the boolean mask rows is set, with the widths already made of them."""
+        keep, blocks = rows.repeat(self.nb), rows.repeat(self.nb - 1)
+        one = None if self.one is None else self.one.compress(keep)
+        kept = Side(self.bd.compress(keep), self.nb.compress(rows), self.ch.compress(blocks), one)
+        if self._freq is not None or self._w is not None or self._texts is not None:
+            # each derived array already made, and the mask of its entries kept
+            f, w = self._texts or (None, None)
+            made = (self._freq, rows), (self._w, blocks), (f, rows), (w, blocks)
+            kept._freq, kept._w, f, w = (x if x is None else x.compress(m, axis=-1) for x, m in made)
+            kept._texts = None if f is None else (f, w)
+        return kept
 
 
 class Batch:
-    """Same-depth nodes of a batched pass, with every left extension.
+    """Same-depth nodes of a batched pass over index, with every left extension.
 
     side holds the nodes. The kids are every (node, a) with aW occurring,
     ordered by a and then by node: kid_node[r] is the node, kid_sym[r] the
     symbol a, kids the children aW as one Side, and kid_blk the block of
     the node that each kid block lies in (aWb occurs only where Wb does).
-    shared holds what several folds of one pass derive from the batch,
-    computed once. carry maps a fold's key to a tuple of per-node arrays:
-    on entry they hold each node's parent's values, and the fold replaces
-    them with the node's own for the kids to read.
+    They are made (_extend_batch) when one of them is first read, so a
+    batch whose kids nothing reads is never extended. shared holds what
+    several folds of one pass derive from the batch, computed once. carry
+    maps a fold's key to a tuple of per-node arrays: on entry they hold
+    each node's parent's values, and the fold replaces them with the
+    node's own for the kids to read.
     """
 
-    __slots__ = ("depth", "side", "carry", "shared", "kid_node", "kid_sym", "kids", "kid_blk")
+    __slots__ = ("index", "depth", "side", "carry", "shared", "kid_node", "kid_sym", "kids", "kid_blk")
 
-    def __init__(self, depth: int, side: Side, carry: dict | None = None) -> None:
-        self.depth = depth
-        self.side = side
+    def __init__(self, index: BwtIndex, depth: int, side: Side, carry: dict | None = None) -> None:
+        self.index, self.depth, self.side = index, depth, side
         self.carry: dict = {} if carry is None else carry
         self.shared: dict = {}
+
+    def __getattr__(self, name: str):
+        # reached only for a slot not yet set: the kid arrays, before the first read
+        if name.startswith("kid"):
+            _extend_batch(self)
+        return object.__getattribute__(self, name)
 
     def derive(self, fn):
         """fn(self), computed by the first fold that asks for it."""
@@ -261,46 +279,62 @@ def heads(first: np.ndarray, psi: np.ndarray, rows: np.ndarray, k: int):
         rows = psi[rows]
 
 
-def _extend_batch(batch: Batch, index: BwtIndex) -> None:
+def _extend_batch(batch: Batch) -> None:
     """Fill in the batch's kids, every left extension of its nodes.
 
-    One descent ranks all boundaries of the nodes. For symbol a, aW
-    continues with W's block b exactly where a's rank rises across it, so
-    the child keeps the node's first boundary and the end of every block
-    where the rank rises, each shifted to a's rows by C[a]; blk gives the
-    node's block that each child block lies in. Over a pair, the kids'
+    One descent ranks the boundaries of the nodes, and the kids are read
+    off all its leaves at once, laid end to end with each symbol a's ranks
+    shifted to its rows by C[a]. Block p of the batch (between its
+    boundaries p and p + 1, of node j) holds a exactly where a's rank
+    rises across it, so the kid aW keeps a's rank at j's first boundary
+    and at the end of each block where it rises, and blk gives p - j, the
+    block of the batch that each kid block lies in. Over a pair, the kids'
     boundaries are also ranked in the text bit.
     """
-    side = batch.side
-    syms, ids, nbs, ranks = index.ranks.descend(side.bd, side.nb)
-    per = [i.size for i in ids]
-    sym = np.array(syms, dtype=np.int64).repeat(per)
-    base = index.c[index.syms.searchsorted(syms)].tolist()
-    node = np.concatenate(ids)
-    knb = np.concatenate(nbs)
-    r = np.concatenate([x + c for x, c in zip(ranks, base)])
-    beg = knb.cumsum() - knb
-    rise = np.empty(r.size, dtype=bool)
-    np.greater(r[1:], r[:-1], out=rise[1:])
-    rise[beg] = False  # beg[0] is 0
-    keep = rise.copy()
-    keep[beg] = True
-    nb = np.add.reduceat(keep, beg)
-    # a rise at the node's (t+1)-th boundary ends its t-th block, and kid j has nb[j] - 1 rises
-    shift = side.end[node] - side.nb[node] - node - 1 - beg
-    blk = rise.nonzero()[0] + shift.repeat(nb - 1)
+    side, index = batch.side, batch.index
+    start = side.end - side.nb
+    leaves = index.ranks.descend(side.bd, start, side.end - 1)
+    base = index.c[index.syms.searchsorted([c for c, _, _ in leaves])]
+    # written in place: a copy of each leaf shifted by C[a] would be one more allocation each
+    r, o = np.empty(sum(x.size for _, _, x in leaves), dtype=np.int64), 0
+    for (_, _, x), c in zip(leaves, base):
+        o += np.add(x, c, out=r[o : o + x.size]).size
+    # only where each leaf's ranks lie is read past here: the ranks themselves are freed
+    leaves = [g for _, g, _ in leaves]
+    # boundary indexes fit int32, which halves the one array as long as r
+    every, inside = np.arange(side.bd.size, dtype=np.int32), side.inside()
+    at = np.concatenate([every if g is None else g.astype(np.int32) for g in leaves])
+    # a rise counts where both ends are boundaries of one node, never across two
+    rise = np.concatenate([inside if g is None else inside[g] for g in leaves])
+    rise[:-1] &= r[1:] > r[:-1]
+    i = rise[:-1].nonzero()[0]
+    p = at[i]
+    node = np.arange(side.nb.size).repeat(side.nb)[p]
+    # the entry of r at the first boundary of the rise's node: one per kid
+    head = i - p + start[node]
+    # a kid starts at each change of head; edges closes the last kid too
+    new = np.empty(i.size + 1, dtype=bool)
+    new[0] = new[-1] = True
+    np.not_equal(head[1:], head[:-1], out=new[1:-1])
+    edges = new.nonzero()[0]
+    first = head[edges[:-1]]
+    keep = np.zeros(r.size, dtype=bool)
+    keep[1:][i] = True
+    keep[first] = True
     bd, one = r.compress(keep), None
+    nb = edges[1:] - edges[:-1] + 1
+    # a kid's first row starts with its symbol
+    batch.kid_sym = index.first(r[first])
     if isinstance(index, PairIndex):
         one = index.bit.ones(bd)
         # #W (rows [0, 1]) is text 1's and $W (rows [1, 2]) text 2's, though
         # the bit gives row 0 to text 2 and row 1 to text 1: swap the two.
         # Kids run by symbol, so theirs are the first boundaries, of at most
         # two kids, as # and $ each occur once in the BWT.
-        kids = sum(per[: bisect.bisect_left(syms, index.terminators)])
-        ends = sum(nb[:kids].tolist())
-        one[:ends] = bd[:ends] - one[:ends]
-    batch.kid_node, batch.kid_sym, batch.kid_blk = node, sym, blk
-    batch.kids = Side(bd, nb, side.ch[blk], one)
+        cut = nb[: batch.kid_sym.searchsorted(index.terminators)].sum()
+        one[:cut] = bd[:cut] - one[:cut]
+    batch.kid_node, batch.kid_blk = node[edges[:-1]], p - node
+    batch.kids = Side(bd, nb, side.ch[batch.kid_blk], one)
 
 
 def _gather(carry: dict, rows) -> dict:
@@ -308,15 +342,17 @@ def _gather(carry: dict, rows) -> dict:
     return {key: tuple(a[rows] for a in arrays) for key, arrays in carry.items()}
 
 
-def _next_batch(batch: Batch, letters: int) -> Batch | None:
-    """The kids to visit next: extensions by a letter (code >= letters) that are right-maximal."""
-    push = (batch.kid_sym >= letters) & (batch.kids.nb >= 3)
+def _next_batch(batch: Batch) -> Batch | None:
+    """The kids to visit next: extensions by a letter that are right-maximal."""
+    push = batch.kids.nb >= 3
+    # kids run by symbol, so the terminators' come first
+    push[: batch.kid_sym.searchsorted(batch.index.terminators)] = False
     node = batch.kid_node.compress(push)
     if not node.size:
         return None
     # each kid starts from its parent node's values
     carry = _gather(batch.carry, node) if batch.carry else {}
-    return Batch(batch.depth + 1, batch.kids.take(push), carry)
+    return Batch(batch.index, batch.depth + 1, batch.kids.take(push), carry)
 
 
 def _split(batch: Batch, cap: int | None) -> list[Batch]:
@@ -341,7 +377,7 @@ def _split(batch: Batch, cap: int | None) -> list[Batch]:
     for r0, r1, b0, b1 in zip(rows, rows[1:], ends, ends[1:]):
         one = None if side.one is None else side.one[b0:b1]
         piece = Side(side.bd[b0:b1], side.nb[r0:r1], side.ch[b0 - r0 : b1 - r1], one)
-        pieces.append(Batch(batch.depth, piece, _gather(batch.carry, slice(r0, r1))))
+        pieces.append(Batch(batch.index, batch.depth, piece, _gather(batch.carry, slice(r0, r1))))
     mass = [int(piece.side.freq.sum()) for piece in pieces]
     order = sorted(range(len(pieces)), key=mass.__getitem__, reverse=True)
     return [pieces[i] for i in order]
@@ -358,7 +394,7 @@ def _merge(parts: list[Batch]) -> Batch:
         key: tuple(map(np.concatenate, zip(*(part.carry[key] for part in parts))))
         for key in parts[0].carry
     }
-    return Batch(parts[0].depth, Side(*map(np.concatenate, arrays), one), carry)
+    return Batch(parts[0].index, parts[0].depth, Side(*map(np.concatenate, arrays), one), carry)
 
 
 class _Parked:
@@ -414,7 +450,7 @@ def batched_pass(
         counted.enumerations += 1
     # the root's blocks are the symbols that occur in the text
     one = index.bit.ones(index.c) if isinstance(index, PairIndex) else None
-    root = Batch(0, Side(index.c, np.array([index.c.size]), index.syms, one))
+    root = Batch(index, 0, Side(index.c, np.array([index.c.size]), index.syms, one))
     last = math.inf if max_depth is None else max_depth
     small = 0 if _cap is None else _cap // 2
     bound = math.inf if _cap is None else 2 * _cap
@@ -427,10 +463,9 @@ def batched_pass(
             stack.append(parked.pop(min(parked.parts)))
         batch = stack.pop()
         held -= batch.size
-        _extend_batch(batch, index)
         visits += batch.side.nb.size
         visit(batch)
-        nxt = _next_batch(batch, index.terminators) if batch.depth < last else None
+        nxt = _next_batch(batch) if batch.depth < last else None
         if nxt is None:
             continue
         held += nxt.size
@@ -626,25 +661,24 @@ def enumerate_generalized(
     return _visit_nodes(PairIndex.of(index1, index2), visitor, None, stats)
 
 
-def _check_repr(index: BwtIndex, r: Repr) -> None:
-    """Reject a repr unless its chars are symbols and its boundaries increasing rows in [1..n+1]."""
-    if not (isinstance(r, Repr) and len(r.first) == len(r.chars) + 1 >= 2):
+def _check_repr(index: BwtIndex, r: Repr) -> tuple[list, list]:
+    """r's chars and boundaries, once its chars are symbols and its boundaries increasing rows in [1..n+1]."""
+    chars, first = (sequence(x, "a repr") for x in (r.chars, r.first)) if isinstance(r, Repr) else ((), ())
+    if not len(first) == len(chars) + 1 >= 2:
         raise InputError("malformed representation")
-    for a in r.chars:
+    for a in chars:
         integer(a, "a char of a representation", 0, index.sigma)
     row = 0
-    for x in r.first:
+    for x in first:
         row = integer(x, "a boundary of a representation", row + 1, index.n + 1)
+    return chars, first
 
 
 def extend_left(index: BwtIndex, r: Repr) -> list[tuple[int, Repr]]:
     """One entry per distinct symbol a preceding W, with repr(aW), a ascending."""
-    _check_repr(index, r)
-    bd, ch = (np.array(x, dtype=np.int64) for x in (r.first, r.chars))
+    ch, bd = (np.array(x, dtype=np.int64) for x in _check_repr(index, r))
     side = Side(bd - 1, np.array([bd.size]), ch)
-    batch = Batch(0, side)
-    _extend_batch(batch, index)
-    lefts, children = _kids(batch)
+    lefts, children = _kids(Batch(index, 0, side))
     return list(zip(lefts[0], children[0]))
 
 
@@ -652,11 +686,15 @@ def extend_left_generalized(
     index1: BwtIndex, index2: BwtIndex, g: GenRepr
 ) -> list[tuple[int, GenRepr]]:
     """extend_left on both sides, merged by symbol; a side absent for aW is ABSENT."""
-    if not (g.one.present or g.two.present):
+    try:
+        present = g.one.present, g.two.present
+    except (AttributeError, TypeError, IndexError):  # no GenRepr, or a side with no first boundary
+        raise InputError("malformed representation") from None
+    if not any(present):
         raise InputError("malformed representation: both sides absent")
     kids: dict[int, list[Repr]] = {}
     for t, (index, r) in enumerate(((index1, g.one), (index2, g.two))):
-        if r.present:
+        if present[t]:
             for a, kid in extend_left(index, r):
                 kids.setdefault(a, [ABSENT, ABSENT])[t] = kid
     return [(a, GenRepr(*kids[a])) for a in sorted(kids)]

@@ -4,6 +4,9 @@ integer() reads every integer argument (a length, frequency, symbol,
 position or sigma), and real() every real one (tau, epsilon, a score or a
 probability). An int or, for real(), a float, NumPy's included, becomes a
 Python int or float; anything else, a bool included, raises InputError.
+sequence() reads a sequence argument (a word, a representation's chars or
+boundaries) as a list, whose entries the caller then checks; a value that
+cannot be iterated raises InputError.
 """
 
 import numbers
@@ -50,3 +53,11 @@ def real(value, name: str) -> float:
     except OverflowError:  # an int past the float range
         pass
     raise InputError(f"{name} must be an int or a float in the float range, not {value!r}")
+
+
+def sequence(value, name: str) -> list:
+    """value's entries as a list; a value that cannot be iterated, such as a number, raises InputError."""
+    try:
+        return list(value)
+    except TypeError:
+        raise InputError(f"{name} must be a sequence, not {value!r}") from None

@@ -21,7 +21,7 @@ import struct
 
 import numpy as np
 
-from .errors import InputError, integer
+from .errors import InputError, integer, sequence
 from .text import Sequence
 from .wavelet import BitVector, RankIndex
 
@@ -211,7 +211,7 @@ class BwtIndex:
 
     def interval(self, word) -> tuple[int, int] | None:
         """Suffix-row interval of word via backward search; None if absent."""
-        word = [integer(sym, "symbol", 1, self.sigma) for sym in word]
+        word = [integer(sym, "symbol", 1, self.sigma) for sym in sequence(word, "word")]
         sp, ep = 1, self.n
         for sym in reversed(word):
             k = int(np.searchsorted(self.syms, sym))
@@ -294,7 +294,7 @@ class BwtIndex:
         """
         if rows is None:
             return np.repeat(self.syms, np.diff(self.c))
-        return self.syms[np.searchsorted(self.c, rows, "right") - 1]
+        return self.syms[self.c[1:].searchsorted(rows, "right")]
 
     def psi(self) -> np.ndarray:
         """Per suffix row (0-based), the row of the suffix one symbol on.

@@ -10,11 +10,15 @@ codes below it as positions, so a BWT's letters cost ceil(log2 sigma) bits
 per row and its terminators none. The tree is all that is kept of the
 array: decode reads it back in O(n log maxsym) on each call. One descent,
 RankIndex.descend, carries a batch of nodes, each a run of ascending
-boundaries, down the tree at once and reports, for every symbol of every
-node's range, its ranks at all of that node's boundaries. distinct_ranks,
-range_distinct, counts (the node [0, n]) and access (the node [i-1, i])
-are one-node descents; rank, for backward search, walks one position down
-the same nodes. BitVector is a wavelet node's bits alone.
+boundaries, down the tree at once and reports, for every symbol that some
+node's range holds, its ranks at the boundaries of whole nodes, every node
+that holds it among them. A child's boundaries go down whole, nodes that
+hold none of its symbols included, while more than a quarter of its nodes
+hold one; otherwise one gather the size of its output cuts them to those
+nodes. distinct_ranks, range_distinct, counts (the node [0, n]) and access
+(the node [i-1, i]) are one-node descents; rank, for backward search,
+walks one position down the same nodes. BitVector is a wavelet node's bits
+alone.
 """
 
 from __future__ import annotations
@@ -25,6 +29,10 @@ import numpy as np
 
 from .errors import InputError, integer
 
+# a wavelet child whose live nodes are at most 1/_COMPACT of its input's is
+# cut to them (RankIndex.descend). Of 2, 3, 4 and 8 on bare passes at sigma
+# 4, 20 and 255, 3 and 4 read alike; 2 was slower at sigma 4, 8 at 20 and 255
+_COMPACT = 4
 _WORD_MASKS = np.array([(1 << r) - 1 for r in range(64)], dtype=np.uint64)
 
 
@@ -108,7 +116,7 @@ class _SplitRoot(_Node):
         self.rows = np.flatnonzero(~bits)
 
     def ones(self, x: np.ndarray) -> np.ndarray:
-        return x - np.searchsorted(self.rows, x)
+        return x - self.rows.searchsorted(x)
 
     def one(self, i: int) -> int:
         return i - bisect_left(self.rows, i)
@@ -175,7 +183,7 @@ class RankIndex:
     def access(self, i: int) -> int:
         """The symbol at position i in [1..n]: the one symbol of the node [i-1, i]."""
         i = integer(i, "position", 1, self.n)
-        return self.descend(np.array([i - 1, i]), np.array([2]))[0][0]
+        return self.descend(np.array([i - 1, i]), np.array([0]), np.array([1]))[0][0]
 
     def counts(self) -> tuple[list[int], list[int]]:
         """The symbols that occur, ascending, and how many times each does.
@@ -183,10 +191,8 @@ class RankIndex:
         It is the descent of the one node [0, n], whose ranks at n are the
         counts: two ranks per wavelet node it reaches, and no element read.
         """
-        if not self.n:
-            return [], []
-        syms, _, _, ranks = self.descend(np.array([0, self.n]), np.array([2]))
-        return syms, [int(r[1]) for r in ranks]
+        ranks = self.distinct_ranks([0, self.n])
+        return [c for c, _ in ranks], [r[1] for _, r in ranks]
 
     def decode(self) -> np.ndarray:
         """The array, in the smallest integer dtype that holds maxsym, read from the tree.
@@ -225,10 +231,8 @@ class RankIndex:
             raise InputError(f"invalid boundaries {bounds} over [0..{self.n}]")
         if bounds[-1] == bounds[0]:
             return []
-        syms, _, _, ranks = self.descend(
-            np.array(bounds, dtype=np.int64), np.array([len(bounds)])
-        )
-        return [(c, r.tolist()) for c, r in zip(syms, ranks)]
+        leaves = self.descend(np.array(bounds, dtype=np.int64), np.array([0]), np.array([len(bounds) - 1]))
+        return [(c, r.tolist()) for c, _, r in leaves]
 
     def range_distinct(self, i: int, j: int) -> list[tuple[int, int, int]]:
         """Distinct symbols of positions [i..j] in ascending order.
@@ -241,43 +245,39 @@ class RankIndex:
         j = integer(j, "position", i, self.n)
         return [(c, x + 1, y) for c, (x, y) in self.distinct_ranks([i - 1, j])]
 
-    def descend(self, x: np.ndarray, nb: np.ndarray):
+    def descend(self, x: np.ndarray, first: np.ndarray, last: np.ndarray) -> list:
         """Ranks of every symbol of every node's range, for a batch of nodes.
 
-        x holds the boundaries of the nodes, nb[j] ascending positions for
-        node j, whose range [first+1 .. last] must be non-empty. Returns
-        parallel lists, one entry per symbol c that occurs in some node's
-        range, in ascending c: c, the indexes of those nodes, their nb and
-        the ranks of c at their boundaries. Each wavelet node ranks all the
-        boundaries it receives in one step, and a node whose range holds no
-        symbol of a child does not follow the batch into it: the batch is
-        compacted by compress and index gathers, never by boolean-mask
-        indexing.
+        x holds the boundaries of the nodes, x[first[j]] .. x[last[j]] the
+        ascending ones of node j, whose range [x[first[j]]+1 .. x[last[j]]]
+        must be non-empty. Returns one entry (c, at, r) per symbol c that
+        occurs in some node's range, in ascending c: r holds the ranks of c
+        at the boundaries x[at], or at all of x when at is None. at is
+        ascending and takes whole nodes, every node whose range holds c
+        among them; a node it takes whose range lacks c has equal ranks at
+        all its boundaries. Each wavelet node ranks all the boundaries it
+        receives in one step. A child's array goes down whole, nodes that
+        hold none of its symbols included, while more than 1/_COMPACT of its
+        nodes hold one; otherwise it is cut to those nodes by one gather the
+        size of its output.
         """
-        syms, ids_out, nbs, ranks = [], [], [], []
-        stack = [(self.root, x, nb, np.arange(nb.size), _ends(nb))]
+        out = []
+        stack = [(self.root, x, None, first, last)]
         while stack:
-            node, x, nb, ids, (first, last) = stack.pop()
+            node, x, at, first, last = stack.pop()
             if node.left is None:
-                syms.append(node.lo)
-                ids_out.append(ids)
-                nbs.append(nb)
-                ranks.append(x)
+                out.append((node.lo, at, x))
                 continue
             ones = node.ones(x)
             # the right child is stacked first, so symbols come out ascending
             for child, y in ((node.right, ones), (node.left, x - ones)):
                 alive = y[last] > y[first]
-                at = alive.nonzero()[0]
-                if at.size == alive.size:
-                    stack.append((child, y, nb, ids, (first, last)))
-                elif at.size:
-                    kept = nb[at]
-                    stack.append((child, y.compress(alive.repeat(nb)), kept, ids[at], _ends(kept)))
-        return syms, ids_out, nbs, ranks
-
-
-def _ends(nb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indexes of each node's first and last boundary."""
-    last = nb.cumsum() - 1
-    return last - (nb - 1), last
+                live = np.count_nonzero(alive)
+                if live * _COMPACT > alive.size:
+                    stack.append((child, y, at, first, last))
+                elif live:
+                    size = (last - first + 1).compress(alive)
+                    end = size.cumsum()
+                    pick = np.arange(end[-1]) + (first.compress(alive) - end + size).repeat(size)
+                    stack.append((child, y[pick], pick if at is None else at[pick], end - size, end - 1))
+        return out

@@ -24,7 +24,6 @@ from bwtk.enumerate import (
     GenRepr,
     Repr,
     Side,
-    _extend_batch,
     _merge,
     _split,
     batched_pass,
@@ -35,6 +34,7 @@ from bwtk.enumerate import (
     extend_left_generalized,
 )
 from bwtk.errors import InputError
+from bwtk.kernels import entropy_range, maw_count, run_folds
 from bwtk.oracle import (
     oracle_generalized_right_maximal_set,
     oracle_maximal_repeat_set,
@@ -586,8 +586,9 @@ def random_sides(draw):
 
     Each node has two or more increasing boundaries in [0..n]; ch holds a
     random symbol per block, and over a pair one holds the text bit's rank.
+    At sigma=255 a wavelet child often holds a symbol of few of the nodes.
     """
-    sigma = draw(st.sampled_from((1, 2, 4, 20)))
+    sigma = draw(st.sampled_from((1, 2, 4, 20, 255)))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     texts = [rand_seq(rng, draw(st.integers(1, 120)), sigma)]
     if draw(st.booleans()):
@@ -637,14 +638,10 @@ def _brute_kids(index, side: Side) -> tuple[list, ...]:
     return kid_node, kid_sym, kid_blk, bd, nb, one
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
-@given(random_sides())
-def test_kids_match_a_brute_force_left_extension(case):
-    index, side = case
-    batch = Batch(0, side)
-    _extend_batch(batch, index)
+def _check_kids(index, batch: Batch) -> None:
+    """The batch's kids, as read from it, are _brute_kids of its nodes."""
+    side, kids = batch.side, batch.kids
     kid_node, kid_sym, kid_blk, bd, nb, one = _brute_kids(index, side)
-    kids = batch.kids
     assert batch.kid_node.tolist() == kid_node
     assert batch.kid_sym.tolist() == kid_sym
     assert batch.kid_blk.tolist() == kid_blk
@@ -653,6 +650,64 @@ def test_kids_match_a_brute_force_left_extension(case):
     assert (kids.one is None) == (side.one is None)
     if kids.one is not None:
         assert kids.one.tolist() == one
+
+
+def test_kids_match_a_brute_force_left_extension():
+    # the descent cuts a wavelet child to its live nodes or carries it whole,
+    # dead nodes included: both must run over the drawn sides
+    ran = set()
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(random_sides())
+    def check(case):
+        index, side = case
+        _check_kids(index, Batch(index, 0, side))
+        start, last = side.end - side.nb, side.end - 1
+        for _, at, r in index.ranks.descend(side.bd, start, last):
+            ran.add("cut" if at is not None else "whole")
+            if at is None and np.any(r[start] == r[last]):
+                ran.add("whole with dead nodes")
+
+    check()
+    assert ran == {"cut", "whole", "whole with dead nodes"}
+
+
+def test_a_pass_of_side_only_folds_extends_no_batch_at_its_depth_bound(monkeypatch):
+    # entropy_range reads only batch.side, so its pass, bounded at k2 = 3,
+    # makes one descent per batch above that depth and none at it; fused with
+    # maw_count, which reads the kids, it extends every depth it visits
+    index = build_bwt(rand_seq(random.Random(24), 3_000, 4))
+    extended = Counter()
+    extend = bwtk.enumerate._extend_batch
+
+    def counted(batch):
+        extended[batch.depth] += 1
+        extend(batch)
+
+    monkeypatch.setattr(bwtk.enumerate, "_extend_batch", counted)
+    visited = Counter()
+    batched_pass(index, lambda batch: visited.update([batch.depth]), max_depth=3)
+    assert sorted(visited) == [0, 1, 2, 3]
+    assert extended == {d: visited[d] for d in (0, 1, 2)}
+    extended.clear()
+    alone = entropy_range(index, 0, 3), maw_count(index)
+    extended.clear()
+    entropy_range(index, 0, 3)
+    assert extended == {d: visited[d] for d in (0, 1, 2)}
+    extended.clear()
+    fused = run_folds(index, [(entropy_range.fold, 0, 3), (maw_count.fold,)])
+    assert tuple(fused) == alone
+    assert extended[3] == visited[3] and max(extended) > 3
+    # the kids read at the bound are still every left extension
+    read = []
+
+    def visit(batch):
+        if batch.depth == 3:
+            _check_kids(index, batch)
+            read.append(batch.depth)
+
+    batched_pass(index, visit, max_depth=3)
+    assert len(read) == visited[3]
 
 
 def _arrays(side: Side) -> list:
@@ -678,7 +733,7 @@ def test_split_pieces_merge_back_into_the_batch(case, data):
     key = object()
     count = side.nb.size
     weights = np.arange(count) * 0.5
-    batch = Batch(3, side, {key: (np.arange(count), weights)})
+    batch = Batch(None, 3, side, {key: (np.arange(count), weights)})
     cap = data.draw(st.none() | st.integers(1, side.bd.size + 1))
     pieces = _split(batch, cap)
     for piece in pieces:

@@ -49,7 +49,7 @@ from bwtk.kernels import (
     substring_kernel,
     weighted_substring_kernel,
 )
-from bwtk.enumerate import Repr, extend_left
+from bwtk.enumerate import GenRepr, Repr, extend_left, extend_left_generalized
 from bwtk.kernels import Fold, PerK, ProfileMatrix, _pair_sums
 from bwtk.params import WeightSpec, ZScoreParams
 from bwtk.suffix import BwtIndex, PairIndex, build_bwt
@@ -826,7 +826,8 @@ SPEC_FIELDS = {
     "charscore": {"scores": "reals"},
 }
 # the index entry points, each reading "abracadabra" or [1, 2, 0, 2]; a word,
-# a representation's chars and its boundaries are swapped one entry at a time
+# a representation's chars and its boundaries are swapped whole or one entry
+# at a time, and a representation or a pair of them whole or one field at a time
 _TEXT, _OTHER = idx("abracadabra"), idx("abracadaca", sigma=5)
 _CODES = RankIndex([1, 2, 0, 2], 3, 1)
 ENTRY_ARGS = [
@@ -847,15 +848,28 @@ ENTRY_ARGS = [
         ("ints", "ints"),
     ),
     ("extend_left", lambda r: len(extend_left(_TEXT, r)), (Repr((1, 2), (2, 4, 6)),), ("object",)),
+    ("BwtIndex.interval", lambda word: _TEXT.interval(word), ((1, 2),), ("ints",)),
+    ("BwtIndex.count", lambda word: _TEXT.count(word), ((1, 2, 1),), ("ints",)),
+    (
+        "extend_left_generalized",
+        lambda g: [(a, k.one.first, k.two.first) for a, k in extend_left_generalized(_TEXT, _OTHER, g)],
+        (GenRepr(Repr((1, 2), (2, 4, 6)), Repr((1, 2), (2, 4, 6))),),
+        ("object",),
+    ),
 ]
 
 
 def _swapped(data, value, kind):
     """(value with it or one of its parts swapped, malformed?, the valid value as a NumPy number?)."""
-    if kind in ("reals", "ints") and (kind == "ints" or data.draw(st.booleans())):
+    if kind in ("reals", "ints") and data.draw(st.booleans()):
         at = data.draw(st.integers(0, len(value) - 1))
         part, malformed, same = _swapped(data, value[at], kind[:-1])
         return value[:at] + (part, *value[at + 1 :]), malformed, same
+    if kind == "object" and isinstance(value, (Repr, GenRepr)) and data.draw(st.booleans()):
+        fields = type(value).__slots__
+        field = data.draw(st.sampled_from(fields))
+        part, malformed, same = _swapped(data, getattr(value, field), "ints" if isinstance(value, Repr) else "object")
+        return type(value)(*(part if f == field else getattr(value, f) for f in fields)), malformed, same
     if kind == "object" and isinstance(value, WeightSpec) and data.draw(st.booleans()):
         fields = SPEC_FIELDS[value.kind]
         field = data.draw(st.sampled_from(sorted(fields)))

@@ -179,10 +179,10 @@ def test_rank_directory_is_uint16_word_counts_under_int32_superblock_counts():
     ones = bit.ones(x)
     assert ones.dtype == np.int64
     assert ones.tolist() == [int((data[:i] > 2).sum()) for i in x.tolist()]
-    syms, _, _, ranks = rix.descend(np.array([0, 1_000, data.size]), np.array([3]))
-    assert syms == sorted(set(data.tolist()))
-    for c, r in zip(syms, ranks):
-        assert r.dtype == np.int64
+    leaves = rix.descend(np.array([0, 1_000, data.size]), np.array([0]), np.array([2]))
+    assert [c for c, _, _ in leaves] == sorted(set(data.tolist()))
+    for c, at, r in leaves:
+        assert at is None and r.dtype == np.int64
         assert r.tolist() == [int((data[:i] == c).sum()) for i in (0, 1_000, data.size)]
 
 
@@ -238,10 +238,10 @@ def test_index_reads_match_the_bwt_across_superblocks(pair):
     assert rix.counts() == (syms.tolist(), counts.tolist())
     prefix = {c: np.concatenate(([0], np.cumsum(bwt == c))) for c in syms.tolist()}
     # one node whose boundaries are every row ranks every position of every wavelet node
-    got, _, _, ranks = rix.descend(np.arange(n + 1), np.array([n + 1]))
-    assert got == syms.tolist()
-    for c, r in zip(got, ranks):
-        assert r.dtype == np.int64
+    leaves = rix.descend(np.arange(n + 1), np.array([0]), np.array([n]))
+    assert [c for c, _, _ in leaves] == syms.tolist()
+    for c, at, r in leaves:
+        assert at is None and r.dtype == np.int64
         assert np.array_equal(r, prefix[c])
     # scalar reads near the superblock edges of every wavelet node (each
     # counts the rows of a symbol range) and around the terminator rows
@@ -302,8 +302,8 @@ def test_split_root_matches_the_plain_tree(split):
     for c in range(6):
         assert [split_ix.rank(c, i) for i in range(131)] == [plain.rank(c, i) for i in range(131)]
     assert [split_ix.access(i) for i in range(1, 131)] == data.tolist()
-    x, nb = np.array([0, 1, 64, 65, 65, 100, 129, 130]), np.array([3, 2, 3])
-    for a, b in zip(split_ix.descend(x, nb), plain.descend(x, nb)):
+    x, first, last = np.array([0, 1, 64, 65, 65, 100, 129, 130]), np.array([0, 3, 5]), np.array([2, 4, 7])
+    for a, b in zip(split_ix.descend(x, first, last), plain.descend(x, first, last), strict=True):
         assert [np.asarray(v).tolist() for v in a] == [np.asarray(v).tolist() for v in b]
     with pytest.raises(InputError):
         RankIndex(data, 5, 6)
@@ -363,17 +363,22 @@ def descent_inputs(draw):
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(descent_inputs())
 def test_descend_matches_prefix_counts_of_the_decoded_bwt(case):
+    # one entry per symbol that some node's range holds; it ranks the symbol
+    # at the boundaries of whole nodes, every node that holds it among them
     index, nodes = case
     codes = index.codes.astype(np.int64)
-    want = []
-    for c in range(index.ranks.maxsym + 1):
-        prefix = np.concatenate(([0], np.cumsum(codes == c)))
-        ids = [j for j, x in enumerate(nodes) if prefix[x[-1]] > prefix[x[0]]]
-        if ids:
-            ranks = [int(prefix[x]) for j in ids for x in nodes[j]]
-            want.append((c, ids, [len(nodes[j]) for j in ids], ranks))
     x = np.array([x for node in nodes for x in node], dtype=np.int64)
-    syms, ids, nbs, ranks = index.ranks.descend(x, np.array([len(node) for node in nodes]))
-    assert all(r.dtype == np.int64 for r in ranks)
-    got = [(c, i.tolist(), nb.tolist(), r.tolist()) for c, i, nb, r in zip(syms, ids, nbs, ranks)]
-    assert got == want
+    last = np.cumsum([len(node) for node in nodes]) - 1
+    first = last - [len(node) - 1 for node in nodes]
+    owner = np.arange(len(nodes)).repeat([len(node) for node in nodes])
+    prefix = {c: np.concatenate(([0], np.cumsum(codes == c))) for c in range(index.ranks.maxsym + 1)}
+    live = {c: [j for j, node in enumerate(nodes) if p[node[-1]] > p[node[0]]] for c, p in prefix.items()}
+    leaves = index.ranks.descend(x, first, last)
+    assert [c for c, _, _ in leaves] == [c for c in prefix if live[c]]
+    for c, at, r in leaves:
+        at = np.arange(x.size) if at is None else at
+        assert r.dtype == np.int64
+        assert r.tolist() == prefix[c][x[at]].tolist()
+        taken = sorted(set(owner[at].tolist()))
+        assert at.tolist() == [b for j in taken for b in range(first[j], last[j] + 1)]
+        assert set(live[c]) <= set(taken)
