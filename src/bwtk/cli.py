@@ -259,7 +259,6 @@ def _run_profile(args):
 
 def _run_per_k(args):
     """entropy and kl: one value per k in [k1..k2], made as it is written."""
-    _check_bounds(k2=args.k2)
     [s] = _load(args, args.input)
     if args.command == "entropy":
         values = kernels.entropy_range(build_bwt(s), args.k1, args.k2)

@@ -27,12 +27,16 @@ depend on the letters: each node builds its weight from its parent's, which
 the batch carries (Batch.carry), as a float times a power of two, so no
 score overflows. entropy_range and kl_divergence_range are readings of one
 per-k fold, _per_k: an exact sum per depth, plus a closed form per k.
+d2s and d2star telescope the other way, over the nodes shallower than k
+(_d2_fold): every block there adds its term and every node but the root
+takes its own back off, which cancels the block it is, so one block per
+k-mer is left and the pass stops at depth k - 1. A term that is not finite
+is counted with its sign, not summed, so cancelling pairs of them net 0.
 
 A fused pass (run_folds) derives each batch quantity once: Side.texts,
 each text's widths, for every pair fold; _pair_sums (Batch.derive) for the
 k-mer, substring and length-weighted kernels; _Kids (Batch.derive) for the
-MAW folds, the KL divergence and markov. d2s and d2star evaluate their
-terms over many batches at once.
+MAW folds, the KL divergence and markov.
 
 maw_words and maw_enumerate list words through one batch fold,
 _maw_listing, so both report them in the same order: batch by batch, then
@@ -823,63 +827,52 @@ def _row_products(index: BwtIndex, k: int, qs: np.ndarray) -> np.ndarray:
 def _d2_fold(pair: PairIndex, k: int, q, phi, absent_coef):
     """Sum of phi(f1(W), f2(W), q(W)) over all k-mers W, absent ones in closed form.
 
-    phi takes arrays. A node of depth >= k adds phi at its own counts less
-    phi at each block's (widths in the two texts) but a leaf's (one row),
-    and a leaf of a node of depth < k adds phi at its row, (1, 0) or (0, 1),
-    unless the row's k symbols reach $ or # (a leaf of depth >= k would take
-    off what its row's window adds). q(W) comes from one _row_products array
-    of the pair, nan at $ and #, at a node's first row or a leaf's row:
-    every row that starts with a k-mer holds the same float. The terms
-    cancel to a small value, so the phi and the q(W) terms, evaluated for
-    about _GATHER at a time, are each summed exactly (_ExactSum) and rounded
-    once, in finish(). An inf or nan term, or a sum past the float range,
-    makes finish() raise.
+    phi takes arrays. Every block of a node of depth below k adds phi at
+    its widths in the two texts, and every node of depth 1 to k - 1 takes
+    phi at its own widths back off. Such a node is one block of a shallower
+    node, over the same rows, so the two terms cancel; what is left is one
+    block per k-mer W, the block where W's edge leaves a node of depth
+    below k, and the pass stops at depth k - 1. q(W) comes from one
+    _row_products array of the pair, nan at $ and #, at the first row of
+    the block or node: a row whose k symbols reach $ or # drops out, in a
+    cancelling pair or alone. The terms cancel to a small value, so the phi
+    and the q(W) terms are each summed exactly (_ExactSum) and rounded
+    once, in finish(). An inf or nan phi is counted, +1 when added and -1
+    when taken off, and not summed: a net count other than 0 (a k-mer's
+    phi is not finite), or a sum past the float range, makes finish() raise.
     """
     total, q_present = _ExactSum(), _ExactSum()
     rows = _row_products(pair, k, np.array((math.nan,) * pair.terminators + q))
-    pending, held = ([], []), 0  # (counts, q(W)) of the terms to add and to subtract
-
-    def evaluate() -> None:
-        nonlocal held
-        for part, negate in zip(pending, (False, True)):
-            if part:
-                x, qw = (np.concatenate(arrays, axis=-1) for arrays in zip(*part))
-                part.clear()
-                with np.errstate(all="ignore"):
-                    terms = phi(x[0], x[1], qw)
-                total.add(np.negative(terms, out=terms) if negate else terms)
-                q_present.add(-qw if negate else qw)
-        held = 0
+    bad = 0  # the signed count of inf and nan phi terms
 
     def visit(batch: Batch) -> None:
-        nonlocal held
+        nonlocal bad
         side = batch.side
         f, w = side.texts()
-        leaf = w[0] + w[1] == 1
-        if batch.depth < k:
-            at = leaf.nonzero()[0]
-            qw = rows.take(side.bd.take(at + side.node.take(at)))
-            keep = ~np.isnan(qw)
-            pending[0].append((w.take(at.compress(keep), axis=1), qw.compress(keep)))
-        else:
-            qk, at = rows.take(side.start), (~leaf).nonzero()[0]
-            pending[0].append((f, qk))
-            pending[1].append((w.take(at, axis=1), qk.take(side.node.take(at))))
-        held += side.ch.size
-        if held >= _GATHER:
-            evaluate()
+        # the blocks, then the nodes but the root
+        nodes = f.shape[1] if batch.depth else 0
+        qw = rows.take(np.concatenate((side.bd[:-1].compress(side.inside()[:-1]), side.start[:nodes])))
+        x = np.concatenate((w, f[:, :nodes]), axis=1)
+        sign = np.repeat((1.0, -1.0), (w.shape[1], nodes))
+        keep = ~np.isnan(qw)
+        x, qw, sign = x.compress(keep, axis=1), qw.compress(keep), sign.compress(keep)
+        with np.errstate(all="ignore"):
+            terms = phi(x[0], x[1], qw) * sign
+        finite = np.isfinite(terms)
+        bad += int(sign.compress(~finite).sum())
+        total.add(terms.compress(finite))
+        q_present.add(qw * sign)
 
     def finish() -> float:
-        evaluate()
         value = total.value() + absent_coef * (1.0 - q_present.value())
-        if not math.isfinite(value):
+        if bad or not math.isfinite(value):
             raise ComputationError(
                 f"k-mer probabilities too small at k={k}: the value is outside"
                 " the floating-point range"
             )
         return value
 
-    return Fold(visit, finish)
+    return Fold(visit, finish, k - 1)
 
 
 def _d2_validate(pair: PairIndex, k: int, q) -> tuple:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, integer, sequence
 
 # raw-mode bytes must be printable ASCII unless an explicit alphabet admits them
 _PRINTABLE_LO = 33
@@ -59,14 +59,18 @@ class Sequence:
     alphabet: AlphabetMap | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.sigma < 1:
-            raise InputError("sigma must be at least 1")
+        # an index holds codes below 2**63, as suffix._text requires
+        self.sigma = integer(self.sigma, "sigma", 1, 2**63 - 1)
+        if not isinstance(self.symbols, list):
+            self.symbols = sequence(self.symbols, "symbols")
         if not self.symbols:
             raise InputError("empty sequence")
-        distinct = set(self.symbols)
-        if min(distinct) < 1 or max(distinct) > self.sigma:
-            bad = next(s for s in self.symbols if not 1 <= s <= self.sigma)
-            raise InputError(f"symbol {bad} outside [1..{self.sigma}]")
+        try:
+            distinct = set(self.symbols)
+        except TypeError:  # an unhashable entry, such as a list
+            raise InputError(f"symbols must be integers in [1..{self.sigma}]") from None
+        for symbol in distinct:
+            integer(symbol, "symbol", 1, self.sigma)
 
     def __len__(self) -> int:
         return len(self.symbols)

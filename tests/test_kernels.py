@@ -254,8 +254,8 @@ def test_d2star_underflowing_q_product_is_a_computation_error():
 
 
 def test_d2star_terms_past_the_float_range_are_a_computation_error():
-    # q(W) = 4e-308 is a normal float, but f1 f2 / q(W) overflows to inf in
-    # the node terms and to -inf in their block terms: fsum meets inf - inf
+    # q(W) = 4e-308 is a normal float, but f1 f2 / q(W) overflows to inf for
+    # the 2-mers over letters 1 and 2 in both texts: their terms are not finite
     rng = random.Random(601)
     a = build_bwt(rand_seq(rng, 3000, 4))
     b = build_bwt(rand_seq(rng, 3000, 4))
@@ -263,6 +263,45 @@ def test_d2star_terms_past_the_float_range_are_a_computation_error():
     with pytest.raises(ComputationError, match="floating-point range"):
         d2star_distance(a, b, 2, q)
     assert math.isfinite(d2s_distance(a, b, 2, q))
+
+
+def test_d2_pass_stops_at_depth_k_minus_1(monkeypatch):
+    # the fold visits depth k - 1 at most, so a pass of d2s or d2star alone
+    # extends every batch above that depth and none at it
+    rng = random.Random(25)
+    s = rand_seq(rng, 3_000, 4)
+    pair = PairIndex.of(build_bwt(s), build_bwt(mutate(rng, s, 0.01)))
+    q = (0.1, 0.2, 0.3, 0.4)
+    extended = Counter()
+    extend = bwtk.enumerate._extend_batch
+
+    def counted(batch):
+        extended[batch.depth] += 1
+        extend(batch)
+
+    monkeypatch.setattr(bwtk.enumerate, "_extend_batch", counted)
+    for k in (1, 2, 5):
+        visited = Counter()
+        batched_pass(pair, lambda batch: visited.update([batch.depth]), max_depth=k - 1)
+        assert max(visited) == k - 1
+        for measure in (d2s_distance, d2star_distance):
+            assert measure.fold(pair, k, q).depth == k - 1
+            extended.clear()
+            run_folds(pair, [(measure.fold, k, q)])
+            assert extended == {d: visited[d] for d in range(k - 1)}
+
+
+def test_d2_fused_with_a_full_depth_fold_is_bit_for_bit_its_value_alone():
+    # substring_kernel visits every depth, d2s and d2star only those below k
+    rng = random.Random(26)
+    s = rand_seq(rng, 2_000, 4)
+    q = (0.1, 0.2, 0.3, 0.4)
+    for other in (s, mutate(rng, s, 0.01)):
+        pair = PairIndex.of(build_bwt(s), build_bwt(other))
+        for k in (1, 3, 8):
+            calls = [(substring_kernel.fold,), (d2s_distance.fold, k, q), (d2star_distance.fold, k, q)]
+            alone = [run_folds(pair, [call])[0] for call in calls]
+            assert _hexed(run_folds(pair, calls)) == _hexed(alone)
 
 
 def test_weighted_kernel_validates_spec():

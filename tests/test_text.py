@@ -1,11 +1,13 @@
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bwtk.errors import InputError
+from bwtk.oracle import oracle_substring_complexity
 from bwtk.text import Sequence, load_input, map_alphabet, oracle_guard
 
 
@@ -57,8 +59,58 @@ def test_sequence_validation():
         Sequence([3], 2)
     with pytest.raises(InputError):
         Sequence([1], 0)
-    assert len(Sequence([1, 2], 2)) == 2
+    symbols = [1, 2]
+    s = Sequence(symbols, 2)
+    assert len(s) == 2 and s.symbols is symbols  # a list is kept, not copied
+    bad = (([1], "a"), ("ab", 3), ([1, None], 2), ([[1], [2]], 3), ([1, 2.5], 3), ([1, 2], 2.0))
+    for symbols, sigma in bad:
+        with pytest.raises(InputError):
+            Sequence(symbols, sigma)
 
+
+# what sigma, one symbol or the whole symbols of a valid call are swapped for
+SWAPS = (2.5, "3", None, [1], True, np.float64(2.0), 2**70)
+# no 1 or 2, which a set of symbols would merge with True and 2.0
+VALID = ([3, 5, 4, 3], 5)
+
+
+def _outcome(symbols, sigma):
+    """Sequence(symbols, sigma)'s symbols as ints, sigma and substring complexity; or InputError."""
+    try:
+        s = Sequence(symbols, sigma)
+    except InputError:
+        return InputError
+    assert type(s.sigma) is int and isinstance(s.symbols, list)
+    return [int(c) for c in s.symbols], s.sigma, oracle_substring_complexity(s)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_a_sequence_given_a_malformed_sigma_or_symbol_raises_input_error(data):
+    # sigma, one symbol or the whole symbols swapped: a malformed value raises
+    # InputError, and NumPy integers give the valid call's outcome
+    symbols, sigma = list(VALID[0]), VALID[1]
+    part = data.draw(st.sampled_from(("sigma", "symbol", "symbols")))
+    at = data.draw(st.integers(0, len(symbols) - 1))
+    if data.draw(st.booleans()):
+        if part == "sigma":
+            sigma = np.int64(sigma)
+        elif part == "symbol":
+            symbols[at] = np.int64(symbols[at])
+        else:
+            symbols = np.array(symbols)
+        assert _outcome(symbols, sigma) == _outcome(*VALID)
+        return
+    swap = data.draw(st.sampled_from(SWAPS))
+    if part == "sigma":
+        sigma = swap
+    elif part == "symbol":
+        symbols[at] = swap
+    else:
+        symbols = swap
+    # the whole symbols swapped for [1] is a valid one-symbol text
+    want = ([1], 5, 1) if part == "symbols" and isinstance(swap, list) else InputError
+    assert _outcome(symbols, sigma) == want
 
 def test_load_input_raw_strips_whitespace(tmp_path):
     p = tmp_path / "in.txt"
