@@ -2,12 +2,14 @@
 
 The terminator is encoded as 0 and sorts below every alphabet symbol, so the
 transformed string T# has length n = |T| + 1 and its BWT contains exactly
-one 0. Construction sorts suffixes by prefix doubling from a packed start:
-one argsort orders every suffix by its first h symbols, h up to 27 at
-sigma=4, and each later round doubles the sorted prefix with one numpy
-argsort of a single int64 key over only the rows still tied. Loading
-inverts the BWT by pointer jumping over LF, in about log2 n numpy rounds,
-to check that it is the BWT of a text.
+one 0. Construction makes T# once, in the smallest dtype that holds its
+codes, and sorts suffixes by prefix doubling from a packed start: one
+in-place sort of uint64 keys, each h symbols above its row's bits, orders
+every suffix by its first h symbols (19 at sigma=4 for n = 2e5), and each
+later round doubles the sorted prefix with one numpy argsort of a single
+int64 key over only the rows still tied. Loading inverts the BWT by pointer
+jumping over LF, in about log2 n numpy rounds, to check that it is the BWT
+of a text.
 
 An index keeps only the C array and a wavelet tree of the BWT, terminator
 rows apart at its root: ceil(log2 sigma) bits per row plus a quarter bit
@@ -17,6 +19,7 @@ PairIndex holds two texts in one such index, that of T1 $ T2 #.
 
 from __future__ import annotations
 
+import array
 import struct
 
 import numpy as np
@@ -34,11 +37,19 @@ _MAX_N = 3_037_000_499
 def _sort_suffixes(s: np.ndarray) -> np.ndarray:
     """0-based suffix order of s, which ends in a 0 that occurs nowhere else.
 
-    The first round sorts every suffix by its first h symbols at once. With
-    b the largest code + 1 (codes of n or more are first replaced by their
-    ranks), one int64 key packs h symbols in base b, 0 past the end of s,
-    h as large as b**h < 2**63 allows: 27 at sigma=4, 14 at sigma=20. The
-    unstable argsort is enough, since later rounds refine tied keys.
+    The first round sorts every suffix by its first h symbols with one plain
+    sort. The codes are first replaced by their ranks among the codes that
+    occur (0 stays 0), so the base b is the number of distinct codes, at most
+    n. One uint64 key per row packs h symbols in base b, 0 past the end of s,
+    above the row itself in the low r = (n - 1).bit_length() bits. The key
+    stays below b**h * 2**r <= 2**64, and h is as large as that allows, up
+    to n: 19 at sigma=4 and 10 at sigma=20 for n = 2e5. As n <= _MAX_N <
+    2**32, r <= 32 and b <= n <= 2**r <= 2**(64 - r), so one code always fits
+    beside the row. The keys are distinct, so an unstable in-place sort is
+    enough, and the order is read back from their low bits; rows that tie on
+    all h symbols are refined by the later rounds. The packing doubles: with
+    key[i] packing s[i : i + w], key[i] * b**m plus the first m symbols of
+    key[i + w] packs w + m, so h symbols take ceil(log2 h) steps.
 
     A row's rank is the head slot of its group, the first slot in the
     order that its ties occupy. Each later round, k the prefix length sorted
@@ -56,21 +67,42 @@ def _sort_suffixes(s: np.ndarray) -> np.ndarray:
         raise InputError(f"text too long: {n} symbols with the terminator, over {_MAX_N}")
     if int(s.max()) >= n:
         s = np.unique(s, return_inverse=True)[1]
+    else:
+        seen = np.bincount(s) > 0
+        if not seen.all():
+            s = (np.cumsum(seen) - 1).astype(s.dtype)[s]
+        del seen
     b = int(s.max()) + 1
-    k = 1
-    while k < n and b ** (k + 1) < 2**63:
-        k += 1
-    key = s.astype(np.int64)
-    for j in range(1, k):
-        key *= b
-        key[: n - j] += s[j:]
+    r = (n - 1).bit_length()
+    h = 1
+    while h < n and b ** (h + 1) <= 2 ** (64 - r):
+        h += 1
+    key = s.astype(np.uint64)
+    del s
+    # tail[i] is the first m symbols that key[i + width] packs, 0 past the end
+    tail = np.zeros(n, dtype=np.uint64)
+    width = 1
+    while width < h:
+        m = min(width, h - width)
+        np.floor_divide(key[width:], b ** (width - m), out=tail[: n - width])
+        tail[n - width :] = 0
+        key *= b**m
+        key += tail
+        width += m
+    del tail
     # ranks, rows and slots lie below n; int32 halves their memory
     dtype = np.int32 if n < 2**31 else np.int64
-    rank = s.astype(dtype)
-    order = np.argsort(key).astype(dtype)
-    key = key[order]
-    tied = _regroup(rank, order, np.arange(n, dtype=dtype), key)
-    del key
+    slots = np.arange(n, dtype=dtype)
+    key <<= r
+    np.bitwise_or(key, slots, out=key, dtype=np.uint64, casting="unsafe")
+    key.sort()
+    order = np.empty(n, dtype=dtype)
+    np.bitwise_and(key, 2**r - 1, out=order, casting="unsafe")
+    key >>= r
+    rank = np.empty(n, dtype=dtype)
+    tied = _regroup(rank, order, slots, key)
+    del key, slots
+    k = h
     # each round holds one int64 key and a few int32 arrays of the tied rows' size
     # (take gathers through int32 indexes without widening them first)
     while tied.size:
@@ -96,10 +128,13 @@ def _regroup(rank: np.ndarray, rows: np.ndarray, slots: np.ndarray, key: np.ndar
     """Rank rows, sorted by key into the ascending slots, by their groups' head slots.
 
     Returns the slots of the rows that still share their key with another.
+    When no row does, the ranks are left as they were: no round reads them.
     """
     fresh = np.empty(key.size, dtype=bool)
     fresh[0] = True
     np.not_equal(key[1:], key[:-1], out=fresh[1:])
+    if fresh.all():
+        return slots[:0]
     head = np.where(fresh, slots, 0)
     np.maximum.accumulate(head, out=head)
     rank[rows] = head
@@ -113,13 +148,25 @@ def _text(symbols, sigma: int) -> np.ndarray:
     """symbols, a list or array, as a non-empty 1-D int64 array over [1..sigma].
 
     sigma must lie in [1..2**63 - 1], as load requires; int64 input is not
-    copied.
+    copied. A list is read in one C-level pass, which refuses an entry that is
+    not an int of int64; a list of bools alone is refused too, as an array of
+    them is.
     """
     sigma = integer(sigma, "sigma", 1, 2**63 - 1)
-    try:
-        s = np.asarray(symbols)
-    except ValueError:  # a ragged nest of sequences
-        s = np.empty((0, 0))
+    if isinstance(symbols, list):
+        try:
+            s = np.frombuffer(array.array("q", symbols), dtype=np.int64)
+        except (TypeError, OverflowError):  # a float, str, None or list, or past int64
+            s = None
+        # np.asarray makes a bool array of bools alone, refused below for an
+        # array; all() stops at the first entry that is not a bool
+        if s is None or symbols and all(type(a) is bool for a in symbols):
+            raise InputError(f"symbols must be integers in [1..{sigma}]")
+    else:
+        try:
+            s = np.asarray(symbols)
+        except ValueError:  # a ragged nest of sequences
+            s = np.empty((0, 0))
     if s.ndim != 1 or not s.size:
         raise InputError("symbols must be a non-empty one-dimensional sequence")
     if s.dtype.kind not in "iu" or s.min() < 1 or s.max() > sigma:
@@ -127,19 +174,30 @@ def _text(symbols, sigma: int) -> np.ndarray:
     return s.astype(np.int64, copy=False)
 
 
+def _joined(*texts: np.ndarray) -> np.ndarray:
+    """T#, or T1 $ T2 # of two texts, made once in the smallest dtype that holds its codes.
+
+    With k texts, letter a is code a + k - 1 and the terminator after text i
+    (from 0) is k - 1 - i: # is 0 and $ is 1, below every letter.
+    """
+    shift = len(texts) - 1
+    top = max(int(t.max()) for t in texts) + shift
+    s = np.empty(sum(t.size for t in texts) + len(texts), dtype=np.min_scalar_type(top))
+    end = 0
+    for i, t in enumerate(texts):
+        np.add(t, shift, out=s[end : end + t.size], casting="unsafe")
+        end += t.size + 1
+        s[end - 1] = shift - i
+    return s
+
+
 def suffix_array(seq: Sequence) -> list[int]:
     """1-based starting positions of the sorted suffixes of T#."""
-    s = np.concatenate([_text(seq.symbols, seq.sigma), [0]])
-    return (_sort_suffixes(s) + 1).tolist()
+    return (_sort_suffixes(_joined(_text(seq.symbols, seq.sigma))) + 1).tolist()
 
 
 def build_bwt(seq: Sequence) -> "BwtIndex":
     return BwtIndex(seq.symbols, seq.sigma, name=seq.name)
-
-
-def _narrow(s: np.ndarray) -> np.ndarray:
-    """Non-negative codes below 2**63 in the smallest integer dtype that holds them."""
-    return s.astype(np.min_scalar_type(int(s.max())))
 
 
 class BwtIndex:
@@ -171,7 +229,7 @@ class BwtIndex:
     parts: tuple = ()
 
     def __init__(self, symbols, sigma: int, name: str = "") -> None:
-        s = _narrow(np.concatenate([_text(symbols, sigma), [0]]))
+        s = _joined(_text(symbols, sigma))
         order = _sort_suffixes(s)
         self._install(s[order - 1], int(sigma), name)
 
@@ -378,10 +436,11 @@ class PairIndex(BwtIndex):
         n = one.size + two.size + 2
         if n > _MAX_N:
             raise InputError(f"pair too long: {n} symbols with $ and #, over {_MAX_N}")
-        s = _narrow(np.concatenate([one + 1, [1], two + 1, [0]]))
+        self.split = one.size + 1
+        s = _joined(one, two)
+        del one, two
         order = _sort_suffixes(s)
         self._install(s[order - 1], sigma + 1, "")
-        self.split = one.size + 1
         self.bit = BitVector(order < self.split)
         self.parts = parts
 
