@@ -227,8 +227,8 @@ def _run_kernel(args):
         if kind not in _KERNEL_KINDS:
             raise InputError(f"unknown kernel kind {kind!r}")
     s1, s2 = _load(args, args.input1, args.input2)
-    # one index of T1 $ T2 #; the symbol lists are not needed past the build
-    pair = PairIndex(s1.symbols, s2.symbols, s1.sigma)
+    # one index of T1 $ T2 #; the symbol arrays are not needed past the build
+    pair = PairIndex(s1.array, s2.array, s1.sigma)
     del s1, s2
     # every kind is a fold over one pass of the pair's index
     values = kernels.run_folds(pair, [(_kernel_fold, kind, args) for kind in kinds])

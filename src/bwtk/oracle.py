@@ -1,7 +1,8 @@
 """Brute-force reference implementations used to validate the index path.
 
 Everything here works from explicit substring tables built by direct window
-scans over the input symbols. No suffix sorting, BWT, or rank machinery is
+scans over the input symbols, read from the Sequence's checked array, as
+the index builder reads them. No suffix sorting, BWT, or rank machinery is
 used, so these results are an independent check on the index-based measures.
 All functions enforce a length guard (default 4096, BWTK_GUARD overrides)
 because time and memory grow quadratically with input length.
@@ -35,7 +36,7 @@ def _check_guard(seq: Sequence) -> None:
 def substring_counts(seq: Sequence) -> dict[Word, int]:
     """Occurrence count of every substring of the symbol string."""
     _check_guard(seq)
-    syms = tuple(seq.symbols)
+    syms = tuple(seq.array.tolist())
     m = len(syms)
     counts: dict[Word, int] = {}
     for length in range(1, m + 1):
@@ -59,7 +60,7 @@ def oracle_kmer_complexity(seq: Sequence, k: int) -> int:
     if k < 1:
         raise InputError("k must be at least 1")
     _check_guard(seq)
-    syms = tuple(seq.symbols)
+    syms = tuple(seq.array.tolist())
     return len({syms[p : p + k] for p in range(len(syms) - k + 1)})
 
 
@@ -86,7 +87,7 @@ def oracle_entropy(seq: Sequence, k: int) -> float:
     if k < 0:
         raise InputError("k must be non-negative")
     _check_guard(seq)
-    syms = tuple(seq.symbols)
+    syms = tuple(seq.array.tolist())
     m = len(syms)
     followers: dict[Word, dict[int, int]] = {}
     for p in range(m - k):
@@ -113,7 +114,7 @@ def _cosine(num: float, d1: float, d2: float) -> float:
 
 
 def _kmer_vector(seq: Sequence, k: int) -> dict[Word, int]:
-    syms = tuple(seq.symbols)
+    syms = tuple(seq.array.tolist())
     vec: dict[Word, int] = {}
     for p in range(len(syms) - k + 1):
         w = syms[p : p + k]
@@ -370,7 +371,7 @@ def _neighbours(seq: Sequence, end: int) -> dict[Word, tuple[set[int], set[int]]
     on the right. Every symbol neighbours some empty occurrence.
     """
     _check_guard(seq)
-    syms = tuple(seq.symbols)
+    syms = tuple(seq.array.tolist())
     m = len(syms)
     out: dict[Word, tuple[set[int], set[int]]] = {(): (set(syms) | {end}, set(syms) | {end})}
     for length in range(1, m + 1):

@@ -7,9 +7,8 @@ codes, and sorts suffixes by prefix doubling from a packed start: one
 in-place sort of uint64 keys, each h symbols above its row's bits, orders
 every suffix by its first h symbols (19 at sigma=4 for n = 2e5), and each
 later round doubles the sorted prefix with one numpy argsort of a single
-int64 key over only the rows still tied. Loading inverts the BWT by pointer
-jumping over LF, in about log2 n numpy rounds, to check that it is the BWT
-of a text.
+int64 key over only the rows still tied. Loading checks that the BWT is
+that of a text by pointer jumping over LF, in about log2 n numpy rounds.
 
 An index keeps only the C array and a wavelet tree of the BWT, terminator
 rows apart at its root: ceil(log2 sigma) bits per row plus a quarter bit
@@ -19,13 +18,12 @@ PairIndex holds two texts in one such index, that of T1 $ T2 #.
 
 from __future__ import annotations
 
-import array
 import struct
 
 import numpy as np
 
 from .errors import InputError, integer, sequence
-from .text import Sequence
+from .text import Sequence, symbol_array
 from .wavelet import BitVector, RankIndex
 
 _MAGIC = b"BWTK1"
@@ -144,73 +142,48 @@ def _regroup(rank: np.ndarray, rows: np.ndarray, slots: np.ndarray, key: np.ndar
     return slots[fresh]
 
 
-def _text(symbols, sigma: int) -> np.ndarray:
-    """symbols, a list or array, as a non-empty 1-D int64 array over [1..sigma].
-
-    sigma must lie in [1..2**63 - 1], as load requires; int64 input is not
-    copied. A list is read in one C-level pass, which refuses an entry that is
-    not an int of int64; a list of bools alone is refused too, as an array of
-    them is.
-    """
-    sigma = integer(sigma, "sigma", 1, 2**63 - 1)
-    if isinstance(symbols, list):
-        try:
-            s = np.frombuffer(array.array("q", symbols), dtype=np.int64)
-        except (TypeError, OverflowError):  # a float, str, None or list, or past int64
-            s = None
-        # np.asarray makes a bool array of bools alone, refused below for an
-        # array; all() stops at the first entry that is not a bool
-        if s is None or symbols and all(type(a) is bool for a in symbols):
-            raise InputError(f"symbols must be integers in [1..{sigma}]")
-    else:
-        try:
-            s = np.asarray(symbols)
-        except ValueError:  # a ragged nest of sequences
-            s = np.empty((0, 0))
-    if s.ndim != 1 or not s.size:
-        raise InputError("symbols must be a non-empty one-dimensional sequence")
-    if s.dtype.kind not in "iu" or s.min() < 1 or s.max() > sigma:
-        raise InputError(f"symbols must be integers in [1..{sigma}]")
-    return s.astype(np.int64, copy=False)
-
-
 def _joined(*texts: np.ndarray) -> np.ndarray:
     """T#, or T1 $ T2 # of two texts, made once in the smallest dtype that holds its codes.
 
     With k texts, letter a is code a + k - 1 and the terminator after text i
-    (from 0) is k - 1 - i: # is 0 and $ is 1, below every letter.
+    (from 0) is k - 1 - i: # is 0 and $ is 1, below every letter. The shift
+    is added in the dtype of T#, so a letter at the top of a text's own
+    dtype does not wrap.
     """
     shift = len(texts) - 1
     top = max(int(t.max()) for t in texts) + shift
     s = np.empty(sum(t.size for t in texts) + len(texts), dtype=np.min_scalar_type(top))
     end = 0
     for i, t in enumerate(texts):
-        np.add(t, shift, out=s[end : end + t.size], casting="unsafe")
+        np.add(t, shift, out=s[end : end + t.size], dtype=s.dtype, casting="unsafe")
         end += t.size + 1
         s[end - 1] = shift - i
     return s
 
 
 def suffix_array(seq: Sequence) -> list[int]:
-    """1-based starting positions of the sorted suffixes of T#."""
-    return (_sort_suffixes(_joined(_text(seq.symbols, seq.sigma))) + 1).tolist()
+    """1-based starting positions of the sorted suffixes of T#, T being seq's array."""
+    return (_sort_suffixes(_joined(symbol_array(seq.array, seq.sigma))) + 1).tolist()
 
 
 def build_bwt(seq: Sequence) -> "BwtIndex":
-    return BwtIndex(seq.symbols, seq.sigma, name=seq.name)
+    """The index of seq's array, read as it is: an array is checked in place, not copied."""
+    return BwtIndex(seq.array, seq.sigma, name=seq.name)
 
 
 class BwtIndex:
     """BWT of T#, kept only as a wavelet tree, and its C array.
 
-    T is a list or 1-D integer array over [1..sigma], sigma below 2**63 so
-    that a dump loads back (see _text). ranks, a wavelet.RankIndex of the
-    BWT, is the whole index besides n, sigma and the C array, which one
-    descent reads off the tree (counts). The C array covers only the
-    symbols that occur: syms is them in ascending order, the terminator 0
-    first, and c[k] counts the symbols of T# below syms[k], with c[-1] = n,
-    so the suffix rows starting with syms[k] are exactly [c[k]+1 .. c[k+1]].
-    A declared sigma, or a code, far above the others costs nothing.
+    T is a list or 1-D integer array over [1..sigma], checked as a Sequence
+    checks it (text.symbol_array); build_bwt passes a Sequence's array.
+    ranks, a wavelet.RankIndex of the BWT, is the whole index besides n,
+    sigma and the C array, which one descent reads off the tree (counts).
+    The C array covers only the symbols that occur: syms is them in
+    ascending order, the terminator 0 first, and c[k] counts the symbols of
+    T# below syms[k], with c[-1] = n, so the suffix rows starting with
+    syms[k] are exactly [c[k]+1 .. c[k+1]]. A declared sigma, or a code,
+    far above the others costs next to nothing: the sort ranks the codes
+    that occur, and the wavelet tree gives each a leaf.
     Everything else is computed on each call and not kept:
     - codes (and bwt, its list) decodes the tree, O(n log sigma);
     - psi() is the stable argsort of that decode, O(n log sigma);
@@ -229,7 +202,7 @@ class BwtIndex:
     parts: tuple = ()
 
     def __init__(self, symbols, sigma: int, name: str = "") -> None:
-        s = _joined(_text(symbols, sigma))
+        s = _joined(symbol_array(symbols, sigma))
         order = _sort_suffixes(s)
         self._install(s[order - 1], int(sigma), name)
 
@@ -341,7 +314,7 @@ class BwtIndex:
         index = cls.__new__(cls)
         index._install(codes, int(sigma), "")
         del codes
-        index._invert()  # raises unless LF is one cycle; T is not kept
+        index._walk_lf(distances=False)  # raises unless LF is one cycle
         return index
 
     def first(self, rows: np.ndarray | None = None) -> np.ndarray:
@@ -364,18 +337,17 @@ class BwtIndex:
         """
         return np.argsort(self.codes, kind="stable")
 
-    def _invert(self) -> np.ndarray:
-        """Recover T by list ranking over the LF mapping.
+    def _walk_lf(self, distances: bool = True) -> np.ndarray | None:
+        """Every row's distance to row 0 along LF, or None when not asked for.
 
         BWT row i holds the symbol a that precedes the suffix of row i, and
         lf[i] is the row of the suffix that starts with that a: LF inverts
         psi. Row 0 is the suffix #, and the row of the suffix at position p
         of T reaches it in p + 1 steps along LF. Pointer jumping (Wyllie
-        1979), with row 0 absorbing, finds every row's distance to row 0 in
-        ceil(log2(n - 1)) rounds, and T[p] is the F symbol of the row at
-        distance p + 1. A row that never reaches row 0 lies on a second
-        cycle of LF, which the BWT of no text has. Returns T as int64, in
-        O(n log n) time; the index keeps nothing of it.
+        1979), with row 0 absorbing, takes every row to row 0 in
+        ceil(log2(n - 1)) rounds, and adds up the distances on the way when
+        asked to. A row that never reaches row 0 lies on a second cycle of
+        LF, which the BWT of no text has: InputError. O(n log n) time.
         """
         n = self.n
         by = self.psi()
@@ -385,25 +357,36 @@ class BwtIndex:
         hop[by] = np.arange(n, dtype=dtype)
         del by
         hop[0] = 0
-        dist = np.ones(n, dtype=dtype)
-        dist[0] = 0
+        dist = None
+        if distances:
+            dist = np.ones(n, dtype=dtype)
+            dist[0] = 0
         step = np.empty(n, dtype=dtype)
         # after r rounds a row has moved 2**r steps or stopped at row 0, and
         # no distance exceeds n - 1
         for _ in range((n - 2).bit_length()):
-            np.take(dist, hop, out=step)
-            dist += step
+            if dist is not None:
+                np.take(dist, hop, out=step)
+                dist += step
             np.take(hop, hop, out=step)
             hop, step = step, hop
         if hop.any():
             raise InputError("LF has more than one cycle; index is corrupt")
-        del hop, step
-        text = np.empty(n - 1, dtype=np.int64)
+        return dist
+
+    def _invert(self) -> np.ndarray:
+        """T, recovered along LF, in the smallest dtype that holds sigma.
+
+        T[p] is the F symbol of the row at distance p + 1 from row 0 (see
+        _walk_lf). The index keeps nothing of it.
+        """
+        dist = self._walk_lf()
+        text = np.empty(self.n - 1, dtype=np.min_scalar_type(self.sigma))
         text[dist[1:] - 1] = self.first()[1:]
         return text
 
     def to_sequence(self, name: str | None = None) -> Sequence:
-        return Sequence(self.text, self.sigma, name=self.name if name is None else name)
+        return Sequence(self._invert(), self.sigma, name=self.name if name is None else name)
 
 
 class PairIndex(BwtIndex):
@@ -432,7 +415,7 @@ class PairIndex(BwtIndex):
 
     def __init__(self, symbols1, symbols2, sigma: int, parts: tuple = ()) -> None:
         sigma = integer(sigma, "sigma of a pair", 1, 2**63 - 2)
-        one, two = _text(symbols1, sigma), _text(symbols2, sigma)
+        one, two = symbol_array(symbols1, sigma), symbol_array(symbols2, sigma)
         n = one.size + two.size + 2
         if n > _MAX_N:
             raise InputError(f"pair too long: {n} symbols with $ and #, over {_MAX_N}")

@@ -1,13 +1,20 @@
-"""Input loading and alphabet mapping.
+"""Input loading, alphabet mapping and the one check of a text's symbols.
 
-Sequences are held as integer symbols in [1..sigma]; 0 is reserved for the
-terminator appended by the index builder and never appears in a Sequence.
+A Sequence holds its symbols in [1..sigma] as one integer array, in the
+smallest dtype that holds sigma (uint8 below 256), checked once when it is
+made; 0 is reserved for the terminator the index builder appends and never
+appears in a Sequence. Parsing makes that array with NumPy from the bytes,
+and a build reads it as it is, so no Python object per symbol is made
+between the file and the suffix sort.
 """
 
 from __future__ import annotations
 
+import array
+import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -31,17 +38,18 @@ class AlphabetMap:
     def sigma(self) -> int:
         return len(self.byte_to_symbol)
 
-    def encode(self, data: bytes) -> list[int]:
-        # symbols by byte value, 0 for bytes outside the alphabet
+    def encode(self, data: bytes) -> np.ndarray:
+        """The symbols of data's bytes, in the smallest dtype that holds sigma."""
         table = np.zeros(256, dtype=np.min_scalar_type(self.sigma))
         table[list(self.byte_to_symbol)] = list(self.byte_to_symbol.values())
         symbols = table[np.frombuffer(data, dtype=np.uint8)]
+        # 0 marks a byte outside the alphabet
         if symbols.size and not symbols.all():
             bad = data[int(np.argmin(symbols))]
             raise InputError(f"byte {bad!r} is not in the alphabet")
-        return symbols.tolist()
+        return symbols
 
-    def decode(self, symbols: list[int]) -> bytes:
+    def decode(self, symbols) -> bytes:
         try:
             s2b = self.symbol_to_byte
             return bytes(s2b[s] for s in symbols)
@@ -49,31 +57,74 @@ class AlphabetMap:
             raise InputError(f"symbol {exc.args[0]!r} is not in the alphabet") from None
 
 
-@dataclass
-class Sequence:
-    """A named string over the integer alphabet [1..sigma]."""
+def symbol_array(symbols, sigma) -> np.ndarray:
+    """symbols checked as a non-empty 1-D integer array over [1..sigma], sigma in [1..2**63 - 1].
 
-    symbols: list[int]
-    sigma: int
-    name: str = ""
-    alphabet: AlphabetMap | None = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        # an index holds codes below 2**63, as suffix._text requires
-        self.sigma = integer(self.sigma, "sigma", 1, 2**63 - 1)
-        if not isinstance(self.symbols, list):
-            self.symbols = sequence(self.symbols, "symbols")
-        if not self.symbols:
-            raise InputError("empty sequence")
+    sigma is bounded so that an index of the text dumps and loads back. An
+    integer array is checked in place and returned as it is, not copied.
+    Anything else is read as a list, whose entries must all be ints,
+    NumPy's included: a bool, a float such as 2.0, a str or None anywhere
+    raises InputError. The values are read in one C-level pass, into uint8
+    below sigma 256 and into int64 above: bytearray and array take each
+    entry through __index__, so they refuse every entry that is not an int
+    or a bool, and one past their dtype. They read False as 0, which the
+    range check refuses, and True as 1, which an identity scan of the list
+    refuses.
+    """
+    sigma = integer(sigma, "sigma", 1, 2**63 - 1)
+    if isinstance(symbols, np.ndarray) and symbols.dtype.kind in "iu":
+        s = symbols
+    else:
+        if not isinstance(symbols, list):
+            symbols = sequence(symbols, "symbols")
         try:
-            distinct = set(self.symbols)
-        except TypeError:  # an unhashable entry, such as a list
-            raise InputError(f"symbols must be integers in [1..{self.sigma}]") from None
-        for symbol in distinct:
-            integer(symbol, "symbol", 1, self.sigma)
+            if sigma < 256:
+                s = np.frombuffer(bytearray(symbols), dtype=np.uint8)
+            else:
+                s = np.frombuffer(array.array("q", symbols), dtype=np.int64)
+        except (TypeError, ValueError, OverflowError):
+            raise InputError(f"symbols must be integers in [1..{sigma}]") from None
+        if any(map(operator.is_, symbols, repeat(True))):
+            raise InputError(f"symbols must be integers in [1..{sigma}]")
+    if s.ndim != 1 or not s.size:
+        raise InputError("symbols must be a non-empty one-dimensional sequence")
+    if s.min() < 1 or s.max() > sigma:
+        raise InputError(f"symbols must be integers in [1..{sigma}]")
+    return s
+
+
+class Sequence:
+    """A named string over the integer alphabet [1..sigma].
+
+    array holds the symbols, checked by symbol_array when the Sequence is
+    made, in the smallest dtype that holds sigma; it is the Sequence's text,
+    which builds and the oracles read, and len() is its size. symbols is the
+    list the Sequence was made from, kept as it was given and not copied, so
+    that list must not be changed afterwards: a change shows in symbols but
+    not in array. Made from anything else, such as an array or a tuple, the
+    Sequence keeps no list, and each read of symbols makes a new one from
+    the array, in O(n) time and n Python ints.
+    """
+
+    __slots__ = ("array", "sigma", "name", "alphabet", "_list")
+
+    def __init__(self, symbols, sigma: int, name: str = "", alphabet: AlphabetMap | None = None) -> None:
+        s = symbol_array(symbols, sigma)
+        self.sigma = int(sigma)
+        self.array = s.astype(np.min_scalar_type(self.sigma), copy=False)
+        self.name = name
+        self.alphabet = alphabet
+        self._list = symbols if isinstance(symbols, list) else None
+
+    @property
+    def symbols(self) -> list[int]:
+        return self.array.tolist() if self._list is None else self._list
 
     def __len__(self) -> int:
-        return len(self.symbols)
+        return self.array.size
+
+    def __repr__(self) -> str:
+        return f"Sequence(symbols={self.symbols!r}, sigma={self.sigma!r}, name={self.name!r})"
 
 
 def load_input(path: str, fmt: str = "auto") -> list[tuple[str, bytes]]:
@@ -135,15 +186,16 @@ def map_alphabet(
             raise InputError("explicit alphabet has duplicate bytes")
         ordered = list(alphabet)
     else:
-        seen: set[int] = set()
+        # the distinct bytes, from one bincount of each payload
+        seen = np.zeros(256, dtype=bool)
         for _, payload in records:
-            seen.update(payload)
-        for b in seen:
+            seen |= np.bincount(np.frombuffer(payload, dtype=np.uint8), minlength=256) > 0
+        ordered = np.flatnonzero(seen).tolist()
+        for b in ordered:
             if not _PRINTABLE_LO <= b <= _PRINTABLE_HI:
                 raise InputError(
                     f"byte {b!r} outside printable ASCII; pass an explicit alphabet"
                 )
-        ordered = sorted(seen)
     b2s = {b: i + 1 for i, b in enumerate(ordered)}
     amap = AlphabetMap(b2s, {v: k for k, v in b2s.items()})
     out = []

@@ -5,7 +5,11 @@ splits its symbol range at the midpoint and keeps one bit per element in
 NumPy 64-bit words, ranked through a uint16 count per word (a quarter bit
 per bit) over an int32 count per 2**16-bit superblock, int64 past 2**31
 bits (González, Grabowski, Mäkinen and Navarro 2005); every rank leaves
-this module as int64. A root split at `split` keeps the rows of the few
+this module as int64. A range whose elements are all one code is a leaf of
+that code, and one whose elements all fall in one half gives way to the
+narrowest range of the halving that splits them: below the root, every
+node has elements on both sides, and sparse codes cost a leaf each, not a
+node per level. A root split at `split` keeps the rows of the few
 codes below it as positions, so a BWT's letters cost ceil(log2 sigma) bits
 per row and its terminators none. The tree is all that is kept of the
 array: decode reads it back in O(n log maxsym) on each call. One descent,
@@ -91,9 +95,10 @@ class _Node(BitVector):
     """One wavelet node: symbols lo..hi, split after mid.
 
     It is the BitVector of its elements, set where the symbol is above mid.
-    A leaf, and a node over a range with no element, has no children and no
-    bits: every rank there is 0 or the position itself, and no descent goes
-    below it.
+    A leaf, of code lo, has no children and no bits: there a rank of lo is
+    the position itself and one of any other code 0, and no descent goes
+    below it. So is a node over a range with no element, which only the
+    root of empty data and a child of the root can be.
     """
 
     __slots__ = ("lo", "mid", "left", "right")
@@ -131,7 +136,8 @@ class RankIndex:
     """Wavelet tree over symbols in [0..maxsym] with 1-based positions.
 
     With split > 0 the root is a _SplitRoot over codes 0..split-1 and
-    split..maxsym, and below it each node splits at its midpoint.
+    split..maxsym, and below it each node splits at its midpoint (see
+    _build).
     """
 
     __slots__ = ("n", "maxsym", "root")
@@ -154,19 +160,37 @@ class RankIndex:
         self.maxsym = maxsym
         self.root = self._build(arr, 0, maxsym, split)
 
-    def _build(self, arr: np.ndarray, lo: int, hi: int, split: int = 0) -> _Node:
+    def _build(self, arr: np.ndarray, lo: int, hi: int, split: int | None = None) -> _Node:
+        """The node of arr over [lo..hi]; the root's call passes split, 0 for none.
+
+        The root keeps its bits even when its elements all fall on one side.
+        """
         if lo == hi or not arr.size:
             return _Node(lo, lo)
         mid = split - 1 if split else (lo + hi) // 2
         bits = arr > mid
         node = (_SplitRoot if split else _Node)(lo, mid, bits)
+        # its rank directory counts the 1s at once: a dense alphabet pays nothing more
+        if split is None and node.one(node.n) in (0, node.n):
+            # every element on one side: a leaf if they are all one code,
+            # else the node of the narrowest range of the halving that splits them
+            first, last = int(arr.min()), int(arr.max())
+            if first == last:
+                return _Node(first, first)
+            while last <= mid or first > mid:
+                lo, hi = (lo, mid) if last <= mid else (mid + 1, hi)
+                mid = (lo + hi) // 2
+            return self._build(arr, lo, hi)
         # compress, as a boolean mask of random bits is several times slower
         node.left = self._build(arr.compress(~bits), lo, mid)
         node.right = self._build(arr.compress(bits), mid + 1, hi)
         return node
 
     def rank(self, c: int, i: int) -> int:
-        """Occurrences of c among the first i entries; rank(c, 0) = 0."""
+        """Occurrences of c among the first i entries; rank(c, 0) = 0.
+
+        c's walk ends at a leaf of another code when c does not occur.
+        """
         c = integer(c, "symbol", 0, self.maxsym)
         i = integer(i, "position", 0, self.n)
         node = self.root
@@ -178,7 +202,7 @@ class RankIndex:
             else:
                 i = ones
                 node = node.right
-        return i
+        return i if node.lo == c else 0
 
     def access(self, i: int) -> int:
         """The symbol at position i in [1..n]: the one symbol of the node [i-1, i]."""

@@ -2,7 +2,6 @@ import gc
 import random
 import struct
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,11 +17,10 @@ from bwtk.suffix import (
     BwtIndex,
     PairIndex,
     _sort_suffixes,
-    _text,
     build_bwt,
     suffix_array,
 )
-from bwtk.text import Sequence
+from bwtk.text import Sequence, symbol_array
 
 
 def test_suffix_array_hand_values():
@@ -204,12 +202,11 @@ def test_dump_load_round_trip(tmp_path):
     ],
 )
 def test_one_text_check_refuses_bad_input_in_every_constructor(symbols, sigma, pair_sigma):
-    # BwtIndex, suffix_array and both texts of a PairIndex share one check;
-    # suffix_array reads any object's symbols and sigma, as a Sequence checks
-    # only some of these
+    # Sequence, BwtIndex and both texts of a PairIndex share one check, and
+    # suffix_array reads the array a Sequence checked
     builds = (
         lambda: BwtIndex(symbols, sigma),
-        lambda: suffix_array(SimpleNamespace(symbols=symbols, sigma=sigma)),
+        lambda: suffix_array(Sequence(symbols, sigma)),
         lambda: PairIndex(symbols, [1], pair_sigma),
         lambda: PairIndex([1], symbols, pair_sigma),
     )
@@ -232,11 +229,11 @@ def test_integer_arrays_build_the_index_of_their_list(tmp_path):
         got = PairIndex(np.array(one, dtype=dtype), np.array(two, dtype=dtype), 4)
         assert got.bwt == pair.bwt
         assert got.bit.bits().tolist() == pair.bit.bits().tolist()
-        arr = SimpleNamespace(symbols=np.array(one, dtype=dtype), sigma=4)
+        arr = Sequence(np.array(one, dtype=dtype), 4)
         assert suffix_array(arr) == suffix_array(Sequence(one, 4))
     # an int64 text is checked in place, not copied
     text = np.array(one, dtype=np.int64)
-    assert _text(text, 4) is text
+    assert symbol_array(text, 4) is text
     # the largest sigma a dump holds: 63-bit codes that load and dump back
     top = BwtIndex([1, 2**63 - 1, 5, 2**63 - 1], 2**63 - 1)
     path, again = tmp_path / "top.bwtk", tmp_path / "again.bwtk"
@@ -245,6 +242,26 @@ def test_integer_arrays_build_the_index_of_their_list(tmp_path):
     back.dump(str(again))
     assert again.read_bytes() == path.read_bytes()
     assert (back.sigma, back.text) == (2**63 - 1, [1, 2**63 - 1, 5, 2**63 - 1])
+
+
+def test_list_tuple_and_array_made_sequences_dump_the_same_index(tmp_path):
+    # a Sequence made from a list, a tuple or an array holds the same array,
+    # and build_bwt reads only that
+    rng = random.Random(27)
+    for sigma in (1, 4, 255, 256, 2**40):
+        symbols = [rng.randint(1, sigma) for _ in range(700)]
+        dumps = []
+        for made in (symbols, tuple(symbols), np.array(symbols, dtype=np.uint64)):
+            s = Sequence(made, sigma)
+            assert s.symbols == symbols and s.array.dtype == np.min_scalar_type(sigma)
+            path = tmp_path / f"{len(dumps)}.bwtk"
+            build_bwt(s).dump(str(path))
+            dumps.append(path.read_bytes())
+        assert dumps[0] == dumps[1] == dumps[2]
+        assert BwtIndex.load(str(path)).text == symbols
+        # the pair's codes are one above the letters', past the texts' dtype at sigma 255
+        pair = PairIndex(s.array, s.array[::-1], sigma)
+        assert pair.texts() == (symbols, symbols[::-1])
 
 
 def test_load_rejects_corrupt_files(tmp_path):

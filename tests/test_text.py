@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bwtk.errors import InputError
-from bwtk.oracle import oracle_substring_complexity
+from bwtk.oracle import oracle_substring_complexity, substring_counts
+from bwtk.suffix import BwtIndex, build_bwt
 from bwtk.text import Sequence, load_input, map_alphabet, oracle_guard
 
 
@@ -66,12 +67,39 @@ def test_sequence_validation():
     for symbols, sigma in bad:
         with pytest.raises(InputError):
             Sequence(symbols, sigma)
+    # a bool or a float anywhere in a list is refused, though it equals a symbol
+    with pytest.raises(InputError):
+        BwtIndex([1, True], 4)
+    with pytest.raises(InputError):
+        Sequence([2, 2.0, 1], 3)
+    # True after many 1s, and in a list of mostly 1s
+    for symbols in ([2] * 20_000 + [1] * 5_000 + [True], [1] * 5_000 + [True]):
+        with pytest.raises(InputError):
+            Sequence(symbols, 300)
+        with pytest.raises(InputError):
+            Sequence(symbols, 4)
+    # made from an array, a Sequence keeps no list and holds the smallest dtype
+    s = Sequence(np.array([1, 2, 2], dtype=np.int64), 2)
+    assert len(s) == 3 and s.array.dtype == np.uint8
+    assert s.symbols == [1, 2, 2] and s.symbols is not s.symbols
+
+
+def test_a_list_changed_after_the_sequence_is_made_changes_neither_build_nor_oracle():
+    # the Sequence's text is the array checked when it was made: the index and
+    # the oracles both read it, even after the kept list holds a value past sigma
+    symbols = [1, 2, 1, 2]
+    s = Sequence(symbols, 3)
+    symbols[0] = 4
+    assert s.symbols is symbols and s.array.tolist() == [1, 2, 1, 2]
+    assert build_bwt(s).text == [1, 2, 1, 2]
+    assert substring_counts(s) == substring_counts(Sequence([1, 2, 1, 2], 3))
+    assert oracle_substring_complexity(s) == 7
 
 
 # what sigma, one symbol or the whole symbols of a valid call are swapped for
 SWAPS = (2.5, "3", None, [1], True, np.float64(2.0), 2**70)
-# no 1 or 2, which a set of symbols would merge with True and 2.0
-VALID = ([3, 5, 4, 3], 5)
+# 1 and 2 included: a list with True or 2.0 swapped in must be refused
+VALID = ([3, 1, 2, 5, 4, 3], 5)
 
 
 def _outcome(symbols, sigma):
@@ -223,3 +251,70 @@ def test_whitespace_is_stripped_as_a_per_byte_filter(data, fmt):
                 load_input(str(path), fmt)
         else:
             assert load_input(str(path), fmt) == want
+
+
+def reference_map(records, alphabet):
+    """map_alphabet's (name, symbols, sigma) by a per-byte dict, or the InputError message it must raise."""
+    if alphabet is not None:
+        if not alphabet:
+            return "explicit alphabet is empty"
+        if len(set(alphabet)) != len(alphabet):
+            return "explicit alphabet has duplicate bytes"
+        ordered = list(alphabet)
+    else:
+        ordered = sorted({b for _, payload in records for b in payload})
+        for b in ordered:
+            if not 33 <= b <= 126:
+                return f"byte {b!r} outside printable ASCII; pass an explicit alphabet"
+    table = {b: i + 1 for i, b in enumerate(ordered)}
+    out = []
+    for name, payload in records:
+        for b in payload:
+            if b not in table:
+                return f"byte {b!r} is not in the alphabet"
+        out.append((name, [table[b] for b in payload], len(ordered)))
+    return out
+
+
+# payload bytes: mostly DNA letters, and any byte that is neither whitespace
+# nor a FASTA header mark, unprintable ones included
+PAYLOAD = st.lists(
+    st.sampled_from(b"ACGT") | st.integers(0, 255).filter(lambda b: b not in SPACE and b != ord(">")),
+    min_size=1,
+    max_size=30,
+).map(bytes)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_map_alphabet_matches_a_per_byte_mapping(data):
+    fmt = data.draw(st.sampled_from(("fasta", "raw")))
+    if fmt == "fasta":
+        names = data.draw(st.lists(st.sampled_from(("a", "b", "c d")), min_size=1, max_size=3))
+        records = [(name, data.draw(PAYLOAD)) for name in names]
+        text = b"".join(b">" + name.encode() + b"\n" + payload + b"\n" for name, payload in records)
+    else:
+        records = [("", data.draw(PAYLOAD))]
+        text = records[0][1]
+    alphabet = data.draw(
+        st.none()
+        | st.just(b"ACGT")
+        | st.lists(st.sampled_from(b"ACGTN\x00\xff"), max_size=6).map(bytes)
+        | st.just(bytes(sorted({b for _, payload in records for b in payload})))
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.txt"
+        path.write_bytes(text)
+        loaded = load_input(str(path), fmt)
+    assert loaded == records
+    want = reference_map(records, alphabet)
+    if isinstance(want, str):
+        with pytest.raises(InputError) as exc:
+            map_alphabet(loaded, alphabet)
+        assert str(exc.value) == want
+        return
+    got = map_alphabet(loaded, alphabet)
+    assert [(s.name, s.symbols, s.sigma) for s in got] == want
+    for s, (_, payload) in zip(got, loaded):
+        assert s.array.dtype == np.min_scalar_type(s.sigma)
+        assert s.alphabet.decode(s.array) == payload

@@ -382,3 +382,31 @@ def test_descend_matches_prefix_counts_of_the_decoded_bwt(case):
         taken = sorted(set(owner[at].tolist()))
         assert at.tolist() == [b for j in taken for b in range(first[j], last[j] + 1)]
         assert set(live[c]) <= set(taken)
+
+
+def test_sparse_codes_cost_a_leaf_each():
+    # a range whose elements are all one code is a leaf of that code, and a
+    # range whose elements all fall in one half gives way to the narrowest
+    # that splits them: 2,000 codes below 2**40 take under 4 nodes each,
+    # not a node per level of the 40
+    rng = np.random.default_rng(40)
+    codes = rng.choice(2**40, size=2_000, replace=False)
+    data = codes[rng.integers(0, codes.size, size=20_000)]
+    rix = RankIndex(data, 2**40 - 1)
+    nodes, stack = 0, [rix.root]
+    while stack:
+        node = stack.pop()
+        nodes += 1
+        if node.left is not None:
+            stack += (node.left, node.right)
+    assert nodes < 4 * codes.size
+    assert rix.decode().tolist() == data.tolist()
+    present = np.unique(data)
+    absent = [0, 2**40 - 1, *np.setdiff1d(rng.choice(2**40, size=20), present).tolist()]
+    x = [0, 1, 777, 10_000, 19_999, 20_000]
+    for c in [*rng.choice(present, size=30).tolist(), *absent]:
+        assert [rix.rank(c, i) for i in x] == [int(np.count_nonzero(data[:i] == c)) for i in x]
+    for bounds in ([0, 20_000], [0, 5, 5, 9_000, 20_000], [12_345, 12_400, 12_999]):
+        window = data[bounds[0] : bounds[-1]]
+        want = [(c, [int(np.count_nonzero(data[:b] == c)) for b in bounds]) for c in np.unique(window).tolist()]
+        assert rix.distinct_ranks(bounds) == want
