@@ -10,6 +10,14 @@ interval widths, so integer measures are computed in exact integer
 arithmetic. Float terms are summed exactly, by one binned accumulator
 (_ExactSum), and each float sum is rounded once, when it is read.
 
+Folds that sum integer counts by depth, a string's length being its
+node's depth, keep one int64 row of counts per depth (_bin), made when the
+pass first reaches that depth: the k-mer, substring and length-weighted
+kernels (_telescoped), kmer_profile, substring_complexity and markov's
+exact baseline. visit() only adds a batch's counts to the row of its
+depth, and the weight a count takes by its depth is applied in finish(),
+when the rows are read, one by one or summed from the back (_tails).
+
 Each measure's set-up, measure.fold, returns its Fold, which the measure
 runs alone and run_folds with any others in one pass of a BwtIndex or, for
 a pair measure, of a suffix.PairIndex, the index of T1 $ T2 #: every node
@@ -18,9 +26,9 @@ bit's ranks, so no fold matches two texts' nodes. A pair measure itself
 takes the two texts' indexes and builds their pair index.
 
 The k-mer, substring and length-weighted kernels share one such fold,
-_telescoped, which bins each batch's integer terms by its depth; each
-kernel is a reading of the bins. Uniform and band weights take integer
-coefficients (the k-mer kernel at k is the band reading over [k, k]), and
+_telescoped, whose rows hold each batch's integer terms; each kernel is a
+reading of the rows. Uniform and band weights take integer coefficients
+(the k-mer kernel at k is the band reading over [k, k]), and
 exponential weights take geometric sums scaled by each side's heaviest
 length, so no epsilon needs a path of its own. Per-character score weights
 depend on the letters: each node builds its weight from its parent's, which
@@ -114,8 +122,9 @@ class ProfileMatrix:
     k = k1, k1 + 1, .. up to the deepest node the pass reached (at most
     k2), each over f = f1 .. min(f2, n), n being |T| + 1. The other k-mers
     each occur once, n - k of length k in all, and no k-mer occurs n
-    times, so no slot is held for the cells past held; cell reads any
-    cell, and cells lists them all.
+    times, so no slot is held for the cells past held. cell reads any cell
+    of the matrix, k in [k1..k2] and f in [f1..f2], and raises InputError
+    outside it; cells lists them all.
     """
 
     k1: int
@@ -126,9 +135,10 @@ class ProfileMatrix:
     held: list[list[int]]
 
     def cell(self, k: int, f: int) -> int:
+        k, f = integer(k, "k", self.k1, self.k2), integer(f, "f", self.f1, self.f2)
         i, j = k - self.k1, f - self.f1
         count = self.held[i][j] if i < len(self.held) and j < len(self.held[i]) else 0
-        return count + (self.n - k if j == 0 and self.f1 == 1 and k < self.n else 0)
+        return count + (self.n - k if f == 1 and k < self.n else 0)
 
     @property
     def cells(self) -> list[list[int]]:
@@ -184,6 +194,21 @@ def _node_sums(values: np.ndarray, node: np.ndarray, count: int) -> np.ndarray:
     np.cumsum(values, out=total[1:])
     at = np.searchsorted(node, np.arange(count + 1))
     return total[at[1:]] - total[at[:-1]]
+
+
+def _bin(bins: list, i: int, width: int = 1) -> np.ndarray:
+    """bins[i], an int64 row of width zeros made when a pass first reaches its depth.
+
+    A pass reaches a depth only after every shallower one, so rows are made in order.
+    """
+    if i == len(bins):
+        bins.append(np.zeros(width, dtype=np.int64))
+    return bins[i]
+
+
+def _tails(bins: list) -> list:
+    """bins summed from the back: entry i is bins[i] + bins[i + 1] + ..."""
+    return list(itertools.accumulate(reversed(bins)))[::-1]
 
 
 def _letters(side: Side) -> np.ndarray:
@@ -456,28 +481,24 @@ def _telescoped(lo: int, result) -> Fold:
 
     A node of depth d >= lo adds fo ft - cross, fo^2 - s1 and ft^2 - s2 (its
     own frequency products less those of its right extensions, as in
-    _pair_sums) into bin d of (num, den1, den2), as exact integers: a
-    batch sum is at most n1 n2, which suffix._MAX_N keeps in int64. For
-    every length L >= lo, the sum of f1(U) f2(U) over the length-L
-    substrings U is then the sum of num[d] over d >= L, and that of f1(U)^2
-    is n1 - L plus the sum of den1[d] over d >= L (likewise for text 2).
-    finish() returns result(num, den1, den2) of these sums, each list L >=
-    lo holding the sum at L; every length weighting is a reading of them.
+    _pair_sums) into the depth-d bin (_bin) of (num, den1, den2), as exact
+    integers: every sum of them, over a depth or from the back, is at most
+    n1 n2, which suffix._MAX_N keeps in int64. For every length L >= lo,
+    the sum of f1(U) f2(U) over the length-L substrings U is then the sum
+    of num[d] over d >= L (_tails), and that of f1(U)^2 is n1 - L plus the
+    sum of den1[d] over d >= L (likewise for text 2). finish() returns
+    result(num, den1, den2) of these sums as lists of ints, each L >= lo
+    holding the sum at L and each L < lo that at lo; every length weighting
+    is a reading of them.
     """
-    bins = ([], [], [])
+    bins = []
 
     def visit(batch: Batch) -> None:
-        d = batch.depth
-        if d < lo:
-            return
-        for b, total in zip(bins, batch.derive(_pair_sums)):
-            b.extend([0] * (d + 1 - len(b)))
-            b[d] += total
+        row = _bin(bins, batch.depth, 3)
+        if batch.depth >= lo:
+            row += batch.derive(_pair_sums)
 
-    def finish():
-        return result(*(list(itertools.accumulate(b[::-1]))[::-1] for b in bins))
-
-    return Fold(visit, finish)
+    return Fold(visit, lambda: result(*np.reshape(_tails(bins), (-1, 3)).T.tolist()))
 
 
 @_measure(2)
@@ -513,7 +534,10 @@ def kmer_profile(index: BwtIndex, k1: int, k2: int, f1: int, f2: int):
     """Distinct k-mers per (length, frequency) cell.
 
     cells[k][f] counts k-mers occurring exactly f times for f < f2 and at
-    least f2 times in the saturated last column.
+    least f2 times in the saturated last column. A node of depth d >= k1
+    adds its count of 1 at its frequency, less 1 at each block's width,
+    into the bin of depth min(d, k2) (_bin); row k of held is then the sum
+    of the bins of depth k and deeper (_tails).
     """
     k1 = integer(k1, "k1", 1)
     k2 = integer(k2, "k2", k1)
@@ -524,15 +548,12 @@ def kmer_profile(index: BwtIndex, k1: int, k2: int, f1: int, f2: int):
     # and neither bound reaches NumPy past n
     top = min(f2, n)
     cols = max(top - f1 + 1, 0)
-    diff = []  # a row per depth from k1, made when the pass first reaches it
+    bins = []  # from depth k1; the row of k2 takes the deeper nodes too
 
     def visit(batch: Batch) -> None:
-        d = batch.depth
-        if d < k1:
+        if batch.depth < k1:
             return
-        if min(d, k2) - k1 == len(diff):
-            diff.append(np.zeros(cols, dtype=np.int64))
-        row = diff[min(d, k2) - k1]
+        row = _bin(bins, min(batch.depth, k2) - k1, cols)
         side = batch.side
         # a node adds one k-mer at its frequency, and each block takes one off
         for values, sign in ((side.freq, 1), (side.w, -1)):
@@ -541,7 +562,7 @@ def kmer_profile(index: BwtIndex, k1: int, k2: int, f1: int, f2: int):
             row[: counts.size] += sign * counts
 
     def finish() -> ProfileMatrix:
-        held = [row.tolist() for row in itertools.accumulate(reversed(diff))][::-1]
+        held = [row.tolist() for row in _tails(bins)]
         return ProfileMatrix(k1, k2, f1, f2, n, held)
 
     # with no column to count, the pass need not leave the root, of depth 0 < k1
@@ -607,17 +628,20 @@ def entropy_range(index: BwtIndex, k1: int, k2: int):
 
 @_measure(1)
 def substring_complexity(index: BwtIndex):
-    """Number of distinct non-empty substrings over [1..sigma]."""
+    """Number of distinct non-empty substrings over [1..sigma].
+
+    Every node of depth d adds d (1 - its number of blocks) to n (n - 1) /
+    2, the count of substring occurrences in T (n = |T| + 1): visit() bins
+    each batch's count of nodes less blocks at its depth (_bin), and
+    finish() weighs the row of depth d by d.
+    """
     n = index.n
-    total = (n - 1) * n // 2
+    bins = []
 
     def visit(batch: Batch) -> None:
-        nonlocal total
-        side = batch.side
-        # every node of depth d adds d (1 - its number of blocks)
-        total += batch.depth * (side.nb.size - side.ch.size)
+        _bin(bins, batch.depth)[0] += batch.side.nb.size - batch.side.ch.size
 
-    return Fold(visit, lambda: total)
+    return Fold(visit, lambda: (n - 1) * n // 2 + sum(d * int(row[0]) for d, row in enumerate(bins)))
 
 
 @_measure(2)
@@ -1121,6 +1145,9 @@ def markov_kernel(pair: PairIndex, params: ZScoreParams):
     a maximal repeat of a side; in exact-g mode the residual (g-1) baseline
     of every other occurring string is folded in through per-length prefix
     sums, exactly mirrored by a (g1-1)(g2-1) subtraction on shared terms.
+    visit() bins the baseline's integer counts at each batch's depth
+    (_bin), and finish() adds the counts of depth d times the prefix sum at
+    d, each product exactly (float.as_integer_ratio).
     """
     if not isinstance(params, ZScoreParams):
         raise InputError(f"params must be a ZScoreParams, not {params!r}")
@@ -1129,6 +1156,7 @@ def markov_kernel(pair: PairIndex, params: ZScoreParams):
     m1, m2 = n1 - 1, n2 - 1
     exact = params.g_mode == "exact"
     sums = num, den1, den2 = _ExactSum(), _ExactSum(), _ExactSum()
+    bins = []
     if exact:
         # g at lengths 0..n (1 below 2), and prefix sums of the products of g - 1
         g1a, g2a = (markov_g(n, np.arange(n + 1.0)) for n in (n1, n2))
@@ -1147,14 +1175,10 @@ def markov_kernel(pair: PairIndex, params: ZScoreParams):
         p = batch.derive(_Kids)
         g1v = g2v = 1.0
         if exact:
-            # the (g - 1) baseline: the prefix sum at d times, per node in both texts 1
-            # less its shared letters and, per node in a text, 1 less its blocks there
-            terms = [np.count_nonzero(f.all(axis=0)) - p.shared.sum()]
-            terms += (np.count_nonzero(f, axis=1) - np.count_nonzero(w, axis=1)).tolist()
-            for total, term, prefix in zip(sums, terms, ps):
-                if term:
-                    top, bottom = prefix[d].as_integer_ratio()
-                    total.add_ratio(top * int(term), bottom)
+            # the (g - 1) baseline counts: per node in both texts 1 less its
+            # shared letters and, per node in a text, 1 less its blocks there
+            lone = np.count_nonzero(f, axis=1) - np.count_nonzero(w, axis=1)
+            _bin(bins, d, 3)[:] += (np.count_nonzero(f.all(axis=0)) - int(p.shared.sum()), *lone)
             g1v = g1a[d + 2] if d + 2 <= n1 else 1.0
             g2v = g2a[d + 2] if d + 2 <= n2 else 1.0
         # the minimal absent words, where z is -1
@@ -1190,7 +1214,15 @@ def markov_kernel(pair: PairIndex, params: ZScoreParams):
             zt = zt.compress(blocks)
             den.add(zt * zt - (g - 1.0) ** 2 if exact else zt * zt)
 
-    return Fold(visit, lambda: _cosine(*(total.value() for total in sums)))
+    def finish() -> float:
+        # the (g - 1) baseline: each count at d times the prefix sum at d, exactly
+        for (d, j), count in np.ndenumerate(bins):
+            if count:
+                top, bottom = ps[j][d].as_integer_ratio()
+                sums[j].add_ratio(top * int(count), bottom)
+        return _cosine(*(total.value() for total in sums))
+
+    return Fold(visit, finish)
 
 
 # ---------------------------------------------------------------------------
@@ -1244,9 +1276,8 @@ def calibrate_kmax(index: BwtIndex, tau: float, kcap: int):
     kcap = min(integer(kcap, "kcap", 2), index.n)
 
     def smallest(kls: PerK) -> int:
-        # tails[k - 2] sums kls from k to kcap, added from kcap down
-        tails = list(itertools.accumulate(reversed(kls)))[::-1]
-        return next((k for k, tail in enumerate(tails, 2) if tail < tau), kcap + 1)
+        # the tail at k sums kls from k to kcap, added from kcap down
+        return next((k for k, tail in enumerate(_tails(kls), 2) if tail < tau), kcap + 1)
 
     return kl_divergence_range.fold(index, 2, kcap).then(smallest)
 

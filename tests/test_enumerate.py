@@ -14,7 +14,7 @@ from conftest import (
     one_index,
     rand_seq,
 )
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 import bwtk.enumerate
@@ -373,13 +373,15 @@ def merge_inputs(draw):
 @given(merge_inputs(), st.sampled_from((8, 16, 32, 64)))
 def test_merged_batches_match_the_unsplit_pass(case, cap):
     # caps at which small batches are parked and merged, unlike 1, 2 and 7;
-    # the unsplit pass (cap None) is judged against the oracle above
+    # the unsplit pass (cap None) is judged against the oracle above. The
+    # search steers toward inputs whose peak comes closest to the bound
     sigma, texts, max_depth = case
     indexes = [build_bwt(s) for s in texts]
     want, visits, _ = _batched_events(indexes, None, max_depth)
     got, merged_visits, peak = _batched_events(indexes, cap, max_depth)
     assert got == want
     assert merged_visits == visits
+    target(peak / _peak_bound(indexes, sigma, cap), label="peak / bound")
     assert peak <= _peak_bound(indexes, sigma, cap)
 
 

@@ -108,6 +108,19 @@ def test_profile_hand_value_and_invariants():
         kmer_profile(idx("abab"), 1, 2, 0, 2)
 
 
+def test_profile_cell_refuses_a_cell_outside_the_matrix():
+    # k below k1 or f below f1 once read another cell through a negative
+    # index: cell(1, 2) read the last held row, though no 1-mer occurs twice
+    # (1 occurs 5 times and 2 occurs 4 times), and cell(2, 1) the saturated column
+    symbols = [1, 2, 1, 2, 1, 1, 2, 2, 1]
+    prof = kmer_profile(BwtIndex(symbols, 2), 2, 4, 2, 3)
+    for k, f in ((1, 2), (2, 1), (5, 2), (2, 4), (0, 0), (-1, 2), (2, -1)):
+        with pytest.raises(InputError):
+            prof.cell(k, f)
+    want = orc.oracle_kmer_profile(Sequence(symbols, 2), 2, 4, 2, 3)
+    assert [[prof.cell(k, f) for f in (2, 3)] for k in (2, 3, 4)] == prof.cells == want
+
+
 def test_lengths_and_frequencies_past_any_index_give_a_value_or_input_error():
     # k2 past the longest indexable text is refused as the CLI refuses it;
     # frequencies past n count 0 and never reach NumPy
@@ -869,6 +882,7 @@ SPEC_FIELDS = {
 # at a time, and a representation or a pair of them whole or one field at a time
 _TEXT, _OTHER = idx("abracadabra"), idx("abracadaca", sigma=5)
 _CODES = RankIndex([1, 2, 0, 2], 3, 1)
+_PROFILE = kmer_profile(_TEXT, 1, 3, 1, 2)
 ENTRY_ARGS = [
     ("BwtIndex", lambda sigma: BwtIndex([1, 2, 1, 3], sigma).bwt, (3,), ("int",)),
     ("PairIndex", lambda sigma: PairIndex([1, 2], [2, 3, 1], sigma).bwt, (3,), ("int",)),
@@ -880,6 +894,7 @@ ENTRY_ARGS = [
     ("RankIndex.rank", _CODES.rank, (2, 3), ("int", "int")),
     ("RankIndex.access", _CODES.access, (2,), ("int",)),
     ("RankIndex.range_distinct", _CODES.range_distinct, (1, 3), ("int", "int")),
+    ("ProfileMatrix.cell", _PROFILE.cell, (2, 1), ("int", "int")),
     (
         "extend_left",
         lambda chars, first: [(a, r.chars, r.first) for a, r in extend_left(_TEXT, Repr(chars, first))],
